@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rppm_core::{execute, predict, PreparedProfile, ThreadTimeline};
 use rppm_profiler::profile;
-use rppm_sim::{simulate, simulate_profiled, simulate_reference};
+use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
 use rppm_trace::{BlockItem, CursorItem, DesignPoint, Rng, SyncOp, ThreadCursor};
 use rppm_workloads::{by_name, Params};
@@ -128,7 +128,7 @@ fn opstream(c: &mut Criterion) {
     // expansion speed (gated against pipeline/profile_hotspot_0.1).
     let replay = rppm_trace::OpReplay::open(&path).expect("open");
     g.bench_function("profile_replay_hotspot_0.1", |b| {
-        b.iter(|| rppm_profiler::profile_replay(std::hint::black_box(&replay)))
+        b.iter(|| profile(std::hint::black_box(&replay)))
     });
     g.finish();
     let _ = std::fs::remove_file(&path);
@@ -158,11 +158,18 @@ fn pipeline(c: &mut Criterion) {
     // simulate/simulate_reference ratio IS the superinstruction speedup,
     // measured in the same process so machine noise cancels.
     g.bench_function("simulate_reference_hotspot_0.1", |b| {
-        b.iter(|| simulate_reference(std::hint::black_box(&program), &config))
+        b.iter(|| {
+            simulate_with(
+                std::hint::black_box(&program),
+                &config,
+                SimEngine::Reference,
+                &mut NoProbe,
+            )
+        })
     });
     // Self-profiling overhead: must stay marginal over plain simulate.
     g.bench_function("simulate_profiled_hotspot_0.1", |b| {
-        b.iter(|| simulate_profiled(std::hint::black_box(&program), &config))
+        b.iter(|| simulate_profiled(std::hint::black_box(&program), &config, SimEngine::Fused))
     });
     g.bench_function("profile_hotspot_0.1", |b| {
         b.iter(|| profile(std::hint::black_box(&program)))

@@ -10,7 +10,7 @@
 //! optimization discipline forbids.
 
 use super::{arr, obj, Report, RunCtx};
-use rppm_sim::{simulate_profiled, SimProfile};
+use rppm_sim::{simulate_profiled, SimEngine, SimProfile};
 use rppm_workloads::Params;
 use serde_json::Value;
 
@@ -36,7 +36,7 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let mut rows_json = Vec::new();
     for bench in rppm_workloads::all() {
         let program = bench.build(&params);
-        let (_, p) = simulate_profiled(&program, &config);
+        let (_, p) = simulate_profiled(&program, &config, SimEngine::Fused);
         rows.push(format!(
             "{:<16} {:>10} {:>10} {:>7.1}% {:>8.1}%",
             bench.name,

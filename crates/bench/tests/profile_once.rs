@@ -1,13 +1,9 @@
 //! The "profile once" contract: one `profile()` call per distinct
 //! (workload, params) pair, no matter how many configurations, reports, or
-//! worker threads consume the profile.
-//!
-//! Keep this file to a single `#[test]`: the hook is a process-wide
-//! counter, and a second concurrently-running test in this binary would
-//! perturb the deltas.
+//! worker threads consume the profile — counted by the cache that did the
+//! work.
 
 use rppm_bench::{ExperimentPlan, ImportedTrace, ProfileCache, RunCtx};
-use rppm_profiler::profile_call_count;
 use rppm_trace::DesignPoint;
 use rppm_workloads::{by_name, Params};
 
@@ -24,14 +20,13 @@ fn each_workload_is_profiled_exactly_once() {
     let configs: Vec<_> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
 
     let cache = ProfileCache::new();
-    let before = profile_call_count();
 
     // 3 workloads × 5 configs, 4 worker threads.
     let runs = ExperimentPlan::cross(benches.clone(), params, configs.clone()).run(&cache, 4);
     assert_eq!(runs.len(), 3);
     assert!(runs.iter().all(|r| r.cells.len() == 5));
     assert_eq!(
-        profile_call_count() - before,
+        cache.profiles_collected(),
         3,
         "one profile() per workload despite 15 cells"
     );
@@ -42,7 +37,7 @@ fn each_workload_is_profiled_exactly_once() {
     let again = ExperimentPlan::single_config(benches.clone(), params, DesignPoint::Base.config())
         .run(ctx.cache, ctx.jobs);
     assert_eq!(again.len(), 3);
-    assert_eq!(profile_call_count() - before, 3, "cache hit across plans");
+    assert_eq!(cache.profiles_collected(), 3, "cache hit across plans");
 
     // ...while a different scale is a different workload job.
     let other = Params {
@@ -50,7 +45,7 @@ fn each_workload_is_profiled_exactly_once() {
         seed: 1,
     };
     ExperimentPlan::cross([benches[0]], other, Vec::new()).run(&cache, 1);
-    assert_eq!(profile_call_count() - before, 4);
+    assert_eq!(cache.profiles_collected(), 4);
     assert_eq!(cache.len(), 4);
 
     // Imported traces obey the same contract: a trace that round-trips
@@ -63,19 +58,19 @@ fn each_workload_is_profiled_exactly_once() {
     assert_eq!(runs.len(), 1);
     assert_eq!(runs[0].cells.len(), 5);
     assert_eq!(
-        profile_call_count() - before,
+        cache.profiles_collected(),
         5,
         "one profile() for the imported trace despite 5 cells"
     );
     ExperimentPlan::single_config([imported.clone()], params, DesignPoint::Base.config())
         .run(&cache, 2);
-    assert_eq!(profile_call_count() - before, 5, "cache hit across plans");
+    assert_eq!(cache.profiles_collected(), 5, "cache hit across plans");
 
     // ...and the cache keys on trace *content*, not Params: re-running the
     // same import under different Params must not re-profile, while a
     // second import of the same file shares the first one's profile.
     let reimported = ImportedTrace::new(rppm_trace::import_program(&text).expect("imports"));
     ExperimentPlan::cross([reimported], other, Vec::new()).run(&cache, 1);
-    assert_eq!(profile_call_count() - before, 5, "content-keyed cache hit");
+    assert_eq!(cache.profiles_collected(), 5, "content-keyed cache hit");
     assert_eq!(cache.len(), 5);
 }

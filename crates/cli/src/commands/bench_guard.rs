@@ -319,7 +319,7 @@ fn run_rss_child(mut args: ArgStream) -> Result<i32, CliError> {
                 },
             )
             .map_err(|e| CliError::user(format!("{path}: {e}")))?;
-            rppm::profiler::profile_replay(&replay)
+            rppm::profiler::profile(&replay)
         }
         _ => return Err(args.error("rss-child expects `expand` or `replay`")),
     };

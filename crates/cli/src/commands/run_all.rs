@@ -68,7 +68,6 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let cache = ProfileCache::new();
     let ctx = RunCtx::new(&cache, jobs).with_imports(imports);
     let t0 = std::time::Instant::now();
-    let profiles_before = rppm::profiler::profile_call_count();
 
     let jobs_list: Vec<ReportJob<'_>> = vec![
         ("table1", Box::new(|| reports::table1(1_000_000))),
@@ -104,7 +103,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
          ({} workloads profiled once each, {} profile() calls)",
         t0.elapsed(),
         cache.len(),
-        rppm::profiler::profile_call_count() - profiles_before,
+        cache.profiles_collected(),
     );
     Ok(0)
 }

@@ -10,8 +10,8 @@
 
 use super::{is_help, take_jobs};
 use crate::args::{ArgStream, CliError};
-use rppm::sim::{simulate_profiled, simulate_reference_profiled, SimProfile};
-use rppm::trace::{DesignPoint, MachineConfig, Program};
+use rppm::sim::{simulate_profiled, SimEngine, SimProfile};
+use rppm::trace::DesignPoint;
 use rppm::workloads::Params;
 use serde_json::Value;
 
@@ -42,15 +42,6 @@ fn parse_point(s: &str) -> Result<DesignPoint, String> {
         "biggest" => DesignPoint::Biggest,
         other => return Err(format!("unknown design point `{other}`")),
     })
-}
-
-/// Simulates one program under the chosen engine, returning its profile.
-fn profile_one(program: &Program, config: &MachineConfig, reference: bool) -> SimProfile {
-    if reference {
-        simulate_reference_profiled(program, config).1
-    } else {
-        simulate_profiled(program, config).1
-    }
 }
 
 fn render_text(scope: &str, engine: &str, point: &str, p: &SimProfile, top: usize) -> String {
@@ -109,7 +100,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut point = DesignPoint::Base;
     let mut machine: Option<String> = None;
     let mut top = 8usize;
-    let mut reference = false;
+    let mut sim_engine = SimEngine::Fused;
     let mut json = false;
     let mut out_file: Option<String> = None;
     let mut jobs = rppm_bench::default_jobs();
@@ -131,7 +122,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             }
             "--machine" => machine = Some(args.value_of(&arg)?),
             "--top" => top = args.parse_of(&arg)?,
-            "--reference" => reference = true,
+            "--reference" => sim_engine = SimEngine::Reference,
             "--json" => json = true,
             "--out" => out_file = Some(args.value_of(&arg)?),
             _ if arg.is_flag() => return Err(args.unknown(&arg)),
@@ -155,14 +146,17 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         }
         None => (point.config(), format!("{point:?}").to_lowercase()),
     };
-    let engine = if reference { "reference" } else { "optimized" };
+    let engine = match sim_engine {
+        SimEngine::Fused => "optimized",
+        SimEngine::Reference => "reference",
+    };
 
     let (scope, profile, per_workload) = if catalog {
         let mut merged = SimProfile::default();
         let mut rows = Vec::new();
         for bench in rppm::workloads::all() {
             let program = bench.build(&params);
-            let p = profile_one(&program, &config, reference);
+            let p = simulate_profiled(&program, &config, sim_engine).1;
             rows.push(Value::Object(vec![
                 ("name".into(), Value::String(bench.name.to_string())),
                 ("ops".into(), Value::U64(p.total_ops())),
@@ -179,7 +173,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             .find(|b| b.name == name)
             .ok_or_else(|| args.error(format!("unknown workload `{name}`")))?;
         let program = bench.build(&params);
-        let p = profile_one(&program, &config, reference);
+        let p = simulate_profiled(&program, &config, sim_engine).1;
         (name, p, Vec::new())
     };
 

@@ -81,7 +81,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
 fn check(file: &str, options: rppm::trace::StreamOptions) -> Result<bool, CliError> {
     let replay = rppm::trace::OpReplay::open_with(file, options)
         .map_err(|e| CliError::user(format!("{file}: {e}")))?;
-    let replayed = rppm::profiler::profile_replay(&replay);
+    let replayed = rppm::profiler::profile(&replay);
     let expanded = rppm::profiler::profile(replay.program());
     let a = serde_json::to_string(&replayed).map_err(CliError::user)?;
     let b = serde_json::to_string(&expanded).map_err(CliError::user)?;

@@ -2,7 +2,6 @@
 //! subcommand, correct exit codes, one-line user errors (no panics, no
 //! backtraces), and a tiny end-to-end report/convert/import round trip.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn rppm(args: &[&str]) -> Output {
@@ -346,17 +345,52 @@ fn golden_diff_detects_drift_against_perturbed_baseline() {
 }
 
 #[test]
-fn results_dir_has_committed_outputs_for_every_report() {
-    // Guard the repo contract the run-all smoke in CI relies on: the
-    // committed results/ dir carries both twins for every report name the
-    // CLI accepts.
-    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+fn run_all_writes_both_twins_for_every_report() {
+    // The contract the run-all smoke in CI relies on: one tiny-scale run
+    // writes a non-empty text and JSON twin for every report, profiling
+    // each workload once.
+    let dir = std::env::temp_dir().join(format!("rppm-cli-run-all-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_rppm"))
+        .args(["run-all", "0.02", "0.02", "--jobs", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn rppm");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     for name in [
-        "table1", "table2", "table3", "table4", "table5", "fig4", "fig5", "fig6", "ablation", "dse",
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "fig4",
+        "fig5",
+        "fig6",
+        "ablation",
+        "dse",
+        "sim_profile",
     ] {
         for ext in ["txt", "json"] {
-            let p = results.join(format!("{name}.{ext}"));
-            assert!(p.exists(), "missing committed {}", p.display());
+            let p = dir.join("results").join(format!("{name}.{ext}"));
+            let len = std::fs::metadata(&p).map(|m| m.len()).unwrap_or(0);
+            assert!(len > 0, "missing or empty {}", p.display());
         }
     }
+    let err = stderr(&out);
+    let summary = err
+        .lines()
+        .find(|l| l.starts_with("all experiments regenerated"))
+        .unwrap_or_else(|| panic!("summary line: {err}"));
+    let counts: Vec<&str> = summary
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|w| !w.is_empty())
+        .collect();
+    let n = counts.len();
+    assert!(n >= 2, "counts in {summary}");
+    assert_eq!(
+        counts[n - 2],
+        counts[n - 1],
+        "one profile() call per workload: {summary}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

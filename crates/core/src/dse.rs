@@ -24,8 +24,8 @@
 //!   how much slower the model-chosen design is than the true (simulated)
 //!   optimum.
 
-use crate::par::parallel_map;
 use crate::prepared::PreparedProfile;
+use rppm_trace::par::parallel_map;
 use rppm_trace::{BranchPredictorConfig, CacheGeometry, MachineConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -228,12 +228,6 @@ impl ConfigSpace {
             bpred_kb: vec![base.bpred.size_bytes >> 10],
             base,
         }
-    }
-
-    /// Renamed to [`ConfigSpace::single`].
-    #[deprecated(since = "0.10.0", note = "renamed to ConfigSpace::single")]
-    pub fn point(base: MachineConfig) -> Self {
-        Self::single(base)
     }
 
     /// The default exploration space of `rppm dse` around the Table IV base
@@ -797,7 +791,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn single_point_space_wraps_any_config() {
         let base = MachineConfig::builder("custom")
             .dispatch_width(3)
@@ -805,14 +798,12 @@ mod tests {
             .issue_queue(36)
             .build()
             .expect("valid");
-        let s = ConfigSpace::single(base.clone());
+        let s = ConfigSpace::single(base);
         assert_eq!(s.len(), 1);
         let c = s.config(0);
         assert_eq!(c.dispatch_width, 3);
         assert_eq!(c.rob_size, 72);
         assert!(c.validate().is_ok());
-        // The deprecated alias behaves identically.
-        assert_eq!(ConfigSpace::point(base).config(0), c);
     }
 
     #[test]

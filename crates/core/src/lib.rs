@@ -50,7 +50,6 @@ pub mod eq1;
 pub mod predict;
 pub mod prepared;
 pub mod report;
-pub mod sched;
 pub mod symexec;
 
 pub use accumulation::{accumulation_bias, accumulation_error};
@@ -63,7 +62,5 @@ pub use eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction};
 pub use predict::{predict, predict_crit, predict_main, Prediction, ThreadPrediction};
 pub use prepared::{BatchedEq1, PreparedProfile};
 pub use report::{abs_pct_error, max, mean, signed_pct_error};
-pub use rppm_trace::par;
 pub use rppm_trace::par::{default_jobs, parallel_for, parallel_map};
-pub use sched::EventQueue;
 pub use symexec::{execute, Schedule, ThreadSchedule, ThreadTimeline};

@@ -55,12 +55,10 @@
 
 use crate::eq1::{empty_epoch_prediction, predict_epoch_rated, EpochPrediction, Knobs, RawRates};
 use crate::predict::{assemble, Prediction};
-use crate::symexec::{
-    barrier_participants, execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline,
-};
+use crate::symexec::{execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline};
 use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
 use rppm_statstack::StackDistanceModel;
-use rppm_trace::{CacheGeometry, MachineConfig, SyncOp};
+use rppm_trace::{barrier_participants, CacheGeometry, MachineConfig, SyncOp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -140,8 +138,7 @@ impl PreparedProfile {
                 cell_of.push(cell);
             }
         }
-        let participants =
-            barrier_participants(profile.threads.iter().map(|t| t.events.as_slice()));
+        let participants = barrier_participants(profile.threads.iter().map(|t| &t.events));
         drop(reps);
         PreparedProfile {
             profile,
@@ -189,7 +186,7 @@ impl PreparedProfile {
             bpred_rates: HashMap::new(),
             cell_cycles: vec![0.0; self.cells.len()],
             cycles: vec![0.0; self.cell_of.len()],
-            scratch: SymScratch::default(),
+            scratch: SymScratch::new(self.participants.clone()),
         }
     }
 
@@ -445,7 +442,6 @@ impl BatchedEq1<'_> {
                 ranges: &self.prep.ranges,
                 events: &self.events,
             },
-            &self.prep.participants,
             config.sync_overhead_cycles as f64,
             config.spawn_latency_cycles as f64,
             &mut self.scratch,

@@ -9,16 +9,23 @@
 //! idle (sync) time. The critical path through this schedule is the
 //! predicted execution time.
 //!
+//! The semantics come from the [`SyncCore`] the profiler and the simulator
+//! share, scheduled through the same [`EventQueue`]. What stays here is
+//! Algorithm 2's clock arithmetic: predicted epoch times, library overhead
+//! counted as active time, spawn latency, and idle time for every wait.
+//!
 //! Two entry points share one engine: [`execute`] (the scalar path —
 //! records per-thread active intervals for bottlegraphs) and the
 //! crate-internal `execute_total` used by the batched design-space sweep,
 //! which borrows the epoch/event slices, reuses a `SymScratch` across
-//! configurations and skips interval recording. Both produce bit-identical
-//! times: the interval bookkeeping never feeds back into the schedule.
+//! configurations (so a design point allocates nothing) and skips interval
+//! recording. Both produce bit-identical times: the interval bookkeeping
+//! never feeds back into the schedule.
 
-use crate::sched::EventQueue;
-use rppm_trace::{MachineConfig, SyncOp};
-use std::collections::{HashMap, VecDeque};
+use rppm_trace::{
+    barrier_participants, EventQueue, MachineConfig, Step, SyncCore, SyncOp, ThreadStatus,
+};
+use std::collections::HashMap;
 
 /// One thread's input to the symbolic execution: predicted active cycles per
 /// epoch, and the events separating them (`epochs.len() == events.len() + 1`).
@@ -76,192 +83,63 @@ impl Schedule {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    NotStarted,
-    Ready,
-    Blocked,
-    Done,
-}
-
 /// Mutable per-thread execution state (the timeline itself is borrowed).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ThreadState {
     /// Next element to execute: epoch `idx` if `at_epoch`, else event `idx`.
     idx: usize,
     at_epoch: bool,
     time: f64,
-    status: Status,
     start: f64,
     active: f64,
     idle: f64,
-    block_time: f64,
     intervals: Vec<(f64, f64)>,
     open: f64,
 }
 
 impl ThreadState {
-    fn reset(&mut self, main: bool) {
+    fn reset(&mut self) {
         self.idx = 0;
         self.at_epoch = true;
         self.time = 0.0;
-        self.status = if main {
-            Status::Ready
-        } else {
-            Status::NotStarted
-        };
         self.start = 0.0;
         self.active = 0.0;
         self.idle = 0.0;
-        self.block_time = 0.0;
         self.intervals.clear();
         self.open = 0.0;
     }
 }
 
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: Vec<usize>,
-    max_time: f64,
-}
-
-#[derive(Debug, Default)]
-struct MutexState {
-    held_by: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    items: VecDeque<f64>,
-    waiting: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct RwLockState {
-    writer: Option<usize>,
-    readers: usize,
-    /// Blocked acquirers in arrival order: `(thread, wants_write)`.
-    queue: VecDeque<(usize, bool)>,
-}
-
-impl RwLockState {
-    /// Admits queued acquirers after a release, FIFO by arrival: a run of
-    /// consecutive readers at the front enters together; a writer at the
-    /// front enters alone once the lock is fully free. Appends the threads
-    /// to wake to `wake`.
-    fn admit(&mut self, wake: &mut Vec<usize>) {
-        if self.writer.is_some() {
-            return;
-        }
-        if let Some(&(_, true)) = self.queue.front() {
-            if self.readers == 0 {
-                let (w, _) = self.queue.pop_front().expect("nonempty");
-                self.writer = Some(w);
-                wake.push(w);
-            }
-            return;
-        }
-        while let Some(&(_, false)) = self.queue.front() {
-            let (w, _) = self.queue.pop_front().expect("nonempty");
-            self.readers += 1;
-            wake.push(w);
-        }
-    }
-}
-
 /// Reusable state for repeated symbolic executions of the *same* profile
-/// under different configurations: all maps and vectors retain their
-/// allocations between runs, so a design-space sweep performs no per-point
-/// allocation here after the first evaluation.
-#[derive(Debug, Default)]
+/// under different configurations: every vector and primitive map retains
+/// its allocation between runs, so a design-space sweep performs no
+/// per-point allocation here after the first evaluation.
+#[derive(Debug)]
 pub(crate) struct SymScratch {
     threads: Vec<ThreadState>,
-    barriers: HashMap<u32, BarrierState>,
-    mutexes: HashMap<u32, MutexState>,
-    queues: HashMap<u32, QueueState>,
-    rwlocks: HashMap<u32, RwLockState>,
-    /// Semaphores reuse queue bookkeeping: posted permits carry the time
-    /// they became available, exactly like produced items.
-    sems: HashMap<u32, QueueState>,
-    joiners: HashMap<usize, Vec<usize>>,
-    finish: Vec<f64>,
-    wake: Vec<usize>,
-    wake_items: Vec<(usize, f64)>,
+    sync: SyncCore<f64>,
+    wake: Vec<(usize, f64)>,
     queue: EventQueue,
 }
 
 impl SymScratch {
+    /// Scratch for timelines whose barriers have the given participant
+    /// counts (see [`barrier_participants`]).
+    pub(crate) fn new(participants: HashMap<u32, usize>) -> Self {
+        SymScratch {
+            threads: Vec::new(),
+            sync: SyncCore::new(0, participants),
+            wake: Vec::new(),
+            queue: EventQueue::new(),
+        }
+    }
+
     fn reset(&mut self, n_threads: usize) {
-        if self.threads.len() > n_threads {
-            self.threads.truncate(n_threads);
-        }
-        for (i, th) in self.threads.iter_mut().enumerate() {
-            th.reset(i == 0);
-        }
-        while self.threads.len() < n_threads {
-            let mut th = ThreadState {
-                idx: 0,
-                at_epoch: true,
-                time: 0.0,
-                status: Status::NotStarted,
-                start: 0.0,
-                active: 0.0,
-                idle: 0.0,
-                block_time: 0.0,
-                intervals: Vec::new(),
-                open: 0.0,
-            };
-            th.reset(self.threads.is_empty());
-            self.threads.push(th);
-        }
-        for b in self.barriers.values_mut() {
-            b.arrived.clear();
-            b.max_time = 0.0;
-        }
-        for m in self.mutexes.values_mut() {
-            m.held_by = None;
-            m.queue.clear();
-        }
-        for q in self.queues.values_mut() {
-            q.items.clear();
-            q.waiting.clear();
-        }
-        for rw in self.rwlocks.values_mut() {
-            rw.writer = None;
-            rw.readers = 0;
-            rw.queue.clear();
-        }
-        for s in self.sems.values_mut() {
-            s.items.clear();
-            s.waiting.clear();
-        }
-        self.joiners.clear();
-        self.finish.clear();
-        self.finish.resize(n_threads, 0.0);
+        self.threads.resize_with(n_threads, ThreadState::default);
+        self.threads.iter_mut().for_each(ThreadState::reset);
+        self.sync.reset(n_threads);
         self.queue.clear();
     }
-}
-
-/// Computes, per barrier id, the number of participating threads (threads
-/// whose event stream contains that barrier). This is a pure function of
-/// the profile, independent of the machine configuration, so batched
-/// evaluation hoists it out of the per-point loop.
-pub(crate) fn barrier_participants<'a>(
-    events_per_thread: impl IntoIterator<Item = &'a [SyncOp]>,
-) -> HashMap<u32, usize> {
-    let mut participants: HashMap<u32, usize> = HashMap::new();
-    for events in events_per_thread {
-        let mut seen = std::collections::HashSet::new();
-        for ev in events {
-            if let SyncOp::Barrier { id, .. } = ev {
-                if seen.insert(id.0) {
-                    *participants.entry(id.0).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    participants
 }
 
 /// Runs Algorithm 2 over the thread timelines.
@@ -294,11 +172,9 @@ pub fn execute(timelines: &[ThreadTimeline], config: &MachineConfig) -> Schedule
         ranges: &ranges,
         events: &events,
     };
-    let participants = barrier_participants(timelines.iter().map(|tl| tl.events.as_slice()));
-    let mut scratch = SymScratch::default();
+    let mut scratch = SymScratch::new(barrier_participants(&events));
     let total = run_symexec(
         flat,
-        &participants,
         config.sync_overhead_cycles as f64,
         config.spawn_latency_cycles as f64,
         &mut scratch,
@@ -310,7 +186,7 @@ pub fn execute(timelines: &[ThreadTimeline], config: &MachineConfig) -> Schedule
         .enumerate()
         .map(|(i, th)| ThreadSchedule {
             start: th.start,
-            finish: scratch.finish[i],
+            finish: scratch.sync.finish_time(i),
             active: th.active,
             idle: th.idle,
             intervals: std::mem::take(&mut th.intervals),
@@ -319,24 +195,22 @@ pub fn execute(timelines: &[ThreadTimeline], config: &MachineConfig) -> Schedule
     Schedule { total, threads }
 }
 
-/// Lean entry for the batched path: borrowed timelines, precomputed barrier
-/// participants, reusable scratch, no interval recording. Returns the
-/// predicted end-to-end execution time in cycles.
+/// Lean entry for the batched path: borrowed timelines, reusable scratch
+/// (holding the precomputed barrier participants), no interval recording.
+/// Returns the predicted end-to-end execution time in cycles.
 ///
 /// Produces exactly the same total as [`execute`] on equivalent inputs.
 pub(crate) fn execute_total(
     tl: FlatTimelines<'_>,
-    participants: &HashMap<u32, usize>,
     overhead: f64,
     spawn: f64,
     scratch: &mut SymScratch,
 ) -> f64 {
-    run_symexec(tl, participants, overhead, spawn, scratch, false)
+    run_symexec(tl, overhead, spawn, scratch, false)
 }
 
 fn run_symexec(
     tl: FlatTimelines<'_>,
-    participants: &HashMap<u32, usize>,
     overhead: f64,
     spawn: f64,
     scratch: &mut SymScratch,
@@ -348,7 +222,6 @@ fn run_symexec(
         spawn,
         record,
         tl,
-        participants,
         st: scratch,
     }
     .run()
@@ -359,7 +232,6 @@ struct SymExec<'e, 's> {
     spawn: f64,
     record: bool,
     tl: FlatTimelines<'e>,
-    participants: &'e HashMap<u32, usize>,
     st: &'s mut SymScratch,
 }
 
@@ -378,31 +250,19 @@ impl SymExec<'_, '_> {
     }
 
     /// Posts a wake-up for thread `i`, which must have just become ready.
-    /// Called on every transition into `Status::Ready` (and only there), so
-    /// each thread has at most one live event in the queue.
+    /// Called on every transition into [`ThreadStatus::Ready`] (and only
+    /// there), so each thread has at most one live event in the queue.
     fn post(&mut self, i: usize) {
         let eta = self.eta(i);
         self.st.queue.post_at(eta, i);
     }
 
+    /// Closes the running thread's active interval as it blocks.
     fn block(&mut self, i: usize) {
         let th = &mut self.st.threads[i];
-        th.status = Status::Blocked;
-        th.block_time = th.time;
         if self.record && th.time > th.open {
             th.intervals.push((th.open, th.time));
         }
-    }
-
-    fn resume(&mut self, i: usize, t: f64) {
-        let th = &mut self.st.threads[i];
-        if t > th.time {
-            th.idle += t - th.time;
-            th.time = t;
-        }
-        th.status = Status::Ready;
-        th.open = th.time;
-        self.post(i);
     }
 
     /// Thread `i`, while running, waits in place until `t`.
@@ -418,214 +278,48 @@ impl SymExec<'_, '_> {
         }
     }
 
-    fn finish_thread(&mut self, i: usize) {
-        let t = self.st.threads[i].time;
-        {
-            let th = &mut self.st.threads[i];
-            th.status = Status::Done;
-            if self.record && t > th.open {
-                th.intervals.push((th.open, t));
+    /// Makes the threads in `wake` runnable: the child of a `Create`
+    /// starts after the spawn latency; a blocked thread resumes at `t`,
+    /// idle until then.
+    fn wake_all(&mut self, spawn: bool) {
+        let mut wake = std::mem::take(&mut self.st.wake);
+        for (w, t) in wake.drain(..) {
+            let th = &mut self.st.threads[w];
+            if spawn {
+                th.time = t + self.spawn;
+                th.start = th.time;
+            } else if t > th.time {
+                th.idle += t - th.time;
+                th.time = t;
             }
+            th.open = th.time;
+            self.post(w);
         }
-        self.st.finish[i] = t;
-        if let Some(ws) = self.st.joiners.remove(&i) {
-            for w in ws {
-                self.resume(w, t);
-            }
-        }
+        self.st.wake = wake;
     }
 
-    /// Handles the event; returns `true` if the thread blocked.
-    fn handle_event(&mut self, i: usize, ev: SyncOp) -> bool {
-        // Library overhead: active time.
-        {
-            let th = &mut self.st.threads[i];
-            th.time += self.overhead;
-            th.active += self.overhead;
+    fn finish_thread(&mut self, i: usize) {
+        let th = &mut self.st.threads[i];
+        let t = th.time;
+        if self.record && t > th.open {
+            th.intervals.push((th.open, t));
         }
-        let t = self.st.threads[i].time;
-        match ev {
-            SyncOp::Create { child } => {
-                let c = child.index();
-                let start = t + self.spawn;
-                let ch = &mut self.st.threads[c];
-                debug_assert_eq!(ch.status, Status::NotStarted);
-                ch.status = Status::Ready;
-                ch.time = start;
-                ch.start = start;
-                ch.open = start;
-                self.post(c);
-                false
-            }
-            SyncOp::Join { child } => {
-                let c = child.index();
-                if self.st.threads[c].status == Status::Done {
-                    let fin = self.st.finish[c];
-                    self.wait_running(i, fin);
-                    false
-                } else {
-                    self.st.joiners.entry(c).or_default().push(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Barrier { id, .. } => {
-                let need = *self.participants.get(&id.0).expect("known barrier");
-                let bar = self.st.barriers.entry(id.0).or_default();
-                bar.arrived.push(i);
-                bar.max_time = bar.max_time.max(t);
-                if bar.arrived.len() >= need {
-                    let release = bar.max_time;
-                    // Reuse the wake buffer (keeps the barrier's own arrival
-                    // vector allocated for the next configuration).
-                    let mut wake = std::mem::take(&mut self.st.wake);
-                    {
-                        let bar = self.st.barriers.get_mut(&id.0).expect("entry");
-                        wake.clear();
-                        wake.extend(bar.arrived.iter().copied());
-                        bar.arrived.clear();
-                        bar.max_time = 0.0;
-                    }
-                    for &w in &wake {
-                        if w != i {
-                            self.resume(w, release);
-                        }
-                    }
-                    wake.clear();
-                    self.st.wake = wake;
-                    self.wait_running(i, release);
-                    false
-                } else {
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Lock { id } => {
-                let m = self.st.mutexes.entry(id.0).or_default();
-                if m.held_by.is_none() && m.queue.is_empty() {
-                    m.held_by = Some(i);
-                    false
-                } else {
-                    m.queue.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Unlock { id } => {
-                let m = self.st.mutexes.entry(id.0).or_default();
-                m.held_by = None;
-                if let Some(w) = m.queue.pop_front() {
-                    m.held_by = Some(w);
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::Produce { queue, count } => {
-                let mut wake = std::mem::take(&mut self.st.wake_items);
-                {
-                    let q = self.st.queues.entry(queue.0).or_default();
-                    for _ in 0..count {
-                        q.items.push_back(t);
-                    }
-                    wake.clear();
-                    while !q.items.is_empty() && !q.waiting.is_empty() {
-                        let item = q.items.pop_front().expect("nonempty");
-                        let w = q.waiting.pop_front().expect("nonempty");
-                        wake.push((w, item));
-                    }
-                }
-                for &(w, item) in &wake {
-                    let at = item.max(self.st.threads[w].block_time);
-                    self.resume(w, at);
-                }
-                wake.clear();
-                self.st.wake_items = wake;
-                false
-            }
-            SyncOp::Consume { queue } => {
-                let q = self.st.queues.entry(queue.0).or_default();
-                if let Some(item) = q.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    q.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwLock { id, write } => {
-                let rw = self.st.rwlocks.entry(id.0).or_default();
-                let free = rw.writer.is_none() && rw.queue.is_empty();
-                let grant = if write { free && rw.readers == 0 } else { free };
-                if grant {
-                    if write {
-                        rw.writer = Some(i);
-                    } else {
-                        rw.readers += 1;
-                    }
-                    false
-                } else {
-                    rw.queue.push_back((i, write));
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwUnlock { id } => {
-                let mut wake = std::mem::take(&mut self.st.wake);
-                {
-                    let rw = self.st.rwlocks.entry(id.0).or_default();
-                    if rw.writer == Some(i) {
-                        rw.writer = None;
-                    } else {
-                        rw.readers = rw.readers.saturating_sub(1);
-                    }
-                    wake.clear();
-                    rw.admit(&mut wake);
-                }
-                for &w in &wake {
-                    self.resume(w, t);
-                }
-                wake.clear();
-                self.st.wake = wake;
-                false
-            }
-            SyncOp::SemWait { id } => {
-                let s = self.st.sems.entry(id.0).or_default();
-                if let Some(item) = s.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    s.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::SemPost { id, count } => {
-                let mut wake = std::mem::take(&mut self.st.wake_items);
-                {
-                    let s = self.st.sems.entry(id.0).or_default();
-                    for _ in 0..count {
-                        s.items.push_back(t);
-                    }
-                    wake.clear();
-                    while !s.items.is_empty() && !s.waiting.is_empty() {
-                        let item = s.items.pop_front().expect("nonempty");
-                        let w = s.waiting.pop_front().expect("nonempty");
-                        wake.push((w, item));
-                    }
-                }
-                for &(w, item) in &wake {
-                    let at = item.max(self.st.threads[w].block_time);
-                    self.resume(w, at);
-                }
-                wake.clear();
-                self.st.wake_items = wake;
-                false
-            }
+        self.st.sync.finish(i, t, &mut self.st.wake);
+        self.wake_all(false);
+    }
+
+    /// Applies event `ev` of thread `i` (library overhead is active time).
+    fn handle_event(&mut self, i: usize, ev: SyncOp) {
+        let th = &mut self.st.threads[i];
+        th.time += self.overhead;
+        th.active += self.overhead;
+        let now = th.time;
+        let step = self.st.sync.handle(i, ev, now, &mut self.st.wake);
+        self.wake_all(matches!(ev, SyncOp::Create { .. }));
+        match step {
+            Step::Proceed => {}
+            Step::WaitUntil(t) => self.wait_running(i, t),
+            Step::Block => self.block(i),
         }
     }
 
@@ -642,14 +336,8 @@ impl SymExec<'_, '_> {
         if !self.st.threads.is_empty() {
             self.post(0); // main thread starts ready at t=0
         }
-        loop {
-            let Some((_, i)) = self.st.queue.pop() else {
-                if self.st.threads.iter().all(|t| t.status == Status::Done) {
-                    break;
-                }
-                panic!("symbolic execution deadlocked");
-            };
-            debug_assert_eq!(self.st.threads[i].status, Status::Ready);
+        while let Some((_, i)) = self.st.queue.pop() {
+            debug_assert_eq!(self.st.sync.status(i), ThreadStatus::Ready);
 
             // Proceed thread i to its next synchronization event (or end).
             loop {
@@ -683,12 +371,14 @@ impl SymExec<'_, '_> {
             }
             // Re-post the thread if it is still runnable after its event
             // (blocked threads are re-posted by whoever wakes them).
-            if self.st.threads[i].status == Status::Ready {
+            if self.st.sync.status(i) == ThreadStatus::Ready {
                 self.post(i);
             }
         }
-
-        self.st.finish.iter().cloned().fold(0.0, f64::max)
+        self.st.sync.assert_finished("symbolic execution");
+        (0..self.st.threads.len())
+            .map(|i| self.st.sync.finish_time(i))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -917,8 +607,7 @@ mod tests {
             cycles.extend_from_slice(&t.epochs);
             events.push(&t.events);
         }
-        let participants = barrier_participants(tl.iter().map(|t| t.events.as_slice()));
-        let mut scratch = SymScratch::default();
+        let mut scratch = SymScratch::new(barrier_participants(&events));
         // Run twice through the same scratch: results must be identical
         // (state fully reset between runs).
         for _ in 0..2 {
@@ -928,7 +617,6 @@ mod tests {
                     ranges: &ranges,
                     events: &events,
                 },
-                &participants,
                 c.sync_overhead_cycles as f64,
                 c.spawn_latency_cycles as f64,
                 &mut scratch,

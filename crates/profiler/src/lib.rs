@@ -46,6 +46,6 @@ pub mod profile;
 
 pub use cache::{CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
 pub use curves::{ln_window, EpochCurves};
-pub use logical::{profile, profile_call_count, profile_replay, profile_source};
+pub use logical::profile;
 pub use microtrace::{analyze, MicroTraceAnalysis, WINDOWS};
 pub use profile::{ApplicationProfile, CondVarUsage, EpochProfile, ThreadProfile};

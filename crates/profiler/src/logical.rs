@@ -9,6 +9,13 @@
 //! interleaving-independent. Section III-A of the paper argues (and we
 //! verify in integration tests) that predictions are insensitive to the
 //! particular profiling interleaving.
+//!
+//! The executor is one driver of the shared discrete-event core: threads
+//! run from an [`EventQueue`] keyed by their `u64` tick, and every
+//! synchronization event goes through the same [`SyncCore`] the simulator
+//! and Algorithm 2 use. What stays here is the profiler's own clock
+//! arithmetic: an epoch is cut at every event, and a created child starts
+//! at its creator's tick (the unit-cost machine has no spawn latency).
 
 use crate::microtrace::{self, LOAD_LAT_GRID, WINDOWS};
 use crate::profile::{ApplicationProfile, EpochProfile, ThreadProfile};
@@ -16,11 +23,9 @@ use rppm_branch_model::EntropyCollector;
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, ReuseTracker};
 use rppm_trace::op::NUM_OP_CLASSES;
 use rppm_trace::{
-    BlockItem, ExecSource, MicroOp, OpClass, OpReplay, Program, SyncOp, ThreadCursor,
+    BlockItem, EventQueue, ExecSource, MicroOp, OpClass, Step, SyncCore, SyncOp, ThreadCursor,
+    ThreadStatus,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ops per scheduling chunk of the unit-cost executor.
 const CHUNK: u64 = 256;
@@ -34,49 +39,16 @@ const MICROTRACE_LEN: u64 = 512;
 /// period shrinks proportionally).
 const SAMPLE_PERIOD: u64 = 10_000;
 
-/// Process-wide count of [`profile`] invocations.
-static PROFILE_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of times [`profile`] has run in this process.
-///
-/// Diagnostic hook for the "profile once" contract: harness tests snapshot
-/// this counter around an experiment run to assert every workload was
-/// profiled exactly once, no matter how many configurations it was
-/// predicted on.
-pub fn profile_call_count() -> u64 {
-    PROFILE_CALLS.load(Ordering::Relaxed)
-}
-
-/// Profiles `program`, producing its microarchitecture-independent
-/// [`ApplicationProfile`].
+/// Profiles `source` — an expansion-backed [`Program`](rppm_trace::Program)
+/// or an out-of-core [`OpReplay`](rppm_trace::OpReplay) — producing its
+/// microarchitecture-independent [`ApplicationProfile`]. Both sources of
+/// the same program yield bit-identical profiles (pinned by the
+/// differential suite in `tests/replay_differential.rs`).
 ///
 /// # Panics
 ///
 /// Panics if the program is structurally invalid or deadlocks.
-pub fn profile(program: &Program) -> ApplicationProfile {
-    profile_source(program)
-}
-
-/// Profiles a recorded op stream replayed out-of-core (see
-/// [`OpReplay`]), producing a profile bit-identical to what
-/// [`profile`] yields on the same program — pinned by the differential
-/// suite in `tests/replay_differential.rs`.
-///
-/// # Panics
-///
-/// Same contract as [`profile`].
-pub fn profile_replay(replay: &OpReplay) -> ApplicationProfile {
-    profile_source(replay)
-}
-
-/// Profiles any [`ExecSource`] (expansion-backed program or out-of-core
-/// replay) through the shared cursor API.
-///
-/// # Panics
-///
-/// Panics if the underlying program is structurally invalid or deadlocks.
-pub fn profile_source<S: ExecSource>(source: &S) -> ApplicationProfile {
-    PROFILE_CALLS.fetch_add(1, Ordering::Relaxed);
+pub fn profile<S: ExecSource>(source: &S) -> ApplicationProfile {
     source.validate().expect("invalid program");
     Profiler::new(source).run()
 }
@@ -195,17 +167,8 @@ impl EpochCollector {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    NotStarted,
-    Ready,
-    Blocked,
-    Done,
-}
-
 struct ThreadState {
     tick: u64,
-    status: Status,
     epoch: EpochCollector,
     sample_phase: u64,
     /// Per-code-line last-fetch tracker for I-cache reuse distances
@@ -214,59 +177,6 @@ struct ThreadState {
     last_code_line: u64,
     epochs: Vec<EpochProfile>,
     events: Vec<SyncOp>,
-}
-
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: Vec<usize>,
-    max_tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct MutexState {
-    held_by: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    items: VecDeque<u64>,
-    waiting: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct RwLockState {
-    writer: Option<usize>,
-    readers: usize,
-    /// Blocked acquirers in arrival order: `(thread, wants_write)`.
-    queue: VecDeque<(usize, bool)>,
-}
-
-impl RwLockState {
-    /// Admits queued acquirers after a release, FIFO by arrival: a run of
-    /// consecutive readers at the front enters together; a writer at the
-    /// front enters alone once the lock is fully free. Returns the threads
-    /// to wake.
-    fn admit(&mut self) -> Vec<usize> {
-        let mut wake = Vec::new();
-        if self.writer.is_some() {
-            return wake;
-        }
-        if let Some(&(_, true)) = self.queue.front() {
-            if self.readers == 0 {
-                let (w, _) = self.queue.pop_front().expect("nonempty");
-                self.writer = Some(w);
-                wake.push(w);
-            }
-            return wake;
-        }
-        while let Some(&(_, false)) = self.queue.front() {
-            let (w, _) = self.queue.pop_front().expect("nonempty");
-            self.readers += 1;
-            wake.push(w);
-        }
-        wake
-    }
 }
 
 struct Profiler<'p, S: ExecSource> {
@@ -278,22 +188,11 @@ struct Profiler<'p, S: ExecSource> {
     cursors: Vec<ThreadCursor<'p>>,
     threads: Vec<ThreadState>,
     mem: MultiThreadCollector,
-    barriers: HashMap<u32, BarrierState>,
-    participants: HashMap<u32, usize>,
-    mutexes: HashMap<u32, MutexState>,
-    queues: HashMap<u32, QueueState>,
-    rwlocks: HashMap<u32, RwLockState>,
-    /// Semaphores reuse queue bookkeeping: posted permits carry the tick
-    /// they became available, exactly like produced items.
-    sems: HashMap<u32, QueueState>,
-    joiners: HashMap<usize, Vec<usize>>,
-    finish_tick: Vec<u64>,
-    /// Discrete-event ready queue: `(wake_tick, thread)` min-heap, the
-    /// tick-domain twin of `rppm-core`'s scheduler (which this crate cannot
-    /// depend on — the dependency points the other way). Threads are posted
-    /// when they become runnable and popped in tick order, so blocked and
-    /// finished threads cost nothing per scheduling step.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    sync: SyncCore<u64>,
+    /// Threads the last synchronization step made runnable.
+    wake: Vec<(usize, u64)>,
+    /// Runnable threads keyed by tick.
+    ready: EventQueue,
 }
 
 impl<'p, S: ExecSource> Profiler<'p, S> {
@@ -301,13 +200,8 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
         let n = source.num_threads();
         let cursors = (0..n).map(|t| source.cursor(t)).collect();
         let threads = (0..n)
-            .map(|i| ThreadState {
+            .map(|_| ThreadState {
                 tick: 0,
-                status: if i == 0 {
-                    Status::Ready
-                } else {
-                    Status::NotStarted
-                },
                 epoch: EpochCollector::new(),
                 sample_phase: 0,
                 code_rd: ReuseTracker::new(),
@@ -316,33 +210,14 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
                 events: Vec::new(),
             })
             .collect();
-
-        let mut participants: HashMap<u32, usize> = HashMap::new();
-        for t in 0..n {
-            let mut seen = std::collections::HashSet::new();
-            for op in source.sync_ops(t) {
-                if let SyncOp::Barrier { id, .. } = op {
-                    if seen.insert(id.0) {
-                        *participants.entry(id.0).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-
         Profiler {
             source,
             cursors,
             threads,
             mem: MultiThreadCollector::new(n),
-            barriers: HashMap::new(),
-            participants,
-            mutexes: HashMap::new(),
-            queues: HashMap::new(),
-            rwlocks: HashMap::new(),
-            sems: HashMap::new(),
-            joiners: HashMap::new(),
-            finish_tick: vec![0; n],
-            ready: BinaryHeap::new(),
+            sync: SyncCore::for_source(source),
+            wake: Vec::new(),
+            ready: EventQueue::new(),
         }
     }
 
@@ -404,181 +279,39 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
         }
     }
 
-    fn block(&mut self, i: usize) {
-        self.threads[i].status = Status::Blocked;
-    }
-
-    fn resume(&mut self, i: usize, tick: u64) {
-        let th = &mut self.threads[i];
-        debug_assert_eq!(th.status, Status::Blocked);
-        th.tick = th.tick.max(tick);
-        th.status = Status::Ready;
-        let wake = th.tick;
-        self.ready.push(Reverse((wake, i)));
+    /// Makes the threads in `wake` runnable: a blocked thread resumes at
+    /// the later of its tick and the wake tick, a created child starts at
+    /// its creator's tick.
+    fn wake_all(&mut self) {
+        for (w, tick) in self.wake.drain(..) {
+            let th = &mut self.threads[w];
+            th.tick = th.tick.max(tick);
+            self.ready.post(th.tick, w);
+        }
     }
 
     fn finish_thread(&mut self, i: usize) {
         self.end_epoch(i, None);
-        self.threads[i].status = Status::Done;
-        self.finish_tick[i] = self.threads[i].tick;
-        if let Some(waiters) = self.joiners.remove(&i) {
-            let t = self.finish_tick[i];
-            for w in waiters {
-                self.resume(w, t);
-            }
-        }
+        let tick = self.threads[i].tick;
+        self.sync.finish(i, tick, &mut self.wake);
+        self.wake_all();
     }
 
-    /// Returns `true` if the thread blocked.
+    /// Cuts thread `i`'s epoch at `op` and applies the event. Returns
+    /// `true` if the thread blocked.
     fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
         self.end_epoch(i, Some(op));
-        let t = self.threads[i].tick;
-        match op {
-            SyncOp::Create { child } => {
-                let c = child.index();
-                assert_eq!(self.threads[c].status, Status::NotStarted);
-                self.threads[c].status = Status::Ready;
-                self.threads[c].tick = t;
-                self.ready.push(Reverse((t, c)));
+        let tick = self.threads[i].tick;
+        let step = self.sync.handle(i, op, tick, &mut self.wake);
+        self.wake_all();
+        match step {
+            Step::Proceed => false,
+            Step::WaitUntil(t) => {
+                let th = &mut self.threads[i];
+                th.tick = th.tick.max(t);
                 false
             }
-            SyncOp::Join { child } => {
-                let c = child.index();
-                if self.threads[c].status == Status::Done {
-                    let fin = self.finish_tick[c];
-                    self.threads[i].tick = t.max(fin);
-                    false
-                } else {
-                    self.joiners.entry(c).or_default().push(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Barrier { id, .. } => {
-                let need = *self.participants.get(&id.0).expect("known barrier");
-                let bar = self.barriers.entry(id.0).or_default();
-                bar.arrived.push(i);
-                bar.max_tick = bar.max_tick.max(t);
-                if bar.arrived.len() >= need {
-                    let release = bar.max_tick;
-                    let arrived = std::mem::take(&mut bar.arrived);
-                    bar.max_tick = 0;
-                    for w in arrived {
-                        if w != i {
-                            self.resume(w, release);
-                        }
-                    }
-                    self.threads[i].tick = release;
-                    false
-                } else {
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Lock { id } => {
-                let m = self.mutexes.entry(id.0).or_default();
-                if m.held_by.is_none() && m.queue.is_empty() {
-                    m.held_by = Some(i);
-                    false
-                } else {
-                    m.queue.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Unlock { id } => {
-                let m = self.mutexes.entry(id.0).or_default();
-                m.held_by = None;
-                if let Some(w) = m.queue.pop_front() {
-                    m.held_by = Some(w);
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::Produce { queue, count } => {
-                let q = self.queues.entry(queue.0).or_default();
-                for _ in 0..count {
-                    q.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !q.items.is_empty() && !q.waiting.is_empty() {
-                    let item = q.items.pop_front().expect("nonempty");
-                    let w = q.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item);
-                }
-                false
-            }
-            SyncOp::Consume { queue } => {
-                let q = self.queues.entry(queue.0).or_default();
-                if let Some(item) = q.items.pop_front() {
-                    self.threads[i].tick = t.max(item);
-                    false
-                } else {
-                    q.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwLock { id, write } => {
-                let rw = self.rwlocks.entry(id.0).or_default();
-                let free = rw.writer.is_none() && rw.queue.is_empty();
-                let grant = if write { free && rw.readers == 0 } else { free };
-                if grant {
-                    if write {
-                        rw.writer = Some(i);
-                    } else {
-                        rw.readers += 1;
-                    }
-                    false
-                } else {
-                    rw.queue.push_back((i, write));
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwUnlock { id } => {
-                let rw = self.rwlocks.entry(id.0).or_default();
-                if rw.writer == Some(i) {
-                    rw.writer = None;
-                } else {
-                    rw.readers = rw.readers.saturating_sub(1);
-                }
-                let wake = rw.admit();
-                for w in wake {
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::SemWait { id } => {
-                let s = self.sems.entry(id.0).or_default();
-                if let Some(item) = s.items.pop_front() {
-                    self.threads[i].tick = t.max(item);
-                    false
-                } else {
-                    s.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::SemPost { id, count } => {
-                let s = self.sems.entry(id.0).or_default();
-                for _ in 0..count {
-                    s.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !s.items.is_empty() && !s.waiting.is_empty() {
-                    let item = s.items.pop_front().expect("nonempty");
-                    let w = s.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item);
-                }
-                false
-            }
+            Step::Block => true,
         }
     }
 
@@ -587,17 +320,10 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
         // smallest tick (ties to the lowest thread index, matching the
         // historical linear scan bit for bit).
         if !self.threads.is_empty() {
-            let t = self.threads[0].tick;
-            self.ready.push(Reverse((t, 0))); // main thread starts ready
+            self.ready.post(0, 0); // main thread starts ready
         }
-        loop {
-            let Some(Reverse((_, i))) = self.ready.pop() else {
-                if self.threads.iter().all(|t| t.status == Status::Done) {
-                    break;
-                }
-                panic!("deadlock during profiling of {}", self.source.name());
-            };
-            debug_assert_eq!(self.threads[i].status, Status::Ready);
+        while let Some((_, i)) = self.ready.pop() {
+            debug_assert_eq!(self.sync.status(i), ThreadStatus::Ready);
             let t0 = self.threads[i].tick;
 
             let limit = t0 + CHUNK;
@@ -640,11 +366,11 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
             }
             // Re-post the thread if it is still runnable after its chunk
             // (blocked threads are re-posted by whoever wakes them).
-            if self.threads[i].status == Status::Ready {
-                let t = self.threads[i].tick;
-                self.ready.push(Reverse((t, i)));
+            if self.sync.status(i) == ThreadStatus::Ready {
+                self.ready.post(self.threads[i].tick, i);
             }
         }
+        self.sync.assert_finished(self.source.name());
 
         ApplicationProfile {
             name: self.source.name().to_string(),
@@ -668,7 +394,7 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
 mod tests {
     use super::*;
     use rppm_statstack::StackDistanceModel;
-    use rppm_trace::{AddressPattern, BlockSpec, BranchPattern, ProgramBuilder};
+    use rppm_trace::{AddressPattern, BlockSpec, BranchPattern, Program, ProgramBuilder};
 
     fn simple_program(ops: u32) -> Program {
         let mut b = ProgramBuilder::new("prof-test", 2);

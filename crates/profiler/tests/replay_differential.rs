@@ -1,12 +1,12 @@
 //! Differential suite pinning out-of-core replay to in-memory expansion:
-//! profiling a recorded op stream through [`rppm_profiler::profile_replay`]
-//! must produce a profile bit-identical (as serialized JSON) to
-//! [`rppm_profiler::profile`] on the program it was recorded from — for a
-//! sync-rich fixed program, for every catalog-style knob combination the
-//! generator sweeps, and under an adversarially tiny chunk/pool budget.
+//! [`rppm_profiler::profile`] over a recorded op stream must produce a
+//! profile bit-identical (as serialized JSON) to the same call on the
+//! program it was recorded from — for a sync-rich fixed program, for every
+//! catalog-style knob combination the generator sweeps, and under an
+//! adversarially tiny chunk/pool budget.
 
 use proptest::prelude::*;
-use rppm_profiler::{profile, profile_replay};
+use rppm_profiler::profile;
 use rppm_trace::{AddressPattern, BlockSpec, OpReplay, Program, ProgramBuilder, StreamOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,7 +70,7 @@ fn assert_profiles_match(program: &Program, options: StreamOptions, what: &str) 
     let _guard = TempFile(path.clone());
     rppm_trace::write_program_ops(program, &path).expect("record");
     let replay = OpReplay::open_with(&path, options).expect("open");
-    let from_replay = profile_replay(&replay).to_json();
+    let from_replay = profile(&replay).to_json();
     let from_expansion = profile(program).to_json();
     assert_eq!(from_replay, from_expansion, "{what}: profiles diverge");
 }
@@ -147,7 +147,7 @@ proptest! {
             ..StreamOptions::default()
         }).expect("open");
         prop_assert_eq!(
-            profile_replay(&replay).to_json(),
+            profile(&replay).to_json(),
             profile(&program).to_json(),
             "replayed and expanded profiles diverge"
         );

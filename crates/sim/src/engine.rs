@@ -1,36 +1,39 @@
 //! Multicore execution engine: schedules per-core timing models against the
-//! shared memory system and implements full synchronization semantics
-//! (thread creation/join, barriers, critical sections, producer/consumer
-//! condition variables).
+//! shared memory system under full synchronization semantics (thread
+//! creation/join, barriers, critical sections, producer/consumer condition
+//! variables, reader-writer locks, semaphores).
 //!
 //! Cores advance in quantum-sized slices in global-time order (the runnable
 //! thread with the smallest local clock goes next), so shared-cache and
 //! coherence interactions are observed in approximately correct order and
 //! the whole simulation is deterministic. Scheduling is discrete-event: the
-//! runnable threads live in an [`rppm_core::sched::EventQueue`] min-heap
-//! keyed by their local clocks, so blocked and idle threads cost nothing
-//! per scheduling step and thread counts far beyond the paper's 4–8 stay
-//! cheap.
+//! runnable threads live in an [`EventQueue`] min-heap keyed by their local
+//! clocks, so blocked and idle threads cost nothing per scheduling step and
+//! thread counts far beyond the paper's 4–8 stay cheap. Synchronization
+//! rules come from the [`SyncCore`] the profiler and Algorithm 2 share;
+//! this engine keeps its own clock arithmetic — library overhead charged
+//! per event, spawn latency for created threads, waits charged to the sync
+//! stall component — plus the active intervals and [`SyncEventCounts`].
 //!
-//! The engine is generic over two plug points, both monomorphized away in
-//! the default build: the per-thread timing model (a `CoreTiming` — the
-//! optimized [`CoreModel`] or the pinned naive dispatch in
-//! [`crate::reference`]) and a [`SimProbe`] observation hook
-//! ([`NoProbe`] by default, a [`ProfileCollector`] under
-//! [`simulate_profiled`]). Uninterrupted op runs are handed to the core as
-//! whole zero-copy block slices (`CoreTiming::run_ops`), keeping the
-//! per-op quantum bookkeeping out of this loop; the cold synchronization
-//! path stays here.
+//! One entry point covers every combination: [`simulate_with`] takes the
+//! source ([`Program`] or [`OpReplay`](rppm_trace::OpReplay)), the
+//! [`SimEngine`] (the optimized [`CoreModel`] or the pinned naive dispatch
+//! in [`crate::reference`]) and a [`SimProbe`] ([`NoProbe`], or a
+//! [`ProfileCollector`] as in [`simulate_profiled`]); [`simulate`] is the
+//! common case. Both type parameters monomorphize away. Uninterrupted op
+//! runs are handed to the core as whole zero-copy block slices
+//! (`CoreTiming::run_ops`), keeping the per-op quantum bookkeeping out of
+//! this loop; the cold synchronization path stays here.
 
 use crate::core::{CoreCounters, CoreModel};
 use crate::mem::MemorySystem;
+use crate::reference::ReferenceCore;
 use crate::simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile};
-use rppm_core::sched::EventQueue;
+use rppm_trace::sync::SyncCategory;
 use rppm_trace::{
-    BlockItem, CpiStack, ExecSource, MachineConfig, MicroOp, OpReplay, Program, SyncOp,
-    ThreadCursor,
+    BlockItem, CpiStack, EventQueue, ExecSource, MachineConfig, MicroOp, Program, Step, SyncCore,
+    SyncOp, ThreadCursor, ThreadStatus,
 };
-use std::collections::{HashMap, VecDeque};
 
 /// Scheduling quantum in cycles.
 const QUANTUM: f64 = 500.0;
@@ -127,6 +130,22 @@ pub struct SyncEventCounts {
     pub cond_vars: u64,
 }
 
+impl SyncEventCounts {
+    fn record(&mut self, op: &SyncOp) {
+        match op.category() {
+            // Acquisitions only: a release closes the same critical section.
+            SyncCategory::CriticalSection => {
+                if matches!(op, SyncOp::Lock { .. } | SyncOp::RwLock { .. }) {
+                    self.critical_sections += 1;
+                }
+            }
+            SyncCategory::Barrier => self.barriers += 1,
+            SyncCategory::CondVar => self.cond_vars += 1,
+            SyncCategory::ThreadMgmt => {}
+        }
+    }
+}
+
 /// Per-thread simulation outcome.
 #[derive(Debug, Clone)]
 pub struct ThreadResult {
@@ -208,80 +227,26 @@ impl SimResult {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    NotStarted,
-    Ready,
-    Blocked,
-    Done,
-}
-
 struct ThreadCtx<C> {
     core: C,
-    status: Status,
-    block_time: f64,
     start: f64,
-    finish: f64,
     intervals: Vec<(f64, f64)>,
     open: f64,
 }
 
-#[derive(Debug, Default)]
-struct BarrierState {
-    arrived: Vec<usize>,
-    max_time: f64,
+/// The per-thread timing model driving a simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimEngine {
+    /// The optimized core: hot-first dispatch, fused superinstructions.
+    Fused,
+    /// The naive one-op-at-a-time core kept as the oracle the fused one is
+    /// pinned bit-identical to (see [`crate::reference`]).
+    Reference,
 }
 
-#[derive(Debug, Default)]
-struct MutexState {
-    held_by: Option<usize>,
-    queue: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    /// Availability times of produced-but-unconsumed items.
-    items: VecDeque<f64>,
-    /// Threads blocked waiting for an item.
-    waiting: VecDeque<usize>,
-}
-
-#[derive(Debug, Default)]
-struct RwLockState {
-    writer: Option<usize>,
-    readers: usize,
-    /// Blocked acquirers in arrival order: `(thread, wants_write)`.
-    queue: VecDeque<(usize, bool)>,
-}
-
-impl RwLockState {
-    /// Admits queued acquirers after a release, FIFO by arrival: a run of
-    /// consecutive readers at the front enters together; a writer at the
-    /// front enters alone once the lock is fully free. Returns the threads
-    /// to wake.
-    fn admit(&mut self) -> Vec<usize> {
-        let mut wake = Vec::new();
-        if self.writer.is_some() {
-            return wake;
-        }
-        if let Some(&(_, true)) = self.queue.front() {
-            if self.readers == 0 {
-                let (w, _) = self.queue.pop_front().expect("nonempty");
-                self.writer = Some(w);
-                wake.push(w);
-            }
-            return wake;
-        }
-        while let Some(&(_, false)) = self.queue.front() {
-            let (w, _) = self.queue.pop_front().expect("nonempty");
-            self.readers += 1;
-            wake.push(w);
-        }
-        wake
-    }
-}
-
-/// Simulates `program` on `config`, returning the golden-reference timing.
+/// Simulates `program` on `config` with the fused engine, returning the
+/// golden-reference timing. Shorthand for [`simulate_with`] with
+/// [`SimEngine::Fused`] and [`NoProbe`].
 ///
 /// # Panics
 ///
@@ -292,66 +257,47 @@ pub fn simulate(program: &Program, config: &MachineConfig) -> SimResult {
     run_simulation::<CoreModel, _, _>(program, config, &mut NoProbe)
 }
 
-/// Simulates a recorded op stream replayed out-of-core (see
-/// [`OpReplay`]) on `config`. The result is bit-identical to
-/// [`simulate`] on the program the stream was recorded from — pinned by
-/// the differential suite in `tests/replay_differential.rs`.
+/// Simulates `source` — an expansion-backed [`Program`] or an out-of-core
+/// [`OpReplay`](rppm_trace::OpReplay) — on `config` through `engine`, with
+/// `probe` observing the dispatch loop. The result never depends on the
+/// probe, and is bit-identical across sources and engines (pinned by the
+/// `sim_equivalence` and `replay_differential` suites).
 ///
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-pub fn simulate_replay(replay: &OpReplay, config: &MachineConfig) -> SimResult {
-    run_simulation::<CoreModel, _, _>(replay, config, &mut NoProbe)
-}
-
-/// Simulates `program` on `config` with a [`SimProbe`] observing the
-/// dispatch loop. With [`NoProbe`] this monomorphizes to exactly
-/// [`simulate`]; the timing result never depends on the probe.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_with_probe<P: SimProbe>(
-    program: &Program,
+pub fn simulate_with<S: ExecSource, P: SimProbe>(
+    source: &S,
     config: &MachineConfig,
+    engine: SimEngine,
     probe: &mut P,
 ) -> SimResult {
-    run_simulation::<CoreModel, _, _>(program, config, probe)
+    match engine {
+        SimEngine::Fused => run_simulation::<CoreModel, _, _>(source, config, probe),
+        SimEngine::Reference => run_simulation::<ReferenceCore, _, _>(source, config, probe),
+    }
 }
 
-/// Simulates `program` on `config` while collecting the simulator
-/// self-profile (op frequencies, pair histogram, sync mix, dispatch-batch
-/// shapes, fusion statistics). The [`SimResult`] is bit-identical to
-/// [`simulate`]'s.
+/// [`simulate_with`] collecting the simulator self-profile (op
+/// frequencies, pair histogram, sync mix, dispatch-batch shapes, fusion
+/// statistics) alongside the result.
 ///
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-pub fn simulate_profiled(program: &Program, config: &MachineConfig) -> (SimResult, SimProfile) {
-    let mut collector = ProfileCollector::new();
-    let result = run_simulation::<CoreModel, _, _>(program, config, &mut collector);
-    (result, collector.into_profile())
-}
-
-/// [`simulate_profiled`] over a replayed op stream instead of an
-/// expansion-backed program.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-pub fn simulate_profiled_replay(
-    replay: &OpReplay,
+pub fn simulate_profiled<S: ExecSource>(
+    source: &S,
     config: &MachineConfig,
+    engine: SimEngine,
 ) -> (SimResult, SimProfile) {
     let mut collector = ProfileCollector::new();
-    let result = run_simulation::<CoreModel, _, _>(replay, config, &mut collector);
+    let result = simulate_with(source, config, engine, &mut collector);
     (result, collector.into_profile())
 }
 
 /// Validates inputs and runs the engine with the given timing model and
-/// probe over any [`ExecSource`] (expansion-backed program or out-of-core
-/// replay). Shared by the optimized and reference entry points.
-pub(crate) fn run_simulation<C: CoreTiming, S: ExecSource, P: SimProbe>(
+/// probe over any [`ExecSource`].
+fn run_simulation<C: CoreTiming, S: ExecSource, P: SimProbe>(
     source: &S,
     config: &MachineConfig,
     probe: &mut P,
@@ -380,15 +326,9 @@ struct Engine<'p, C, S: ExecSource> {
     cursors: Vec<ThreadCursor<'p>>,
     threads: Vec<ThreadCtx<C>>,
     mem: MemorySystem,
-    barriers: HashMap<u32, BarrierState>,
-    participants: HashMap<u32, usize>,
-    mutexes: HashMap<u32, MutexState>,
-    queues: HashMap<u32, QueueState>,
-    rwlocks: HashMap<u32, RwLockState>,
-    /// Semaphores reuse queue bookkeeping: posted permits carry the time
-    /// they became available, exactly like produced items.
-    sems: HashMap<u32, QueueState>,
-    joiners: HashMap<usize, Vec<usize>>,
+    sync: SyncCore<f64>,
+    /// Threads the last synchronization step made runnable.
+    wake: Vec<(usize, f64)>,
     counts: SyncEventCounts,
     /// Discrete-event ready queue: `(wake_time, thread)` min-heap. Threads
     /// are posted when they become runnable and popped in global time
@@ -401,58 +341,30 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
         let n = source.num_threads();
         let cursors = (0..n).map(|t| source.cursor(t)).collect();
         let threads = (0..n)
-            .map(|i| ThreadCtx {
+            .map(|_| ThreadCtx {
                 core: C::new(config, 0.0),
-                status: if i == 0 {
-                    Status::Ready
-                } else {
-                    Status::NotStarted
-                },
-                block_time: 0.0,
                 start: 0.0,
-                finish: 0.0,
                 intervals: Vec::new(),
                 open: 0.0,
             })
             .collect();
-
-        // Barrier participation is static: every thread whose script names
-        // the barrier takes part in each instance.
-        let mut participants: HashMap<u32, usize> = HashMap::new();
-        for t in 0..n {
-            let mut seen = std::collections::HashSet::new();
-            for op in source.sync_ops(t) {
-                if let SyncOp::Barrier { id, .. } = op {
-                    if seen.insert(id.0) {
-                        *participants.entry(id.0).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-
         Engine {
             config,
             source,
             cursors,
             threads,
             mem: MemorySystem::with_cores(config, n.max(1)),
-            barriers: HashMap::new(),
-            participants,
-            mutexes: HashMap::new(),
-            queues: HashMap::new(),
-            rwlocks: HashMap::new(),
-            sems: HashMap::new(),
-            joiners: HashMap::new(),
+            sync: SyncCore::for_source(source),
+            wake: Vec::new(),
             counts: SyncEventCounts::default(),
             queue: EventQueue::new(),
         }
     }
 
+    /// Closes the running thread's active interval as it blocks.
     fn block(&mut self, i: usize) {
         let th = &mut self.threads[i];
         let t = th.core.time();
-        th.status = Status::Blocked;
-        th.block_time = t;
         if t > th.open {
             th.intervals.push((th.open, t));
         }
@@ -474,31 +386,34 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
         }
     }
 
-    fn resume(&mut self, i: usize, t: f64) {
-        let th = &mut self.threads[i];
-        debug_assert_eq!(th.status, Status::Blocked);
-        th.core.resume_at(t);
-        th.status = Status::Ready;
-        th.open = th.core.time();
-        let wake = th.core.time();
-        self.queue.post_at(wake, i);
+    /// Makes the threads in `wake` runnable: the child of a `Create`
+    /// starts after the spawn latency; a blocked thread resumes at `t`,
+    /// its wait charged to sync.
+    fn wake_all(&mut self, spawn: bool) {
+        let mut wake = std::mem::take(&mut self.wake);
+        for (w, t) in wake.drain(..) {
+            let th = &mut self.threads[w];
+            if spawn {
+                let start = t + self.config.spawn_latency_cycles as f64;
+                th.core.set_start_time(start);
+                th.start = start;
+            } else {
+                th.core.resume_at(t);
+            }
+            th.open = th.core.time();
+            self.queue.post_at(th.core.time(), w);
+        }
+        self.wake = wake;
     }
 
     fn finish_thread(&mut self, i: usize) {
-        let t = self.threads[i].core.finish();
-        {
-            let th = &mut self.threads[i];
-            th.status = Status::Done;
-            th.finish = t;
-            if t > th.open {
-                th.intervals.push((th.open, t));
-            }
+        let th = &mut self.threads[i];
+        let t = th.core.finish();
+        if t > th.open {
+            th.intervals.push((th.open, t));
         }
-        if let Some(waiters) = self.joiners.remove(&i) {
-            for w in waiters {
-                self.resume(w, t);
-            }
-        }
+        self.sync.finish(i, t, &mut self.wake);
+        self.wake_all(false);
     }
 
     /// Handles one synchronization event for thread `i`. Returns `true` if
@@ -507,178 +422,21 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
     /// touching any of this bookkeeping.
     #[cold]
     fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
-        let overhead = self.config.sync_overhead_cycles as f64;
-        self.threads[i].core.charge_sync_overhead(overhead);
-        let t = self.threads[i].core.time();
-
-        match op {
-            SyncOp::Create { child } => {
-                let c = child.index();
-                let start = t + self.config.spawn_latency_cycles as f64;
-                let th = &mut self.threads[c];
-                assert_eq!(th.status, Status::NotStarted, "thread created twice");
-                th.core.set_start_time(start);
-                th.status = Status::Ready;
-                th.start = start;
-                th.open = start;
-                let wake = th.core.time();
-                self.queue.post_at(wake, c);
+        self.counts.record(&op);
+        let core = &mut self.threads[i].core;
+        core.charge_sync_overhead(self.config.sync_overhead_cycles as f64);
+        let now = core.time();
+        let step = self.sync.handle(i, op, now, &mut self.wake);
+        self.wake_all(matches!(op, SyncOp::Create { .. }));
+        match step {
+            Step::Proceed => false,
+            Step::WaitUntil(t) => {
+                self.wait_running(i, t);
                 false
             }
-            SyncOp::Join { child } => {
-                let c = child.index();
-                if self.threads[c].status == Status::Done {
-                    let fin = self.threads[c].finish;
-                    self.wait_running(i, fin);
-                    false
-                } else {
-                    self.joiners.entry(c).or_default().push(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Barrier { id, via_cond } => {
-                if via_cond {
-                    self.counts.cond_vars += 1;
-                } else {
-                    self.counts.barriers += 1;
-                }
-                let need = *self
-                    .participants
-                    .get(&id.0)
-                    .expect("barrier with no participants");
-                let bar = self.barriers.entry(id.0).or_default();
-                bar.arrived.push(i);
-                bar.max_time = bar.max_time.max(t);
-                if bar.arrived.len() >= need {
-                    let release = bar.max_time;
-                    let arrived = std::mem::take(&mut bar.arrived);
-                    bar.max_time = 0.0;
-                    for w in arrived {
-                        if w != i {
-                            self.resume(w, release);
-                        }
-                    }
-                    self.wait_running(i, release);
-                    false
-                } else {
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Lock { id } => {
-                self.counts.critical_sections += 1;
-                let m = self.mutexes.entry(id.0).or_default();
-                if m.held_by.is_none() && m.queue.is_empty() {
-                    m.held_by = Some(i);
-                    false
-                } else {
-                    m.queue.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::Unlock { id } => {
-                let m = self.mutexes.entry(id.0).or_default();
-                m.held_by = None;
-                if let Some(w) = m.queue.pop_front() {
-                    m.held_by = Some(w);
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::Produce { queue, count } => {
-                self.counts.cond_vars += 1;
-                let q = self.queues.entry(queue.0).or_default();
-                for _ in 0..count {
-                    q.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !q.items.is_empty() && !q.waiting.is_empty() {
-                    let item = q.items.pop_front().expect("nonempty");
-                    let w = q.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item.max(self.threads[w].block_time));
-                }
-                false
-            }
-            SyncOp::Consume { queue } => {
-                self.counts.cond_vars += 1;
-                let q = self.queues.entry(queue.0).or_default();
-                if let Some(item) = q.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    q.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwLock { id, write } => {
-                self.counts.critical_sections += 1;
-                let rw = self.rwlocks.entry(id.0).or_default();
-                let free = rw.writer.is_none() && rw.queue.is_empty();
-                let grant = if write { free && rw.readers == 0 } else { free };
-                if grant {
-                    if write {
-                        rw.writer = Some(i);
-                    } else {
-                        rw.readers += 1;
-                    }
-                    false
-                } else {
-                    rw.queue.push_back((i, write));
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::RwUnlock { id } => {
-                let rw = self.rwlocks.entry(id.0).or_default();
-                if rw.writer == Some(i) {
-                    rw.writer = None;
-                } else {
-                    rw.readers = rw.readers.saturating_sub(1);
-                }
-                let wake = rw.admit();
-                for w in wake {
-                    self.resume(w, t);
-                }
-                false
-            }
-            SyncOp::SemWait { id } => {
-                self.counts.cond_vars += 1;
-                let s = self.sems.entry(id.0).or_default();
-                if let Some(item) = s.items.pop_front() {
-                    if item > t {
-                        self.wait_running(i, item);
-                    }
-                    false
-                } else {
-                    s.waiting.push_back(i);
-                    self.block(i);
-                    true
-                }
-            }
-            SyncOp::SemPost { id, count } => {
-                self.counts.cond_vars += 1;
-                let s = self.sems.entry(id.0).or_default();
-                for _ in 0..count {
-                    s.items.push_back(t);
-                }
-                let mut wakeups = Vec::new();
-                while !s.items.is_empty() && !s.waiting.is_empty() {
-                    let item = s.items.pop_front().expect("nonempty");
-                    let w = s.waiting.pop_front().expect("nonempty");
-                    wakeups.push((w, item));
-                }
-                for (w, item) in wakeups {
-                    self.resume(w, item.max(self.threads[w].block_time));
-                }
-                false
+            Step::Block => {
+                self.block(i);
+                true
             }
         }
     }
@@ -689,27 +447,10 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
         // thread index, matching the historical scan bit for bit); blocked
         // and finished threads cost nothing per scheduling step.
         if !self.threads.is_empty() {
-            let t = self.threads[0].core.time();
-            self.queue.post_at(t, 0); // main thread starts ready
+            self.queue.post_at(self.threads[0].core.time(), 0); // main thread starts ready
         }
-        loop {
-            let Some((_, i)) = self.queue.pop() else {
-                if self.threads.iter().all(|t| t.status == Status::Done) {
-                    break;
-                }
-                let stuck: Vec<usize> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.status == Status::Blocked)
-                    .map(|(i, _)| i)
-                    .collect();
-                panic!(
-                    "deadlock: threads {stuck:?} blocked forever in {}",
-                    self.source.name()
-                );
-            };
-            debug_assert_eq!(self.threads[i].status, Status::Ready);
+        while let Some((_, i)) = self.queue.pop() {
+            debug_assert_eq!(self.sync.status(i), ThreadStatus::Ready);
             let t0 = self.threads[i].core.time();
 
             let limit = t0 + QUANTUM;
@@ -752,11 +493,11 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
             }
             // Re-post the thread if it is still runnable after its slice
             // (blocked threads are re-posted by whoever wakes them).
-            if self.threads[i].status == Status::Ready {
-                let t = self.threads[i].core.time();
-                self.queue.post_at(t, i);
+            if self.sync.status(i) == ThreadStatus::Ready {
+                self.queue.post_at(self.threads[i].core.time(), i);
             }
         }
+        self.sync.assert_finished(self.source.name());
 
         for (i, th) in self.threads.iter().enumerate() {
             let (dispatches, fused) = th.core.dispatch_stats();
@@ -771,10 +512,11 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
         let mut intervals = Vec::with_capacity(self.threads.len());
         let mut total_cycles: f64 = 0.0;
         for (i, th) in self.threads.iter().enumerate() {
-            total_cycles = total_cycles.max(th.finish);
+            let finish = self.sync.finish_time(i);
+            total_cycles = total_cycles.max(finish);
             let counters = th.core.counters();
             let stalls = th.core.stalls();
-            let total = th.finish - th.start;
+            let total = finish - th.start;
             let attributed = stalls.branch
                 + stalls.icache
                 + stalls.mem_l2
@@ -788,7 +530,7 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
             let ms = self.mem.stats(i);
             threads.push(ThreadResult {
                 start: th.start,
-                finish: th.finish,
+                finish,
                 cpi,
                 ops: counters.ops,
                 branches: counters.branches,
@@ -1165,7 +907,7 @@ mod tests {
         b.join_workers();
         let p = b.build();
         let plain = simulate(&p, &base());
-        let (probed, profile) = simulate_profiled(&p, &base());
+        let (probed, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
         assert_eq!(plain.total_cycles.to_bits(), probed.total_cycles.to_bits());
         for (a, b) in plain.threads.iter().zip(probed.threads.iter()) {
             assert_eq!(a.finish.to_bits(), b.finish.to_bits());

@@ -7,9 +7,11 @@
 //! tournament branch predictor ([`TournamentPredictor`]), and an execution
 //! engine implementing full synchronization semantics ([`simulate`]).
 //!
-//! The simulator and the analytical model (`rppm-core`) share *only* the
-//! workload IR and [`MachineConfig`](rppm_trace::MachineConfig) — the model
-//! never observes simulator internals, mirroring the paper's methodology.
+//! The simulator and the analytical model (`rppm-core`) share *only* what
+//! lives in `rppm-trace`: the workload IR, the
+//! [`MachineConfig`](rppm_trace::MachineConfig) and the pthread rules of
+//! [`SyncCore`](rppm_trace::SyncCore) — the model never observes simulator
+//! timing, mirroring the paper's methodology.
 //!
 //! # Example
 //!
@@ -43,9 +45,7 @@ pub use crate::core::{CoreCounters, CoreModel};
 pub use bpred::TournamentPredictor;
 pub use cache::SetAssocCache;
 pub use engine::{
-    simulate, simulate_profiled, simulate_profiled_replay, simulate_replay, simulate_with_probe,
-    SimResult, SyncEventCounts, ThreadResult,
+    simulate, simulate_profiled, simulate_with, SimEngine, SimResult, SyncEventCounts, ThreadResult,
 };
 pub use mem::{MemStats, MemorySystem, ServiceLevel};
-pub use reference::{simulate_reference, simulate_reference_profiled, simulate_reference_replay};
 pub use simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile, SyncMix, ThreadShape};

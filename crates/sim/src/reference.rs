@@ -8,26 +8,27 @@
 //! match dispatched one op at a time, exactly as the simulator shipped
 //! before the self-profiling pass.
 //!
-//! [`simulate_reference`] drives the same engine, synchronization semantics
-//! and memory system through this naive core; the differential proptest
-//! suite (`tests/sim_equivalence.rs`) and a `bench_guard` ratio pin the
-//! optimized path bit-identical and measurably faster. The committed
-//! "before" profile artifact under `results/` is produced by
-//! [`simulate_reference_profiled`] (no fusion: one dispatch per op).
+//! [`SimEngine::Reference`](crate::SimEngine::Reference) selects this core
+//! in [`simulate_with`](crate::simulate_with) and
+//! [`simulate_profiled`](crate::simulate_profiled); everything else — the
+//! engine loop, the shared synchronization core, the memory system — is
+//! the one the optimized core runs under. The differential proptest suite
+//! (`tests/sim_equivalence.rs`) and a `bench_guard` ratio pin the optimized
+//! path bit-identical and measurably faster. The committed "before" profile
+//! artifact under `results/` is collected through this core (no fusion:
+//! one dispatch per op).
 
 use crate::core::{attribute, Cause, CoreCounters, RING};
-use crate::engine::{run_simulation, CoreTiming};
+use crate::engine::CoreTiming;
 use crate::mem::{MemorySystem, ServiceLevel};
-use crate::simprof::{NoProbe, ProfileCollector, SimProfile};
-use crate::SimResult;
-use rppm_trace::{CpiStack, MachineConfig, MicroOp, OpClass, OpReplay, Program};
+use rppm_trace::{CpiStack, MachineConfig, MicroOp, OpClass};
 use std::collections::VecDeque;
 
 /// The original out-of-order core timing model: per-op nine-way match
 /// dispatch over a `VecDeque` ROB. Field-for-field the pre-optimization
 /// [`CoreModel`](crate::CoreModel).
 #[derive(Debug)]
-struct ReferenceCore {
+pub(crate) struct ReferenceCore {
     width: u32,
     rob_size: usize,
     frontend_depth: f64,
@@ -290,49 +291,16 @@ impl CoreTiming for ReferenceCore {
     }
 }
 
-/// Simulates `program` on `config` through the naive reference dispatch.
-/// The result must be bit-identical to [`simulate`](crate::simulate) —
-/// only slower; the difference is the speedup the PGO pass bought.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`](crate::simulate).
-pub fn simulate_reference(program: &Program, config: &MachineConfig) -> SimResult {
-    run_simulation::<ReferenceCore, _, _>(program, config, &mut NoProbe)
-}
-
-/// [`simulate_reference`] over a replayed op stream — the out-of-core
-/// counterpart, pinned bit-identical to the expansion-backed path by the
-/// differential suite.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`](crate::simulate).
-pub fn simulate_reference_replay(replay: &OpReplay, config: &MachineConfig) -> SimResult {
-    run_simulation::<ReferenceCore, _, _>(replay, config, &mut NoProbe)
-}
-
-/// [`simulate_reference`] with self-profile collection — the "before"
-/// half of the committed before/after profile artifact (one dispatch per
-/// op, zero fused pairs).
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`](crate::simulate).
-pub fn simulate_reference_profiled(
-    program: &Program,
-    config: &MachineConfig,
-) -> (SimResult, SimProfile) {
-    let mut collector = ProfileCollector::new();
-    let result = run_simulation::<ReferenceCore, _, _>(program, config, &mut collector);
-    (result, collector.into_profile())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::simulate;
-    use rppm_trace::{AddressPattern, BlockSpec, DesignPoint, ProgramBuilder};
+    use crate::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine, SimResult};
+    use rppm_trace::{
+        AddressPattern, BlockSpec, DesignPoint, MachineConfig, Program, ProgramBuilder,
+    };
+
+    fn simulate_reference(program: &Program, config: &MachineConfig) -> SimResult {
+        simulate_with(program, config, SimEngine::Reference, &mut NoProbe)
+    }
 
     fn sample_program() -> Program {
         let mut b = ProgramBuilder::new("refcheck", 2);
@@ -408,8 +376,8 @@ mod tests {
     fn reference_profile_has_no_fusion() {
         let p = sample_program();
         let cfg = DesignPoint::Base.config();
-        let (_, before) = simulate_reference_profiled(&p, &cfg);
-        let (_, after) = crate::simulate_profiled(&p, &cfg);
+        let (_, before) = simulate_profiled(&p, &cfg, SimEngine::Reference);
+        let (_, after) = simulate_profiled(&p, &cfg, SimEngine::Fused);
         assert_eq!(before.fused_pairs, 0);
         assert_eq!(before.dispatches, before.total_ops());
         // Identical executed-op mix, fewer dispatch actions after fusion.

@@ -1,7 +1,7 @@
 //! Manual timing probes for the PGO work. Ignored by default: run with
 //! `cargo test --release -p rppm-sim --test perf_probe -- --ignored --nocapture`.
 
-use rppm_sim::{simulate, simulate_profiled, simulate_reference};
+use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
 use rppm_trace::{AddressPattern, BlockSpec, DesignPoint, Program, ProgramBuilder, Region};
 use std::time::Instant;
 
@@ -66,15 +66,19 @@ fn probe() {
     for (name, p) in [("mixed", mixed(2.0)), ("compute", compute_only(2.0))] {
         let total_ops: u64 = simulate(&p, &cfg).total_ops();
         let (t_opt, _) = time_min(7, || simulate(&p, &cfg).total_cycles);
-        let (t_ref, _) = time_min(7, || simulate_reference(&p, &cfg).total_cycles);
-        let (t_prof, _) = time_min(7, || simulate_profiled(&p, &cfg).0.total_cycles);
+        let (t_ref, _) = time_min(7, || {
+            simulate_with(&p, &cfg, SimEngine::Reference, &mut NoProbe).total_cycles
+        });
+        let (t_prof, _) = time_min(7, || {
+            simulate_profiled(&p, &cfg, SimEngine::Fused).0.total_cycles
+        });
         println!(
             "{name}: ops={total_ops} opt={t_opt:.3}ms ({:.1}ns/op)  ref={t_ref:.3}ms ({:.1}ns/op)  prof={t_prof:.3}ms  ratio opt/ref={:.3}",
             t_opt * 1e6 / total_ops as f64,
             t_ref * 1e6 / total_ops as f64,
             t_opt / t_ref
         );
-        let (_, prof) = simulate_profiled(&p, &cfg);
+        let (_, prof) = simulate_profiled(&p, &cfg, SimEngine::Fused);
         println!(
             "  fused_fraction={:.3} dispatch_reduction={:.3}",
             prof.fused_fraction(),

@@ -1,20 +1,23 @@
 //! Differential suite pinning the simulator's out-of-core replay path to
-//! in-memory expansion: [`rppm_sim::simulate_replay`] on a recorded op
+//! in-memory expansion: [`rppm_sim::simulate_with`] on a recorded op
 //! stream must be bit-identical to [`rppm_sim::simulate`] on the program
 //! it was recorded from — timings, CPI stacks, intervals, sync counts and
 //! the self-profiling probe output — across all five Table IV design
 //! points, through both the optimized and the naive reference core.
 
 use proptest::prelude::*;
-use rppm_sim::{
-    simulate, simulate_profiled, simulate_profiled_replay, simulate_reference,
-    simulate_reference_replay, simulate_replay, SimResult,
-};
+use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine, SimResult};
 use rppm_trace::{
-    AddressPattern, BlockSpec, DesignPoint, OpReplay, Program, ProgramBuilder, StreamOptions,
+    AddressPattern, BlockSpec, DesignPoint, MachineConfig, OpReplay, Program, ProgramBuilder,
+    StreamOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The fused engine over a replayed stream.
+fn simulate_replay(replay: &OpReplay, config: &MachineConfig) -> SimResult {
+    simulate_with(replay, config, SimEngine::Fused, &mut NoProbe)
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -117,8 +120,8 @@ fn probe_output_matches_from_replay() {
     rppm_trace::write_program_ops(&program, &path).expect("record");
     let replay = OpReplay::open(&path).expect("open");
     let cfg = DesignPoint::Base.config();
-    let (res_a, prof_a) = simulate_profiled(&program, &cfg);
-    let (res_b, prof_b) = simulate_profiled_replay(&replay, &cfg);
+    let (res_a, prof_a) = simulate_profiled(&program, &cfg, SimEngine::Fused);
+    let (res_b, prof_b) = simulate_profiled(&replay, &cfg, SimEngine::Fused);
     assert_bit_identical(&res_a, &res_b, "profiled");
     assert_eq!(prof_a, prof_b, "self-profile probe output diverges");
 }
@@ -141,8 +144,8 @@ fn reference_core_matches_from_replay_under_tiny_chunks() {
     )
     .expect("open");
     let cfg = DesignPoint::Base.config();
-    let a = simulate_reference(&program, &cfg);
-    let b = simulate_reference_replay(&replay, &cfg);
+    let a = simulate_with(&program, &cfg, SimEngine::Reference, &mut NoProbe);
+    let b = simulate_with(&replay, &cfg, SimEngine::Reference, &mut NoProbe);
     assert_bit_identical(&a, &b, "reference core");
     // And the optimized core agrees with both (the existing equivalence
     // property, now holding across the replay boundary too).

@@ -44,6 +44,11 @@
 //! * [`par`][mod@par] — the tiny scoped-thread parallel runtime
 //!   ([`par::parallel_for`] / [`par::parallel_map`] / [`par::default_jobs`])
 //!   shared by section decoding here and every crate above.
+//! * [`sched`][mod@sched] and [`sync_core`][mod@sync_core] — the
+//!   discrete-event core every execution engine (profiler, simulator,
+//!   Algorithm 2) runs on: the [`EventQueue`] ready heap and [`SyncCore`],
+//!   the one implementation of the synchronization rules, generic over
+//!   the engine's [`Clock`].
 //!
 //! # Example
 //!
@@ -87,7 +92,9 @@ pub mod par;
 pub mod pattern;
 pub mod program;
 pub mod rng;
+pub mod sched;
 pub mod sync;
+pub mod sync_core;
 
 pub use binary::{
     export_program_binary, has_binary_extension, import_program_binary, import_program_bytes,
@@ -118,4 +125,6 @@ pub use ops::{
 pub use pattern::{AddressPattern, BranchPattern, Region};
 pub use program::{Program, ProgramError, Segment, ThreadScript};
 pub use rng::Rng;
+pub use sched::{Clock, EventQueue};
 pub use sync::{BarrierId, CondId, MutexId, QueueId, SyncOp, ThreadId};
+pub use sync_core::{barrier_participants, Step, SyncCore, ThreadStatus};

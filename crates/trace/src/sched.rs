@@ -1,18 +1,20 @@
 //! Discrete-event ready queue shared by the execution engines.
 //!
-//! Algorithm 2 (symbolic execution), the golden simulator engine and the
-//! naive reference core all schedule the same way: *run the ready thread
-//! with the smallest clock next*. The historical implementation rescanned
-//! every thread on every scheduling step, which is O(threads) per step —
-//! harmless at the paper's 4–8 threads, but the dominant cost for
-//! hundreds-to-thousands-of-thread scenarios where almost every thread is
-//! blocked or finished at any given moment.
+//! The profiler's unit-cost interleaving, Algorithm 2 (symbolic execution)
+//! and the golden simulator engine all schedule the same way: *run the
+//! ready thread with the smallest clock next*. The historical
+//! implementation rescanned every thread on every scheduling step, which is
+//! O(threads) per step — harmless at the paper's 4–8 threads, but the
+//! dominant cost for hundreds-to-thousands-of-thread scenarios where almost
+//! every thread is blocked or finished at any given moment.
 //!
 //! [`EventQueue`] replaces the scan with a binary min-heap of
 //! `(wake_key, thread)` events. Threads are *posted* when they become
 //! runnable (creation, wake-up from a barrier/lock/queue, or re-posting
 //! after a scheduling quantum) and popped in global time order; blocked and
-//! finished threads simply are not in the heap and cost nothing.
+//! finished threads simply are not in the heap and cost nothing. It lives
+//! here, in the crate every engine depends on, next to the one
+//! implementation of the synchronization rules ([`crate::sync_core`]).
 //!
 //! # Bit-identity with the scan
 //!
@@ -23,10 +25,12 @@
 //! schedules bit for bit (pinned by the golden suite, the sim-equivalence
 //! suite and the scheduler differential tests).
 //!
-//! Clocks are `f64` cycles in the engines; [`time_key`] maps a
-//! non-negative, non-NaN `f64` to a `u64` whose integer order matches the
-//! float order (IEEE-754 bit patterns of non-negative floats are monotone),
-//! so the heap never compares floats directly.
+//! Each engine keeps time in its own [`Clock`]: `u64` ticks in the
+//! profiler, `f64` cycles in the simulator and Algorithm 2. A tick is its
+//! own key; [`time_key`] maps a non-negative, non-NaN `f64` to a `u64`
+//! whose integer order matches the float order (IEEE-754 bit patterns of
+//! non-negative floats are monotone), so the heap never compares floats
+//! directly.
 //!
 //! # Invariant
 //!
@@ -38,6 +42,26 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// An engine's notion of time: `u64` ticks or `f64` cycles.
+pub trait Clock: Copy + Default + PartialOrd {
+    /// The [`EventQueue`] key of this time; keys order like times.
+    fn key(self) -> u64;
+}
+
+impl Clock for u64 {
+    #[inline]
+    fn key(self) -> u64 {
+        self
+    }
+}
+
+impl Clock for f64 {
+    #[inline]
+    fn key(self) -> u64 {
+        time_key(self)
+    }
+}
 
 /// Maps a non-negative, non-NaN time in cycles to a heap key whose `u64`
 /// ordering matches the `f64` ordering.
@@ -84,17 +108,16 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// Posts a wake-up for `thread` at `key` (see [`time_key`] for `f64`
-    /// clocks; tick-based engines pass the tick directly).
+    /// Posts a wake-up for `thread` at `key` (see [`Clock::key`]).
     #[inline]
     pub fn post(&mut self, key: u64, thread: usize) {
         self.heap.push(Reverse((key, thread)));
     }
 
-    /// Posts a wake-up for `thread` at `f64` time `t`.
+    /// Posts a wake-up for `thread` at time `t`.
     #[inline]
-    pub fn post_at(&mut self, t: f64, thread: usize) {
-        self.post(time_key(t), thread);
+    pub fn post_at<T: Clock>(&mut self, t: T, thread: usize) {
+        self.post(t.key(), thread);
     }
 
     /// Pops the earliest event: the smallest `(key, thread)` pair, i.e. the

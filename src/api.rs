@@ -38,7 +38,7 @@
 
 use rppm_core::{parallel_map, Prediction, PreparedProfile};
 use rppm_profiler::{ApplicationProfile, CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
-use rppm_sim::{simulate, SimProfile, SimResult};
+use rppm_sim::{simulate, SimResult};
 use rppm_trace::{program_fingerprint, MachineConfig, Program, ProgramError, TraceFileError};
 use rppm_workloads::{Benchmark, Params};
 use std::path::Path;
@@ -441,15 +441,6 @@ impl ProfileHandle {
     /// Golden-reference detailed simulation (slow; for validation).
     pub fn simulate(&self, config: &MachineConfig) -> SimResult {
         simulate(&self.workload.program, config)
-    }
-
-    /// Golden-reference simulation with the simulator's self-profiling
-    /// probe attached: returns the result plus the engine's own execution
-    /// profile (op-class frequencies, dynamic op-pair histogram, sync mix,
-    /// dispatch/fusion statistics). Timing is bit-identical to
-    /// [`ProfileHandle::simulate`] — the probe only observes.
-    pub fn simulate_profiled(&self, config: &MachineConfig) -> (SimResult, SimProfile) {
-        rppm_sim::simulate_profiled(&self.workload.program, config)
     }
 
     /// Simulates every configuration of a design space, fanned out over

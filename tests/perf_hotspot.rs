@@ -8,7 +8,7 @@
 //! Optimized and reference simulation runs are interleaved (ABAB) so slow
 //! drift of the host machine cancels out of the ratio.
 
-use rppm_sim::{simulate, simulate_profiled, simulate_reference};
+use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
 use rppm_trace::DesignPoint;
 use rppm_workloads::{by_name, Params};
 use std::time::Instant;
@@ -32,8 +32,13 @@ fn paired_hotspot() {
     let total_ops = simulate(&program, &config).total_ops();
 
     let mut f_opt = || simulate(&program, &config).total_cycles;
-    let mut f_ref = || simulate_reference(&program, &config).total_cycles;
-    let mut f_prof = || simulate_profiled(&program, &config).0.total_cycles;
+    let mut f_ref =
+        || simulate_with(&program, &config, SimEngine::Reference, &mut NoProbe).total_cycles;
+    let mut f_prof = || {
+        simulate_profiled(&program, &config, SimEngine::Fused)
+            .0
+            .total_cycles
+    };
 
     // Warmup.
     time_one(&mut f_opt);

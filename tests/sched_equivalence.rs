@@ -1,14 +1,18 @@
 //! Differential property suite for the shared discrete-event scheduler
-//! ([`rppm::core::EventQueue`]): the min-heap must reproduce the retired
+//! ([`rppm::trace::EventQueue`]): the min-heap must reproduce the retired
 //! linear scan event for event, and the engines built on it must stay
 //! bit-identical to each other on random *high-thread-count* fork-join
 //! programs — including the format-v2 synchronization ops (reader-writer
 //! locks, counting semaphores) that post wakeups through the queue.
 
 use proptest::prelude::*;
-use rppm::core::EventQueue;
-use rppm::sim::{simulate, simulate_reference, SimResult};
-use rppm::trace::{BlockSpec, DesignPoint, Program, ProgramBuilder};
+use rppm::sim::{simulate, simulate_with, NoProbe, SimEngine, SimResult};
+use rppm::trace::{BlockSpec, DesignPoint, EventQueue, MachineConfig, Program, ProgramBuilder};
+
+/// The naive reference engine, the oracle the fused engine must match.
+fn simulate_reference(program: &Program, config: &MachineConfig) -> SimResult {
+    simulate_with(program, config, SimEngine::Reference, &mut NoProbe)
+}
 
 /// The retired scheduler: a linear scan over every live `(key, thread)`
 /// entry picking the **first** entry with the strictly smallest key —

