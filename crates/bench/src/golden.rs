@@ -29,9 +29,10 @@ pub const GOLDEN_RTOL: f64 = 1e-6;
 /// The reports pinned by the golden suite: per-benchmark prediction errors
 /// (fig4), sync-event counts (table3), design-space deficiencies (table5),
 /// the batched DSE engine's optimum + Pareto-frontier membership (dse),
-/// and the simulator's own op-frequency profile (sim_profile) — the latter
-/// pins the exact simulated instruction streams, so any "optimization"
-/// that changes the op sequences fails the diff.
+/// the simulator's own op-frequency profile (sim_profile) — which pins the
+/// exact simulated instruction streams, so any "optimization" that changes
+/// the op sequences fails the diff — and the model-component ablation
+/// (ablation), which pins every calibration knob's effect.
 pub fn golden_reports(ctx: &RunCtx<'_>) -> Vec<Report> {
     vec![
         reports::fig4(GOLDEN_SCALE, ctx),
@@ -39,6 +40,7 @@ pub fn golden_reports(ctx: &RunCtx<'_>) -> Vec<Report> {
         reports::table5(GOLDEN_SCALE, ctx),
         reports::dse(GOLDEN_SCALE, ctx),
         reports::sim_profile(GOLDEN_SCALE, ctx),
+        reports::ablation(GOLDEN_SCALE, ctx),
     ]
 }
 

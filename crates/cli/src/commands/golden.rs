@@ -14,7 +14,7 @@ const USAGE: &str = "usage: rppm golden diff [--jobs N] [--golden DIR] [--out FI
 drift) and always writes the delta report (default results/golden_delta.txt).
 `update` regenerates the baselines after an intentional accuracy change.
 The baselines (default results/golden/) pin the JSON twins of fig4, table3,
-table5 and dse at the golden scale.";
+table5, dse, sim_profile and ablation at the golden scale.";
 
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);

@@ -45,8 +45,8 @@ fn reports_match_golden_baselines() {
         checked += 1;
     }
     assert_eq!(
-        checked, 5,
-        "golden set covers fig4, table3, table5, dse, sim_profile"
+        checked, 6,
+        "golden set covers fig4, table3, table5, dse, sim_profile, ablation"
     );
     assert!(
         failures.is_empty(),
