@@ -174,10 +174,13 @@ fn pipeline(c: &mut Criterion) {
     g.bench_function("profile_hotspot_0.1", |b| {
         b.iter(|| profile(std::hint::black_box(&program)))
     });
+    // One-shot predict(): prepare the profile (StatStack models), then
+    // evaluate one configuration.
     g.bench_function("predict_hotspot_0.1", |b| {
         b.iter(|| predict(std::hint::black_box(&prof), &config))
     });
-    // The headline workflow: one profile, five design points.
+    // The headline workflow: one profile, five design points (five
+    // one-shot predictions).
     g.bench_function("predict_5_design_points", |b| {
         b.iter(|| {
             DesignPoint::ALL
@@ -194,9 +197,9 @@ fn dse(c: &mut Criterion) {
     use std::sync::Arc;
 
     // kmeans at 0.1: a barrier-heavy workload whose profile (20 distinct
-    // epoch cells) is representative of the catalog; scalar predict()
-    // rebuilds every StatStack model per call, the prepared path builds
-    // them once.
+    // epoch cells) is representative of the catalog. The one-shot
+    // predict() prepares the profile on every call; the batched path
+    // prepares once and builds its curve tables once per evaluator.
     let bench = by_name("kmeans").expect("known benchmark");
     let params = Params {
         scale: 0.1,

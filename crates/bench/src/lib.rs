@@ -6,9 +6,10 @@
 //!
 //! * [`runner`] — the experiment engine: [`ExperimentPlan`] fans
 //!   (workload × config) cells out over a thread pool while each workload
-//!   is profiled exactly once through the shared [`ProfileCache`] (the
-//!   cache itself is `rppm_profiler::ProfileCache`, promoted out of this
-//!   crate and shared with the `rppm::Session` facade);
+//!   is profiled and prepared exactly once through the shared
+//!   [`ProfileCache`] (the cache itself is `rppm_core::ProfileCache`,
+//!   promoted out of this crate and shared with the `rppm::Session`
+//!   facade);
 //! * [`reports`] — one function per table/figure, each returning the
 //!   rendered text and a machine-readable JSON value, used by both
 //!   `rppm report <name>` and the in-process `rppm run-all` driver;

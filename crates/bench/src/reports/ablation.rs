@@ -2,42 +2,61 @@
 //! refinement (DESIGN.md §7) disabled in turn, quantifying what every
 //! mechanism contributes to RPPM's accuracy.
 //!
-//! The knobs are env-var overrides read by `rppm-core::eq1` at every
-//! `predict` call, and profiles/simulations are knob-independent — so one
-//! plan run supplies the golden simulations and the one-time profiles, and
-//! each variant only re-predicts. Variants run sequentially (the
-//! environment is process-global state); the re-predictions inside a
-//! variant fan out in parallel under a then-stable environment.
+//! Each variant is an explicit [`Knobs`] value. Profiles and simulations
+//! are knob-independent, so one plan run supplies the golden simulations,
+//! the one-time profiles and the full model's predictions; every other
+//! variant prepares each profile with its own knobs
+//! ([`PreparedProfile::with_knobs`]) and re-predicts, in parallel. The JSON
+//! twin labels each variant's overrides (`env`) with the knobs' historical
+//! `RPPM_*` names, which the golden baseline pins.
 
 use super::{arr, obj, Report, RunCtx};
-use crate::runner::{parallel_for, ExperimentPlan, Row};
-use rppm_core::predict;
+use crate::runner::{ExperimentPlan, Row};
+use rppm_core::{abs_pct_error, parallel_map, Knobs, PreparedProfile};
 use rppm_workloads::Params;
 use serde_json::Value;
-use std::sync::Mutex;
+use std::sync::Arc;
 
-/// Every knob any variant touches (cleared around each variant).
-const KNOBS: [&str; 5] = [
-    "RPPM_KAPPA",
-    "RPPM_MLP_EFF",
-    "RPPM_MLP_CAP",
-    "RPPM_NO_CHAIN_BOUND",
-    "RPPM_NO_EXPOSURE",
-];
+/// Overrides a variant's JSON row records, as `(name, value)` labels.
+type Overrides = &'static [(&'static str, &'static str)];
 
-const VARIANTS: &[(&str, &[(&str, &str)])] = &[
-    ("full model", &[]),
-    (
-        "no path-selection factor (kappa=1)",
-        &[("RPPM_KAPPA", "1.0")],
-    ),
-    (
-        "no MLP efficiency (gamma=cap=1)",
-        &[("RPPM_MLP_EFF", "1.0"), ("RPPM_MLP_CAP", "1.0")],
-    ),
-    ("no chain bound", &[("RPPM_NO_CHAIN_BOUND", "1")]),
-    ("no retirement exposure", &[("RPPM_NO_EXPOSURE", "1")]),
-];
+/// The variants: row label, knobs, recorded overrides.
+fn variants() -> [(&'static str, Knobs, Overrides); 5] {
+    let full = Knobs::default();
+    [
+        ("full model", full, &[]),
+        (
+            "no path-selection factor (kappa=1)",
+            Knobs { kappa: 1.0, ..full },
+            &[("RPPM_KAPPA", "1.0")],
+        ),
+        (
+            "no MLP efficiency (gamma=cap=1)",
+            Knobs {
+                mlp_eff: 1.0,
+                mlp_cap: 1.0,
+                ..full
+            },
+            &[("RPPM_MLP_EFF", "1.0"), ("RPPM_MLP_CAP", "1.0")],
+        ),
+        (
+            "no chain bound",
+            Knobs {
+                no_chain_bound: true,
+                ..full
+            },
+            &[("RPPM_NO_CHAIN_BOUND", "1")],
+        ),
+        (
+            "no retirement exposure",
+            Knobs {
+                no_exposure: true,
+                ..full
+            },
+            &[("RPPM_NO_EXPOSURE", "1")],
+        ),
+    ]
+}
 
 /// Renders the ablation study at the given work scale.
 pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
@@ -63,33 +82,24 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
     out.push_str(&"-".repeat(60));
     out.push('\n');
 
-    // Snapshot caller-set knobs so they can be restored afterwards: this
-    // function owns the knob environment only for its own duration. (Env
-    // mutation is process-global — call this from one thread at a time,
-    // which is how `run_all` and the binary drive it.)
-    let prior: Vec<(&str, Option<String>)> =
-        KNOBS.iter().map(|&k| (k, std::env::var(k).ok())).collect();
-
     let mut rows = Vec::new();
-    for (name, env) in VARIANTS {
-        for k in KNOBS {
-            std::env::remove_var(k);
-        }
-        for (k, v) in *env {
-            std::env::set_var(k, v);
-        }
-        // Re-predict only: simulations and profiles are knob-independent.
-        let errs = Mutex::new(vec![0.0f64; runs.len()]);
-        parallel_for(ctx.jobs, runs.len(), |i| {
+    for (name, knobs, overrides) in variants() {
+        let errs = parallel_map(ctx.jobs, runs.len(), |i| {
             let run = &runs[i];
-            let pred = predict(&run.workload.profile, &config);
-            let err = rppm_core::abs_pct_error(pred.total_cycles, run.only().sim.total_cycles);
-            errs.lock().expect("errs lock")[i] = err;
+            let predicted = if knobs == Knobs::default() {
+                // The plan predicted the full model through the cached
+                // preparation.
+                run.only().rppm.total_cycles
+            } else {
+                PreparedProfile::with_knobs(Arc::clone(&run.workload.profile), knobs)
+                    .predict(&config)
+                    .total_cycles
+            };
+            abs_pct_error(predicted, run.only().sim.total_cycles)
         });
-        let errs = errs.into_inner().expect("errs lock");
         let (mean, max) = (rppm_core::mean(&errs), rppm_core::max(&errs));
         Row::new()
-            .cell(38, *name)
+            .cell(38, name)
             .rcell(10, format!("{:.1}%", mean * 100.0))
             .rcell(10, format!("{:.1}%", max * 100.0))
             .line(&mut out);
@@ -100,18 +110,13 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
             (
                 "env",
                 Value::Object(
-                    env.iter()
+                    overrides
+                        .iter()
                         .map(|(k, v)| (k.to_string(), Value::String(v.to_string())))
                         .collect(),
                 ),
             ),
         ]));
-    }
-    for (k, v) in prior {
-        match v {
-            Some(v) => std::env::set_var(k, v),
-            None => std::env::remove_var(k),
-        }
     }
     out.push('\n');
     out.push_str("Each row disables one DESIGN.md §7 refinement; deltas vs. the first row\n");

@@ -9,10 +9,9 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row, WorkloadSpec};
-use rppm_core::{dse_row, sweep, ConfigSpace, Constraints, PreparedProfile};
+use rppm_core::{dse_row, sweep, ConfigSpace, Constraints};
 use rppm_workloads::Params;
 use serde_json::Value;
-use std::sync::Arc;
 
 const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
 const WORKLOAD: &str = "kmeans";
@@ -34,16 +33,22 @@ pub fn dse(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let row = dse_row(WORKLOAD, &predicted, &simulated, &BOUNDS)
         .expect("one prediction and one simulation per point of the tiny space");
 
-    // The same points through the batched engine: sweep() is bit-identical
-    // to the scalar predictions above by construction, and adds the
-    // frontier + optimum the golden baseline pins.
-    let prep = PreparedProfile::new(Arc::clone(&run.workload.profile));
-    let swept = sweep(&prep, &space, &Constraints::none(), &BOUNDS, ctx.jobs)
-        .expect("tiny space is nonempty and unconstrained");
+    // The same points through the batched engine over the cached
+    // preparation: sweep() is bit-identical to the full predictions above
+    // by construction, and adds the frontier + optimum the golden baseline
+    // pins.
+    let swept = sweep(
+        &run.workload.prepared,
+        &space,
+        &Constraints::none(),
+        &BOUNDS,
+        ctx.jobs,
+    )
+    .expect("tiny space is nonempty and unconstrained");
     assert_eq!(
         swept.best.seconds.to_bits(),
         predicted.iter().cloned().fold(f64::MAX, f64::min).to_bits(),
-        "batched sweep drifted from the scalar predictions"
+        "batched sweep drifted from the full predictions"
     );
 
     let mut out = String::new();

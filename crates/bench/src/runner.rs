@@ -5,13 +5,14 @@
 //! design point it is evaluated on. [`ExperimentPlan`] is that workflow as
 //! an API — a set of (workload, params) jobs crossed with machine
 //! configurations, where profiling happens exactly once per workload (the
-//! shared [`ProfileCache`]) and the per-cell work (golden simulation +
-//! model predictions) fans out over a scoped thread pool.
+//! shared [`ProfileCache`], which also prepares each profile once) and the
+//! per-cell work (golden simulation + model predictions through that
+//! preparation) fans out over a scoped thread pool.
 //!
 //! Results are placed by (workload, config) index, so output is
 //! byte-identical no matter how many worker threads run the plan.
 
-use rppm_core::{predict, predict_crit, predict_main, Prediction};
+use rppm_core::Prediction;
 use rppm_sim::{simulate, SimResult};
 use rppm_trace::{program_fingerprint, read_program_any, MachineConfig, Program, TraceFileError};
 use rppm_workloads::{Benchmark, Params, Suite};
@@ -19,11 +20,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 // The amortization engine itself was promoted out of this crate: the cache
-// lives in `rppm-profiler` and the scoped fan-out in `rppm-core`, shared
-// with the `rppm::Session` facade. Re-exported here so harness code keeps
-// its historical paths.
-pub use rppm_core::{default_jobs, parallel_for};
-pub use rppm_profiler::{ProfileCache, ProfileKey, ProfiledWorkload};
+// and the scoped fan-out live in `rppm-core`, shared with the
+// `rppm::Session` facade. Re-exported here so harness code keeps its
+// historical paths.
+pub use rppm_core::{default_jobs, parallel_for, ProfileCache, ProfileKey, ProfiledWorkload};
 
 /// A trace imported from an on-disk file (see `rppm_trace::file`), ready to
 /// be planned like any built-in benchmark. The program is held behind an
@@ -244,8 +244,8 @@ impl ExperimentPlan {
     /// profiles. Two phases, each fanned out over a [`std::thread::scope`]
     /// pool: first every distinct workload is built + profiled (exactly
     /// once, even if it appears in several jobs or was already cached),
-    /// then every (workload, config) cell simulates and predicts against
-    /// the shared profile. Results are ordered by plan position —
+    /// then every (workload, config) cell simulates and predicts through
+    /// the shared preparation. Results are ordered by plan position —
     /// independent of `jobs` and of scheduling.
     pub fn run(&self, cache: &ProfileCache, jobs: usize) -> Vec<WorkloadRuns> {
         // Phase 1: profile each distinct workload once.
@@ -274,9 +274,9 @@ impl ExperimentPlan {
             let config = &self.configs[ci];
             let w = &shared[wi];
             let sim = simulate(&w.program, config);
-            let rppm = predict(&w.profile, config);
-            let main_cycles = predict_main(&w.profile, config);
-            let crit_cycles = predict_crit(&w.profile, config);
+            let rppm = w.prepared.predict(config);
+            let main_cycles = w.prepared.predict_main(config);
+            let crit_cycles = w.prepared.predict_crit(config);
             *cells[i].lock().expect("cell lock") = Some(CellRun {
                 config: config.clone(),
                 sim,
@@ -421,7 +421,9 @@ mod tests {
         let builtin = profiled(&cache, &WorkloadSpec::from(bench), &params);
         assert_eq!(cache.len(), 2);
         assert_eq!(
-            predict(&builtin.profile, &DesignPoint::Base.config())
+            builtin
+                .prepared
+                .predict(&DesignPoint::Base.config())
                 .total_cycles
                 .to_bits(),
             runs[0].only().rppm.total_cycles.to_bits()

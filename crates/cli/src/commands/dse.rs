@@ -88,8 +88,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let dse_err = |e: DseError| CliError::user(format!("{workload}: {e}"));
 
     if best_only {
-        let out =
-            find_best(prepared.inner(), &space, &constraints, bound, jobs).map_err(dse_err)?;
+        let out = find_best(prepared, &space, &constraints, bound, jobs).map_err(dse_err)?;
         let cfg = space.config(out.best.index);
         if json {
             let doc = dse_best_doc(&workload, &space, &out);
@@ -117,7 +116,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     }
 
     let bounds = dse_bounds_ladder(bound);
-    let out = sweep(prepared.inner(), &space, &constraints, &bounds, jobs).map_err(dse_err)?;
+    let out = sweep(prepared, &space, &constraints, &bounds, jobs).map_err(dse_err)?;
 
     if json {
         let doc = dse_sweep_doc(&workload, &space, &out);

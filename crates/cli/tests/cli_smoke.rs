@@ -203,6 +203,38 @@ fn report_prints_a_table_and_convert_round_trips() {
     assert!(stdout(&import).contains("profiled once"));
 }
 
+/// The model reads no environment: its calibration constants are explicit
+/// parameters, so the `RPPM_*` variables that once overrode them, set to
+/// non-default values, leave a prediction run byte-identical.
+#[test]
+fn import_ignores_calibration_environment() {
+    const VARS: [(&str, &str); 5] = [
+        ("RPPM_KAPPA", "1.0"),
+        ("RPPM_MLP_EFF", "1.0"),
+        ("RPPM_MLP_CAP", "1.0"),
+        ("RPPM_NO_EXPOSURE", "1"),
+        ("RPPM_NO_CHAIN_BOUND", "1"),
+    ];
+    let run = |with_vars: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_rppm"));
+        cmd.args(["import", "../../examples/traces/mini.rpt"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"));
+        for (k, v) in VARS {
+            if with_vars {
+                cmd.env(k, v);
+            } else {
+                cmd.env_remove(k);
+            }
+        }
+        let out = cmd.output().expect("spawn rppm");
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        stdout(&out)
+    };
+    let plain = run(false);
+    assert!(plain.contains("RPPM cycles"), "{plain}");
+    assert_eq!(run(true), plain);
+}
+
 #[test]
 fn dse_sweeps_the_tiny_space_with_twins() {
     // The tiny 12-point space keeps this an actual smoke test; --json and

@@ -9,6 +9,11 @@
 //! requests for the same key block on the single profiling run; requests
 //! for different keys proceed in parallel.
 //!
+//! The same run also prepares the profile: each resident entry holds one
+//! [`PreparedProfile`] (the stack-distance models Equation 1 queries), so
+//! every prediction from a cached workload costs the per-configuration
+//! evaluation only, and no caller rebuilds the models.
+//!
 //! # Memory bounds
 //!
 //! By default the cache is **unbounded** — the right behavior for batch
@@ -22,7 +27,8 @@
 //!
 //! * **Handles stay valid.** Eviction drops the cache's reference, not the
 //!   caller's: a [`ProfiledWorkload`] obtained earlier keeps its `Arc`s
-//!   alive for as long as the caller holds them.
+//!   (program, profile and preparation) alive for as long as the caller
+//!   holds them.
 //! * **In-flight keys still coalesce.** A key currently being profiled is
 //!   never evicted, so concurrent requests — including requests for a key
 //!   that was evicted and is being re-profiled — always fold onto one
@@ -35,8 +41,8 @@
 //! session facade; the `rppm-bench` experiment engine shares the same
 //! type, so a harness run and a library caller observe the one contract.
 
-use crate::logical::profile;
-use crate::profile::ApplicationProfile;
+use crate::prepared::PreparedProfile;
+use rppm_profiler::{profile, ApplicationProfile};
 use rppm_trace::Program;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,21 +91,25 @@ impl ProfileKey {
     }
 }
 
-/// A workload built and profiled once, shared (via [`Arc`]) by every
-/// caller that predicts or simulates it.
+/// A workload built, profiled and prepared once, shared (via [`Arc`]) by
+/// every caller that predicts or simulates it.
 #[derive(Debug, Clone)]
 pub struct ProfiledWorkload {
     /// The program (needed for golden-reference simulation).
     pub program: Arc<Program>,
     /// The one-time microarchitecture-independent profile.
     pub profile: Arc<ApplicationProfile>,
+    /// The profile's one preparation, which every prediction of this
+    /// workload evaluates through.
+    pub prepared: Arc<PreparedProfile>,
 }
 
 impl ProfiledWorkload {
-    /// Approximate resident size of this entry (program + profile heap),
-    /// the unit [`CacheBudget::max_bytes`] is accounted in.
+    /// Approximate resident size of this entry (program + profile +
+    /// preparation heap), the unit [`CacheBudget::max_bytes`] is accounted
+    /// in.
     pub fn approx_bytes(&self) -> u64 {
-        self.program.approx_bytes() + self.profile.approx_bytes()
+        self.program.approx_bytes() + self.profile.approx_bytes() + self.prepared.approx_bytes()
     }
 }
 
@@ -247,9 +257,10 @@ impl ProfileCache {
     }
 
     /// Returns the profiled workload for `key`, materializing the program
-    /// with `build` and profiling it on first use. Concurrent callers for
-    /// the same key block until the single profiling run finishes; callers
-    /// for different keys proceed in parallel. Under a [`CacheBudget`],
+    /// with `build`, then profiling and preparing it on first use.
+    /// Concurrent callers for the same key block until the single
+    /// profiling run finishes; callers for different keys proceed in
+    /// parallel. Under a [`CacheBudget`],
     /// completing a fresh profile may evict least-recently-used resident
     /// entries (the returned workload itself is never the victim of its
     /// own insertion).
@@ -282,9 +293,11 @@ impl ProfileCache {
                 fresh = true;
                 let program = build();
                 let prof = Arc::new(profile(&*program));
+                let prepared = Arc::new(PreparedProfile::new(Arc::clone(&prof)));
                 ProfiledWorkload {
                     program,
                     profile: prof,
+                    prepared,
                 }
             })
             .clone();
@@ -408,6 +421,8 @@ mod tests {
         let a = cache.get_or_profile(key.clone(), || tiny("t", 1));
         let b = cache.get_or_profile(key, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&a.profile, &b.profile));
+        assert!(Arc::ptr_eq(&a.prepared, &b.prepared));
+        assert!(Arc::ptr_eq(a.prepared.profile(), &a.profile));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.profiles_collected(), 1);
         assert_eq!(cache.lookups(), 2);
@@ -484,6 +499,7 @@ mod tests {
         assert_eq!(cache.evictions(), 1);
         let again = cache.get_or_profile(k(1), || tiny("t", 1));
         assert!(!Arc::ptr_eq(&first.profile, &again.profile));
+        assert!(!Arc::ptr_eq(&first.prepared, &again.prepared));
         assert_eq!(
             first.profile.to_json(),
             again.profile.to_json(),

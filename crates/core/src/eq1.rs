@@ -29,16 +29,18 @@
 //!   DRAM misses consumed this way are removed from the D-cache component
 //!   (they overlap, as in Eyerman et al.'s interval analysis).
 //!
-//! # The split evaluation path
+//! # One arithmetic body, two rate providers
 //!
-//! The arithmetic downstream of the StatStack queries is shared between the
-//! scalar entry points and the batched design-space path
-//! ([`crate::prepared`]): [`predict_epoch`] builds the stack-distance models
-//! and reads the calibration environment on every call, while a
-//! [`crate::PreparedProfile`] computes the same [`RawRates`] once per
-//! distinct cache geometry and replays them through the same inner function
-//! ([`predict_epoch_rated`]) — the two paths are bit-identical by
-//! construction (one arithmetic body, two rate providers).
+//! [`predict_epoch_rated`] is Equation 1 downstream of the StatStack and
+//! branch-model queries. Every prediction reaches it through a
+//! [`crate::PreparedProfile`], which builds the stack-distance models once
+//! per distinct epoch and queries them per configuration; a
+//! [`crate::BatchedEq1`] sweep additionally memoizes those queries per
+//! distinct cache geometry. [`predict_epoch`] is the naive reference: it
+//! builds fresh models for one epoch and feeds the same body, so the
+//! differential suites can compare every path against it bit for bit.
+//! The calibration [`Knobs`] are always an explicit argument; the model
+//! reads no environment.
 
 use rppm_profiler::EpochProfile;
 use rppm_statstack::StackDistanceModel;
@@ -62,26 +64,23 @@ pub struct EpochPrediction {
     pub mlp: f64,
 }
 
-/// Calibration knobs, hoisted out of the per-epoch hot path.
+/// Calibration knobs of Equation 1.
 ///
-/// The scalar path re-reads the environment on every [`predict_epoch`] call
-/// (so ablation harnesses can flip variables between calls); the batched
-/// path captures them once per [`crate::PreparedProfile`].
+/// [`Knobs::default`] holds the calibrated constants every prediction
+/// uses; the ablation report evaluates other values through
+/// [`crate::PreparedProfile::with_knobs`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// Path-selection factor for memory-aware branch resolution
-    /// (`RPPM_KAPPA`, default 3.0).
+    /// (default 3.0).
     pub kappa: f64,
-    /// Effective-MLP utilization factor (`RPPM_MLP_EFF`, default 0.85).
+    /// Effective-MLP utilization factor (default 0.85).
     pub mlp_eff: f64,
-    /// MSHR-capacity fraction usable by overlapping misses
-    /// (`RPPM_MLP_CAP`, default 0.75).
+    /// MSHR-capacity fraction usable by overlapping misses (default 0.75).
     pub mlp_cap: f64,
-    /// Disable the in-order retirement-exposure term
-    /// (`RPPM_NO_EXPOSURE=1`, ablation only).
+    /// Disable the in-order retirement-exposure term (ablation only).
     pub no_exposure: bool,
-    /// Disable the dependence-chain lower bound
-    /// (`RPPM_NO_CHAIN_BOUND=1`, ablation only).
+    /// Disable the dependence-chain lower bound (ablation only).
     pub no_chain_bound: bool,
 }
 
@@ -93,26 +92,6 @@ impl Default for Knobs {
             mlp_cap: 0.75,
             no_exposure: false,
             no_chain_bound: false,
-        }
-    }
-}
-
-impl Knobs {
-    /// Reads the calibration environment (`RPPM_KAPPA`, `RPPM_MLP_EFF`,
-    /// `RPPM_MLP_CAP`, `RPPM_NO_EXPOSURE`, `RPPM_NO_CHAIN_BOUND`).
-    pub fn from_env() -> Self {
-        let f = |name: &str, default: f64| -> f64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Knobs {
-            kappa: f("RPPM_KAPPA", 3.0),
-            mlp_eff: f("RPPM_MLP_EFF", 0.85),
-            mlp_cap: f("RPPM_MLP_CAP", 0.75),
-            no_exposure: std::env::var("RPPM_NO_EXPOSURE").is_ok_and(|v| v == "1"),
-            no_chain_bound: std::env::var("RPPM_NO_CHAIN_BOUND").is_ok_and(|v| v == "1"),
         }
     }
 }
@@ -141,9 +120,10 @@ pub struct RawRates {
 /// Source of interpolated ILP/MLP curve evaluations for one epoch.
 ///
 /// Two implementations exist: [`EpochProfile`] itself (recomputes the
-/// logarithms of the profiled grid on every call) and the precomputed
-/// [`rppm_profiler::EpochCurves`] tables used by the batched path. Both
-/// must return bit-identical values for identical inputs.
+/// logarithms of the profiled grid on every call; used by single
+/// predictions) and the precomputed [`rppm_profiler::EpochCurves`] tables
+/// a [`crate::BatchedEq1`] builds once per sweep worker. Both must return
+/// bit-identical values for identical inputs.
 pub trait CurveSource {
     /// See [`EpochProfile::ilp_at`].
     fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64>;
@@ -177,13 +157,13 @@ pub(crate) fn empty_epoch_prediction() -> EpochPrediction {
     }
 }
 
-/// Equation 1 downstream of the StatStack/branch-model queries: the shared
-/// arithmetic body of the scalar and batched paths.
+/// Equation 1 downstream of the StatStack/branch-model queries: the one
+/// arithmetic body every prediction path shares.
 ///
 /// `epoch.ops` must be nonzero (callers handle the empty-epoch early
 /// return). `curves` supplies the ILP/MLP interpolations and `rates` the
 /// raw model queries for this `(epoch, config)` cell; `knobs` carries the
-/// calibration environment.
+/// calibration constants.
 pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     epoch: &EpochProfile,
     config: &MachineConfig,
@@ -300,8 +280,8 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
         let exposure = (lat - drain).max(0.0);
         windows * exposure * (1.0 - (-per_window).exp())
     };
-    // (RPPM_NO_EXPOSURE=1 disables the retirement-exposure term — ablation
-    // harness only.)
+    // (`knobs.no_exposure` disables the retirement-exposure term — ablation
+    // only.)
     let win_l2 = if knobs.no_exposure {
         0.0
     } else {
@@ -366,8 +346,8 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     // critical path evaluated with the *expected* load latency including
     // DRAM misses. Pointer-chasing code (serialized misses spanning window
     // boundaries) is governed by this bound rather than by the additive
-    // components; any excess is memory time. (RPPM_NO_CHAIN_BOUND=1
-    // disables it — ablation harness only.)
+    // components; any excess is memory time. (`knobs.no_chain_bound`
+    // disables it — ablation only.)
     let l_chain = l_eff + r3 * (c_mem - lat_l1);
     if knobs.no_chain_bound {
         return EpochPrediction {
@@ -397,8 +377,18 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     }
 }
 
-/// Predicts the active execution time of one epoch on `config`.
-pub fn predict_epoch(epoch: &EpochProfile, config: &MachineConfig) -> EpochPrediction {
+/// Predicts the active execution time of one epoch on `config` from
+/// scratch: fresh stack-distance models, then [`predict_epoch_rated`].
+///
+/// This is the naive per-epoch reference the differential suites compare
+/// the prepared and batched paths against; predictions go through
+/// [`crate::PreparedProfile`], which builds each distinct epoch's models
+/// once.
+pub fn predict_epoch(
+    epoch: &EpochProfile,
+    config: &MachineConfig,
+    knobs: &Knobs,
+) -> EpochPrediction {
     if epoch.ops == 0 {
         return empty_epoch_prediction();
     }
@@ -412,28 +402,7 @@ pub fn predict_epoch(epoch: &EpochProfile, config: &MachineConfig) -> EpochPredi
         l1i: icache_model.miss_rate_geom(&config.l1i),
         bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
     };
-    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::from_env())
-}
-
-/// Variant used by the MAIN/CRIT baselines and by the original
-/// single-threaded model: the thread is modeled in isolation, so the
-/// *private* reuse-distance distribution is used for every cache level
-/// (no interference, no coherence awareness beyond what profiling embedded
-/// in the private histogram).
-pub fn predict_epoch_isolated(epoch: &EpochProfile, config: &MachineConfig) -> EpochPrediction {
-    if epoch.ops == 0 {
-        return empty_epoch_prediction();
-    }
-    let priv_model = StackDistanceModel::new(&epoch.private_rd);
-    let icache_model = StackDistanceModel::new(&epoch.icache_rd);
-    let rates = RawRates {
-        r1: priv_model.miss_rate_geom(&config.l1d),
-        r2: priv_model.miss_rate_geom(&config.l2),
-        r3: priv_model.miss_rate_geom(&config.l3),
-        l1i: icache_model.miss_rate_geom(&config.l1i),
-        bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
-    };
-    predict_epoch_rated(epoch, config, epoch, rates, &Knobs::from_env())
+    predict_epoch_rated(epoch, config, epoch, rates, knobs)
 }
 
 #[cfg(test)]
@@ -443,6 +412,10 @@ mod tests {
     use rppm_trace::{
         AddressPattern, BlockSpec, BranchPattern, DesignPoint, ProgramBuilder, Region,
     };
+
+    fn eq1(epoch: &EpochProfile, config: &MachineConfig) -> EpochPrediction {
+        predict_epoch(epoch, config, &Knobs::default())
+    }
 
     fn single_epoch(spec: BlockSpec) -> EpochProfile {
         let mut b = ProgramBuilder::new("one", 1);
@@ -454,14 +427,14 @@ mod tests {
     #[test]
     fn empty_epoch_predicts_zero() {
         let e = EpochProfile::default();
-        let p = predict_epoch(&e, &DesignPoint::Base.config());
+        let p = eq1(&e, &DesignPoint::Base.config());
         assert_eq!(p.cycles, 0.0);
     }
 
     #[test]
     fn ilp_limited_code_predicts_low_ipc() {
         let e = single_epoch(BlockSpec::new(50_000, 1).deps(1.0, 1.0).deps2(0.0));
-        let p = predict_epoch(&e, &DesignPoint::Base.config());
+        let p = eq1(&e, &DesignPoint::Base.config());
         let ipc = e.ops as f64 / p.cycles;
         assert!(ipc < 1.5, "serial chain ipc {ipc}");
     }
@@ -470,7 +443,7 @@ mod tests {
     fn wide_code_reaches_width() {
         let e = single_epoch(BlockSpec::new(50_000, 2).deps(0.0, 1.0).deps2(0.0));
         let cfg = DesignPoint::Base.config();
-        let p = predict_epoch(&e, &cfg);
+        let p = eq1(&e, &cfg);
         let ipc = e.ops as f64 / p.cycles;
         assert!((ipc - cfg.dispatch_width as f64).abs() < 0.5, "ipc {ipc}");
     }
@@ -484,7 +457,7 @@ mod tests {
                 .deps2(0.0),
         );
         let cfg = DesignPoint::Base.config(); // 2 FP pipes
-        let p = predict_epoch(&e, &cfg);
+        let p = eq1(&e, &cfg);
         // 90% FP through 2 ports: Deff <= 2/0.9 = 2.22.
         assert!(p.deff < 2.4, "deff {}", p.deff);
     }
@@ -493,8 +466,8 @@ mod tests {
     fn random_branches_cost_cycles() {
         let spec = |pat| BlockSpec::new(50_000, 4).branches(0.2).branch_pattern(pat);
         let cfg = DesignPoint::Base.config();
-        let predictable = predict_epoch(&single_epoch(spec(BranchPattern::loop_every(64))), &cfg);
-        let random = predict_epoch(&single_epoch(spec(BranchPattern::bernoulli(0.5))), &cfg);
+        let predictable = eq1(&single_epoch(spec(BranchPattern::loop_every(64))), &cfg);
+        let random = eq1(&single_epoch(spec(BranchPattern::bernoulli(0.5))), &cfg);
         assert!(random.stack.branch > 10.0 * predictable.stack.branch.max(1.0));
         assert!(random.mispredicts > 3000.0);
     }
@@ -507,7 +480,7 @@ mod tests {
                 .addr(AddressPattern::stream(Region::new(0, 4 << 20)), 1.0),
         );
         let cfg = DesignPoint::Base.config();
-        let p = predict_epoch(&e, &cfg);
+        let p = eq1(&e, &cfg);
         assert!(p.dram_misses > 1000.0);
         assert!(p.stack.mem_dram > 0.0);
         assert!(p.mlp > 1.0, "streaming should overlap misses: {}", p.mlp);
@@ -525,8 +498,8 @@ mod tests {
             )
         };
         let cfg = DesignPoint::Base.config();
-        let indep = predict_epoch(&mk(0.0), &cfg);
-        let chained = predict_epoch(&mk(1.0), &cfg);
+        let indep = eq1(&mk(0.0), &cfg);
+        let chained = eq1(&mk(1.0), &cfg);
         assert!(chained.mlp < indep.mlp, "{} vs {}", chained.mlp, indep.mlp);
         assert!(chained.stack.mem_dram > indep.stack.mem_dram);
     }
@@ -540,9 +513,22 @@ mod tests {
                 .loads(0.3)
                 .addr(AddressPattern::random(Region::new(0, 128)), 1.0),
         );
-        let p = predict_epoch(&e, &DesignPoint::Base.config());
+        let p = eq1(&e, &DesignPoint::Base.config());
         assert!(p.dram_misses < 200.0, "{}", p.dram_misses);
         assert!(p.stack.mem_dram < 0.25 * p.cycles, "{:?}", p.stack);
+    }
+
+    /// The isolated (MAIN/CRIT) cycles of a one-epoch profile's only epoch,
+    /// through the prepared path.
+    fn isolated(epoch: &EpochProfile, config: &MachineConfig) -> f64 {
+        let prof = rppm_profiler::ApplicationProfile {
+            name: "one".into(),
+            threads: vec![rppm_profiler::ThreadProfile {
+                epochs: vec![epoch.clone()],
+                events: Vec::new(),
+            }],
+        };
+        crate::PreparedProfile::new(std::sync::Arc::new(prof)).predict_main(config)
     }
 
     #[test]
@@ -553,17 +539,17 @@ mod tests {
                 .addr(AddressPattern::random(Region::new(0, 1 << 16)), 1.0),
         );
         let cfg = DesignPoint::Base.config();
-        let a = predict_epoch_isolated(&e, &cfg);
+        let a = isolated(&e, &cfg);
         // For a single-threaded profile global == private interleaving, so
         // both variants agree.
-        let b = predict_epoch(&e, &cfg);
-        assert!((a.cycles - b.cycles).abs() / b.cycles < 0.05);
+        let b = eq1(&e, &cfg);
+        assert!((a - b.cycles).abs() / b.cycles < 0.05);
     }
 
     #[test]
     fn isolated_variant_matches_cloned_global_histogram() {
-        // The non-cloning isolated path must be bit-identical to predicting
-        // an epoch whose global histogram was replaced by the private one.
+        // The isolated path must be bit-identical to predicting an epoch
+        // whose global histogram was replaced by the private one.
         let e = single_epoch(
             BlockSpec::new(20_000, 11)
                 .loads(0.3)
@@ -572,20 +558,12 @@ mod tests {
         );
         for dp in DesignPoint::ALL {
             let cfg = dp.config();
-            let fast = predict_epoch_isolated(&e, &cfg);
+            let fast = isolated(&e, &cfg);
             let mut iso = e.clone();
             iso.global_rd = e.private_rd.clone();
-            let slow = predict_epoch(&iso, &cfg);
-            assert_eq!(fast.cycles.to_bits(), slow.cycles.to_bits(), "{dp}");
-            assert_eq!(fast.mlp.to_bits(), slow.mlp.to_bits(), "{dp}");
+            let slow = eq1(&iso, &cfg);
+            assert_eq!(fast.to_bits(), slow.cycles.to_bits(), "{dp}");
         }
-    }
-
-    #[test]
-    fn env_knobs_match_defaults() {
-        // Without the RPPM_* variables set, from_env equals the defaults.
-        let k = Knobs::from_env();
-        assert_eq!(k, Knobs::default());
     }
 
     #[test]
@@ -599,8 +577,8 @@ mod tests {
                 .load_chain(0.8)
                 .addr(AddressPattern::stream(Region::new(0, 4 << 20)), 1.0),
         );
-        let small = predict_epoch(&e, &DesignPoint::Smallest.config());
-        let big = predict_epoch(&e, &DesignPoint::Biggest.config());
+        let small = eq1(&e, &DesignPoint::Smallest.config());
+        let big = eq1(&e, &DesignPoint::Biggest.config());
         assert!(
             big.mlp > small.mlp,
             "ROB 288 should overlap more than ROB 32: {} vs {}",
@@ -618,8 +596,8 @@ mod tests {
                 .loads(0.3)
                 .addr(AddressPattern::random(Region::new(0, 20_000)), 1.0),
         );
-        let small = predict_epoch(&e, &DesignPoint::Smallest.config());
-        let big = predict_epoch(&e, &DesignPoint::Biggest.config());
+        let small = eq1(&e, &DesignPoint::Smallest.config());
+        let big = eq1(&e, &DesignPoint::Biggest.config());
         // The larger window extracts more parallelism among the L3-latency
         // loads, so less of the epoch is attributed to mem-L3.
         assert!(

@@ -45,6 +45,7 @@
 
 pub mod accumulation;
 pub mod bottlegraph;
+pub mod cache;
 pub mod dse;
 pub mod eq1;
 pub mod predict;
@@ -54,11 +55,12 @@ pub mod symexec;
 
 pub use accumulation::{accumulation_bias, accumulation_error};
 pub use bottlegraph::{BottleBox, Bottlegraph};
+pub use cache::{CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
 pub use dse::{
     area_proxy, dse_row, evaluate_choice, find_best, pareto_frontier, power_proxy, sweep,
     ConfigSpace, Constraints, CoreFamily, DseBest, DseChoice, DseError, DsePoint, DseRow, DseSweep,
 };
-pub use eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction};
+pub use eq1::{predict_epoch, EpochPrediction, Knobs};
 pub use predict::{predict, predict_crit, predict_main, Prediction, ThreadPrediction};
 pub use prepared::{BatchedEq1, PreparedProfile};
 pub use report::{abs_pct_error, max, mean, signed_pct_error};

@@ -1,7 +1,13 @@
 //! Top-level prediction: RPPM and the naive MAIN / CRIT baselines.
+//!
+//! The free functions here are one-shot conveniences: each prepares the
+//! profile ([`crate::PreparedProfile`]'s work) and evaluates once. Callers
+//! that predict more than once hold a preparation instead — the
+//! profile-once cache builds one per profiling run.
 
-use crate::eq1::{predict_epoch, predict_epoch_isolated, EpochPrediction};
-use crate::symexec::{execute, Schedule, ThreadTimeline};
+use crate::eq1::EpochPrediction;
+use crate::prepared::PreparedProfile;
+use crate::symexec::Schedule;
 use rppm_profiler::ApplicationProfile;
 use rppm_trace::{CpiStack, MachineConfig};
 
@@ -48,29 +54,6 @@ impl Prediction {
     }
 }
 
-fn predict_with(
-    profile: &ApplicationProfile,
-    config: &MachineConfig,
-    per_epoch: impl Fn(&rppm_profiler::EpochProfile, &MachineConfig) -> EpochPrediction,
-) -> (Vec<Vec<EpochPrediction>>, Schedule) {
-    let epoch_preds: Vec<Vec<EpochPrediction>> = profile
-        .threads
-        .iter()
-        .map(|t| t.epochs.iter().map(|e| per_epoch(e, config)).collect())
-        .collect();
-    let timelines: Vec<ThreadTimeline> = profile
-        .threads
-        .iter()
-        .zip(&epoch_preds)
-        .map(|(t, preds)| ThreadTimeline {
-            epochs: preds.iter().map(|p| p.cycles).collect(),
-            events: t.events.clone(),
-        })
-        .collect();
-    let schedule = execute(&timelines, config);
-    (epoch_preds, schedule)
-}
-
 /// Predicts multi-threaded execution time with the full RPPM model:
 /// per-epoch active times from Equation 1 (using the multi-threaded
 /// StatStack extension for shared-cache and coherence effects), then
@@ -80,14 +63,11 @@ fn predict_with(
 ///
 /// Panics if the profile is structurally inconsistent.
 pub fn predict(profile: &ApplicationProfile, config: &MachineConfig) -> Prediction {
-    assert!(profile.is_consistent(), "inconsistent profile");
-    let (epoch_preds, schedule) = predict_with(profile, config, predict_epoch);
-    assemble(profile, config, epoch_preds, schedule)
+    PreparedProfile::new(profile).predict(config)
 }
 
 /// Builds the full [`Prediction`] from per-epoch predictions plus the
-/// symbolic-execution schedule — shared by [`predict`] and
-/// `PreparedProfile::predict`.
+/// symbolic-execution schedule.
 pub(crate) fn assemble(
     profile: &ApplicationProfile,
     config: &MachineConfig,
@@ -127,27 +107,14 @@ pub(crate) fn assemble(
 /// main thread only and use its active time as the program prediction.
 /// No synchronization, no interference, no coherence.
 pub fn predict_main(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
-    let main = profile.threads.first().expect("profile has a main thread");
-    main.epochs
-        .iter()
-        .map(|e| predict_epoch_isolated(e, config).cycles)
-        .sum()
+    PreparedProfile::new(profile).predict_main(config)
 }
 
 /// The CRIT baseline (Section II-C): apply the single-threaded model to
 /// every thread in isolation and take the slowest (critical) thread's
 /// active time as the program prediction.
 pub fn predict_crit(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
-    profile
-        .threads
-        .iter()
-        .map(|t| {
-            t.epochs
-                .iter()
-                .map(|e| predict_epoch_isolated(e, config).cycles)
-                .sum::<f64>()
-        })
-        .fold(0.0, f64::max)
+    PreparedProfile::new(profile).predict_crit(config)
 }
 
 #[cfg(test)]

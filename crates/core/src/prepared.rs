@@ -1,34 +1,46 @@
-//! The precompute/evaluate split: profile-side work hoisted out of the
-//! per-configuration loop.
+//! Profile once, predict many: every prediction evaluates over state
+//! derived once from the profile.
 //!
-//! A scalar [`predict`](crate::predict()) call rebuilds three
-//! [`StackDistanceModel`]s per epoch, re-reads the calibration environment
-//! and re-derives the ILP/MLP interpolation tables on every invocation —
-//! irrelevant for one prediction, dominant when a design-space sweep
-//! evaluates 10⁵ configurations from one profile. [`PreparedProfile`]
-//! performs all of that **once**:
+//! Equation 1 needs three [`StackDistanceModel`]s per epoch (private,
+//! global and instruction reuse distances). Building them is the
+//! configuration-independent part of a prediction, so [`PreparedProfile`]
+//! does it **once**:
 //!
-//! * deduplicates identical epochs across threads and iterations (iterative
-//!   kernels repeat the same per-epoch profile many times),
-//! * builds the private/global/instruction stack-distance models and the
-//!   precomputed [`EpochCurves`] interpolation tables per *distinct* epoch,
-//! * captures the calibration [`Knobs`] from the environment,
+//! * it deduplicates identical epochs across threads and iterations
+//!   (iterative kernels repeat the same per-epoch profile many times),
+//! * builds the three stack-distance models per *distinct* epoch,
+//! * holds the calibration [`Knobs`] ([`Knobs::default`] unless built with
+//!   [`PreparedProfile::with_knobs`]),
 //! * flattens the thread timelines and precomputes the barrier-participant
 //!   counts consumed by the symbolic execution.
 //!
-//! [`BatchedEq1`] is the matching evaluator: a structure-of-arrays sweep
-//! loop that memoizes StatStack and branch-predictor queries per distinct
-//! cache geometry (design spaces reuse a handful of axis values across
-//! thousands of points) and reuses one flat cycle buffer plus one
-//! `SymScratch` across configurations, so steady-state evaluation
-//! performs **no per-point allocation**.
+//! The profile-once cache (`crate::cache`) builds one preparation per
+//! profiling run, so [`PreparedProfile::predict`] on a resident profile
+//! costs the miss-rate queries, Equation 1 and Algorithm 2 only. The free
+//! functions [`predict`](crate::predict()),
+//! [`predict_main`](crate::predict_main()) and
+//! [`predict_crit`](crate::predict_crit()) prepare and evaluate in one call
+//! for one-shot use.
 //!
-//! **Bit-identity contract**: every path through this module reproduces the
-//! scalar pipeline exactly — the same [`predict_epoch_rated`] arithmetic
-//! body, curve tables proven bit-identical to the profile methods, and the
-//! same symbolic-execution engine. With no `RPPM_*` calibration variables
-//! set between preparation and evaluation, [`BatchedEq1::eval`] equals
-//! [`predict`](crate::predict())`(...).total_cycles` to the last bit (pinned by the
+//! [`BatchedEq1`] is the design-space evaluator over a preparation: a
+//! structure-of-arrays sweep loop that memoizes StatStack and
+//! branch-predictor queries per distinct cache geometry (design spaces
+//! reuse a handful of axis values across thousands of points), evaluates
+//! the ILP/MLP curves through precomputed [`EpochCurves`] tables, and
+//! reuses one flat cycle buffer plus one `SymScratch` across
+//! configurations, so steady-state evaluation performs **no per-point
+//! allocation**. The curve tables are built per evaluator, not per
+//! preparation: they are about half the size of the prepared state and
+//! only pay off over many configurations.
+//!
+//! **Bit-identity contract**: every path through this module feeds the
+//! same [`predict_epoch_rated`] arithmetic body and the same
+//! symbolic-execution engine, and the curve tables are proven
+//! bit-identical to the profile's own interpolation. So
+//! [`BatchedEq1::eval`] equals
+//! [`PreparedProfile::predict`]`(...).total_cycles` to the last bit, and
+//! both equal a naive evaluation that rebuilds every epoch's models
+//! through [`predict_epoch`](crate::predict_epoch()) (pinned by the
 //! `dse_equivalence` differential property suite).
 //!
 //! # Example: prepare once, evaluate many
@@ -36,20 +48,20 @@
 //! ```
 //! use rppm_trace::{ProgramBuilder, BlockSpec, DesignPoint};
 //! use rppm_profiler::profile;
-//! use rppm_core::{predict, PreparedProfile};
+//! use rppm_core::PreparedProfile;
 //! use std::sync::Arc;
 //!
 //! let mut b = ProgramBuilder::new("demo", 1);
 //! b.thread(0u32).block(BlockSpec::new(10_000, 1).deps(0.3, 4.0));
 //! let prof = profile(&b.build());
 //!
-//! let prepared = PreparedProfile::new(Arc::new(prof)); // heavy work here
-//! let mut batch = prepared.batched();                  // cheap, reusable
+//! let prepared = PreparedProfile::new(Arc::new(prof)); // models built here
+//! let mut batch = prepared.batched();                  // curve tables here
 //! for dp in DesignPoint::ALL {
 //!     let cfg = dp.config();
 //!     let fast = batch.eval(&cfg);                     // microseconds
-//!     let slow = predict(prepared.profile(), &cfg).total_cycles;
-//!     assert_eq!(fast.to_bits(), slow.to_bits());
+//!     let full = prepared.predict(&cfg).total_cycles;
+//!     assert_eq!(fast.to_bits(), full.to_bits());
 //! }
 //! ```
 
@@ -60,14 +72,15 @@ use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
 use rppm_statstack::StackDistanceModel;
 use rppm_trace::{barrier_participants, CacheGeometry, MachineConfig, SyncOp};
 use std::collections::HashMap;
+use std::mem::size_of;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Sentinel in the flat-epoch → cell map for empty (zero-op) epochs, whose
 /// prediction is always the zero prediction.
 const EMPTY_CELL: usize = usize::MAX;
 
-/// One distinct epoch's precomputed state: the stack-distance models and
-/// interpolation tables every configuration evaluation reuses.
+/// One distinct epoch's stack-distance models.
 #[derive(Debug)]
 struct PreparedEpoch {
     /// Location of the representative epoch in the profile.
@@ -76,17 +89,33 @@ struct PreparedEpoch {
     priv_model: StackDistanceModel,
     glob_model: StackDistanceModel,
     icache_model: StackDistanceModel,
-    curves: EpochCurves,
+}
+
+impl PreparedEpoch {
+    fn epoch<'p>(&self, profile: &'p ApplicationProfile) -> &'p EpochProfile {
+        &profile.threads[self.thread].epochs[self.epoch]
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        self.priv_model.approx_bytes()
+            + self.glob_model.approx_bytes()
+            + self.icache_model.approx_bytes()
+            + 2 * size_of::<usize>() as u64
+    }
 }
 
 /// A profile with all configuration-independent prediction work done.
 ///
-/// Construction cost is a few scalar predictions; each subsequent
-/// evaluation through [`PreparedProfile::batched`] costs microseconds (see
-/// the module docs for the bit-identity contract with the scalar path).
+/// `P` is how the preparation holds its profile: an [`Arc`] for a
+/// preparation that outlives its caller (the profile-once cache keeps one
+/// per resident profile), a plain reference for the one-shot free
+/// functions. Construction costs about one prediction's worth of model
+/// building; each subsequent [`PreparedProfile::predict`] costs only the
+/// per-configuration queries, and each [`BatchedEq1::eval`] microseconds
+/// (see the module docs for the bit-identity contract).
 #[derive(Debug)]
-pub struct PreparedProfile {
-    profile: Arc<ApplicationProfile>,
+pub struct PreparedProfile<P = Arc<ApplicationProfile>> {
+    profile: P,
     knobs: Knobs,
     /// One entry per distinct nonempty epoch.
     cells: Vec<PreparedEpoch>,
@@ -98,16 +127,24 @@ pub struct PreparedProfile {
     participants: HashMap<u32, usize>,
 }
 
-impl PreparedProfile {
-    /// Performs the one-time precomputation for `profile`: epoch
-    /// deduplication, stack-distance model and curve-table construction,
-    /// calibration capture (the `RPPM_*` environment is read **here**, not
-    /// per evaluation) and timeline flattening.
+impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
+    /// Prepares `profile` with the calibrated [`Knobs::default`].
     ///
     /// # Panics
     ///
     /// Panics if the profile is structurally inconsistent.
-    pub fn new(profile: Arc<ApplicationProfile>) -> Self {
+    pub fn new(profile: P) -> Self {
+        Self::with_knobs(profile, Knobs::default())
+    }
+
+    /// Prepares `profile` with explicit calibration `knobs` (the ablation
+    /// report's variants): epoch deduplication, stack-distance model
+    /// construction and timeline flattening.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is structurally inconsistent.
+    pub fn with_knobs(profile: P, knobs: Knobs) -> Self {
         assert!(profile.is_consistent(), "inconsistent profile");
         let mut cells: Vec<PreparedEpoch> = Vec::new();
         let mut reps: Vec<&EpochProfile> = Vec::new();
@@ -130,7 +167,6 @@ impl PreparedProfile {
                             priv_model: StackDistanceModel::new(&epoch.private_rd),
                             glob_model: StackDistanceModel::new(&epoch.global_rd),
                             icache_model: StackDistanceModel::new(&epoch.icache_rd),
-                            curves: EpochCurves::new(epoch),
                         });
                         cells.len() - 1
                     }
@@ -142,7 +178,7 @@ impl PreparedProfile {
         drop(reps);
         PreparedProfile {
             profile,
-            knobs: Knobs::from_env(),
+            knobs,
             cells,
             cell_of,
             ranges,
@@ -151,29 +187,41 @@ impl PreparedProfile {
     }
 
     /// The underlying profile.
-    pub fn profile(&self) -> &Arc<ApplicationProfile> {
+    pub fn profile(&self) -> &P {
         &self.profile
     }
 
-    /// Number of distinct nonempty epochs (the per-configuration Equation-1
-    /// workload of one batched evaluation).
-    pub fn distinct_epochs(&self) -> usize {
-        self.cells.len()
+    /// Approximate heap + inline size in bytes of the prepared state: the
+    /// stack-distance models plus the flattening tables (the profile is
+    /// accounted separately). What the profile-once cache adds to a
+    /// resident entry's budget.
+    pub fn approx_bytes(&self) -> u64 {
+        let tables = size_of::<Self>()
+            + self.cell_of.capacity() * size_of::<usize>()
+            + self.ranges.capacity() * size_of::<(usize, usize)>()
+            + self.participants.capacity() * size_of::<(u32, usize)>();
+        self.cells
+            .iter()
+            .map(PreparedEpoch::approx_bytes)
+            .sum::<u64>()
+            + tables as u64
     }
 
-    /// Total number of epochs across all threads.
-    pub fn total_epochs(&self) -> usize {
-        self.cell_of.len()
-    }
-
-    /// Creates a reusable batched evaluator borrowing this preparation.
+    /// Creates a reusable batched evaluator borrowing this preparation,
+    /// building its interpolation tables.
     ///
-    /// The evaluator owns the mutable sweep state (rate memos, cycle
-    /// buffer, symbolic-execution scratch); create one per worker thread
-    /// for parallel sweeps — they share the preparation read-only.
-    pub fn batched(&self) -> BatchedEq1<'_> {
+    /// The evaluator owns the mutable sweep state (curve tables, rate
+    /// memos, cycle buffer, symbolic-execution scratch); create one per
+    /// worker thread for parallel sweeps — they share the preparation
+    /// read-only.
+    pub fn batched(&self) -> BatchedEq1<'_, P> {
         BatchedEq1 {
             prep: self,
+            curves: self
+                .cells
+                .iter()
+                .map(|c| EpochCurves::new(c.epoch(&self.profile)))
+                .collect(),
             events: self
                 .profile
                 .threads
@@ -190,63 +238,50 @@ impl PreparedProfile {
         }
     }
 
-    fn epoch(&self, cell: &PreparedEpoch) -> &EpochProfile {
-        &self.profile.threads[cell.thread].epochs[cell.epoch]
-    }
-
-    fn rates(&self, cell: &PreparedEpoch, config: &MachineConfig) -> RawRates {
-        RawRates {
+    /// Equation 1 for one cell from the profile's own ILP/MLP curves.
+    /// `isolated` answers the LLC from the private histogram: the
+    /// single-threaded model of the MAIN/CRIT baselines (no interference,
+    /// no coherence awareness beyond what profiling embedded in the
+    /// private histogram).
+    fn cell_prediction(
+        &self,
+        cell: &PreparedEpoch,
+        config: &MachineConfig,
+        isolated: bool,
+    ) -> EpochPrediction {
+        let epoch = cell.epoch(&self.profile);
+        let llc = if isolated {
+            &cell.priv_model
+        } else {
+            &cell.glob_model
+        };
+        let rates = RawRates {
             r1: cell.priv_model.miss_rate_geom(&config.l1d),
             r2: cell.priv_model.miss_rate_geom(&config.l2),
-            r3: cell.glob_model.miss_rate_geom(&config.l3),
+            r3: llc.miss_rate_geom(&config.l3),
             l1i: cell.icache_model.miss_rate_geom(&config.l1i),
-            bmiss: rppm_branch_model::predict_miss_rate(&self.epoch(cell).branch, &config.bpred),
-        }
+            bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
+        };
+        predict_epoch_rated(epoch, config, epoch, rates, &self.knobs)
     }
 
-    fn rates_isolated(&self, cell: &PreparedEpoch, config: &MachineConfig) -> RawRates {
-        RawRates {
-            r1: cell.priv_model.miss_rate_geom(&config.l1d),
-            r2: cell.priv_model.miss_rate_geom(&config.l2),
-            r3: cell.priv_model.miss_rate_geom(&config.l3),
-            l1i: cell.icache_model.miss_rate_geom(&config.l1i),
-            bmiss: rppm_branch_model::predict_miss_rate(&self.epoch(cell).branch, &config.bpred),
-        }
-    }
-
-    /// Per-cell epoch predictions for `config` (full RPPM rates).
-    fn cell_predictions(&self, config: &MachineConfig) -> Vec<EpochPrediction> {
-        self.cells
-            .iter()
-            .map(|c| {
-                predict_epoch_rated(
-                    self.epoch(c),
-                    config,
-                    &c.curves,
-                    self.rates(c, config),
-                    &self.knobs,
-                )
-            })
-            .collect()
-    }
-
-    /// Full prediction for one configuration, reusing the precomputed
-    /// models — bit-identical to [`predict`](crate::predict()) when no `RPPM_*`
-    /// variable changed since preparation.
+    /// Full prediction for one configuration (Equation 1 per distinct
+    /// epoch, then Algorithm 2).
     pub fn predict(&self, config: &MachineConfig) -> Prediction {
-        let cell_preds = self.cell_predictions(config);
+        let cell_preds: Vec<EpochPrediction> = self
+            .cells
+            .iter()
+            .map(|c| self.cell_prediction(c, config, false))
+            .collect();
         let epoch_preds: Vec<Vec<EpochPrediction>> = self
             .ranges
             .iter()
             .map(|&(off, len)| {
                 self.cell_of[off..off + len]
                     .iter()
-                    .map(|&c| {
-                        if c == EMPTY_CELL {
-                            empty_epoch_prediction()
-                        } else {
-                            cell_preds[c].clone()
-                        }
+                    .map(|&c| match c {
+                        EMPTY_CELL => empty_epoch_prediction(),
+                        c => cell_preds[c].clone(),
                     })
                     .collect()
             })
@@ -265,47 +300,36 @@ impl PreparedProfile {
         assemble(&self.profile, config, epoch_preds, schedule)
     }
 
-    /// The MAIN baseline ([`crate::predict_main`]) from the prepared
-    /// models; bit-identical to the scalar function under the same
-    /// environment caveat as [`PreparedProfile::predict`].
-    pub fn predict_main(&self, config: &MachineConfig) -> f64 {
-        self.isolated_thread_active(0, config)
-    }
-
-    /// The CRIT baseline ([`crate::predict_crit`]) from the prepared
-    /// models.
-    pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
-        (0..self.ranges.len())
-            .map(|t| self.isolated_thread_active(t, config))
-            .fold(0.0, f64::max)
-    }
-
-    /// Sum of isolated-model epoch times for one thread. Matches the
-    /// scalar baselines' per-epoch iteration exactly: equal epochs produce
-    /// bit-equal predictions, so summing shared cell results in flat-epoch
-    /// order reproduces the scalar sum bit for bit.
-    fn isolated_thread_active(&self, thread: usize, config: &MachineConfig) -> f64 {
-        let mut memo: Vec<Option<f64>> = vec![None; self.cells.len()];
-        let (off, len) = self.ranges[thread];
-        self.cell_of[off..off + len]
+    /// Per-thread active cycles under the single-threaded model, each the
+    /// sum of its epochs' isolated predictions in epoch order.
+    fn isolated_active(&self, config: &MachineConfig) -> Vec<f64> {
+        let cycles: Vec<f64> = self
+            .cells
             .iter()
-            .map(|&c| {
-                if c == EMPTY_CELL {
-                    return 0.0;
-                }
-                *memo[c].get_or_insert_with(|| {
-                    let cell = &self.cells[c];
-                    predict_epoch_rated(
-                        self.epoch(cell),
-                        config,
-                        &cell.curves,
-                        self.rates_isolated(cell, config),
-                        &self.knobs,
-                    )
-                    .cycles
-                })
+            .map(|c| self.cell_prediction(c, config, true).cycles)
+            .collect();
+        self.ranges
+            .iter()
+            .map(|&(off, len)| {
+                self.cell_of[off..off + len]
+                    .iter()
+                    .map(|&c| if c == EMPTY_CELL { 0.0 } else { cycles[c] })
+                    .sum()
             })
-            .sum()
+            .collect()
+    }
+
+    /// The MAIN baseline (Section II-C): the single-threaded model applied
+    /// to the main thread only; its active time in cycles.
+    pub fn predict_main(&self, config: &MachineConfig) -> f64 {
+        self.isolated_active(config)[0]
+    }
+
+    /// The CRIT baseline (Section II-C): the single-threaded model applied
+    /// to every thread in isolation; the slowest thread's active time in
+    /// cycles.
+    pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
+        self.isolated_active(config).into_iter().fold(0.0, f64::max)
     }
 }
 
@@ -327,19 +351,21 @@ enum ModelKind {
 
 /// Structure-of-arrays Equation-1 evaluator over a [`PreparedProfile`].
 ///
-/// Owns the per-sweep mutable state: miss-rate columns memoized per
-/// distinct cache geometry (and branch-predictor miss rates per distinct
-/// predictor), the flat cycle buffer and the symbolic-execution scratch.
-/// After the first evaluation of each distinct axis value, an evaluation
-/// allocates nothing.
+/// Owns the per-sweep state: the ILP/MLP curve tables of every distinct
+/// epoch, miss-rate columns memoized per distinct cache geometry (and
+/// branch-predictor miss rates per distinct predictor), the flat cycle
+/// buffer and the symbolic-execution scratch. After the first evaluation
+/// of each distinct axis value, an evaluation allocates nothing.
 ///
 /// Not `Sync` by design: create one evaluator per worker thread (they
 /// share the read-only [`PreparedProfile`]). Memoized values are pure
 /// functions of (epoch, geometry), so every worker computes identical
 /// bits.
 #[derive(Debug)]
-pub struct BatchedEq1<'p> {
-    prep: &'p PreparedProfile,
+pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
+    prep: &'p PreparedProfile<P>,
+    /// Interpolation tables, one per cell.
+    curves: Vec<EpochCurves>,
     /// Per-thread event slices for the borrowed flat-timeline view.
     events: Vec<&'p [SyncOp]>,
     /// Miss-rate columns (one `f64` per cell) per distinct geometry.
@@ -355,17 +381,13 @@ pub struct BatchedEq1<'p> {
     scratch: SymScratch,
 }
 
-impl BatchedEq1<'_> {
-    /// The preparation this evaluator sweeps over.
-    pub fn prepared(&self) -> &PreparedProfile {
-        self.prep
-    }
-
+impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
     fn ensure_column(&mut self, kind: ModelKind, geom: &CacheGeometry) {
-        let (map, cells) = match kind {
-            ModelKind::Private => (&mut self.priv_rates, &self.prep.cells),
-            ModelKind::Global => (&mut self.glob_rates, &self.prep.cells),
-            ModelKind::Icache => (&mut self.icache_rates, &self.prep.cells),
+        let cells = &self.prep.cells;
+        let map = match kind {
+            ModelKind::Private => &mut self.priv_rates,
+            ModelKind::Global => &mut self.glob_rates,
+            ModelKind::Icache => &mut self.icache_rates,
         };
         map.entry(geom_key(geom)).or_insert_with(|| {
             cells
@@ -384,22 +406,22 @@ impl BatchedEq1<'_> {
 
     fn ensure_bpred(&mut self, config: &MachineConfig) {
         let key = (config.bpred.size_bytes, config.bpred.history_bits);
+        let profile = &self.prep.profile;
+        let cells = &self.prep.cells;
         self.bpred_rates.entry(key).or_insert_with(|| {
-            self.prep
-                .cells
+            cells
                 .iter()
                 .map(|c| {
-                    rppm_branch_model::predict_miss_rate(&self.prep.epoch(c).branch, &config.bpred)
+                    rppm_branch_model::predict_miss_rate(&c.epoch(profile).branch, &config.bpred)
                 })
                 .collect()
         });
     }
 
     /// Predicted end-to-end execution time in **cycles** for `config` —
-    /// bit-identical to [`predict`](crate::predict())`(profile, config).total_cycles`
-    /// under the module-level environment caveat. Seconds follow as
-    /// [`MachineConfig::cycles_to_seconds`], the same conversion the scalar
-    /// path applies.
+    /// bit-identical to [`PreparedProfile::predict`]`(config).total_cycles`.
+    /// Seconds follow as [`MachineConfig::cycles_to_seconds`], the same
+    /// conversion a full prediction applies.
     pub fn eval(&mut self, config: &MachineConfig) -> f64 {
         self.ensure_column(ModelKind::Private, &config.l1d);
         self.ensure_column(ModelKind::Private, &config.l2);
@@ -412,7 +434,8 @@ impl BatchedEq1<'_> {
         let l1i = &self.icache_rates[&geom_key(&config.l1i)];
         let bmiss = &self.bpred_rates[&(config.bpred.size_bytes, config.bpred.history_bits)];
 
-        for (i, cell) in self.prep.cells.iter().enumerate() {
+        let prep = self.prep;
+        for (i, (cell, curves)) in prep.cells.iter().zip(&self.curves).enumerate() {
             let rates = RawRates {
                 r1: r1[i],
                 r2: r2[i],
@@ -421,15 +444,15 @@ impl BatchedEq1<'_> {
                 bmiss: bmiss[i],
             };
             self.cell_cycles[i] = predict_epoch_rated(
-                self.prep.epoch(cell),
+                cell.epoch(&prep.profile),
                 config,
-                &cell.curves,
+                curves,
                 rates,
-                &self.prep.knobs,
+                &prep.knobs,
             )
             .cycles;
         }
-        for (slot, &c) in self.cycles.iter_mut().zip(&self.prep.cell_of) {
+        for (slot, &c) in self.cycles.iter_mut().zip(&prep.cell_of) {
             *slot = if c == EMPTY_CELL {
                 0.0
             } else {
@@ -439,7 +462,7 @@ impl BatchedEq1<'_> {
         execute_total(
             FlatTimelines {
                 cycles: &self.cycles,
-                ranges: &self.prep.ranges,
+                ranges: &prep.ranges,
                 events: &self.events,
             },
             config.sync_overhead_cycles as f64,
@@ -459,7 +482,71 @@ impl BatchedEq1<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::{predict, predict_crit, predict_main};
+
+    /// The naive reference predictor every path here is compared against:
+    /// each epoch evaluated on its own through
+    /// [`predict_epoch`](crate::predict_epoch()) (fresh stack-distance
+    /// models, no deduplication, no rate memo, the profile's own ILP/MLP
+    /// curves), then Algorithm 2.
+    mod naive {
+        use crate::eq1::{predict_epoch, EpochPrediction, Knobs};
+        use crate::predict::{assemble, Prediction};
+        use crate::symexec::{execute, ThreadTimeline};
+        use rppm_profiler::{ApplicationProfile, EpochProfile};
+        use rppm_trace::MachineConfig;
+
+        /// The full prediction, assembled exactly like the prepared path's.
+        pub(super) fn predict(profile: &ApplicationProfile, config: &MachineConfig) -> Prediction {
+            let epoch_preds: Vec<Vec<EpochPrediction>> = profile
+                .threads
+                .iter()
+                .map(|t| {
+                    t.epochs
+                        .iter()
+                        .map(|e| predict_epoch(e, config, &Knobs::default()))
+                        .collect()
+                })
+                .collect();
+            let timelines: Vec<ThreadTimeline> = profile
+                .threads
+                .iter()
+                .zip(&epoch_preds)
+                .map(|(t, preds)| ThreadTimeline {
+                    epochs: preds.iter().map(|p| p.cycles).collect(),
+                    events: t.events.clone(),
+                })
+                .collect();
+            let schedule = execute(&timelines, config);
+            assemble(profile, config, epoch_preds, schedule)
+        }
+
+        /// One thread's active time under the single-threaded model: every epoch
+        /// with its global histogram replaced by the private one.
+        fn isolated_active(epochs: &[EpochProfile], config: &MachineConfig) -> f64 {
+            epochs
+                .iter()
+                .map(|e| {
+                    let mut iso = e.clone();
+                    iso.global_rd = e.private_rd.clone();
+                    predict_epoch(&iso, config, &Knobs::default()).cycles
+                })
+                .sum()
+        }
+
+        /// The MAIN baseline.
+        pub(super) fn predict_main(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
+            isolated_active(&profile.threads[0].epochs, config)
+        }
+
+        /// The CRIT baseline.
+        pub(super) fn predict_crit(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
+            profile
+                .threads
+                .iter()
+                .map(|t| isolated_active(&t.epochs, config))
+                .fold(0.0, f64::max)
+        }
+    }
     use rppm_profiler::profile;
     use rppm_trace::{AddressPattern, BlockSpec, DesignPoint, ProgramBuilder};
 
@@ -493,12 +580,12 @@ mod tests {
         let prof = parallel_profile();
         let prep = PreparedProfile::new(Arc::clone(&prof));
         let total: usize = prof.threads.iter().map(|t| t.epochs.len()).sum();
-        assert_eq!(prep.total_epochs(), total);
+        assert_eq!(prep.cell_of.len(), total);
         // Workers 0/2 and 1/3 run identical blocks: their epochs collapse.
         assert!(
-            prep.distinct_epochs() * 2 <= total,
+            prep.cells.len() * 2 <= total,
             "{} distinct of {total}",
-            prep.distinct_epochs()
+            prep.cells.len()
         );
     }
 
@@ -510,7 +597,7 @@ mod tests {
         for dp in DesignPoint::ALL {
             let cfg = dp.config();
             let fast = batch.eval(&cfg);
-            let slow = predict(&prof, &cfg).total_cycles;
+            let slow = naive::predict(&prof, &cfg).total_cycles;
             assert_eq!(fast.to_bits(), slow.to_bits(), "{dp}");
         }
         // Second pass through the same evaluator (memos warm, scratch
@@ -519,7 +606,7 @@ mod tests {
             let cfg = dp.config();
             assert_eq!(
                 batch.eval(&cfg).to_bits(),
-                predict(&prof, &cfg).total_cycles.to_bits(),
+                naive::predict(&prof, &cfg).total_cycles.to_bits(),
                 "{dp} (warm)"
             );
         }
@@ -531,7 +618,7 @@ mod tests {
         let prep = PreparedProfile::new(Arc::clone(&prof));
         let cfg = DesignPoint::Big.config();
         let fast = prep.predict(&cfg);
-        let slow = predict(&prof, &cfg);
+        let slow = naive::predict(&prof, &cfg);
         assert_eq!(fast.total_cycles.to_bits(), slow.total_cycles.to_bits());
         assert_eq!(fast.total_seconds.to_bits(), slow.total_seconds.to_bits());
         assert_eq!(fast.threads.len(), slow.threads.len());
@@ -551,12 +638,12 @@ mod tests {
             let cfg = dp.config();
             assert_eq!(
                 prep.predict_main(&cfg).to_bits(),
-                predict_main(&prof, &cfg).to_bits(),
+                naive::predict_main(&prof, &cfg).to_bits(),
                 "{dp} main"
             );
             assert_eq!(
                 prep.predict_crit(&cfg).to_bits(),
-                predict_crit(&prof, &cfg).to_bits(),
+                naive::predict_crit(&prof, &cfg).to_bits(),
                 "{dp} crit"
             );
         }
@@ -593,7 +680,7 @@ mod tests {
         for cfg in [tiny, huge] {
             assert_eq!(
                 batch.eval(&cfg).to_bits(),
-                predict(&prof, &cfg).total_cycles.to_bits(),
+                naive::predict(&prof, &cfg).total_cycles.to_bits(),
                 "{}",
                 cfg.name
             );

@@ -1,10 +1,12 @@
 //! Property tests for the bounded [`ProfileCache`]: random multi-threaded
 //! interleavings of `get_or_profile` under a tiny budget must never exceed
-//! the bound, never run two profiling passes for a key concurrently, and
-//! always return bit-identical profiles across eviction/re-profile cycles.
+//! the bound, never run two profiling passes for a key concurrently,
+//! always return bit-identical profiles across eviction/re-profile cycles,
+//! prepare each profile exactly once per profiling run, and account every
+//! resident entry (preparation included) at its `approx_bytes()`.
 
 use proptest::prelude::*;
-use rppm_profiler::{CacheBudget, ProfileCache, ProfileKey};
+use rppm_core::{CacheBudget, PreparedProfile, ProfileCache, ProfileKey};
 use rppm_trace::{BlockSpec, Program, ProgramBuilder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,13 +92,21 @@ proptest! {
         prop_assert_eq!(cache.lookups(), ops.len());
         let distinct = canonical.lock().unwrap().len();
         prop_assert!(cache.profiles_collected() >= distinct || ops.is_empty());
+        // The byte account is exactly the resident entries' sizes.
+        let resident: Vec<_> = (0..6).filter_map(|seed| cache.peek(&key(seed))).collect();
+        prop_assert_eq!(resident.len(), cache.resident());
+        prop_assert_eq!(
+            resident.iter().map(|w| w.approx_bytes()).sum::<u64>(),
+            cache.resident_bytes()
+        );
     }
 }
 
 /// Concurrent requests for one key always coalesce onto a single profiling
 /// run — including requests for a key that was evicted and is being
 /// re-profiled. Each rendezvous round of 4 threads must trigger exactly
-/// one build, no matter how many eviction cycles separate the rounds.
+/// one build and one preparation, no matter how many eviction cycles
+/// separate the rounds.
 #[test]
 fn in_flight_key_is_profiled_exactly_once_per_round() {
     let cache = Arc::new(ProfileCache::with_budget(CacheBudget::entries(1)));
@@ -104,6 +114,8 @@ fn in_flight_key_is_profiled_exactly_once_per_round() {
     const THREADS: usize = 4;
 
     let mut expected_builds = 0;
+    // Every round's preparation, held so no address is reused.
+    let mut preparations: Vec<Arc<PreparedProfile>> = Vec::new();
     for round in 0..3u64 {
         let barrier = Arc::new(Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS)
@@ -120,18 +132,28 @@ fn in_flight_key_is_profiled_exactly_once_per_round() {
                         std::thread::sleep(std::time::Duration::from_millis(20));
                         tiny(7)
                     });
-                    got.profile.to_json()
+                    assert!(Arc::ptr_eq(got.prepared.profile(), &got.profile));
+                    (got.profile.to_json(), got.prepared)
                 })
             })
             .collect();
-        let jsons: Vec<String> = handles
+        let (jsons, prepared): (Vec<String>, Vec<Arc<PreparedProfile>>) = handles
             .into_iter()
             .map(|h| h.join().expect("round thread panicked"))
-            .collect();
+            .unzip();
         assert!(
             jsons.windows(2).all(|w| w[0] == w[1]),
             "round {round}: coalesced callers saw different profiles"
         );
+        assert!(
+            prepared.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])),
+            "round {round}: coalesced callers saw different preparations"
+        );
+        assert!(
+            preparations.iter().all(|p| !Arc::ptr_eq(p, &prepared[0])),
+            "round {round}: re-profiling an evicted key must prepare it afresh"
+        );
+        preparations.push(Arc::clone(&prepared[0]));
         expected_builds += 1;
         assert_eq!(
             builds.load(Ordering::Relaxed),
@@ -150,4 +172,22 @@ fn in_flight_key_is_profiled_exactly_once_per_round() {
 
 fn tiny_builder(seed: u64) -> impl FnOnce() -> Arc<Program> {
     move || tiny(seed)
+}
+
+/// A resident entry is accounted at its program, profile and preparation
+/// sizes together, and the preparation counts its StatStack models.
+#[test]
+fn resident_bytes_count_the_preparation() {
+    let cache = ProfileCache::new();
+    let w = cache.get_or_profile(key(3), tiny_builder(3));
+    let prepared = w.prepared.approx_bytes();
+    assert!(prepared > 0);
+    assert_eq!(
+        w.approx_bytes(),
+        w.program.approx_bytes() + w.profile.approx_bytes() + prepared
+    );
+    assert_eq!(cache.resident_bytes(), w.approx_bytes());
+    // A second entry adds exactly its own size.
+    let v = cache.get_or_profile(key(4), tiny_builder(4));
+    assert_eq!(cache.resident_bytes(), w.approx_bytes() + v.approx_bytes());
 }

@@ -38,13 +38,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod curves;
 pub mod logical;
 pub mod microtrace;
 pub mod profile;
 
-pub use cache::{CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
 pub use curves::{ln_window, EpochCurves};
 pub use logical::profile;
 pub use microtrace::{analyze, MicroTraceAnalysis, WINDOWS};

@@ -407,12 +407,12 @@ impl State {
         };
         let jobs = self.session_jobs();
         if best_only {
-            let out = find_best(prepared.inner(), &space, &constraints, bound, jobs)
+            let out = find_best(prepared, &space, &constraints, bound, jobs)
                 .map_err(|e| ApiError::bad_request(format!("{}: {e}", handle.name())))?;
             return Ok((200, dse_best_doc(handle.name(), &space, &out)));
         }
         let bounds = dse_bounds_ladder(bound);
-        let out = sweep(prepared.inner(), &space, &constraints, &bounds, jobs)
+        let out = sweep(prepared, &space, &constraints, &bounds, jobs)
             .map_err(|e| ApiError::bad_request(format!("{}: {e}", handle.name())))?;
         Ok((200, dse_sweep_doc(handle.name(), &space, &out)))
     }

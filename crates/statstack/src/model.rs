@@ -55,6 +55,14 @@ impl StackDistanceModel {
         }
     }
 
+    /// Approximate heap + inline size of this model in bytes (cache
+    /// memory-budget accounting).
+    pub fn approx_bytes(&self) -> u64 {
+        (std::mem::size_of::<Self>()
+            + self.buckets.capacity() * std::mem::size_of::<(u64, u64)>()
+            + self.suffix.capacity() * std::mem::size_of::<u64>()) as u64
+    }
+
     /// Total accesses underlying the model.
     pub fn total_accesses(&self) -> u64 {
         self.total

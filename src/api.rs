@@ -2,7 +2,7 @@
 //! first-class API.
 //!
 //! A [`Session`] owns a thread-safe profile-once cache
-//! ([`rppm_profiler::ProfileCache`]). Workloads enter the session from the
+//! ([`rppm_core::ProfileCache`]). Workloads enter the session from the
 //! benchmark catalog ([`Session::workload`]), from a trace file in either
 //! on-disk container ([`Session::import`], format auto-detected by magic
 //! bytes), or as an in-memory [`Program`] ([`Session::program`]); each
@@ -10,8 +10,12 @@
 //! collects the microarchitecture-independent profile **at most once per
 //! session** — every further call, from any thread, is a cache hit — and
 //! returns a [`ProfileHandle`] that predicts any number of machine
-//! configurations ([`ProfileHandle::predict`], or the parallel
-//! [`ProfileHandle::predict_sweep`] for design-space exploration).
+//! configurations ([`ProfileHandle::predict`], the parallel
+//! [`ProfileHandle::predict_sweep`], or the batched
+//! [`ProfileHandle::predict_batch`] for design-space exploration). The
+//! profiling run also prepares the profile once (see
+//! [`rppm_core::PreparedProfile`]); every handle call evaluates through
+//! that one preparation.
 //!
 //! Everything fallible returns the unified [`Error`], whose variants keep
 //! their underlying causes reachable through
@@ -36,8 +40,11 @@
 //! remain available for one-shot use; the session is those functions plus
 //! the amortization contract.
 
-use rppm_core::{parallel_map, Prediction, PreparedProfile};
-use rppm_profiler::{ApplicationProfile, CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
+use rppm_core::{
+    parallel_map, CacheBudget, Prediction, PreparedProfile, ProfileCache, ProfileKey,
+    ProfiledWorkload,
+};
+use rppm_profiler::ApplicationProfile;
 use rppm_sim::{simulate, SimResult};
 use rppm_trace::{program_fingerprint, MachineConfig, Program, ProgramError, TraceFileError};
 use rppm_workloads::{Benchmark, Params};
@@ -394,20 +401,27 @@ impl ProfileHandle {
         &self.workload.program
     }
 
+    /// The profile's one preparation, built with the profile and shared
+    /// by every prediction of this workload (e.g. to hand to
+    /// [`rppm_core::sweep`] / [`rppm_core::find_best`]).
+    pub fn prepared(&self) -> &Arc<PreparedProfile> {
+        &self.workload.prepared
+    }
+
     /// Predicts execution on one machine configuration (Equation 1 +
     /// Algorithm 2) — microseconds of model time, no re-profiling.
     pub fn predict(&self, config: &MachineConfig) -> Prediction {
-        rppm_core::predict(&self.workload.profile, config)
+        self.workload.prepared.predict(config)
     }
 
     /// The MAIN baseline prediction (cycles).
     pub fn predict_main(&self, config: &MachineConfig) -> f64 {
-        rppm_core::predict_main(&self.workload.profile, config)
+        self.workload.prepared.predict_main(config)
     }
 
     /// The CRIT baseline prediction (cycles).
     pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
-        rppm_core::predict_crit(&self.workload.profile, config)
+        self.workload.prepared.predict_crit(config)
     }
 
     /// Predicts every configuration of a design space from the one
@@ -417,25 +431,27 @@ impl ProfileHandle {
         parallel_map(self.jobs, configs.len(), |i| self.predict(&configs[i]))
     }
 
-    /// Precomputes everything about this profile that does not depend on
-    /// the machine configuration (StatStack models, ILP/MLP interpolation
-    /// tables, epoch deduplication), returning a [`PreparedHandle`] whose
-    /// per-configuration evaluation is an order of magnitude cheaper than
-    /// [`ProfileHandle::predict`] — the entry point for million-point
-    /// design-space sweeps.
-    pub fn prepared(&self) -> PreparedHandle {
-        PreparedHandle {
-            prepared: Arc::new(PreparedProfile::new(Arc::clone(&self.workload.profile))),
-            jobs: self.jobs,
-        }
-    }
-
-    /// Predicts total cycles for every configuration through a freshly
-    /// prepared profile (see [`PreparedHandle::predict_batch`]). When
-    /// evaluating more than one batch, prepare once with
-    /// [`ProfileHandle::prepared`] and reuse the handle.
+    /// Predicts total cycles for every configuration, chunked over the
+    /// session's worker threads with one batched Equation-1 evaluator
+    /// ([`rppm_core::BatchedEq1`]) per worker — an order of magnitude
+    /// cheaper per point than [`ProfileHandle::predict`] over many points.
+    /// Results are in `configs` order, independent of the worker count,
+    /// and each equals `predict(config).total_cycles` bit for bit.
     pub fn predict_batch(&self, configs: &[MachineConfig]) -> Vec<f64> {
-        self.prepared().predict_batch(configs)
+        let n = configs.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let jobs = self.jobs.clamp(1, n);
+        let chunk = n.div_ceil(jobs);
+        let per_worker: Vec<Vec<f64>> = parallel_map(jobs, jobs, |w| {
+            let mut batch = self.workload.prepared.batched();
+            configs[w * chunk..((w + 1) * chunk).min(n)]
+                .iter()
+                .map(|config| batch.eval(config))
+                .collect()
+        });
+        per_worker.concat()
     }
 
     /// Golden-reference detailed simulation (slow; for validation).
@@ -447,69 +463,6 @@ impl ProfileHandle {
     /// the session's worker threads, in `configs` order.
     pub fn simulate_sweep(&self, configs: &[MachineConfig]) -> Vec<SimResult> {
         parallel_map(self.jobs, configs.len(), |i| self.simulate(&configs[i]))
-    }
-}
-
-/// A profile with all configuration-independent work precomputed: the
-/// fast path for design-space exploration.
-///
-/// Obtained from [`ProfileHandle::prepared`]. Every prediction it makes is
-/// **bit-identical** to the corresponding [`ProfileHandle`] call — the
-/// precompute/evaluate split changes cost, never results.
-#[derive(Debug, Clone)]
-pub struct PreparedHandle {
-    prepared: Arc<PreparedProfile>,
-    jobs: usize,
-}
-
-impl PreparedHandle {
-    /// The underlying prepared profile (e.g. to hand to
-    /// [`rppm_core::sweep`] / [`rppm_core::find_best`]).
-    pub fn inner(&self) -> &Arc<PreparedProfile> {
-        &self.prepared
-    }
-
-    /// Predicts one configuration; bit-identical to
-    /// [`ProfileHandle::predict`].
-    pub fn predict(&self, config: &MachineConfig) -> Prediction {
-        self.prepared.predict(config)
-    }
-
-    /// The MAIN baseline (cycles); bit-identical to
-    /// [`ProfileHandle::predict_main`].
-    pub fn predict_main(&self, config: &MachineConfig) -> f64 {
-        self.prepared.predict_main(config)
-    }
-
-    /// The CRIT baseline (cycles); bit-identical to
-    /// [`ProfileHandle::predict_crit`].
-    pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
-        self.prepared.predict_crit(config)
-    }
-
-    /// Predicts total cycles for every configuration, chunked over the
-    /// session's worker threads with one batched Equation-1 evaluator per
-    /// worker. Results are in `configs` order, independent of the worker
-    /// count, and each equals the corresponding
-    /// `predict(config).total_cycles` bit for bit.
-    pub fn predict_batch(&self, configs: &[MachineConfig]) -> Vec<f64> {
-        let n = configs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let jobs = self.jobs.clamp(1, n);
-        let chunk = n.div_ceil(jobs);
-        let per_worker: Vec<Vec<f64>> = parallel_map(jobs, jobs, |w| {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            let mut batch = self.prepared.batched();
-            let mut out = Vec::with_capacity(hi.saturating_sub(lo));
-            for config in &configs[lo..hi] {
-                out.push(batch.eval(config));
-            }
-            out
-        });
-        per_worker.concat()
     }
 }
 
@@ -576,17 +529,21 @@ mod tests {
             .seed(3)
             .profile();
         let configs: Vec<_> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
-        let prepared = profile.prepared();
-        let batch = prepared.predict_batch(&configs);
+        let batch = profile.predict_batch(&configs);
         assert_eq!(batch.len(), configs.len());
         for (cycles, c) in batch.iter().zip(&configs) {
             assert_eq!(cycles.to_bits(), profile.predict(c).total_cycles.to_bits());
+            assert_eq!(
+                cycles.to_bits(),
+                rppm_core::predict(profile.profile(), c)
+                    .total_cycles
+                    .to_bits()
+            );
         }
         assert_eq!(
-            prepared.predict_main(&configs[0]).to_bits(),
-            profile.predict_main(&configs[0]).to_bits()
+            profile.predict_main(&configs[0]).to_bits(),
+            rppm_core::predict_main(profile.profile(), &configs[0]).to_bits()
         );
-        assert!(profile.predict_batch(&configs[..1])[0] > 0.0);
-        assert!(prepared.predict_batch(&[]).is_empty());
+        assert!(profile.predict_batch(&[]).is_empty());
     }
 }

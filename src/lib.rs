@@ -63,8 +63,8 @@
 pub mod api;
 pub mod docs;
 
-pub use api::{Error, PreparedHandle, ProfileHandle, Session, SessionBuilder, WorkloadHandle};
-pub use rppm_profiler::CacheBudget;
+pub use api::{Error, ProfileHandle, Session, SessionBuilder, WorkloadHandle};
+pub use rppm_core::CacheBudget;
 
 pub use rppm_branch_model as branch_model;
 pub use rppm_core as core;

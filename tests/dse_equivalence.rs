@@ -1,16 +1,22 @@
-//! Differential property suite for the DSE engine: the precompute/evaluate
-//! split ([`rppm::core::PreparedProfile`] / batched Equation 1) must be
-//! **bit-identical** to the scalar `predict()` path on every profile and
-//! every configuration — the split changes cost, never results. Random
-//! workloads × random design points, plus the degenerate spaces a sweep
-//! can encounter (single point, duplicated configs, extreme cache
-//! geometries).
+//! Differential property suite for the prediction paths: the cached
+//! preparation (`ProfileHandle::predict`, the MAIN/CRIT baselines), the
+//! batched evaluator (`predict_batch`, `sweep`) and the one-shot free
+//! functions must all be **bit-identical** to a naive reference that
+//! evaluates every epoch on its own — fresh StatStack models, no
+//! deduplication, no rate memo, the profile's own ILP/MLP curves — and
+//! then runs Algorithm 2. Preparation and batching change cost, never
+//! results. Random workloads × random design points, plus the degenerate
+//! spaces a sweep can encounter (single point, duplicated configs, extreme
+//! cache geometries).
 
 use proptest::prelude::*;
-use rppm::core::{predict, predict_crit, predict_main, ConfigSpace, PreparedProfile};
+use rppm::core::{
+    execute, predict, predict_crit, predict_epoch, predict_main, ConfigSpace, EpochPrediction,
+    Knobs, Prediction, Schedule, ThreadTimeline,
+};
+use rppm::profiler::{ApplicationProfile, EpochProfile};
 use rppm::trace::{CacheGeometry, DesignPoint, MachineConfig};
 use rppm::Session;
-use std::sync::Arc;
 
 /// Workloads with distinct sync behaviour: barriers, critical sections and
 /// a task queue.
@@ -20,12 +26,94 @@ fn space() -> ConfigSpace {
     ConfigSpace::default_space()
 }
 
+/// The naive reference: every epoch through `predict_epoch`, then
+/// Algorithm 2 over the resulting timelines.
+fn naive(
+    profile: &ApplicationProfile,
+    config: &MachineConfig,
+) -> (Vec<Vec<EpochPrediction>>, Schedule) {
+    let epochs: Vec<Vec<EpochPrediction>> = profile
+        .threads
+        .iter()
+        .map(|t| {
+            t.epochs
+                .iter()
+                .map(|e| predict_epoch(e, config, &Knobs::default()))
+                .collect()
+        })
+        .collect();
+    let timelines: Vec<ThreadTimeline> = profile
+        .threads
+        .iter()
+        .zip(&epochs)
+        .map(|(t, preds)| ThreadTimeline {
+            epochs: preds.iter().map(|p| p.cycles).collect(),
+            events: t.events.clone(),
+        })
+        .collect();
+    let schedule = execute(&timelines, config);
+    (epochs, schedule)
+}
+
+fn naive_total(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
+    naive(profile, config).1.total
+}
+
+/// One thread's active time under the single-threaded MAIN/CRIT model:
+/// every epoch with its global histogram replaced by the private one.
+fn naive_isolated(epochs: &[EpochProfile], config: &MachineConfig) -> f64 {
+    epochs
+        .iter()
+        .map(|e| {
+            let mut iso = e.clone();
+            iso.global_rd = e.private_rd.clone();
+            predict_epoch(&iso, config, &Knobs::default()).cycles
+        })
+        .sum()
+}
+
+fn naive_main(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
+    naive_isolated(&profile.threads[0].epochs, config)
+}
+
+fn naive_crit(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
+    profile
+        .threads
+        .iter()
+        .map(|t| naive_isolated(&t.epochs, config))
+        .fold(0.0, f64::max)
+}
+
+/// Asserts that `pred` equals the naive reference bit for bit, field by
+/// field.
+fn assert_naive(pred: &Prediction, profile: &ApplicationProfile, config: &MachineConfig) {
+    let (epochs, schedule) = naive(profile, config);
+    assert_eq!(
+        pred.total_cycles.to_bits(),
+        schedule.total.to_bits(),
+        "{}",
+        config.name
+    );
+    assert_eq!(
+        pred.total_seconds.to_bits(),
+        config.cycles_to_seconds(schedule.total).to_bits()
+    );
+    assert_eq!(pred.threads.len(), epochs.len());
+    for ((t, e), s) in pred.threads.iter().zip(&epochs).zip(&schedule.threads) {
+        assert_eq!(&t.epochs, e);
+        assert_eq!(t.active_cycles.to_bits(), s.active.to_bits());
+        assert_eq!(t.sync_cycles.to_bits(), s.idle.to_bits());
+        assert_eq!(t.finish.to_bits(), s.finish.to_bits());
+    }
+    assert_eq!(pred.intervals, schedule.intervals());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random profile × random design points: every batched evaluation
-    /// equals the scalar prediction bit for bit, whatever the worker
-    /// count.
+    /// equals the naive reference bit for bit, whatever the worker count,
+    /// and so do the cached and one-shot full predictions.
     #[test]
     fn batched_is_bit_identical_to_scalar(
         which in 0usize..WORKLOADS.len(),
@@ -44,20 +132,22 @@ proptest! {
         let configs: Vec<MachineConfig> =
             indices.iter().map(|&i| space.config(i % space.len())).collect();
 
-        let batch = profile.prepared().predict_batch(&configs);
+        let batch = profile.predict_batch(&configs);
         prop_assert_eq!(batch.len(), configs.len());
         for (cycles, config) in batch.iter().zip(&configs) {
-            let scalar = profile.predict(config);
             prop_assert_eq!(
                 cycles.to_bits(),
-                scalar.total_cycles.to_bits(),
+                naive_total(profile.profile(), config).to_bits(),
                 "config {} diverged",
                 &config.name
             );
+            assert_naive(&profile.predict(config), profile.profile(), config);
+            assert_naive(&predict(profile.profile(), config), profile.profile(), config);
         }
     }
 
-    /// The prepared baselines agree with the scalar MAIN/CRIT paths.
+    /// The MAIN/CRIT baselines, cached and one-shot, agree with the naive
+    /// isolated model.
     #[test]
     fn prepared_baselines_are_bit_identical(
         which in 0usize..WORKLOADS.len(),
@@ -72,21 +162,11 @@ proptest! {
             .scale(0.02)
             .seed(7)
             .profile();
-        let prep = PreparedProfile::new(Arc::clone(profile.profile()));
-        prop_assert_eq!(
-            prep.predict_main(&config).to_bits(),
-            predict_main(profile.profile(), &config).to_bits()
-        );
-        prop_assert_eq!(
-            prep.predict_crit(&config).to_bits(),
-            predict_crit(profile.profile(), &config).to_bits()
-        );
-        // And the full Prediction structure, not just total cycles.
-        let a = prep.predict(&config);
-        let b = predict(profile.profile(), &config);
-        prop_assert_eq!(a.total_cycles.to_bits(), b.total_cycles.to_bits());
-        prop_assert_eq!(a.total_seconds.to_bits(), b.total_seconds.to_bits());
-        prop_assert_eq!(a.threads.len(), b.threads.len());
+        let prof = profile.profile();
+        prop_assert_eq!(profile.predict_main(&config).to_bits(), naive_main(prof, &config).to_bits());
+        prop_assert_eq!(profile.predict_crit(&config).to_bits(), naive_crit(prof, &config).to_bits());
+        prop_assert_eq!(predict_main(prof, &config).to_bits(), naive_main(prof, &config).to_bits());
+        prop_assert_eq!(predict_crit(prof, &config).to_bits(), naive_crit(prof, &config).to_bits());
     }
 }
 
@@ -103,7 +183,7 @@ fn degenerate_single_point_space() {
     assert_eq!(batch.len(), 1);
     assert_eq!(
         batch[0].to_bits(),
-        profile.predict(&config).total_cycles.to_bits()
+        naive_total(profile.profile(), &config).to_bits()
     );
 }
 
@@ -124,7 +204,7 @@ fn duplicate_configs_get_identical_bits() {
     }
     assert_eq!(
         batch[0].to_bits(),
-        profile.predict(&configs[0]).total_cycles.to_bits()
+        naive_total(profile.profile(), &configs[0]).to_bits()
     );
 }
 
@@ -148,15 +228,16 @@ fn extreme_cache_geometries_stay_identical() {
     for (cycles, config) in batch.iter().zip(&configs) {
         assert_eq!(
             cycles.to_bits(),
-            profile.predict(config).total_cycles.to_bits(),
+            naive_total(profile.profile(), config).to_bits(),
             "{} diverged",
             config.name
         );
+        assert_naive(&profile.predict(config), profile.profile(), config);
     }
 }
 
 /// The batched path underlying `rppm_core::sweep` finds exactly the
-/// optimum a scalar scan over the same space finds.
+/// optimum a naive scan over the same space finds.
 #[test]
 fn sweep_optimum_equals_scalar_scan() {
     use rppm::core::{sweep, Constraints};
@@ -168,10 +249,13 @@ fn sweep_optimum_equals_scalar_scan() {
         .expect("catalog")
         .scale(0.02)
         .profile();
-    let prep = PreparedProfile::new(Arc::clone(profile.profile()));
-    let swept = sweep(&prep, &space, &Constraints::none(), &[0.0], 2).expect("nonempty");
-    let scalar_best = (0..space.len())
-        .map(|i| profile.predict(&space.config(i)).total_seconds)
+    let swept =
+        sweep(profile.prepared(), &space, &Constraints::none(), &[0.0], 2).expect("nonempty");
+    let naive_best = (0..space.len())
+        .map(|i| {
+            let config = space.config(i);
+            config.cycles_to_seconds(naive_total(profile.profile(), &config))
+        })
         .fold(f64::MAX, f64::min);
-    assert_eq!(swept.best.seconds.to_bits(), scalar_best.to_bits());
+    assert_eq!(swept.best.seconds.to_bits(), naive_best.to_bits());
 }

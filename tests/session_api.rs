@@ -2,9 +2,11 @@
 //! `rppm::Error`: the profile-once contract as observable library
 //! behaviour, and error-cause preservation through `source()`.
 
+use rppm::core::{PreparedProfile, ProfileKey};
 use rppm::prelude::*;
 use rppm::trace::{BlockSpec, Program, ProgramBuilder, ProgramError, Segment, TraceFileError};
 use std::error::Error as StdError;
+use std::sync::Arc;
 
 /// The acceptance-criterion test: two predictions on different machine
 /// configurations profile the workload exactly once — measured both at
@@ -37,6 +39,109 @@ fn two_predictions_profile_exactly_once() {
     );
     assert_eq!(session.profiles_collected(), 1);
     assert_eq!(session.cache_hits(), 1);
+}
+
+/// One profiling run, one preparation: concurrent `predict`,
+/// `predict_sweep`, `predict_batch` and `prepared()` callers on one key all
+/// evaluate through the same cached `PreparedProfile`, and agree.
+#[test]
+fn concurrent_predictions_share_one_preparation() {
+    let session = Session::builder().jobs(2).build();
+    let configs: Vec<MachineConfig> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
+    let (prepared, totals): (Vec<Arc<PreparedProfile>>, Vec<Vec<u64>>) = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|caller| {
+                let (session, configs) = (&session, &configs);
+                s.spawn(move || {
+                    let handle = session
+                        .workload("hotspot")
+                        .expect("catalog")
+                        .scale(0.02)
+                        .seed(1)
+                        .profile();
+                    let totals: Vec<f64> = match caller {
+                        0 => configs
+                            .iter()
+                            .map(|c| handle.predict(c).total_cycles)
+                            .collect(),
+                        1 => handle
+                            .predict_sweep(configs)
+                            .iter()
+                            .map(|p| p.total_cycles)
+                            .collect(),
+                        2 => handle.predict_batch(configs),
+                        _ => {
+                            let mut batch = handle.prepared().batched();
+                            configs.iter().map(|c| batch.eval(c)).collect()
+                        }
+                    };
+                    let bits = totals.iter().map(|t| t.to_bits()).collect();
+                    (Arc::clone(handle.prepared()), bits)
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("caller panicked"))
+            .unzip()
+    });
+    assert!(prepared.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+    assert!(totals.windows(2).all(|w| w[0] == w[1]));
+    assert_eq!(session.profiles_collected(), 1);
+    assert_eq!(session.cache_hits(), 3);
+}
+
+/// Evicting a workload drops its preparation with its profile; profiling
+/// it again prepares it exactly once more, and the byte account tracks
+/// the resident entries (preparations included).
+#[test]
+fn reprofiling_an_evicted_workload_prepares_it_once_more() {
+    let session = Session::builder()
+        .jobs(1)
+        .cache_budget(rppm::CacheBudget::entries(1))
+        .build();
+    let hotspot = || {
+        session
+            .workload("hotspot")
+            .expect("catalog")
+            .scale(0.02)
+            .seed(1)
+            .profile()
+    };
+    let first = hotspot();
+    let key = ProfileKey::generated("hotspot", 0.02, 1);
+    let entry = session.cache().peek(&key).expect("resident");
+    assert_eq!(session.cache().resident_bytes(), entry.approx_bytes());
+    assert!(entry.approx_bytes() > entry.program.approx_bytes() + entry.profile.approx_bytes());
+
+    session
+        .workload("nn")
+        .expect("catalog")
+        .scale(0.02)
+        .seed(1)
+        .profile();
+    assert_eq!(session.cache_evictions(), 1);
+    assert!(session.cache().peek(&key).is_none());
+
+    let again: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..3).map(|_| s.spawn(hotspot)).collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("caller panicked"))
+            .collect()
+    });
+    assert_eq!(session.profiles_collected(), 3, "one more profiling run");
+    assert!(again
+        .windows(2)
+        .all(|w| Arc::ptr_eq(w[0].prepared(), w[1].prepared())));
+    assert!(!Arc::ptr_eq(first.prepared(), again[0].prepared()));
+    let config = DesignPoint::Base.config();
+    assert_eq!(
+        first.predict(&config).total_cycles.to_bits(),
+        again[0].predict(&config).total_cycles.to_bits()
+    );
+    let entry = session.cache().peek(&key).expect("resident again");
+    assert_eq!(session.cache().resident_bytes(), entry.approx_bytes());
 }
 
 /// Different scales (or seeds) are different workloads: no false sharing.
