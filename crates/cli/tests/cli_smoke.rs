@@ -204,8 +204,8 @@ fn report_prints_a_table_and_convert_round_trips() {
 }
 
 /// The model reads no environment: its calibration constants are explicit
-/// parameters, so the `RPPM_*` variables that once overrode them, set to
-/// non-default values, leave a prediction run byte-identical.
+/// parameters, so setting the `RPPM_*` calibration variables to
+/// non-default values leaves a prediction run byte-identical.
 #[test]
 fn import_ignores_calibration_environment() {
     const VARS: [(&str, &str); 5] = [

@@ -879,11 +879,11 @@ mod tests {
         let out = sweep(&prep, &space, &Constraints::none(), &[0.0, 0.05], 2).unwrap();
         assert_eq!(out.points, space.len());
         assert_eq!(out.feasible, space.len());
-        // The best point's time matches the scalar prediction of the same
+        // The best point's time matches the full prediction of the same
         // configuration bit for bit.
         let cfg = space.config(out.best.index);
-        let scalar = crate::predict(prep.profile(), &cfg);
-        assert_eq!(out.best.seconds.to_bits(), scalar.total_seconds.to_bits());
+        let full = prep.predict(&cfg);
+        assert_eq!(out.best.seconds.to_bits(), full.total_seconds.to_bits());
         // Candidate counts are monotone in the bound and include the best.
         assert!(out.candidates[0].1 >= 1);
         assert!(out.candidates[1].1 >= out.candidates[0].1);

@@ -16,6 +16,10 @@
 //!    variables, creation/join) over the predicted epoch times, yielding
 //!    idle-time, total execution time and the predicted parallel schedule.
 //!
+//! Both phases evaluate over a [`PreparedProfile`]: the state derived once
+//! from a profile (deduplicated epochs and their StatStack models). The
+//! profile-once cache ([`ProfileCache`]) builds one per profiling run.
+//!
 //! The naive baselines the paper compares against ([`predict_main`],
 //! [`predict_crit`]), bottlegraph analysis ([`Bottlegraph`]), design-space
 //! exploration helpers ([`evaluate_choice`]) and the Table I

@@ -14,7 +14,7 @@
 //! Algorithm 2's clock arithmetic: predicted epoch times, library overhead
 //! counted as active time, spawn latency, and idle time for every wait.
 //!
-//! Two entry points share one engine: [`execute`] (the scalar path —
+//! Two entry points share one engine: [`execute`] (full predictions —
 //! records per-thread active intervals for bottlegraphs) and the
 //! crate-internal `execute_total` used by the batched design-space sweep,
 //! which borrows the epoch/event slices, reuses a `SymScratch` across

@@ -11,7 +11,7 @@
 //! arithmetic expression of [`crate::EpochProfile::ilp_at`] /
 //! [`crate::EpochProfile::mlp_at`] — same clamps, same comparison
 //! boundaries, same operation order — so batched predictions are
-//! bit-identical to scalar ones. The property tests below pin this.
+//! bit-identical to single ones. The property tests below pin this.
 
 use crate::microtrace::LOAD_LAT_GRID;
 use crate::EpochProfile;
@@ -75,8 +75,8 @@ pub fn ln_window(window: u32) -> (f64, f64) {
 
 /// Precomputed interpolation tables for one epoch's ILP and MLP curves.
 ///
-/// Built once per epoch by `PreparedProfile` (in `rppm-core`) and evaluated
-/// once per `(epoch, configuration)` cell of a batched sweep.
+/// Built once per distinct epoch by each `BatchedEq1` sweep evaluator (in
+/// `rppm-core`) and evaluated once per `(epoch, configuration)` cell.
 #[derive(Debug, Clone, Default)]
 pub struct EpochCurves {
     ilp: Vec<CurveTable>,

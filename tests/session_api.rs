@@ -6,7 +6,7 @@ use rppm::core::{PreparedProfile, ProfileKey};
 use rppm::prelude::*;
 use rppm::trace::{BlockSpec, Program, ProgramBuilder, ProgramError, Segment, TraceFileError};
 use std::error::Error as StdError;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// The acceptance-criterion test: two predictions on different machine
 /// configurations profile the workload exactly once — measured both at
@@ -48,11 +48,13 @@ fn two_predictions_profile_exactly_once() {
 fn concurrent_predictions_share_one_preparation() {
     let session = Session::builder().jobs(2).build();
     let configs: Vec<MachineConfig> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
+    let start = Barrier::new(4);
     let (prepared, totals): (Vec<Arc<PreparedProfile>>, Vec<Vec<u64>>) = std::thread::scope(|s| {
         let threads: Vec<_> = (0..4)
             .map(|caller| {
-                let (session, configs) = (&session, &configs);
+                let (session, configs, start) = (&session, &configs, &start);
                 s.spawn(move || {
+                    start.wait();
                     let handle = session
                         .workload("hotspot")
                         .expect("catalog")
@@ -123,8 +125,16 @@ fn reprofiling_an_evicted_workload_prepares_it_once_more() {
     assert_eq!(session.cache_evictions(), 1);
     assert!(session.cache().peek(&key).is_none());
 
+    let start = Barrier::new(3);
     let again: Vec<_> = std::thread::scope(|s| {
-        let threads: Vec<_> = (0..3).map(|_| s.spawn(hotspot)).collect();
+        let threads: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    hotspot()
+                })
+            })
+            .collect();
         threads
             .into_iter()
             .map(|t| t.join().expect("caller panicked"))
