@@ -260,10 +260,9 @@ impl ProfileCache {
     /// with `build`, then profiling and preparing it on first use.
     /// Concurrent callers for the same key block until the single
     /// profiling run finishes; callers for different keys proceed in
-    /// parallel. Under a [`CacheBudget`],
-    /// completing a fresh profile may evict least-recently-used resident
-    /// entries (the returned workload itself is never the victim of its
-    /// own insertion).
+    /// parallel. Under a [`CacheBudget`], completing a fresh profile may
+    /// evict least-recently-used resident entries (the returned workload
+    /// itself is never the victim of its own insertion).
     pub fn get_or_profile(
         &self,
         key: ProfileKey,
