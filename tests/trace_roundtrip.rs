@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rppm::prelude::*;
 use rppm::trace::{
-    export_program, export_program_binary, import_program, import_program_binary, AddressPattern,
-    BlockSpec, BranchPattern,
+    export_program, export_program_binary, export_program_ops, import_program,
+    import_program_binary, AddressPattern, BlockSpec, BranchPattern,
 };
 
 /// Builds a structurally valid multi-threaded program from sampled scalars:
@@ -223,5 +223,21 @@ fn committed_binary_example_matches_json_twin() {
         export_program_binary(&json).expect("re-encodes"),
         "RPT1 byte layout changed: bump BINARY_TRACE_VERSION and regenerate \
          examples/traces/mini.rpt with trace_convert"
+    );
+
+    // The version-3 twin (`rppm convert mini.json mini.ops.rpt --to ops`)
+    // carries the same program beside its recorded op stream, and its
+    // bytes pin the op-stream writer the same way.
+    let ops = rppm::trace::read_program_any(dir.join("mini.ops.rpt")).expect("v3 twin imports");
+    assert_eq!(
+        json, ops,
+        "the op-stream container must carry the same program"
+    );
+    let bytes = std::fs::read(dir.join("mini.ops.rpt")).expect("committed v3 container exists");
+    assert_eq!(
+        bytes,
+        export_program_ops(&json).expect("records"),
+        "op-stream byte layout changed: bump BINARY_TRACE_VERSION and regenerate \
+         examples/traces/mini.ops.rpt with `rppm convert --to ops`"
     );
 }
