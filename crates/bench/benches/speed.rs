@@ -10,7 +10,7 @@ use rppm_core::{execute, predict, PreparedProfile, ThreadTimeline};
 use rppm_profiler::profile;
 use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
-use rppm_trace::{BlockItem, CursorItem, DesignPoint, Rng, SyncOp, ThreadCursor};
+use rppm_trace::{BlockItem, DesignPoint, Rng, SyncOp, ThreadCursor};
 use rppm_workloads::{by_name, Params};
 
 fn cursor(c: &mut Criterion) {
@@ -24,25 +24,9 @@ fn cursor(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("cursor");
     g.sample_size(10);
-    // The shared trace cursor, driven one op at a time the way the
-    // profiler and simulator historically did (item + advance per op).
-    g.bench_function("walk_per_op_hotspot_0.1", |b| {
-        b.iter(|| {
-            let mut ops: u64 = 0;
-            for script in &std::hint::black_box(&program).threads {
-                let mut cur = ThreadCursor::new(script);
-                while let Some(item) = cur.item() {
-                    if let CursorItem::Op(op) = item {
-                        ops = ops.wrapping_add(op.line ^ op.code_line);
-                    }
-                    cur.advance();
-                }
-            }
-            ops
-        })
-    });
-    // The zero-copy block API the profiler and simulator now drive:
-    // whole-block slices lent straight out of the expansion buffer.
+    // The zero-copy block API the profiler and simulator drive: runs of
+    // ops lent straight out of the expansion buffer. This walk is the
+    // expansion floor both engines share.
     g.bench_function("walk_blocks_hotspot_0.1", |b| {
         b.iter(|| {
             let mut acc: u64 = 0;
@@ -108,8 +92,6 @@ fn opstream(c: &mut Criterion) {
     };
     let program = bench.build(&params);
     let ops = rppm_trace::export_program_ops(&program).expect("records");
-    let path = std::env::temp_dir().join(format!("rppm-bench-opstream-{}.rpt", std::process::id()));
-    std::fs::write(&path, &ops).expect("write op stream");
 
     let mut g = c.benchmark_group("opstream");
     g.sample_size(10);
@@ -119,19 +101,7 @@ fn opstream(c: &mut Criterion) {
     g.bench_function("record_ops_hotspot_0.1", |b| {
         b.iter(|| rppm_trace::export_program_ops(std::hint::black_box(&program)).unwrap())
     });
-    // Import throughput of a recorded stream: the full trusting-nobody
-    // open (header decode, section scan, recorded-vs-decoded cross-check).
-    g.bench_function("open_replay_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::OpReplay::open(std::hint::black_box(&path)).unwrap())
-    });
-    // Out-of-core profiling: replayed chunks must stay near the in-memory
-    // expansion speed (gated against pipeline/profile_hotspot_0.1).
-    let replay = rppm_trace::OpReplay::open(&path).expect("open");
-    g.bench_function("profile_replay_hotspot_0.1", |b| {
-        b.iter(|| profile(std::hint::black_box(&replay)))
-    });
     g.finish();
-    let _ = std::fs::remove_file(&path);
     eprintln!(
         "  (recorded op stream: {} bytes for {} ops)",
         ops.len(),

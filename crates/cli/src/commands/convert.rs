@@ -13,9 +13,11 @@ output extension: .rpt / .bin write binary, everything else writes JSON.
 Conversion is lossless both ways.
 
 --ops (or --to ops) writes a version-3 RPT1 container that additionally
-records the fully expanded micro-op stream, so profiling and simulation can
-replay it out-of-core without re-expansion (`rppm trace-info` shows the
-op-run/op-sync/op-meta sections).";
+records the fully expanded micro-op stream after the program sections, for
+tools that consume raw micro-ops (`rppm trace-info` shows the
+op-run/op-sync/op-meta sections). Every rppm reader takes the program
+from such a file and checks the op sections' structure; profiling and
+simulation always expand the program.";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {

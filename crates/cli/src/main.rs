@@ -32,7 +32,7 @@ commands:
   import [args]           predict trace files across all design points, or
                           export a catalog workload as a trace file
   convert IN OUT          convert a trace between the JSON and RPT1 containers
-                          (--ops records a replayable micro-op stream)
+                          (--to ops also records the expanded micro-ops)
   trace-info FILE...      inspect RPT1 containers: version, per-section byte
                           counts, recorded op-stream totals
   dse WORKLOAD [args]     sweep a 10^5-point design space from one profile:
@@ -45,8 +45,6 @@ commands:
                           CRITERION_JSON capture for `rppm bench guard`
   golden diff|update      accuracy-regression gate over results/golden/
   bench guard FRESH.json  perf-regression gate over BENCH_speed.json ratios
-  bench rss [args]        peak-RSS of in-memory vs out-of-core profiling,
-                          merged into the same capture as rss/* rows
   help                    show this message
 
 run `rppm <command> --help` for each command's usage.";

@@ -291,7 +291,7 @@ impl ProfileCache {
                 self.profiled.fetch_add(1, Ordering::Release);
                 fresh = true;
                 let program = build();
-                let prof = Arc::new(profile(&*program));
+                let prof = Arc::new(profile(&program));
                 let prepared = Arc::new(PreparedProfile::new(Arc::clone(&prof)));
                 ProfiledWorkload {
                     program,

@@ -1,6 +1,6 @@
 //! Microarchitecture-independent workload profiler (the Pin-tool analog).
 //!
-//! [`profile()`] replays a multi-threaded workload once on a unit-cost
+//! [`profile()`] executes a multi-threaded workload once on a unit-cost
 //! abstract machine and collects everything RPPM needs to predict its
 //! performance on *any* multicore configuration:
 //!

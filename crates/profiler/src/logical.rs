@@ -1,7 +1,7 @@
 //! The profiling executor.
 //!
 //! The paper's profiler observes a real multi-threaded execution under Pin.
-//! Our trace-driven equivalent replays the workload on a *unit-cost abstract
+//! Our trace-driven equivalent executes the workload on a *unit-cost abstract
 //! machine*: every micro-op costs one tick and synchronization has its usual
 //! semantics, so threads interleave the way a timing-agnostic balanced
 //! execution would. This interleaving drives the global reuse-distance
@@ -16,6 +16,8 @@
 //! and Algorithm 2 use. What stays here is the profiler's own clock
 //! arithmetic: an epoch is cut at every event, and a created child starts
 //! at its creator's tick (the unit-cost machine has no spawn latency).
+//! Each thread's micro-ops come from one [`ThreadCursor`], which expands
+//! the program's blocks on the fly and lends them out a chunk at a time.
 
 use crate::microtrace::{self, LOAD_LAT_GRID, WINDOWS};
 use crate::profile::{ApplicationProfile, EpochProfile, ThreadProfile};
@@ -23,7 +25,7 @@ use rppm_branch_model::EntropyCollector;
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, ReuseTracker};
 use rppm_trace::op::NUM_OP_CLASSES;
 use rppm_trace::{
-    BlockItem, EventQueue, ExecSource, MicroOp, OpClass, Step, SyncCore, SyncOp, ThreadCursor,
+    BlockItem, EventQueue, MicroOp, OpClass, Program, Step, SyncCore, SyncOp, ThreadCursor,
     ThreadStatus,
 };
 
@@ -39,18 +41,16 @@ const MICROTRACE_LEN: u64 = 512;
 /// period shrinks proportionally).
 const SAMPLE_PERIOD: u64 = 10_000;
 
-/// Profiles `source` — an expansion-backed [`Program`](rppm_trace::Program)
-/// or an out-of-core [`OpReplay`](rppm_trace::OpReplay) — producing its
-/// microarchitecture-independent [`ApplicationProfile`]. Both sources of
-/// the same program yield bit-identical profiles (pinned by the
-/// differential suite in `tests/replay_differential.rs`).
+/// Profiles `program`, producing its microarchitecture-independent
+/// [`ApplicationProfile`]. Each thread's blocks are expanded on the fly by
+/// a [`ThreadCursor`].
 ///
 /// # Panics
 ///
 /// Panics if the program is structurally invalid or deadlocks.
-pub fn profile<S: ExecSource>(source: &S) -> ApplicationProfile {
-    source.validate().expect("invalid program");
-    Profiler::new(source).run()
+pub fn profile(program: &Program) -> ApplicationProfile {
+    program.validate().expect("invalid program");
+    Profiler::new(program).run()
 }
 
 /// Accumulates one epoch's statistics for one thread.
@@ -179,8 +179,8 @@ struct ThreadState {
     events: Vec<SyncOp>,
 }
 
-struct Profiler<'p, S: ExecSource> {
-    source: &'p S,
+struct Profiler<'p> {
+    program: &'p Program,
     /// Per-thread stream cursors, parallel to `threads`. Kept separate so
     /// the zero-copy op slices a cursor lends out can be iterated while
     /// the thread's statistics (and the shared memory collector) are
@@ -195,10 +195,10 @@ struct Profiler<'p, S: ExecSource> {
     ready: EventQueue,
 }
 
-impl<'p, S: ExecSource> Profiler<'p, S> {
-    fn new(source: &'p S) -> Self {
-        let n = source.num_threads();
-        let cursors = (0..n).map(|t| source.cursor(t)).collect();
+impl<'p> Profiler<'p> {
+    fn new(program: &'p Program) -> Self {
+        let n = program.num_threads();
+        let cursors = program.threads.iter().map(ThreadCursor::new).collect();
         let threads = (0..n)
             .map(|_| ThreadState {
                 tick: 0,
@@ -211,11 +211,11 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
             })
             .collect();
         Profiler {
-            source,
+            program,
             cursors,
             threads,
             mem: MultiThreadCollector::new(n),
-            sync: SyncCore::for_source(source),
+            sync: SyncCore::for_program(program),
             wake: Vec::new(),
             ready: EventQueue::new(),
         }
@@ -349,8 +349,7 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
                         // Every op costs one tick, so the chunk budget
                         // translates directly into an op count. A thread
                         // arriving at/over the limit (a sync event can jump
-                        // its tick forward) still makes one op of progress,
-                        // matching the per-op cursor's behaviour.
+                        // its tick forward) still makes one op of progress.
                         let th = &mut threads[i];
                         let budget = limit.saturating_sub(th.tick).max(1) as usize;
                         let take = ops.len().min(budget);
@@ -370,10 +369,10 @@ impl<'p, S: ExecSource> Profiler<'p, S> {
                 self.ready.post(self.threads[i].tick, i);
             }
         }
-        self.sync.assert_finished(self.source.name());
+        self.sync.assert_finished(&self.program.name);
 
         ApplicationProfile {
-            name: self.source.name().to_string(),
+            name: self.program.name.clone(),
             threads: self
                 .threads
                 .into_iter()

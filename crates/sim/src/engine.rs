@@ -16,14 +16,15 @@
 //! stall component — plus the active intervals and [`SyncEventCounts`].
 //!
 //! One entry point covers every combination: [`simulate_with`] takes the
-//! source ([`Program`] or [`OpReplay`](rppm_trace::OpReplay)), the
-//! [`SimEngine`] (the optimized [`CoreModel`] or the pinned naive dispatch
-//! in [`crate::reference`]) and a [`SimProbe`] ([`NoProbe`], or a
-//! [`ProfileCollector`] as in [`simulate_profiled`]); [`simulate`] is the
-//! common case. Both type parameters monomorphize away. Uninterrupted op
-//! runs are handed to the core as whole zero-copy block slices
-//! (`CoreTiming::run_ops`), keeping the per-op quantum bookkeeping out of
-//! this loop; the cold synchronization path stays here.
+//! [`Program`], the [`SimEngine`] (the optimized [`CoreModel`] or the
+//! pinned naive dispatch in [`crate::reference`]) and a [`SimProbe`]
+//! ([`NoProbe`], or a [`ProfileCollector`] as in [`simulate_profiled`]);
+//! [`simulate`] is the common case. Both the core and the probe type
+//! monomorphize away. Each thread is walked by one [`ThreadCursor`] that
+//! expands its blocks on the fly; uninterrupted op runs are handed to the
+//! core as whole zero-copy block slices (`CoreTiming::run_ops`), keeping
+//! the per-op quantum bookkeeping out of this loop; the cold
+//! synchronization path stays here.
 
 use crate::core::{CoreCounters, CoreModel};
 use crate::mem::MemorySystem;
@@ -31,8 +32,8 @@ use crate::reference::ReferenceCore;
 use crate::simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile};
 use rppm_trace::sync::SyncCategory;
 use rppm_trace::{
-    BlockItem, CpiStack, EventQueue, ExecSource, MachineConfig, MicroOp, Program, Step, SyncCore,
-    SyncOp, ThreadCursor, ThreadStatus,
+    BlockItem, CpiStack, EventQueue, MachineConfig, MicroOp, Program, Step, SyncCore, SyncOp,
+    ThreadCursor, ThreadStatus,
 };
 
 /// Scheduling quantum in cycles.
@@ -254,27 +255,26 @@ pub enum SimEngine {
 /// [`Program::validate`]), uses more threads than the machine has cores, or
 /// deadlocks (e.g. consuming from a queue nothing ever produces).
 pub fn simulate(program: &Program, config: &MachineConfig) -> SimResult {
-    run_simulation::<CoreModel, _, _>(program, config, &mut NoProbe)
+    run_simulation::<CoreModel, _>(program, config, &mut NoProbe)
 }
 
-/// Simulates `source` — an expansion-backed [`Program`] or an out-of-core
-/// [`OpReplay`](rppm_trace::OpReplay) — on `config` through `engine`, with
-/// `probe` observing the dispatch loop. The result never depends on the
-/// probe, and is bit-identical across sources and engines (pinned by the
-/// `sim_equivalence` and `replay_differential` suites).
+/// Simulates `program` on `config` through `engine`, with `probe`
+/// observing the dispatch loop. The result never depends on the probe, and
+/// is bit-identical across engines (pinned by the `sim_equivalence`
+/// suite).
 ///
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-pub fn simulate_with<S: ExecSource, P: SimProbe>(
-    source: &S,
+pub fn simulate_with<P: SimProbe>(
+    program: &Program,
     config: &MachineConfig,
     engine: SimEngine,
     probe: &mut P,
 ) -> SimResult {
     match engine {
-        SimEngine::Fused => run_simulation::<CoreModel, _, _>(source, config, probe),
-        SimEngine::Reference => run_simulation::<ReferenceCore, _, _>(source, config, probe),
+        SimEngine::Fused => run_simulation::<CoreModel, _>(program, config, probe),
+        SimEngine::Reference => run_simulation::<ReferenceCore, _>(program, config, probe),
     }
 }
 
@@ -285,41 +285,41 @@ pub fn simulate_with<S: ExecSource, P: SimProbe>(
 /// # Panics
 ///
 /// Same conditions as [`simulate`].
-pub fn simulate_profiled<S: ExecSource>(
-    source: &S,
+pub fn simulate_profiled(
+    program: &Program,
     config: &MachineConfig,
     engine: SimEngine,
 ) -> (SimResult, SimProfile) {
     let mut collector = ProfileCollector::new();
-    let result = simulate_with(source, config, engine, &mut collector);
+    let result = simulate_with(program, config, engine, &mut collector);
     (result, collector.into_profile())
 }
 
 /// Validates inputs and runs the engine with the given timing model and
-/// probe over any [`ExecSource`].
-fn run_simulation<C: CoreTiming, S: ExecSource, P: SimProbe>(
-    source: &S,
+/// probe.
+fn run_simulation<C: CoreTiming, P: SimProbe>(
+    program: &Program,
     config: &MachineConfig,
     probe: &mut P,
 ) -> SimResult {
-    source.validate().expect("invalid program");
+    program.validate().expect("invalid program");
     config.validate().expect("invalid machine configuration");
     // RPPM assumes one thread per core. One extra thread is tolerated to
     // support the common Parsec structure (a main thread that spawns
     // `cores` workers and then sleeps in join); it gets its own private
     // hierarchy, which is harmless as long as it stays quiescent.
     assert!(
-        source.num_threads() <= config.cores as usize + 1,
+        program.num_threads() <= config.cores as usize + 1,
         "RPPM assumes one thread per core: {} threads > {} cores",
-        source.num_threads(),
+        program.num_threads(),
         config.cores
     );
-    Engine::<C, S>::new(source, config).run(probe)
+    Engine::<C>::new(program, config).run(probe)
 }
 
-struct Engine<'p, C, S: ExecSource> {
+struct Engine<'p, C> {
     config: &'p MachineConfig,
-    source: &'p S,
+    program: &'p Program,
     /// Per-thread stream cursors, parallel to `threads`. Kept separate so
     /// the zero-copy op slices a cursor lends out can be fed to a core
     /// model while the shared memory system is mutated.
@@ -336,10 +336,10 @@ struct Engine<'p, C, S: ExecSource> {
     queue: EventQueue,
 }
 
-impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
-    fn new(source: &'p S, config: &'p MachineConfig) -> Self {
-        let n = source.num_threads();
-        let cursors = (0..n).map(|t| source.cursor(t)).collect();
+impl<'p, C: CoreTiming> Engine<'p, C> {
+    fn new(program: &'p Program, config: &'p MachineConfig) -> Self {
+        let n = program.num_threads();
+        let cursors = program.threads.iter().map(ThreadCursor::new).collect();
         let threads = (0..n)
             .map(|_| ThreadCtx {
                 core: C::new(config, 0.0),
@@ -350,11 +350,11 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
             .collect();
         Engine {
             config,
-            source,
+            program,
             cursors,
             threads,
             mem: MemorySystem::with_cores(config, n.max(1)),
-            sync: SyncCore::for_source(source),
+            sync: SyncCore::for_program(program),
             wake: Vec::new(),
             counts: SyncEventCounts::default(),
             queue: EventQueue::new(),
@@ -497,7 +497,7 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
                 self.queue.post_at(self.threads[i].core.time(), i);
             }
         }
-        self.sync.assert_finished(self.source.name());
+        self.sync.assert_finished(&self.program.name);
 
         for (i, th) in self.threads.iter().enumerate() {
             let (dispatches, fused) = th.core.dispatch_stats();
@@ -549,7 +549,7 @@ impl<'p, C: CoreTiming, S: ExecSource> Engine<'p, C, S> {
             intervals.push(th.intervals.clone());
         }
         SimResult {
-            program: self.source.name().to_string(),
+            program: self.program.name.clone(),
             config: self.config.name.clone(),
             total_cycles,
             total_seconds: self.config.cycles_to_seconds(total_cycles),

@@ -11,8 +11,9 @@
 //! [`SimEngine::Reference`](crate::SimEngine::Reference) selects this core
 //! in [`simulate_with`](crate::simulate_with) and
 //! [`simulate_profiled`](crate::simulate_profiled); everything else — the
-//! engine loop, the shared synchronization core, the memory system — is
-//! the one the optimized core runs under. The differential proptest suite
+//! engine loop, the expansion cursor feeding it, the shared
+//! synchronization core, the memory system — is the one the optimized
+//! core runs under. The differential proptest suite
 //! (`tests/sim_equivalence.rs`) and a `bench_guard` ratio pin the optimized
 //! path bit-identical and measurably faster. The committed "before" profile
 //! artifact under `results/` is collected through this core (no fusion:

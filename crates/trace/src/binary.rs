@@ -26,7 +26,7 @@
 //!
 //! Version 3 adds three *op-stream* section kinds carrying the recorded
 //! raw [`MicroOp`](crate::MicroOp) stream (see [`crate::ops`] for their
-//! payload encodings and the record/replay machinery):
+//! payload encodings and the recorder):
 //!
 //! | tag | name    | payload |
 //! |-----|---------|---------|
@@ -40,6 +40,15 @@
 //! [`TraceFileError::Truncated`] — every section is length-prefixed, so a
 //! partial write can never be misread as a complete trace.
 //!
+//! These rules, and the per-section checks (thread ids in range, no empty
+//! segment or `op-run` sections, no excess bytes in the fixed-layout
+//! sections, op-stream totals that match the `op-meta` section, an end
+//! count that matches the segments), live in one place that every reader
+//! applies: the streaming [`TraceReader`] here and the section-indexed
+//! readers in [`crate::ops`]. A container is accepted or rejected the same
+//! way whichever reader sees it. No reader decodes the recorded micro-ops;
+//! the profiler and the simulators execute the program sections.
+//!
 //! Segment records use **varint** (LEB128) encoding for integers and
 //! **delta + zigzag** encoding for the address-like fields that grow
 //! monotonically across a thread's stream: data-region base addresses,
@@ -51,8 +60,7 @@
 //! thread split over many ops sections costs nothing extra; version 3
 //! resets it at every section boundary instead, which costs a few bytes
 //! per section but makes every section independently decodable — the
-//! property the section-parallel importer and the out-of-core replay
-//! cursors in [`crate::ops`] are built on.
+//! property the section-parallel importer in [`crate::ops`] is built on.
 //!
 //! # Versioning policy
 //!
@@ -120,7 +128,7 @@ pub(crate) const MAX_SECTION_BYTES: u64 = 1 << 26; // 64 MiB
 /// Upper bound on a declared thread count, for the same reason: the reader
 /// allocates per-thread state up front, and a corrupt header must not turn
 /// that into an unbounded allocation.
-pub(crate) const MAX_THREADS: u64 = 1 << 20;
+const MAX_THREADS: u64 = 1 << 20;
 
 pub(crate) const TAG_HEADER: u64 = 1;
 pub(crate) const TAG_OPS: u64 = 2;
@@ -846,6 +854,246 @@ pub(crate) fn decode_segment(
 }
 
 // ---------------------------------------------------------------------------
+// Section rules (shared by every section walker)
+
+/// What [`SectionRules::check`] found a section to be.
+#[derive(Debug)]
+pub(crate) enum Section {
+    /// A program (tag-2) section for `thread` holding `count` segment
+    /// records, which start `head` bytes into its payload.
+    Segments {
+        thread: u32,
+        count: u64,
+        head: usize,
+    },
+    /// A version-3 op-stream section (tags 4–6), checked and tallied.
+    OpStream,
+    /// The end section: nothing may follow it.
+    End,
+}
+
+/// Op-stream totals declared by an `op-meta` section.
+#[derive(Debug, PartialEq)]
+struct OpMeta {
+    runs: u64,
+    ops: u64,
+    syncs: u64,
+    per_thread: Vec<u64>,
+}
+
+/// The structural rules of an `RPT1` section sequence, in one place.
+///
+/// Both section walkers feed every section through here: the streaming
+/// [`TraceReader`] (behind [`read_program_any`] and [`read_program_stream`])
+/// and the indexed scan in [`crate::ops`] (behind
+/// [`crate::read_program_sections`] and [`crate::container_info`]). So a
+/// container is accepted or rejected the same way whichever reader sees it.
+/// Program (tag-2) and `op-run` payloads may be passed as a prefix: the
+/// rules read only their thread and count, and the segment decoder checks
+/// the records that follow. Every other payload is passed whole.
+#[derive(Debug)]
+pub(crate) struct SectionRules {
+    pub(crate) version: u32,
+    pub(crate) name: String,
+    pub(crate) num_threads: u32,
+    /// Segments declared across the program sections so far.
+    pub(crate) segments: u64,
+    /// Op-stream tallies: `op-run` sections, ops per thread, sync events.
+    run_sections: u64,
+    pub(crate) per_thread_ops: Vec<u64>,
+    pub(crate) syncs: u64,
+    meta: Option<OpMeta>,
+}
+
+impl SectionRules {
+    /// Starts a container of `version` from its first section, which must
+    /// be the header.
+    pub(crate) fn new(version: u32, tag: u64, payload: &[u8]) -> Result<Self, TraceFileError> {
+        if tag != TAG_HEADER {
+            return Err(TraceFileError::Corrupt {
+                detail: format!("first section has tag {tag}, expected header (tag {TAG_HEADER})"),
+            });
+        }
+        let mut b = Bytes::new(payload);
+        let name_len = b.varint("the workload name length")?;
+        if name_len > b.remaining() as u64 {
+            return Err(TraceFileError::Truncated {
+                context: "the workload name".to_string(),
+            });
+        }
+        let name_bytes = &payload[b.pos..b.pos + name_len as usize];
+        let name = std::str::from_utf8(name_bytes)
+            .map_err(|_| TraceFileError::Corrupt {
+                detail: "workload name is not valid UTF-8".to_string(),
+            })?
+            .to_string();
+        b.pos += name_len as usize;
+        let num_threads = b.varint_u32("the thread count")?;
+        if num_threads as u64 > MAX_THREADS {
+            return Err(TraceFileError::Corrupt {
+                detail: format!("header declares {num_threads} threads (limit {MAX_THREADS})"),
+            });
+        }
+        Ok(SectionRules {
+            version,
+            name,
+            num_threads,
+            segments: 0,
+            run_sections: 0,
+            per_thread_ops: vec![0; num_threads as usize],
+            syncs: 0,
+            meta: None,
+        })
+    }
+
+    /// Whether any op-stream section has been seen.
+    pub(crate) fn has_op_stream(&self) -> bool {
+        self.meta.is_some() || self.run_sections > 0 || self.syncs > 0
+    }
+
+    fn in_range(&self, thread: u32, kind: &str) -> Result<u32, TraceFileError> {
+        if thread >= self.num_threads {
+            return Err(TraceFileError::Corrupt {
+                detail: format!(
+                    "{kind} section for thread {thread}, but the header declares only {} \
+                     threads",
+                    self.num_threads
+                ),
+            });
+        }
+        Ok(thread)
+    }
+
+    fn no_excess(b: &Bytes<'_>, what: &str) -> Result<(), TraceFileError> {
+        match b.remaining() {
+            0 => Ok(()),
+            n => Err(TraceFileError::Corrupt {
+                detail: format!("{n} excess bytes at the end of {what}"),
+            }),
+        }
+    }
+
+    /// Checks one section after the header and tallies it.
+    pub(crate) fn check(&mut self, tag: u64, payload: &[u8]) -> Result<Section, TraceFileError> {
+        if (TAG_OP_RUN..=TAG_OP_META).contains(&tag) && self.version < OPS_MIN_VERSION {
+            return Err(TraceFileError::Corrupt {
+                detail: format!(
+                    "op-stream section tag {tag} requires container version 3, but the \
+                     stream declares version {}",
+                    self.version
+                ),
+            });
+        }
+        let mut b = Bytes::new(payload);
+        match tag {
+            TAG_HEADER => Err(TraceFileError::Corrupt {
+                detail: "duplicate header section".to_string(),
+            }),
+            TAG_OPS => {
+                let thread = self.in_range(b.varint_u32("an ops-section thread id")?, "ops")?;
+                let count = b.varint("an ops-section segment count")?;
+                if count == 0 {
+                    return Err(TraceFileError::Corrupt {
+                        detail: "empty segment section".to_string(),
+                    });
+                }
+                self.segments += count;
+                Ok(Section::Segments {
+                    thread,
+                    count,
+                    head: b.pos,
+                })
+            }
+            TAG_OP_RUN => {
+                let thread = self.in_range(b.varint_u32("an op-run thread id")?, "op-run")?;
+                let ops = b.varint("an op-run op count")?;
+                if ops == 0 {
+                    return Err(TraceFileError::Corrupt {
+                        detail: "empty op-run section".to_string(),
+                    });
+                }
+                self.per_thread_ops[thread as usize] += ops;
+                self.run_sections += 1;
+                Ok(Section::OpStream)
+            }
+            TAG_OP_SYNC => {
+                self.in_range(b.varint_u32("an op-sync thread id")?, "op-sync")?;
+                match decode_segment(&mut b, &mut DeltaState::default(), self.version)? {
+                    Segment::Sync(_) => {}
+                    Segment::Block(_) => {
+                        return Err(TraceFileError::Corrupt {
+                            detail: "op-sync section does not hold a sync event".to_string(),
+                        })
+                    }
+                }
+                Self::no_excess(&b, "an op-sync section")?;
+                self.syncs += 1;
+                Ok(Section::OpStream)
+            }
+            TAG_OP_META => {
+                if self.meta.is_some() {
+                    return Err(TraceFileError::Corrupt {
+                        detail: "duplicate op-meta section".to_string(),
+                    });
+                }
+                let runs = b.varint("the op-meta run-section count")?;
+                let ops = b.varint("the op-meta total op count")?;
+                let syncs = b.varint("the op-meta total sync count")?;
+                let per_thread = (0..self.num_threads)
+                    .map(|_| b.varint("an op-meta per-thread op count"))
+                    .collect::<Result<_, _>>()?;
+                Self::no_excess(&b, "the op-meta section")?;
+                self.meta = Some(OpMeta {
+                    runs,
+                    ops,
+                    syncs,
+                    per_thread,
+                });
+                Ok(Section::OpStream)
+            }
+            TAG_END => {
+                let declared = b.varint("the end-section segment count")?;
+                Self::no_excess(&b, "the end section")?;
+                if declared != self.segments {
+                    return Err(TraceFileError::Corrupt {
+                        detail: format!(
+                            "trace declares {declared} segments, but its sections carry {}",
+                            self.segments
+                        ),
+                    });
+                }
+                if let Some(meta) = &self.meta {
+                    let counted = OpMeta {
+                        runs: self.run_sections,
+                        ops: self.per_thread_ops.iter().sum(),
+                        syncs: self.syncs,
+                        per_thread: self.per_thread_ops.clone(),
+                    };
+                    if *meta != counted {
+                        return Err(TraceFileError::Corrupt {
+                            detail: format!(
+                                "op-meta section disagrees with the op sections (meta: {} runs \
+                                 / {} ops / {} syncs; sections: {} runs / {} ops / {} syncs)",
+                                meta.runs,
+                                meta.ops,
+                                meta.syncs,
+                                counted.runs,
+                                counted.ops,
+                                counted.syncs
+                            ),
+                        });
+                    }
+                }
+                Ok(Section::End)
+            }
+            _ => Err(TraceFileError::Corrupt {
+                detail: format!("unknown section tag {tag}"),
+            }),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Streaming reader
 
 /// Streaming binary trace reader.
@@ -857,15 +1105,12 @@ pub(crate) fn decode_segment(
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
-    version: u32,
-    name: String,
-    num_threads: u32,
+    rules: SectionRules,
     deltas: Vec<DeltaState>,
     section: Vec<u8>,
     section_pos: usize,
     section_thread: u32,
     section_remaining: u64,
-    segments_seen: u64,
     done: bool,
 }
 
@@ -892,61 +1137,33 @@ impl<R: Read> TraceReader<R> {
                 supported: BINARY_TRACE_VERSION,
             });
         }
-        let version = version as u32;
         let (tag, payload) = read_section(&mut source, "the header section")?;
-        if tag != TAG_HEADER {
-            return Err(TraceFileError::Corrupt {
-                detail: format!("first section has tag {tag}, expected header (tag {TAG_HEADER})"),
-            });
-        }
-        let mut b = Bytes::new(&payload);
-        let name_len = b.varint("the workload name length")?;
-        if b.pos as u64 + name_len > payload.len() as u64 {
-            return Err(TraceFileError::Truncated {
-                context: "the workload name".to_string(),
-            });
-        }
-        let name_bytes = &payload[b.pos..b.pos + name_len as usize];
-        let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| TraceFileError::Corrupt {
-                detail: "workload name is not valid UTF-8".to_string(),
-            })?
-            .to_string();
-        b.pos += name_len as usize;
-        let num_threads = b.varint_u32("the thread count")?;
-        if num_threads as u64 > MAX_THREADS {
-            return Err(TraceFileError::Corrupt {
-                detail: format!("header declares {num_threads} threads (limit {MAX_THREADS})"),
-            });
-        }
+        let rules = SectionRules::new(version as u32, tag, &payload)?;
         Ok(TraceReader {
             source,
-            version,
-            name,
-            num_threads,
-            deltas: vec![DeltaState::default(); num_threads as usize],
+            deltas: vec![DeltaState::default(); rules.num_threads as usize],
+            rules,
             section: Vec::new(),
             section_pos: 0,
             section_thread: 0,
             section_remaining: 0,
-            segments_seen: 0,
             done: false,
         })
     }
 
     /// Container version declared by the stream.
     pub fn version(&self) -> u32 {
-        self.version
+        self.rules.version
     }
 
     /// Workload name recorded in the header.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.rules.name
     }
 
     /// Thread count recorded in the header.
     pub fn num_threads(&self) -> u32 {
-        self.num_threads
+        self.rules.num_threads
     }
 
     /// Yields the next `(thread, segment)` pair, or `None` once the end
@@ -962,44 +1179,25 @@ impl<R: Read> TraceReader<R> {
         }
         while self.section_remaining == 0 {
             let (tag, payload) = read_section(&mut self.source, "the next section")?;
-            match tag {
-                TAG_OPS => {
-                    let mut b = Bytes::new(&payload);
-                    let thread = b.varint_u32("an ops-section thread id")?;
-                    if thread >= self.num_threads {
-                        return Err(TraceFileError::Corrupt {
-                            detail: format!(
-                                "ops section for thread {thread}, but the header declares only \
-                                 {} threads",
-                                self.num_threads
-                            ),
-                        });
-                    }
-                    let count = b.varint("an ops-section segment count")?;
-                    if self.version >= OPS_MIN_VERSION {
+            match self.rules.check(tag, &payload)? {
+                Section::Segments {
+                    thread,
+                    count,
+                    head,
+                } => {
+                    if self.rules.version >= OPS_MIN_VERSION {
                         self.deltas[thread as usize] = DeltaState::default();
                     }
                     self.section_thread = thread;
                     self.section_remaining = count;
-                    self.section_pos = b.pos;
+                    self.section_pos = head;
                     self.section = payload;
                 }
-                TAG_OP_RUN | TAG_OP_SYNC | TAG_OP_META if self.version >= OPS_MIN_VERSION => {
-                    // Op-stream sections are replay payload, not program
-                    // structure; the program reader skips them (see
-                    // crate::ops for the reader that consumes them).
-                }
-                TAG_END => {
-                    let mut b = Bytes::new(&payload);
-                    let declared = b.varint("the total segment count")?;
-                    if declared != self.segments_seen {
-                        return Err(TraceFileError::Corrupt {
-                            detail: format!(
-                                "end section declares {declared} segments, but {} were read",
-                                self.segments_seen
-                            ),
-                        });
-                    }
+                // Op-stream sections record the expanded micro-ops beside
+                // the program; the rules checked their structure, and the
+                // program needs nothing else from them.
+                Section::OpStream => {}
+                Section::End => {
                     let mut probe = [0u8; 1];
                     let n = self
                         .source
@@ -1013,25 +1211,6 @@ impl<R: Read> TraceReader<R> {
                     self.done = true;
                     return Ok(None);
                 }
-                TAG_HEADER => {
-                    return Err(TraceFileError::Corrupt {
-                        detail: "duplicate header section".to_string(),
-                    })
-                }
-                TAG_OP_RUN | TAG_OP_SYNC | TAG_OP_META => {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "op-stream section tag {tag} requires container version 3, but the \
-                             stream declares version {}",
-                            self.version
-                        ),
-                    })
-                }
-                t => {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!("unknown section tag {t}"),
-                    })
-                }
             }
         }
         let mut b = Bytes::new(&self.section);
@@ -1039,11 +1218,10 @@ impl<R: Read> TraceReader<R> {
         let seg = decode_segment(
             &mut b,
             &mut self.deltas[self.section_thread as usize],
-            self.version,
+            self.rules.version,
         )?;
         self.section_pos = b.pos;
         self.section_remaining -= 1;
-        self.segments_seen += 1;
         if self.section_remaining == 0 && b.remaining() != 0 {
             return Err(TraceFileError::Corrupt {
                 detail: format!(
@@ -1062,7 +1240,7 @@ impl<R: Read> TraceReader<R> {
     /// Propagates every [`TraceReader::next_segment`] failure plus
     /// [`TraceFileError::InvalidProgram`] from validation.
     pub fn read_program(mut self) -> Result<Program, TraceFileError> {
-        let mut program = Program::new(self.name.clone(), self.num_threads as usize);
+        let mut program = Program::new(self.rules.name.clone(), self.rules.num_threads as usize);
         while let Some((thread, seg)) = self.next_segment()? {
             program.threads[thread as usize].segments.push(seg);
         }

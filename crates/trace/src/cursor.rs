@@ -1,9 +1,14 @@
 //! Streaming traversal of a thread's dynamic instruction stream.
+//!
+//! A [`ThreadCursor`] expands the parametric blocks of one [`ThreadScript`]
+//! into micro-ops on the fly, one cache-sized chunk at a time, and lends
+//! each chunk out as a zero-copy slice. It is the one way the profiler and
+//! both simulator engines walk a workload: they peek a run of ops or the
+//! next synchronization event, execute it, and say how far they got.
 
 use crate::block::BlockExpander;
 use crate::op::MicroOp;
-use crate::ops::ReplayCursor;
-use crate::program::{Program, ProgramError, Segment, ThreadScript};
+use crate::program::{Segment, ThreadScript};
 use crate::sync::SyncOp;
 
 /// Micro-ops expanded per refill of the cursor's buffer.
@@ -13,26 +18,15 @@ use crate::sync::SyncOp;
 /// thousand-op epoch blocks real workloads use writes hundreds of KB per
 /// block; with eight thread cursors interleaved per scheduling quantum that
 /// round-trips every op through host DRAM between expansion and simulation.
-pub(crate) const EXPAND_CHUNK: usize = 1024;
-
-/// The item currently under a [`ThreadCursor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CursorItem {
-    /// A micro-op (copied out of the lazily expanded block).
-    Op(MicroOp),
-    /// A synchronization event.
-    Sync(SyncOp),
-}
+const EXPAND_CHUNK: usize = 1024;
 
 /// A zero-copy view of the next run of items under a [`ThreadCursor`].
 ///
-/// Where [`CursorItem`] hands out one copied micro-op per call,
 /// `BlockItem::Ops` borrows a *run of unconsumed micro-ops* of the current
 /// block directly from the cursor's expansion buffer: consumers iterate the
 /// slice in a tight loop and then tell the cursor how far they got with
 /// [`ThreadCursor::consume_ops`]. The run covers at most one expansion
-/// chunk, so a large block is lent as several successive slices. This is
-/// the hot-path API both the profiler and the simulator drive.
+/// chunk, so a large block is lent as several successive slices.
 #[derive(Debug, PartialEq)]
 pub enum BlockItem<'c> {
     /// A run of unconsumed micro-ops of the current block (never empty).
@@ -42,10 +36,39 @@ pub enum BlockItem<'c> {
     Sync(SyncOp),
 }
 
-/// The expansion-backed cursor over a [`ThreadScript`] (the original and
-/// still the default [`ThreadCursor`] backing).
+/// Streaming cursor over one thread's dynamic stream.
+///
+/// Blocks of a [`ThreadScript`] are expanded deterministically in
+/// cache-sized chunks (`EXPAND_CHUNK` ops) into an internal buffer, so
+/// traversing a multi-million-op thread costs O(chunk) memory. The stream
+/// is walked with [`ThreadCursor::peek_block`], which lends out a run of
+/// unconsumed micro-ops as a slice or the pending synchronization event,
+/// and [`ThreadCursor::consume_ops`] / [`ThreadCursor::consume_sync`],
+/// which advance past them.
+///
+/// # Example
+///
+/// ```
+/// use rppm_trace::{BlockItem, BlockSpec, Program, Segment, ThreadCursor};
+///
+/// let mut p = Program::new("demo", 1);
+/// p.threads[0].segments = vec![Segment::Block(BlockSpec::new(3, 1))];
+/// let mut cur = ThreadCursor::new(&p.threads[0]);
+/// let mut ops = 0;
+/// while let Some(item) = cur.peek_block() {
+///     match item {
+///         BlockItem::Ops(run) => {
+///             let n = run.len();
+///             ops += n;
+///             cur.consume_ops(n);
+///         }
+///         BlockItem::Sync(_) => cur.consume_sync(),
+///     }
+/// }
+/// assert_eq!(ops, 3);
+/// ```
 #[derive(Debug)]
-struct ScriptCursor<'p> {
+pub struct ThreadCursor<'p> {
     script: &'p ThreadScript,
     seg: usize,
     /// Streaming expander for `segments[seg]`, carried across chunk refills.
@@ -57,10 +80,10 @@ struct ScriptCursor<'p> {
     ops_consumed: u64,
 }
 
-impl<'p> ScriptCursor<'p> {
+impl<'p> ThreadCursor<'p> {
     /// Creates a cursor positioned at the start of `script`.
-    fn new(script: &'p ThreadScript) -> Self {
-        ScriptCursor {
+    pub fn new(script: &'p ThreadScript) -> Self {
+        ThreadCursor {
             script,
             seg: 0,
             expander: None,
@@ -105,7 +128,7 @@ impl<'p> ScriptCursor<'p> {
     /// it (fully or partially) with [`ThreadCursor::consume_ops`]; consume a
     /// `Sync` item with [`ThreadCursor::consume_sync`]. Peeking repeatedly
     /// without consuming returns the same view.
-    fn peek_block(&mut self) -> Option<BlockItem<'_>> {
+    pub fn peek_block(&mut self) -> Option<BlockItem<'_>> {
         self.ensure();
         match self.script.segments.get(self.seg) {
             Some(Segment::Block(_)) => Some(BlockItem::Ops(&self.buf[self.buf_pos..])),
@@ -118,8 +141,8 @@ impl<'p> ScriptCursor<'p> {
     ///
     /// `n` must not exceed the length of the `Ops` slice the latest
     /// [`ThreadCursor::peek_block`] returned; consuming the whole slice
-    /// moves the cursor to the next segment.
-    fn consume_ops(&mut self, n: usize) {
+    /// moves the cursor to the next run.
+    pub fn consume_ops(&mut self, n: usize) {
         debug_assert!(
             self.filled && self.buf_pos + n <= self.buf.len(),
             "consume_ops({n}) without a matching peek_block"
@@ -142,7 +165,7 @@ impl<'p> ScriptCursor<'p> {
     ///
     /// Must only be called after [`ThreadCursor::peek_block`] returned
     /// [`BlockItem::Sync`].
-    fn consume_sync(&mut self) {
+    pub fn consume_sync(&mut self) {
         debug_assert!(
             matches!(self.script.segments.get(self.seg), Some(Segment::Sync(_))),
             "consume_sync without a pending sync event"
@@ -151,275 +174,9 @@ impl<'p> ScriptCursor<'p> {
         self.filled = false;
     }
 
-    /// Whether the stream is exhausted.
-    fn at_end(&mut self) -> bool {
-        self.ensure();
-        self.seg >= self.script.segments.len()
-    }
-
-    /// Number of micro-ops consumed so far.
-    fn ops_consumed(&self) -> u64 {
-        self.ops_consumed
-    }
-
-    /// Consumes the remainder of the current block (if positioned inside
-    /// one), returning the micro-ops as a slice valid until the next method
-    /// call. Returns an empty slice when positioned at a sync event or at
-    /// the end.
-    ///
-    /// This is the bulk API used by the profiler, which consumes whole
-    /// epochs at a time.
-    fn take_block(&mut self) -> &[MicroOp] {
-        self.ensure();
-        match self.script.segments.get(self.seg) {
-            Some(Segment::Block(_)) => {
-                let start = self.buf_pos;
-                // Materialize the block's remaining chunks so the whole
-                // remainder is one contiguous slice.
-                if let Some(e) = self.expander.as_mut() {
-                    e.expand_chunk(&mut self.buf, usize::MAX);
-                }
-                let len = self.buf.len() - start;
-                self.ops_consumed += len as u64;
-                self.buf_pos = self.buf.len();
-                self.seg += 1;
-                self.filled = false;
-                self.expander = None;
-                &self.buf[start..]
-            }
-            _ => &[],
-        }
-    }
-}
-
-/// Streaming cursor over one thread's dynamic stream.
-///
-/// Two backings exist behind the same API, so every consumer — profiler,
-/// both simulator cores — observes the identical stream whichever way the
-/// trace arrives:
-///
-/// * **expansion-backed** ([`ThreadCursor::new`]): blocks of a
-///   [`ThreadScript`] are expanded deterministically in cache-sized chunks
-///   (`EXPAND_CHUNK` ops) into an internal buffer, so traversing a
-///   multi-million-op thread costs O(chunk) memory;
-/// * **replay-backed** ([`crate::ops::OpReplay::cursor`]): a recorded raw
-///   micro-op stream is decoded out-of-core from a version-3 `RPT1`
-///   container, section by section, without re-expansion.
-///
-/// Two access granularities are offered: the per-op [`ThreadCursor::item`] /
-/// [`ThreadCursor::advance`] pair (simple, copies each op out), and the
-/// zero-copy block API ([`ThreadCursor::peek_block`] +
-/// [`ThreadCursor::consume_ops`] / [`ThreadCursor::consume_sync`]) that
-/// lends out a run of unconsumed micro-ops as a slice — the hot-path form
-/// the profiler and simulator use.
-///
-/// # Example
-///
-/// ```
-/// use rppm_trace::{BlockSpec, Program, Segment, ThreadCursor, CursorItem};
-///
-/// let mut p = Program::new("demo", 1);
-/// p.threads[0].segments = vec![Segment::Block(BlockSpec::new(3, 1))];
-/// let mut cur = ThreadCursor::new(&p.threads[0]);
-/// let mut ops = 0;
-/// while let Some(item) = cur.item() {
-///     if let CursorItem::Op(_) = item { ops += 1; }
-///     cur.advance();
-/// }
-/// assert_eq!(ops, 3);
-/// ```
-#[derive(Debug)]
-pub struct ThreadCursor<'p> {
-    inner: CursorInner<'p>,
-}
-
-// One cursor exists per thread per run and both variants sit on the
-// caller's stack; boxing the larger one would put an indirection on the
-// per-op hot path (the `cursor` bench group) to save a few hundred bytes.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum CursorInner<'p> {
-    Script(ScriptCursor<'p>),
-    Replay(ReplayCursor<'p>),
-}
-
-impl<'p> ThreadCursor<'p> {
-    /// Creates an expansion-backed cursor positioned at the start of
-    /// `script`.
-    pub fn new(script: &'p ThreadScript) -> Self {
-        ThreadCursor {
-            inner: CursorInner::Script(ScriptCursor::new(script)),
-        }
-    }
-
-    /// Wraps a replay-backed cursor (see [`crate::ops::OpReplay`]).
-    pub(crate) fn from_replay(replay: ReplayCursor<'p>) -> Self {
-        ThreadCursor {
-            inner: CursorInner::Replay(replay),
-        }
-    }
-
-    /// Returns a run of unconsumed micro-ops of the current block as a
-    /// borrowed slice, the pending synchronization event, or `None` at end
-    /// of stream.
-    ///
-    /// An `Ops` slice is never empty, but may cover only part of the block
-    /// (one expansion chunk); the following peek lends the next run. Consume
-    /// it (fully or partially) with [`ThreadCursor::consume_ops`]; consume a
-    /// `Sync` item with [`ThreadCursor::consume_sync`]. Peeking repeatedly
-    /// without consuming returns the same view.
-    pub fn peek_block(&mut self) -> Option<BlockItem<'_>> {
-        match &mut self.inner {
-            CursorInner::Script(c) => c.peek_block(),
-            CursorInner::Replay(c) => c.peek_block(),
-        }
-    }
-
-    /// Advances past `n` micro-ops of the current block.
-    ///
-    /// `n` must not exceed the length of the `Ops` slice the latest
-    /// [`ThreadCursor::peek_block`] returned; consuming the whole slice
-    /// moves the cursor to the next segment.
-    pub fn consume_ops(&mut self, n: usize) {
-        match &mut self.inner {
-            CursorInner::Script(c) => c.consume_ops(n),
-            CursorInner::Replay(c) => c.consume_ops(n),
-        }
-    }
-
-    /// Advances past the pending synchronization event.
-    ///
-    /// Must only be called after [`ThreadCursor::peek_block`] returned
-    /// [`BlockItem::Sync`].
-    pub fn consume_sync(&mut self) {
-        match &mut self.inner {
-            CursorInner::Script(c) => c.consume_sync(),
-            CursorInner::Replay(c) => c.consume_sync(),
-        }
-    }
-
-    /// Returns the current item, or `None` at end of stream.
-    ///
-    /// Per-op convenience over [`ThreadCursor::peek_block`]; hot loops
-    /// should consume whole blocks instead.
-    pub fn item(&mut self) -> Option<CursorItem> {
-        match self.peek_block() {
-            Some(BlockItem::Ops(ops)) => Some(CursorItem::Op(ops[0])),
-            Some(BlockItem::Sync(op)) => Some(CursorItem::Sync(op)),
-            None => None,
-        }
-    }
-
-    /// Advances past the current item.
-    pub fn advance(&mut self) {
-        enum Kind {
-            Ops,
-            Sync,
-            End,
-        }
-        let kind = match self.peek_block() {
-            Some(BlockItem::Ops(_)) => Kind::Ops,
-            Some(BlockItem::Sync(_)) => Kind::Sync,
-            None => Kind::End,
-        };
-        match kind {
-            Kind::Ops => self.consume_ops(1),
-            Kind::Sync => self.consume_sync(),
-            Kind::End => {}
-        }
-    }
-
-    /// Whether the stream is exhausted.
-    pub fn at_end(&mut self) -> bool {
-        match &mut self.inner {
-            CursorInner::Script(c) => c.at_end(),
-            CursorInner::Replay(c) => c.at_end(),
-        }
-    }
-
     /// Number of micro-ops consumed so far.
     pub fn ops_consumed(&self) -> u64 {
-        match &self.inner {
-            CursorInner::Script(c) => c.ops_consumed(),
-            CursorInner::Replay(c) => c.ops_consumed(),
-        }
-    }
-
-    /// Consumes the remainder of the current run of micro-ops (if
-    /// positioned inside one), returning them as a slice valid until the
-    /// next method call. Returns an empty slice when positioned at a sync
-    /// event or at the end.
-    ///
-    /// For an expansion-backed cursor the run is the current block; for a
-    /// replay-backed cursor it is the current recorded op run (consecutive
-    /// blocks merge into one run when recorded).
-    pub fn take_block(&mut self) -> &[MicroOp] {
-        match &mut self.inner {
-            CursorInner::Script(c) => c.take_block(),
-            CursorInner::Replay(c) => c.take_block(),
-        }
-    }
-}
-
-/// A source of per-thread dynamic instruction streams the profiler and the
-/// simulator can execute.
-///
-/// Two implementations exist: [`Program`] (micro-ops expanded on the fly
-/// from parametric block specifications — the original path) and
-/// [`crate::ops::OpReplay`] (micro-ops replayed out-of-core from a
-/// version-3 `RPT1` container without re-expansion). Consumers generic
-/// over `ExecSource` are guaranteed the two backings yield bit-identical
-/// streams — that property is pinned by the differential suites in
-/// `rppm-profiler` and `rppm-sim`.
-pub trait ExecSource {
-    /// Workload name (benchmark identifier).
-    fn name(&self) -> &str;
-
-    /// Number of threads in the workload.
-    fn num_threads(&self) -> usize;
-
-    /// Validates the structural invariants of the underlying program.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProgramError`] describing the first violation found.
-    fn validate(&self) -> Result<(), ProgramError>;
-
-    /// Opens a streaming cursor over `thread`'s dynamic stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread does not exist.
-    fn cursor(&self, thread: usize) -> ThreadCursor<'_>;
-
-    /// The synchronization events of `thread`, in stream order (used for
-    /// barrier-participant counting before execution starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread does not exist.
-    fn sync_ops(&self, thread: usize) -> Vec<SyncOp>;
-}
-
-impl ExecSource for Program {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    fn validate(&self) -> Result<(), ProgramError> {
-        Program::validate(self)
-    }
-
-    fn cursor(&self, thread: usize) -> ThreadCursor<'_> {
-        ThreadCursor::new(&self.threads[thread])
-    }
-
-    fn sync_ops(&self, thread: usize) -> Vec<SyncOp> {
-        self.threads[thread].sync_ops().copied().collect()
+        self.ops_consumed
     }
 }
 
@@ -440,6 +197,27 @@ mod tests {
         })
     }
 
+    /// Walks the whole stream, consuming every run in full.
+    fn drain(c: &mut ThreadCursor<'_>) -> (Vec<MicroOp>, Vec<SyncOp>) {
+        let mut ops = Vec::new();
+        let mut syncs = Vec::new();
+        while let Some(item) = c.peek_block() {
+            match item {
+                BlockItem::Ops(run) => {
+                    assert!(!run.is_empty(), "Ops runs are never empty");
+                    ops.extend_from_slice(run);
+                    let n = run.len();
+                    c.consume_ops(n);
+                }
+                BlockItem::Sync(op) => {
+                    syncs.push(op);
+                    c.consume_sync();
+                }
+            }
+        }
+        (ops, syncs)
+    }
+
     #[test]
     fn walks_ops_then_sync() {
         let s = script(vec![
@@ -448,18 +226,10 @@ mod tests {
             Segment::Block(BlockSpec::new(1, 2)),
         ]);
         let mut c = ThreadCursor::new(&s);
-        let mut ops = 0;
-        let mut syncs = 0;
-        while let Some(item) = c.item() {
-            match item {
-                CursorItem::Op(_) => ops += 1,
-                CursorItem::Sync(_) => syncs += 1,
-            }
-            c.advance();
-        }
-        assert_eq!(ops, 3);
-        assert_eq!(syncs, 1);
-        assert!(c.at_end());
+        let (ops, syncs) = drain(&mut c);
+        assert_eq!(ops.len(), 3);
+        assert_eq!(syncs.len(), 1);
+        assert_eq!(c.peek_block(), None);
         assert_eq!(c.ops_consumed(), 3);
     }
 
@@ -467,60 +237,44 @@ mod tests {
     fn empty_script_is_at_end() {
         let s = script(vec![]);
         let mut c = ThreadCursor::new(&s);
-        assert!(c.at_end());
-        assert_eq!(c.item(), None);
+        assert_eq!(c.peek_block(), None);
+        assert_eq!(c.ops_consumed(), 0);
     }
 
     #[test]
     fn zero_op_blocks_are_skipped() {
         let s = script(vec![Segment::Block(BlockSpec::new(0, 1)), barrier()]);
         let mut c = ThreadCursor::new(&s);
-        assert!(matches!(c.item(), Some(CursorItem::Sync(_))));
-        c.advance();
-        assert!(c.at_end());
+        assert!(matches!(c.peek_block(), Some(BlockItem::Sync(_))));
+        c.consume_sync();
+        assert_eq!(c.peek_block(), None);
     }
 
     #[test]
     fn trailing_zero_block_still_ends() {
         let s = script(vec![barrier(), Segment::Block(BlockSpec::new(0, 1))]);
         let mut c = ThreadCursor::new(&s);
-        c.advance();
-        assert!(c.at_end());
-        assert_eq!(c.item(), None);
-    }
-
-    #[test]
-    fn take_block_consumes_remaining_ops() {
-        let s = script(vec![Segment::Block(BlockSpec::new(5, 1)), barrier()]);
-        let mut c = ThreadCursor::new(&s);
-        c.advance();
-        c.advance();
-        let rest = c.take_block().len();
-        assert_eq!(rest, 3);
-        assert!(matches!(c.item(), Some(CursorItem::Sync(_))));
-        assert_eq!(c.ops_consumed(), 5);
-    }
-
-    #[test]
-    fn take_block_at_sync_is_empty() {
-        let s = script(vec![barrier()]);
-        let mut c = ThreadCursor::new(&s);
-        assert!(c.take_block().is_empty());
-        assert!(matches!(c.item(), Some(CursorItem::Sync(_))));
+        c.consume_sync();
+        assert_eq!(c.peek_block(), None);
     }
 
     #[test]
     fn stream_matches_direct_expansion() {
-        let b = BlockSpec::new(100, 9).loads(0.2).branches(0.1);
-        let direct = b.expand();
-        let s = script(vec![Segment::Block(b)]);
-        let mut c = ThreadCursor::new(&s);
-        let mut streamed = Vec::new();
-        while let Some(CursorItem::Op(op)) = c.item() {
-            streamed.push(op);
-            c.advance();
-        }
+        let blocks = [
+            BlockSpec::new(100, 9).loads(0.2).branches(0.1),
+            BlockSpec::new(33, 4),
+            BlockSpec::new(7, 5),
+        ];
+        let direct: Vec<MicroOp> = blocks.iter().flat_map(BlockSpec::expand).collect();
+        let s = script(vec![
+            Segment::Block(blocks[0].clone()),
+            barrier(),
+            Segment::Block(blocks[1].clone()),
+            Segment::Block(blocks[2].clone()),
+        ]);
+        let (streamed, syncs) = drain(&mut ThreadCursor::new(&s));
         assert_eq!(streamed, direct);
+        assert_eq!(syncs.len(), 1);
     }
 
     #[test]
@@ -540,40 +294,7 @@ mod tests {
         assert_eq!(c.ops_consumed(), 10);
         assert!(matches!(c.peek_block(), Some(BlockItem::Sync(_))));
         c.consume_sync();
-        assert!(c.at_end());
         assert_eq!(c.peek_block(), None);
-    }
-
-    #[test]
-    fn block_api_matches_per_op_api() {
-        let s = script(vec![
-            Segment::Block(BlockSpec::new(100, 9).loads(0.2).branches(0.1)),
-            barrier(),
-            Segment::Block(BlockSpec::new(33, 4)),
-            Segment::Block(BlockSpec::new(7, 5)),
-        ]);
-        let mut per_op = Vec::new();
-        let mut c = ThreadCursor::new(&s);
-        while let Some(item) = c.item() {
-            if let CursorItem::Op(op) = item {
-                per_op.push(op);
-            }
-            c.advance();
-        }
-        let mut blocks = Vec::new();
-        let mut c = ThreadCursor::new(&s);
-        loop {
-            match c.peek_block() {
-                None => break,
-                Some(BlockItem::Sync(_)) => c.consume_sync(),
-                Some(BlockItem::Ops(ops)) => {
-                    blocks.extend_from_slice(ops);
-                    let n = ops.len();
-                    c.consume_ops(n);
-                }
-            }
-        }
-        assert_eq!(per_op, blocks);
     }
 
     #[test]
@@ -592,7 +313,7 @@ mod tests {
             chunk += 1;
         }
         assert_eq!(streamed, direct);
-        assert!(c.at_end());
+        assert_eq!(c.peek_block(), None);
     }
 
     #[test]
@@ -622,32 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn take_block_spanning_chunks_returns_whole_remainder() {
-        let b = BlockSpec::new(EXPAND_CHUNK as u32 * 2 + 5, 13).loads(0.2);
-        let direct = b.expand();
-        let s = script(vec![Segment::Block(b), barrier()]);
-        let mut c = ThreadCursor::new(&s);
-        c.advance();
-        c.advance();
-        let rest = c.take_block().to_vec();
-        assert_eq!(rest.len(), direct.len() - 2);
-        assert_eq!(rest, direct[2..]);
-        assert!(matches!(c.item(), Some(CursorItem::Sync(_))));
-        assert_eq!(c.ops_consumed(), direct.len() as u64);
-    }
-
-    #[test]
     fn consecutive_blocks_both_stream() {
         let s = script(vec![
             Segment::Block(BlockSpec::new(10, 1)),
             Segment::Block(BlockSpec::new(20, 2)),
         ]);
-        let mut c = ThreadCursor::new(&s);
-        let mut n = 0;
-        while let Some(CursorItem::Op(_)) = c.item() {
-            n += 1;
-            c.advance();
-        }
-        assert_eq!(n, 30);
+        let (ops, syncs) = drain(&mut ThreadCursor::new(&s));
+        assert_eq!(ops.len(), 30);
+        assert!(syncs.is_empty());
     }
 }

@@ -147,13 +147,6 @@ pub enum TraceFileError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
-    /// Replay was requested on a trace that carries no recorded op-stream
-    /// sections (a version-1/2 container, or a version-3 container written
-    /// without `--ops`).
-    NoOpStream {
-        /// What the container actually holds.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for TraceFileError {
@@ -209,11 +202,6 @@ impl std::fmt::Display for TraceFileError {
             TraceFileError::Stream { context, source } => {
                 write!(f, "binary trace I/O failed while {context}: {source}")
             }
-            TraceFileError::NoOpStream { detail } => write!(
-                f,
-                "trace carries no recorded op stream ({detail}); record one with \
-                 `rppm convert --ops` before replaying"
-            ),
         }
     }
 }

@@ -33,14 +33,15 @@
 //!   and a [`TraceWriter`] / [`TraceReader`] pair that never holds more
 //!   than one section in memory. [`read_program_any`] auto-detects either
 //!   format by magic bytes.
-//! * [`ops`][mod@ops] — out-of-core op streams: [`write_program_ops`]
-//!   records the fully expanded micro-op stream into a version-3 `RPT1`
-//!   container, [`OpReplay`] replays it without re-expansion through a
-//!   chunk-pooled streaming reader (mmap-backed where available) under a
-//!   configurable [`StreamOptions`] memory budget, and
-//!   [`read_program_sections`] decodes sections in parallel. Both
-//!   [`Program`] and [`OpReplay`] implement [`ExecSource`], so the
-//!   profiler and simulators drive either through one cursor API.
+//! * [`ops`][mod@ops] — op-stream recording and section-indexed reading:
+//!   [`write_program_ops`] records the fully expanded micro-op stream
+//!   beside the program in a version-3 `RPT1` container,
+//!   [`container_info`] inventories any container without decoding it, and
+//!   [`read_program_sections`] decodes the program sections of a
+//!   memory-mapped file in parallel.
+//! * [`cursor`][mod@cursor] — [`ThreadCursor`], the one way the profiler
+//!   and both simulator engines walk a thread: blocks expanded on the fly,
+//!   lent out as zero-copy runs of micro-ops.
 //! * [`par`][mod@par] — the tiny scoped-thread parallel runtime
 //!   ([`par::parallel_for`] / [`par::parallel_map`] / [`par::default_jobs`])
 //!   shared by section decoding here and every crate above.
@@ -108,7 +109,7 @@ pub use config::{
     MachineConfigBuilder,
 };
 pub use cpi::CpiStack;
-pub use cursor::{BlockItem, CursorItem, ExecSource, ThreadCursor};
+pub use cursor::{BlockItem, ThreadCursor};
 pub use file::{
     export_program, import_program, program_fingerprint, read_program, write_program,
     TraceFileError, TRACE_FORMAT, TRACE_VERSION,
@@ -120,7 +121,7 @@ pub use machine::{
 pub use op::{MicroOp, OpClass};
 pub use ops::{
     container_info, export_program_ops, read_program_sections, record_ops, write_program_ops,
-    ContainerInfo, OpReplay, SectionSummary, StreamOptions,
+    ContainerInfo, SectionSummary,
 };
 pub use pattern::{AddressPattern, BranchPattern, Region};
 pub use program::{Program, ProgramError, Segment, ThreadScript};

@@ -1,14 +1,15 @@
-//! Raw micro-op record/replay and out-of-core streaming over `RPT1` files.
+//! Recording the expanded micro-op stream into `RPT1` files, and reading
+//! containers section by section.
 //!
 //! The rest of the crate treats a workload as parametric block
 //! specifications that are *expanded* into micro-ops on every traversal.
-//! This module adds the complementary path: the expanded [`MicroOp`] stream
-//! itself is **recorded** into version-3 `RPT1` containers (section tags
-//! 4–6, see [`crate::binary`]) and later **replayed** without re-expansion,
-//! bit-identical to what expansion would have produced. Replay is
-//! *out-of-core*: the container is mapped (or `pread` on platforms without
-//! `mmap`) and decoded one bounded chunk at a time, so traces far larger
-//! than memory profile and simulate under a configurable budget.
+//! This module can also **record** that expansion: [`record_ops`] writes
+//! the program sections of a version-3 `RPT1` container (see
+//! [`crate::binary`]) followed by the expanded [`MicroOp`] stream in op-
+//! stream sections (tags 4–6), for tools that consume raw micro-ops. The
+//! profiler and both simulators always execute the program by expansion;
+//! every reader takes the program sections and checks the op-stream
+//! sections' structure without decoding their ops.
 //!
 //! # Layout of the op-stream sections
 //!
@@ -21,39 +22,34 @@
 //! Each micro-op encodes as one class/outcome byte (`class.index() |
 //! taken << 7`), two varint dependence distances, and three
 //! zigzag-delta-coded address fields (`line`, `code_line`, `site`) whose
-//! delta chains restart at every run-section boundary — sections decode
-//! independently, which is what makes section-parallel verification and
-//! bounded-memory replay possible.
+//! delta chains restart at every run-section boundary, so every section
+//! decodes independently.
 //!
 //! # Entry points
 //!
 //! * [`write_program_ops`] / [`export_program_ops`] / [`record_ops`] —
 //!   record a program *and* its expanded op stream into one container
-//!   (what `rppm convert --ops` calls).
-//! * [`OpReplay`] — open a recorded container for streaming replay; it
-//!   implements [`ExecSource`], so the profiler and both simulator cores
-//!   consume it through the same cursor API as a [`Program`].
+//!   (what `rppm convert --to ops` calls).
 //! * [`container_info`] — inspect any `RPT1` container (all versions)
 //!   without decoding payloads: per-section byte counts, totals, versions.
 //! * [`read_program_sections`] — decode just the program (tag-2) sections,
-//!   in parallel for version-3 files.
+//!   in parallel for version-3 files, from a memory-mapped file.
 
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
 
 use crate::binary::{
     decode_segment, encode_segment, push_delta, push_varint, read_program_binary, Bytes,
-    DeltaState, TraceWriter, BINARY_TRACE_MAGIC, BINARY_TRACE_VERSION, MAX_SECTION_BYTES,
-    MAX_THREADS, OPS_MIN_VERSION, SECTION_SEGMENTS, TAG_END, TAG_HEADER, TAG_OPS, TAG_OP_META,
-    TAG_OP_RUN, TAG_OP_SYNC,
+    DeltaState, Section, SectionRules, TraceWriter, BINARY_TRACE_MAGIC, BINARY_TRACE_VERSION,
+    MAX_SECTION_BYTES, OPS_MIN_VERSION, SECTION_SEGMENTS, TAG_END, TAG_HEADER, TAG_OPS,
+    TAG_OP_META, TAG_OP_RUN, TAG_OP_SYNC,
 };
-use crate::cursor::{BlockItem, ExecSource, ThreadCursor, EXPAND_CHUNK};
+use crate::cursor::{BlockItem, ThreadCursor};
 use crate::file::TraceFileError;
-use crate::op::{MicroOp, OpClass, NUM_OP_CLASSES};
-use crate::par::{default_jobs, parallel_for, parallel_map};
-use crate::program::{Program, ProgramError, Segment};
+use crate::op::MicroOp;
+use crate::par::parallel_map;
+use crate::program::{Program, Segment};
 use crate::sync::SyncOp;
 
 /// Target number of micro-ops per `op-run` section.
@@ -85,52 +81,6 @@ fn encode_op(buf: &mut Vec<u8>, d: &mut OpDelta, op: &MicroOp) {
     push_delta(buf, &mut d.line, op.line);
     push_delta(buf, &mut d.code_line, op.code_line);
     push_delta(buf, &mut d.site, op.site as u64);
-}
-
-fn decode_op(b: &mut Bytes<'_>, d: &mut OpDelta) -> Result<MicroOp, TraceFileError> {
-    let b0 = b.u8("an op header byte")?;
-    let taken = b0 & 0x80 != 0;
-    let ci = (b0 & 0x7F) as usize;
-    if ci >= NUM_OP_CLASSES {
-        return Err(TraceFileError::Corrupt {
-            detail: format!("unknown op class {ci} in an op-run section"),
-        });
-    }
-    let class = OpClass::ALL[ci];
-    let src1 = b.varint("an op src1 distance")?;
-    let src2 = b.varint("an op src2 distance")?;
-    let (src1, src2) = match (u16::try_from(src1), u16::try_from(src2)) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => {
-            return Err(TraceFileError::Corrupt {
-                detail: format!("op dependence distance ({src1}, {src2}) does not fit in 16 bits"),
-            })
-        }
-    };
-    let line = b.delta(&mut d.line, "an op data line")?;
-    let code_line = b.delta(&mut d.code_line, "an op code line")?;
-    let site = b.delta(&mut d.site, "an op branch site")?;
-    let site = u32::try_from(site).map_err(|_| TraceFileError::Corrupt {
-        detail: format!("op branch site {site} does not fit in 32 bits"),
-    })?;
-    Ok(MicroOp {
-        class,
-        src1,
-        src2,
-        line,
-        code_line,
-        site,
-        taken,
-    })
-}
-
-/// Decodes one op during replay, where [`OpReplay::open`] has already
-/// verified every section: a failure here means the file changed on disk
-/// after open (the one TOCTOU window streaming replay cannot close).
-fn decode_op_verified(b: &mut Bytes<'_>, d: &mut OpDelta) -> MicroOp {
-    decode_op(b, d).unwrap_or_else(|e| {
-        panic!("op stream corrupt mid-replay ({e}); OpReplay::open verified this section, so the trace file must have changed on disk")
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +306,7 @@ struct FileSource {
     #[cfg(unix)]
     file: File,
     #[cfg(not(unix))]
-    file: Mutex<File>,
+    file: std::sync::Mutex<File>,
     len: u64,
 }
 
@@ -399,7 +349,7 @@ enum SectionSource {
 }
 
 impl SectionSource {
-    fn open(path: &Path, use_mmap: bool) -> Result<Self, TraceFileError> {
+    fn open(path: &Path) -> Result<Self, TraceFileError> {
         let io_err = |e| TraceFileError::Io {
             path: path.to_path_buf(),
             source: e,
@@ -407,18 +357,16 @@ impl SectionSource {
         let file = File::open(path).map_err(io_err)?;
         let len = file.metadata().map_err(io_err)?.len();
         #[cfg(unix)]
-        if use_mmap && len > 0 && len <= usize::MAX as u64 {
+        if len > 0 && len <= usize::MAX as u64 {
             if let Some(map) = mm::Map::new(&file, len as usize) {
                 return Ok(SectionSource::Mmap(map));
             }
         }
-        #[cfg(not(unix))]
-        let _ = use_mmap;
         Ok(SectionSource::File(FileSource {
             #[cfg(unix)]
             file,
             #[cfg(not(unix))]
-            file: Mutex::new(file),
+            file: std::sync::Mutex::new(file),
             len,
         }))
     }
@@ -464,23 +412,8 @@ impl SectionSource {
 }
 
 // ---------------------------------------------------------------------------
-// Container scan (section index, no payload decode except op-sync headers)
-
-/// Reference to one recorded `op-run` section (payload past the
-/// thread/count prefix).
-#[derive(Debug, Clone, Copy)]
-struct RunRef {
-    off: u64,
-    len: u64,
-    ops: u64,
-}
-
-/// One item of a thread's recorded stream, in stream order.
-#[derive(Debug, Clone, Copy)]
-enum StreamItem {
-    Run(RunRef),
-    Sync(SyncOp),
-}
+// Container scan (section index; payloads are read only as far as the
+// section rules need)
 
 /// Reference to one program (tag-2) section.
 #[derive(Debug, Clone, Copy)]
@@ -495,17 +428,9 @@ struct ProgRef {
 
 #[derive(Debug)]
 struct Scan {
-    version: u32,
-    name: String,
-    num_threads: u32,
+    rules: SectionRules,
     file_bytes: u64,
     prog_sections: Vec<ProgRef>,
-    items: Vec<Vec<StreamItem>>,
-    per_thread_ops: Vec<u64>,
-    total_syncs: u64,
-    run_sections: u64,
-    segments: u64,
-    has_meta: bool,
     /// `(count, payload bytes)` indexed by `tag - 1` for tags 1–6.
     tag_stats: [(u64, u64); 6],
 }
@@ -524,10 +449,11 @@ fn varint_at(
     Ok(v)
 }
 
-/// Walks every section of the container, validating structure and building
-/// the section index. Payloads of program and op-run sections are *not*
-/// decoded — only their small thread/count prefixes are read — so a scan of
-/// a multi-gigabyte trace touches a few bytes per section.
+/// Walks every section of the container through the shared
+/// [`SectionRules`] and builds the section index. Program and `op-run`
+/// payloads are *not* decoded — only their small thread/count prefixes
+/// are read — so a scan of a multi-gigabyte trace touches a few bytes per
+/// section.
 fn scan(src: &SectionSource) -> Result<Scan, TraceFileError> {
     let file_bytes = src.len();
     let mut scratch = Vec::new();
@@ -550,27 +476,11 @@ fn scan(src: &SectionSource) -> Result<Scan, TraceFileError> {
             supported: BINARY_TRACE_VERSION,
         });
     }
-    let version = version as u32;
 
-    let mut s = Scan {
-        version,
-        name: String::new(),
-        num_threads: 0,
-        file_bytes,
-        prog_sections: Vec::new(),
-        items: Vec::new(),
-        per_thread_ops: Vec::new(),
-        total_syncs: 0,
-        run_sections: 0,
-        segments: 0,
-        has_meta: false,
-        tag_stats: [(0, 0); 6],
-    };
-    let mut seen_header = false;
-    let mut seen_end = false;
-    let mut meta = None;
-    let mut total_ops_counted = 0u64;
-    while !seen_end {
+    let mut rules: Option<SectionRules> = None;
+    let mut prog_sections = Vec::new();
+    let mut tag_stats = [(0, 0); 6];
+    loop {
         if pos >= file_bytes {
             return Err(TraceFileError::Truncated {
                 context: "the end section".to_string(),
@@ -591,204 +501,34 @@ fn scan(src: &SectionSource) -> Result<Scan, TraceFileError> {
         }
         pos = off + len;
         if (1..=6).contains(&tag) {
-            let e = &mut s.tag_stats[(tag - 1) as usize];
+            let e = &mut tag_stats[(tag - 1) as usize];
             e.0 += 1;
             e.1 += len;
         }
-        if !seen_header && tag != TAG_HEADER {
-            return Err(TraceFileError::Corrupt {
-                detail: format!("first section has tag {tag}, expected header (tag {TAG_HEADER})"),
-            });
-        }
-        if (TAG_OP_RUN..=TAG_OP_META).contains(&tag) && version < OPS_MIN_VERSION {
-            return Err(TraceFileError::Corrupt {
-                detail: format!(
-                    "op-stream section tag {tag} requires container version 3, but the \
-                     stream declares version {version}"
-                ),
-            });
-        }
-        match tag {
-            TAG_HEADER => {
-                if seen_header {
-                    return Err(TraceFileError::Corrupt {
-                        detail: "duplicate header section".to_string(),
-                    });
-                }
-                seen_header = true;
-                src.read_into(off, len as usize, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let name_len = b.varint("the workload name length")?;
-                if b.pos as u64 + name_len > scratch.len() as u64 {
-                    return Err(TraceFileError::Truncated {
-                        context: "the workload name".to_string(),
-                    });
-                }
-                let name_bytes = &scratch[b.pos..b.pos + name_len as usize];
-                s.name = std::str::from_utf8(name_bytes)
-                    .map_err(|_| TraceFileError::Corrupt {
-                        detail: "workload name is not valid UTF-8".to_string(),
-                    })?
-                    .to_string();
-                b.pos += name_len as usize;
-                let num_threads = b.varint_u32("the thread count")?;
-                if num_threads as u64 > MAX_THREADS {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "header declares {num_threads} threads (limit {MAX_THREADS})"
-                        ),
-                    });
-                }
-                s.num_threads = num_threads;
-                s.items = vec![Vec::new(); num_threads as usize];
-                s.per_thread_ops = vec![0; num_threads as usize];
-            }
-            TAG_OPS => {
-                let window = len.min(20) as usize;
-                src.read_into(off, window, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let thread = b.varint_u32("an ops-section thread id")?;
-                let count = b.varint("an ops-section segment count")?;
-                let head = window - b.remaining();
-                if thread >= s.num_threads {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "ops section for thread {thread}, but the header declares only \
-                             {} threads",
-                            s.num_threads
-                        ),
-                    });
-                }
-                if count == 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: "empty segment section".to_string(),
-                    });
-                }
-                s.segments += count;
-                s.prog_sections.push(ProgRef {
-                    thread,
-                    count,
-                    off,
-                    len,
-                    head,
-                });
-            }
-            TAG_OP_RUN => {
-                let window = len.min(20) as usize;
-                src.read_into(off, window, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let thread = b.varint_u32("an op-run thread id")?;
-                let ops = b.varint("an op-run op count")?;
-                let head = (window - b.remaining()) as u64;
-                if thread >= s.num_threads {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "op-run section for thread {thread}, but the header declares \
-                             only {} threads",
-                            s.num_threads
-                        ),
-                    });
-                }
-                if ops == 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: "empty op-run section".to_string(),
-                    });
-                }
-                s.items[thread as usize].push(StreamItem::Run(RunRef {
-                    off: off + head,
-                    len: len - head,
-                    ops,
-                }));
-                s.per_thread_ops[thread as usize] += ops;
-                total_ops_counted += ops;
-                s.run_sections += 1;
-            }
-            TAG_OP_SYNC => {
-                src.read_into(off, len as usize, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let thread = b.varint_u32("an op-sync thread id")?;
-                if thread >= s.num_threads {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "op-sync section for thread {thread}, but the header declares \
-                             only {} threads",
-                            s.num_threads
-                        ),
-                    });
-                }
-                let seg = decode_segment(&mut b, &mut DeltaState::default(), version)?;
-                let op = match seg {
-                    Segment::Sync(op) => op,
-                    Segment::Block(_) => {
-                        return Err(TraceFileError::Corrupt {
-                            detail: "op-sync section does not hold a sync event".to_string(),
-                        })
-                    }
-                };
-                if b.remaining() != 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "{} excess bytes at the end of an op-sync section",
-                            b.remaining()
-                        ),
-                    });
-                }
-                s.items[thread as usize].push(StreamItem::Sync(op));
-                s.total_syncs += 1;
-            }
-            TAG_OP_META => {
-                if s.has_meta {
-                    return Err(TraceFileError::Corrupt {
-                        detail: "duplicate op-meta section".to_string(),
-                    });
-                }
-                s.has_meta = true;
-                src.read_into(off, len as usize, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let runs = b.varint("the op-meta run-section count")?;
-                let ops = b.varint("the op-meta total op count")?;
-                let syncs = b.varint("the op-meta total sync count")?;
-                let mut per_thread = Vec::with_capacity(s.num_threads as usize);
-                for _ in 0..s.num_threads {
-                    per_thread.push(b.varint("an op-meta per-thread op count")?);
-                }
-                if b.remaining() != 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "{} excess bytes at the end of the op-meta section",
-                            b.remaining()
-                        ),
-                    });
-                }
-                meta = Some((runs, ops, syncs, per_thread));
-            }
-            TAG_END => {
-                src.read_into(off, len as usize, &mut scratch)?;
-                let mut b = Bytes::new(&scratch);
-                let declared = b.varint("the end-section segment count")?;
-                if b.remaining() != 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "{} excess bytes at the end of the end section",
-                            b.remaining()
-                        ),
-                    });
-                }
-                if declared != s.segments {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "trace declares {declared} segments, but its sections carry {}",
-                            s.segments
-                        ),
-                    });
-                }
-                seen_end = true;
-            }
-            _ => {
-                return Err(TraceFileError::Corrupt {
-                    detail: format!("unknown section tag {tag}"),
-                })
-            }
+        let window = if tag == TAG_OPS || tag == TAG_OP_RUN {
+            len.min(20)
+        } else {
+            len
+        };
+        src.read_into(off, window as usize, &mut scratch)?;
+        let Some(rules) = rules.as_mut() else {
+            rules = Some(SectionRules::new(version as u32, tag, &scratch)?);
+            continue;
+        };
+        match rules.check(tag, &scratch)? {
+            Section::Segments {
+                thread,
+                count,
+                head,
+            } => prog_sections.push(ProgRef {
+                thread,
+                count,
+                off,
+                len,
+                head,
+            }),
+            Section::OpStream => {}
+            Section::End => break,
         }
     }
     if pos != file_bytes {
@@ -796,23 +536,12 @@ fn scan(src: &SectionSource) -> Result<Scan, TraceFileError> {
             detail: format!("{} trailing bytes after the end section", file_bytes - pos),
         });
     }
-    if let Some((runs, ops, syncs, per_thread)) = meta {
-        if runs != s.run_sections
-            || ops != total_ops_counted
-            || syncs != s.total_syncs
-            || per_thread != s.per_thread_ops
-        {
-            return Err(TraceFileError::Corrupt {
-                detail: format!(
-                    "op-meta section disagrees with the op sections (meta: {runs} runs / \
-                     {ops} ops / {syncs} syncs; sections: {} runs / {total_ops_counted} ops / \
-                     {} syncs)",
-                    s.run_sections, s.total_syncs
-                ),
-            });
-        }
-    }
-    Ok(s)
+    Ok(Scan {
+        rules: rules.expect("the loop ends only after the end section"),
+        file_bytes,
+        prog_sections,
+        tag_stats,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -823,7 +552,8 @@ fn decode_prog_sections(
     s: &Scan,
     jobs: usize,
 ) -> Result<Program, TraceFileError> {
-    debug_assert!(s.version >= OPS_MIN_VERSION);
+    let version = s.rules.version;
+    debug_assert!(version >= OPS_MIN_VERSION);
     let n = s.prog_sections.len();
     let decoded = parallel_map(jobs, n, |i| {
         let r = s.prog_sections[i];
@@ -840,7 +570,7 @@ fn decode_prog_sections(
         let mut d = DeltaState::default();
         let mut segs = Vec::with_capacity(r.count.min(SECTION_SEGMENTS) as usize);
         for _ in 0..r.count {
-            segs.push(decode_segment(&mut b, &mut d, s.version)?);
+            segs.push(decode_segment(&mut b, &mut d, version)?);
         }
         if b.remaining() != 0 {
             return Err(TraceFileError::Corrupt {
@@ -852,7 +582,7 @@ fn decode_prog_sections(
         }
         Ok(segs)
     });
-    let mut program = Program::new(s.name.clone(), s.num_threads as usize);
+    let mut program = Program::new(s.rules.name.clone(), s.rules.num_threads as usize);
     for (i, segs) in decoded.into_iter().enumerate() {
         let thread = s.prog_sections[i].thread as usize;
         program.threads[thread].segments.extend(segs?);
@@ -875,9 +605,9 @@ pub fn read_program_sections(
     jobs: usize,
 ) -> Result<Program, TraceFileError> {
     let path = path.as_ref();
-    let src = SectionSource::open(path, true)?;
+    let src = SectionSource::open(path)?;
     let s = scan(&src)?;
-    if s.version < OPS_MIN_VERSION {
+    if s.rules.version < OPS_MIN_VERSION {
         drop(src);
         return read_program_binary(path);
     }
@@ -920,8 +650,8 @@ pub struct ContainerInfo {
     pub recorded_ops: u64,
     /// Total recorded sync events across the op-sync sections.
     pub recorded_syncs: u64,
-    /// Whether the container carries a recorded op stream ([`OpReplay`]
-    /// can open it).
+    /// Whether the container carries a recorded op stream (any op-stream
+    /// section).
     pub has_op_stream: bool,
 }
 
@@ -947,7 +677,7 @@ fn tag_label(tag: u64) -> &'static str {
 /// [`TraceFileError::UnsupportedVersion`], [`TraceFileError::Truncated`],
 /// [`TraceFileError::Corrupt`], ...) on malformed containers.
 pub fn container_info(path: impl AsRef<Path>) -> Result<ContainerInfo, TraceFileError> {
-    let src = SectionSource::open(path.as_ref(), true)?;
+    let src = SectionSource::open(path.as_ref())?;
     let s = scan(&src)?;
     let sections = s
         .tag_stats
@@ -961,524 +691,25 @@ pub fn container_info(path: impl AsRef<Path>) -> Result<ContainerInfo, TraceFile
             bytes,
         })
         .collect();
-    let recorded_ops = s.per_thread_ops.iter().sum();
+    let rules = s.rules;
     Ok(ContainerInfo {
-        version: s.version,
-        name: s.name,
-        num_threads: s.num_threads,
+        version: rules.version,
+        has_op_stream: rules.has_op_stream(),
+        recorded_ops: rules.per_thread_ops.iter().sum(),
+        recorded_syncs: rules.syncs,
+        segments: rules.segments,
+        name: rules.name,
+        num_threads: rules.num_threads,
         file_bytes: s.file_bytes,
         sections,
-        segments: s.segments,
-        recorded_ops,
-        recorded_syncs: s.total_syncs,
-        has_op_stream: s.has_meta || s.run_sections > 0 || s.total_syncs > 0,
     })
 }
-
-// ---------------------------------------------------------------------------
-// Chunk pool
-
-/// Recycles decode buffers under a byte budget, so replay memory stays
-/// bounded no matter how many sections stream through.
-#[derive(Debug)]
-struct ChunkPool {
-    cap: usize,
-    slots: Mutex<PoolState>,
-}
-
-#[derive(Debug, Default)]
-struct PoolState {
-    bufs: Vec<Vec<u8>>,
-    held: usize,
-}
-
-impl ChunkPool {
-    fn new(cap: usize) -> Self {
-        ChunkPool {
-            cap,
-            slots: Mutex::new(PoolState::default()),
-        }
-    }
-
-    fn take(&self) -> Vec<u8> {
-        let mut s = self.slots.lock().unwrap();
-        match s.bufs.pop() {
-            Some(b) => {
-                s.held -= b.capacity();
-                b
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn put(&self, b: Vec<u8>) {
-        if b.capacity() == 0 {
-            return;
-        }
-        let mut s = self.slots.lock().unwrap();
-        if s.held + b.capacity() <= self.cap {
-            s.held += b.capacity();
-            s.bufs.push(b);
-        }
-        // Over budget: drop the buffer, releasing its memory.
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming replay
-
-/// Knobs for [`OpReplay::open_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOptions {
-    /// Micro-ops decoded per cursor refill (the replay analog of the
-    /// expansion chunk). Smaller values bound peak memory tighter at the
-    /// cost of more refills; `0` is treated as `1`.
-    pub chunk_ops: usize,
-    /// Byte budget of the shared decode-buffer pool used when the file is
-    /// not memory-mapped. Buffers beyond the budget are freed instead of
-    /// recycled.
-    pub pool_bytes: usize,
-    /// Memory-map the container when the platform allows it (zero-copy
-    /// section access). When `false` — or when mapping fails — sections are
-    /// `pread` into pooled buffers instead.
-    pub mmap: bool,
-    /// Worker threads for the open-time parallel scan/verify and for
-    /// section-parallel program decode.
-    pub jobs: usize,
-    /// Decode-validate every op section at open (parallel, without
-    /// retaining the ops), so corruption surfaces as a typed error here
-    /// rather than mid-replay.
-    pub verify: bool,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            chunk_ops: EXPAND_CHUNK,
-            pool_bytes: 4 << 20,
-            mmap: true,
-            jobs: default_jobs(),
-            verify: true,
-        }
-    }
-}
-
-/// A recorded micro-op stream opened for out-of-core replay.
-///
-/// `OpReplay` holds the decoded [`Program`] (for validation, sync-event
-/// queries and metadata) plus a section index over the op-stream sections
-/// of the version-3 container; the op payloads themselves stay on disk and
-/// are decoded chunk-by-chunk as cursors traverse them. It implements
-/// [`ExecSource`], so `rppm-profiler` and both `rppm-sim` engines consume
-/// replayed traces through the exact cursor API they use for expansion —
-/// the differential suites pin the two paths bit-identical.
-///
-/// Opening verifies the container structurally (and, by default, decodes
-/// every op section once in parallel), so replay itself cannot fail with
-/// a typed error; if the file is modified on disk *after* open, a
-/// mid-replay decode panics rather than returning garbage.
-#[derive(Debug)]
-pub struct OpReplay {
-    program: Program,
-    source: SectionSource,
-    items: Vec<Vec<StreamItem>>,
-    per_thread_ops: Vec<u64>,
-    total_syncs: u64,
-    options: StreamOptions,
-    pool: ChunkPool,
-    version: u32,
-}
-
-impl OpReplay {
-    /// Opens the container at `path` with default [`StreamOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`TraceFileError::NoOpStream`] if the container carries no recorded
-    /// op stream, plus every scan / program-decode / verify failure mode.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        Self::open_with(path, StreamOptions::default())
-    }
-
-    /// Opens the container at `path` with explicit [`StreamOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`OpReplay::open`].
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        options: StreamOptions,
-    ) -> Result<Self, TraceFileError> {
-        let src = SectionSource::open(path.as_ref(), options.mmap)?;
-        let s = scan(&src)?;
-        if !(s.has_meta || s.run_sections > 0 || s.total_syncs > 0) {
-            return Err(TraceFileError::NoOpStream {
-                detail: format!(
-                    "container version {} holding {} program segments and no op sections",
-                    s.version, s.segments
-                ),
-            });
-        }
-        let program = decode_prog_sections(&src, &s, options.jobs)?;
-        let replay = OpReplay {
-            program,
-            source: src,
-            items: s.items,
-            per_thread_ops: s.per_thread_ops,
-            total_syncs: s.total_syncs,
-            options,
-            pool: ChunkPool::new(options.pool_bytes.max(1)),
-            version: s.version,
-        };
-        replay.check_against_program()?;
-        if options.verify {
-            replay.verify_sections(options.jobs)?;
-        }
-        Ok(replay)
-    }
-
-    /// The decoded program carried alongside the op stream.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Container format version (always ≥ 3 for a successfully opened
-    /// replay).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Total recorded micro-ops across all threads.
-    pub fn total_ops(&self) -> u64 {
-        self.per_thread_ops.iter().sum()
-    }
-
-    /// Total recorded sync events across all threads.
-    pub fn total_syncs(&self) -> u64 {
-        self.total_syncs
-    }
-
-    /// Opens a replay cursor over `thread`'s recorded stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread does not exist.
-    pub fn cursor(&self, thread: usize) -> ThreadCursor<'_> {
-        ThreadCursor::from_replay(ReplayCursor::new(self, thread))
-    }
-
-    /// Checks the recorded stream against the program sections: per-thread
-    /// op totals must match what expansion would produce, and the recorded
-    /// sync sequence must equal the script's.
-    fn check_against_program(&self) -> Result<(), TraceFileError> {
-        for (t, script) in self.program.threads.iter().enumerate() {
-            let expected = script.total_ops();
-            let recorded = self.per_thread_ops[t];
-            if recorded != expected {
-                return Err(TraceFileError::Corrupt {
-                    detail: format!(
-                        "thread {t}: op stream records {recorded} ops, but the program \
-                         sections expand to {expected}"
-                    ),
-                });
-            }
-            let recorded_syncs: Vec<SyncOp> = self.items[t]
-                .iter()
-                .filter_map(|i| match i {
-                    StreamItem::Sync(op) => Some(*op),
-                    StreamItem::Run(_) => None,
-                })
-                .collect();
-            let script_syncs: Vec<SyncOp> = script.sync_ops().copied().collect();
-            if recorded_syncs != script_syncs {
-                return Err(TraceFileError::Corrupt {
-                    detail: format!(
-                        "thread {t}: recorded sync sequence ({} events) does not match the \
-                         program's ({} events)",
-                        recorded_syncs.len(),
-                        script_syncs.len()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode-validates every op-run section in parallel without retaining
-    /// the decoded ops — bounded memory, typed errors at open time.
-    fn verify_sections(&self, jobs: usize) -> Result<(), TraceFileError> {
-        let runs: Vec<RunRef> = self
-            .items
-            .iter()
-            .flat_map(|items| {
-                items.iter().filter_map(|i| match i {
-                    StreamItem::Run(r) => Some(*r),
-                    StreamItem::Sync(_) => None,
-                })
-            })
-            .collect();
-        let first_err: Mutex<Option<TraceFileError>> = Mutex::new(None);
-        parallel_for(jobs, runs.len(), |i| {
-            if first_err.lock().unwrap().is_some() {
-                return;
-            }
-            let r = runs[i];
-            let mut owned = Vec::new();
-            let res = (|| {
-                let bytes = match self.source.slice(r.off, r.len as usize) {
-                    Some(b) => b,
-                    None => {
-                        self.source.read_into(r.off, r.len as usize, &mut owned)?;
-                        owned.as_slice()
-                    }
-                };
-                let mut b = Bytes::new(bytes);
-                let mut d = OpDelta::default();
-                for _ in 0..r.ops {
-                    decode_op(&mut b, &mut d)?;
-                }
-                if b.remaining() != 0 {
-                    return Err(TraceFileError::Corrupt {
-                        detail: format!(
-                            "{} excess bytes at the end of an op-run section",
-                            b.remaining()
-                        ),
-                    });
-                }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                let mut slot = first_err.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-            }
-        });
-        match first_err.into_inner().unwrap() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl ExecSource for OpReplay {
-    fn name(&self) -> &str {
-        &self.program.name
-    }
-
-    fn num_threads(&self) -> usize {
-        self.program.num_threads()
-    }
-
-    fn validate(&self) -> Result<(), ProgramError> {
-        self.program.validate()
-    }
-
-    fn cursor(&self, thread: usize) -> ThreadCursor<'_> {
-        OpReplay::cursor(self, thread)
-    }
-
-    fn sync_ops(&self, thread: usize) -> Vec<SyncOp> {
-        self.program.threads[thread].sync_ops().copied().collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replay cursor
-
-/// Raw bytes of the op-run section a cursor is currently decoding.
-#[derive(Debug)]
-enum RawBytes<'p> {
-    /// No section loaded.
-    None,
-    /// Zero-copy view into the memory-mapped file.
-    Borrowed(&'p [u8]),
-    /// Pooled buffer filled by positional reads.
-    Owned(Vec<u8>),
-}
-
-/// Streaming cursor over one thread's *recorded* op stream.
-///
-/// Mirrors the eager-advance semantics of the expansion-backed cursor
-/// exactly (an `Ops` peek is never empty; draining the final chunk of a
-/// run advances to the next item so a following `Sync` peek works), which
-/// is what lets [`crate::cursor::ThreadCursor`] dispatch over both without
-/// consumers noticing.
-#[derive(Debug)]
-pub(crate) struct ReplayCursor<'p> {
-    replay: &'p OpReplay,
-    items: &'p [StreamItem],
-    item: usize,
-    raw: RawBytes<'p>,
-    /// Byte position inside the current section payload.
-    pos: usize,
-    /// Ops of the current run not yet decoded into `buf`.
-    run_left: u64,
-    delta: OpDelta,
-    buf: Vec<MicroOp>,
-    buf_pos: usize,
-    /// Whether `buf` holds an unconsumed chunk of the current run.
-    filled: bool,
-    ops_consumed: u64,
-}
-
-impl<'p> ReplayCursor<'p> {
-    fn new(replay: &'p OpReplay, thread: usize) -> Self {
-        ReplayCursor {
-            replay,
-            items: &replay.items[thread],
-            item: 0,
-            raw: RawBytes::None,
-            pos: 0,
-            run_left: 0,
-            delta: OpDelta::default(),
-            buf: Vec::new(),
-            buf_pos: 0,
-            filled: false,
-            ops_consumed: 0,
-        }
-    }
-
-    /// Loads the current run's section bytes and decodes the next chunk
-    /// into `buf` if needed.
-    fn ensure(&mut self) {
-        let r = match self.items.get(self.item) {
-            Some(StreamItem::Run(r)) => *r,
-            Some(StreamItem::Sync(_)) | None => return,
-        };
-        if matches!(self.raw, RawBytes::None) {
-            self.raw = match self.replay.source.slice(r.off, r.len as usize) {
-                Some(b) => RawBytes::Borrowed(b),
-                None => {
-                    let mut v = self.replay.pool.take();
-                    self.replay
-                        .source
-                        .read_into(r.off, r.len as usize, &mut v)
-                        .unwrap_or_else(|e| {
-                            panic!("op-run section unreadable mid-replay ({e}); was the trace file modified on disk?")
-                        });
-                    RawBytes::Owned(v)
-                }
-            };
-            self.pos = 0;
-            self.run_left = r.ops;
-            self.delta = OpDelta::default();
-        }
-        if !self.filled {
-            let take = self
-                .run_left
-                .min(self.replay.options.chunk_ops.max(1) as u64) as usize;
-            self.buf.clear();
-            self.buf_pos = 0;
-            let bytes = match &self.raw {
-                RawBytes::Borrowed(b) => *b,
-                RawBytes::Owned(v) => v.as_slice(),
-                RawBytes::None => unreachable!(),
-            };
-            let mut b = Bytes::new(bytes);
-            b.pos = self.pos;
-            for _ in 0..take {
-                self.buf.push(decode_op_verified(&mut b, &mut self.delta));
-            }
-            self.pos = b.pos;
-            self.run_left -= take as u64;
-            self.filled = true;
-        }
-    }
-
-    /// Releases the current section (returning pooled buffers) and moves
-    /// to the next stream item.
-    fn finish_run(&mut self) {
-        if let RawBytes::Owned(v) = std::mem::replace(&mut self.raw, RawBytes::None) {
-            self.replay.pool.put(v);
-        }
-        self.pos = 0;
-        self.item += 1;
-    }
-
-    pub(crate) fn peek_block(&mut self) -> Option<BlockItem<'_>> {
-        self.ensure();
-        match self.items.get(self.item) {
-            Some(StreamItem::Run(_)) => Some(BlockItem::Ops(&self.buf[self.buf_pos..])),
-            Some(StreamItem::Sync(op)) => Some(BlockItem::Sync(*op)),
-            None => None,
-        }
-    }
-
-    pub(crate) fn consume_ops(&mut self, n: usize) {
-        debug_assert!(
-            self.filled && self.buf_pos + n <= self.buf.len(),
-            "consume_ops({n}) without a matching peek_block"
-        );
-        self.ops_consumed += n as u64;
-        self.buf_pos += n;
-        if self.buf_pos >= self.buf.len() {
-            self.filled = false;
-            // Advance to the next item only once the run is fully decoded;
-            // otherwise the next ensure() refills with the run's next chunk.
-            if self.run_left == 0 {
-                self.finish_run();
-            }
-        }
-    }
-
-    pub(crate) fn consume_sync(&mut self) {
-        debug_assert!(
-            matches!(self.items.get(self.item), Some(StreamItem::Sync(_))),
-            "consume_sync without a pending sync event"
-        );
-        self.item += 1;
-        self.filled = false;
-    }
-
-    pub(crate) fn at_end(&mut self) -> bool {
-        self.ensure();
-        self.item >= self.items.len()
-    }
-
-    pub(crate) fn ops_consumed(&self) -> u64 {
-        self.ops_consumed
-    }
-
-    pub(crate) fn take_block(&mut self) -> &[MicroOp] {
-        self.ensure();
-        match self.items.get(self.item) {
-            Some(StreamItem::Run(_)) => {
-                let start = self.buf_pos;
-                if self.run_left > 0 {
-                    let bytes = match &self.raw {
-                        RawBytes::Borrowed(b) => *b,
-                        RawBytes::Owned(v) => v.as_slice(),
-                        RawBytes::None => unreachable!(),
-                    };
-                    let mut b = Bytes::new(bytes);
-                    b.pos = self.pos;
-                    for _ in 0..self.run_left {
-                        self.buf.push(decode_op_verified(&mut b, &mut self.delta));
-                    }
-                    self.pos = b.pos;
-                    self.run_left = 0;
-                }
-                let len = self.buf.len() - start;
-                self.ops_consumed += len as u64;
-                self.buf_pos = self.buf.len();
-                self.filled = false;
-                self.finish_run();
-                &self.buf[start..]
-            }
-            _ => &[],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::write_program_binary;
+    use crate::binary::{import_program_binary, write_program_binary};
     use crate::block::BlockSpec;
-    use crate::cursor::CursorItem;
     use crate::file::program_fingerprint;
     use std::path::PathBuf;
 
@@ -1512,101 +743,11 @@ mod tests {
         p
     }
 
-    fn collect_items(cur: &mut ThreadCursor<'_>) -> Vec<CursorItem> {
-        let mut out = Vec::new();
-        while let Some(item) = cur.item() {
-            out.push(item);
-            cur.advance();
-        }
-        out
-    }
-
-    #[test]
-    fn record_replay_streams_bit_identical() {
-        let p = demo_program();
-        let path = tmp_path("roundtrip");
-        write_program_ops(&p, &path).unwrap();
-        let replay = OpReplay::open(&path).unwrap();
-        assert_eq!(replay.total_ops(), p.total_ops());
-        assert_eq!(replay.program(), &p);
-        for t in 0..p.num_threads() {
-            let expanded = collect_items(&mut ThreadCursor::new(&p.threads[t]));
-            let replayed = collect_items(&mut replay.cursor(t));
-            assert_eq!(expanded, replayed, "thread {t} streams diverge");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tiny_chunk_and_pool_budget_replays_identically() {
-        let p = demo_program();
-        let path = tmp_path("tiny");
-        write_program_ops(&p, &path).unwrap();
-        let opts = StreamOptions {
-            chunk_ops: 3,
-            pool_bytes: 64,
-            mmap: false,
-            jobs: 1,
-            verify: true,
-        };
-        let replay = OpReplay::open_with(&path, opts).unwrap();
-        for t in 0..p.num_threads() {
-            let expanded = collect_items(&mut ThreadCursor::new(&p.threads[t]));
-            let replayed = collect_items(&mut replay.cursor(t));
-            assert_eq!(expanded, replayed, "thread {t} streams diverge");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn take_block_covers_the_same_ops() {
-        let p = demo_program();
-        let path = tmp_path("takeblock");
-        write_program_ops(&p, &path).unwrap();
-        let replay = OpReplay::open(&path).unwrap();
-        for t in 0..p.num_threads() {
-            let flatten = |cur: &mut ThreadCursor<'_>| {
-                let mut ops = Vec::new();
-                let mut syncs = Vec::new();
-                loop {
-                    enum Kind {
-                        Ops,
-                        Sync(SyncOp),
-                        End,
-                    }
-                    let kind = match cur.peek_block() {
-                        Some(BlockItem::Ops(_)) => Kind::Ops,
-                        Some(BlockItem::Sync(op)) => Kind::Sync(op),
-                        None => Kind::End,
-                    };
-                    match kind {
-                        Kind::Ops => ops.extend_from_slice(cur.take_block()),
-                        Kind::Sync(op) => {
-                            syncs.push(op);
-                            cur.consume_sync();
-                        }
-                        Kind::End => break,
-                    }
-                }
-                (ops, syncs)
-            };
-            let a = flatten(&mut ThreadCursor::new(&p.threads[t]));
-            let b = flatten(&mut replay.cursor(t));
-            assert_eq!(a, b, "thread {t} take_block streams diverge");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn plain_binary_has_no_op_stream() {
         let p = demo_program();
         let path = tmp_path("plain");
         write_program_binary(&p, &path).unwrap();
-        let err = OpReplay::open(&path).unwrap_err();
-        assert!(
-            matches!(err, TraceFileError::NoOpStream { .. }),
-            "expected NoOpStream, got {err:?}"
-        );
         let info = container_info(&path).unwrap();
         assert!(!info.has_op_stream);
         assert_eq!(info.recorded_ops, 0);
@@ -1659,9 +800,15 @@ mod tests {
         let bytes = w.finish().unwrap();
         let path = tmp_path("emptyrun");
         std::fs::write(&path, &bytes).unwrap();
+        let is_empty_run = |err: &TraceFileError| matches!(err, TraceFileError::Corrupt { detail } if detail.contains("empty op-run"));
         let err = container_info(&path).unwrap_err();
         assert!(
-            matches!(&err, TraceFileError::Corrupt { detail } if detail.contains("empty op-run")),
+            is_empty_run(&err),
+            "expected empty-op-run Corrupt, got {err:?}"
+        );
+        let err = import_program_binary(&bytes).unwrap_err();
+        assert!(
+            is_empty_run(&err),
             "expected empty-op-run Corrupt, got {err:?}"
         );
         std::fs::remove_file(&path).unwrap();

@@ -32,7 +32,7 @@
 //! * When the engine's ready queue runs dry, [`SyncCore::assert_finished`]
 //!   tells a finished run from a deadlock.
 
-use crate::cursor::ExecSource;
+use crate::program::Program;
 use crate::sched::Clock;
 use crate::sync::SyncOp;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -192,10 +192,13 @@ impl<T: Clock> SyncCore<T> {
         core
     }
 
-    /// A core for executing `source`.
-    pub fn for_source<S: ExecSource>(source: &S) -> Self {
-        let n = source.num_threads();
-        Self::new(n, barrier_participants((0..n).map(|t| source.sync_ops(t))))
+    /// A core for executing `program`.
+    pub fn for_program(program: &Program) -> Self {
+        let events = program
+            .threads
+            .iter()
+            .map(|t| t.sync_ops().copied().collect::<Vec<_>>());
+        Self::new(program.num_threads(), barrier_participants(events))
     }
 
     /// Returns every thread and primitive to its initial state for another

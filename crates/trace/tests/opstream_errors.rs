@@ -1,16 +1,14 @@
-//! The out-of-core op-stream surface must be as hostile-input-proof as the
-//! base container (mirroring `import_errors.rs`): every prefix truncation
-//! of a version-3 file yields a typed error, op-section corruption is
-//! caught at open, plain containers report `NoOpStream`, and — the pinning
-//! property — a recorded stream replays bit-identically to re-expansion
-//! for arbitrary generated programs.
+//! Version-3 containers (program sections plus a recorded op stream) must
+//! be as hostile-input-proof as the base container (mirroring
+//! `import_errors.rs`): every prefix truncation yields a typed error from
+//! every reader, plain containers report no op stream, and a malformed op
+//! or segment section gets the same typed error whichever reader sees it.
 
-use proptest::prelude::*;
 use rppm_trace::{
-    container_info, export_program_ops, AddressPattern, BlockItem, BlockSpec, ExecSource, MicroOp,
-    OpReplay, Program, ProgramBuilder, StreamOptions, SyncOp, TraceFileError,
+    container_info, export_program_ops, read_program_any, read_program_sections,
+    read_program_stream, AddressPattern, BlockSpec, Program, ProgramBuilder, TraceFileError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -65,28 +63,19 @@ fn rich_program() -> Program {
     b.build()
 }
 
-/// Collects a cursor's full (op, sync) stream through the public
-/// `peek_block`/`consume` API, exactly as the profiler and simulator
-/// drive it.
-fn drain<S: ExecSource>(source: &S, thread: usize) -> (Vec<MicroOp>, Vec<SyncOp>) {
-    let mut cur = source.cursor(thread);
-    let mut ops = Vec::new();
-    let mut syncs = Vec::new();
-    while let Some(item) = cur.peek_block() {
-        match item {
-            BlockItem::Ops(slice) => {
-                assert!(!slice.is_empty(), "Ops slices are never empty");
-                ops.extend_from_slice(slice);
-                let n = slice.len();
-                cur.consume_ops(n);
-            }
-            BlockItem::Sync(op) => {
-                syncs.push(op);
-                cur.consume_sync();
-            }
-        }
-    }
-    (ops, syncs)
+/// Every reader of a whole container, by name: the streaming reader over a
+/// path and over a byte stream, the section-parallel reader and the
+/// trace-info scan.
+fn read_all(path: &Path, bytes: &[u8]) -> Vec<(&'static str, Result<(), TraceFileError>)> {
+    vec![
+        ("read_program_any", read_program_any(path).map(drop)),
+        ("read_program_stream", read_program_stream(bytes).map(drop)),
+        (
+            "read_program_sections",
+            read_program_sections(path, 2).map(drop),
+        ),
+        ("container_info", container_info(path).map(drop)),
+    ]
 }
 
 #[test]
@@ -95,62 +84,31 @@ fn truncated_op_stream_is_detected_at_every_cut() {
     let path = tmp_path("truncate");
     let _guard = TempFile(path.clone());
     // Every proper prefix must fail with a typed error — never Ok, never a
-    // panic — through both the replay opener and the trace-info scan.
+    // panic — through every reader.
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).expect("write prefix");
-        let err = match OpReplay::open(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("cut at {cut}: opened a truncated stream"),
-        };
-        assert!(
-            matches!(
-                err,
+        for (reader, result) in read_all(&path, &bytes[..cut]) {
+            let err = match result {
+                Err(e) => e,
+                Ok(()) => panic!("cut at {cut}: {reader} accepted a truncated container"),
+            };
+            let typed = match err {
                 TraceFileError::Truncated { .. }
-                    | TraceFileError::BadMagic { .. }
-                    | TraceFileError::Corrupt { .. }
-            ),
-            "cut at {cut}: got {err:?}"
-        );
-        let info_err = match container_info(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("cut at {cut}: scanned a truncated stream"),
-        };
-        assert!(
-            matches!(
-                info_err,
-                TraceFileError::Truncated { .. }
-                    | TraceFileError::BadMagic { .. }
-                    | TraceFileError::Corrupt { .. }
-            ),
-            "cut at {cut}: got {info_err:?}"
-        );
-    }
-    // The full file opens.
-    std::fs::write(&path, &bytes).expect("write full");
-    OpReplay::open(&path).expect("full stream opens");
-}
-
-#[test]
-fn flipped_op_payload_bytes_are_caught_at_open() {
-    let program = rich_program();
-    let clean = export_program_ops(&program).expect("record");
-    let path = tmp_path("corrupt");
-    let _guard = TempFile(path.clone());
-    // Flip one byte at several points across the file. Open must either
-    // reject with a typed error or — when the flip lands in generator
-    // parameters so the decoded program is merely *different* — fail the
-    // recorded-vs-decoded cross-check. It must never open successfully,
-    // because any accepted byte matters somewhere.
-    let mut rejected = 0usize;
-    for pos in (8..clean.len()).step_by(clean.len() / 23 + 1) {
-        let mut bytes = clean.clone();
-        bytes[pos] ^= 0x55;
-        std::fs::write(&path, &bytes).expect("write corrupt");
-        if OpReplay::open(&path).is_err() {
-            rejected += 1;
+                | TraceFileError::BadMagic { .. }
+                | TraceFileError::Corrupt { .. } => true,
+                // Too short to hold the RPT1 magic: the sniffing readers
+                // parse it as JSON instead.
+                TraceFileError::Json { .. } | TraceFileError::NotATraceFile { .. } => cut < 4,
+                _ => false,
+            };
+            assert!(typed, "cut at {cut}: {reader} got {err:?}");
         }
     }
-    assert!(rejected > 0, "no corruption was ever rejected");
+    // The full file reads everywhere.
+    std::fs::write(&path, &bytes).expect("write full");
+    for (reader, result) in read_all(&path, &bytes) {
+        result.unwrap_or_else(|e| panic!("{reader} rejected the full container: {e}"));
+    }
 }
 
 #[test]
@@ -159,85 +117,144 @@ fn plain_container_reports_no_op_stream() {
     let path = tmp_path("plain");
     let _guard = TempFile(path.clone());
     rppm_trace::write_program_binary(&program, &path).expect("write v1");
-    match OpReplay::open(&path) {
-        Err(TraceFileError::NoOpStream { .. }) => {}
-        other => panic!("expected NoOpStream, got {other:?}"),
+    let info = container_info(&path).expect("scan");
+    assert!(!info.has_op_stream);
+    assert_eq!((info.recorded_ops, info.recorded_syncs), (0, 0));
+    assert_eq!(read_program_any(&path).expect("import"), program);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-edited containers
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= ((b & 0x7F) as u64) << shift;
+        if b & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
     }
 }
+
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A container's `(tag, payload)` sections, in file order.
+type Sections = Vec<(u64, Vec<u8>)>;
+
+/// Splits a container into its version and sections.
+fn split(bytes: &[u8]) -> (u64, Sections) {
+    assert_eq!(&bytes[..4], b"RPT1");
+    let mut pos = 4;
+    let version = read_varint(bytes, &mut pos);
+    let mut sections = Vec::new();
+    while pos < bytes.len() {
+        let tag = read_varint(bytes, &mut pos);
+        let len = read_varint(bytes, &mut pos) as usize;
+        sections.push((tag, bytes[pos..pos + len].to_vec()));
+        pos += len;
+    }
+    (version, sections)
+}
+
+fn join(version: u64, sections: &Sections) -> Vec<u8> {
+    let mut out = b"RPT1".to_vec();
+    push_varint(&mut out, version);
+    for (tag, payload) in sections {
+        push_varint(&mut out, *tag);
+        push_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Replaces the leading varint of the first section tagged `tag`.
+fn patch_first_varint(sections: &mut Sections, tag: u64, f: impl Fn(u64) -> u64) {
+    let (_, payload) = sections
+        .iter_mut()
+        .find(|(t, _)| *t == tag)
+        .expect("section present");
+    let mut pos = 0;
+    let v = read_varint(payload, &mut pos);
+    let mut patched = Vec::new();
+    push_varint(&mut patched, f(v));
+    patched.extend_from_slice(&payload[pos..]);
+    *payload = patched;
+}
+
+/// Inserts a section just before the end section.
+fn insert_before_end(sections: &mut Sections, tag: u64, payload: Vec<u8>) {
+    let end = sections.len() - 1;
+    assert_eq!(sections[end].0, TAG_END, "the end section comes last");
+    sections.insert(end, (tag, payload));
+}
+
+const TAG_OPS: u64 = 2;
+const TAG_END: u64 = 3;
+const TAG_OP_RUN: u64 = 4;
+const TAG_OP_META: u64 = 6;
 
 #[test]
-fn rich_program_replays_bit_identically() {
-    let program = rich_program();
-    let path = tmp_path("rich");
-    let _guard = TempFile(path.clone());
-    rppm_trace::write_program_ops(&program, &path).expect("record");
-    let replay = OpReplay::open(&path).expect("open");
-    assert_eq!(replay.program(), &program, "decoded program drifted");
-    for t in 0..program.num_threads() {
-        let (ops_a, syncs_a) = drain(&program, t);
-        let (ops_b, syncs_b) = drain(&replay, t);
-        assert_eq!(ops_a, ops_b, "thread {t}: op streams diverge");
-        assert_eq!(syncs_a, syncs_b, "thread {t}: sync streams diverge");
+fn malformed_sections_get_one_error_from_every_reader() {
+    let mut b = ProgramBuilder::new("four", 4);
+    let bar = b.alloc_barrier();
+    b.spawn_workers();
+    for t in 0..4u32 {
+        b.thread(t)
+            .block(BlockSpec::new(300 + t, 7 + t as u64).loads(0.2))
+            .barrier(bar);
     }
-}
+    b.join_workers();
+    let clean = export_program_ops(&b.build()).expect("record");
+    let (version, sections) = split(&clean);
+    assert_eq!(join(version, &sections), clean, "split/join round-trips");
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    let mut cases: Vec<(&str, Sections)> = Vec::new();
+    let mut s = sections.clone();
+    patch_first_varint(&mut s, TAG_OP_META, |runs| runs + 1);
+    cases.push(("op-meta run count off by one", s));
+    let mut s = sections.clone();
+    patch_first_varint(&mut s, TAG_OP_RUN, |_| 99);
+    cases.push(("op-run section for thread 99", s));
+    let mut s = sections.clone();
+    insert_before_end(&mut s, TAG_OP_RUN, vec![0, 0]);
+    cases.push(("empty op-run section", s));
+    let mut s = sections.clone();
+    insert_before_end(&mut s, TAG_OPS, vec![0, 0]);
+    cases.push(("empty segment section", s));
+    let mut s = sections.clone();
+    s.last_mut().expect("end section").1.push(0);
+    assert_eq!(s.last().expect("end section").0, TAG_END);
+    cases.push(("excess byte in the end section", s));
 
-    /// Record → replay is bit-identical to re-expansion for arbitrary
-    /// generated programs, including under an adversarially tiny chunk
-    /// and pool budget with the mmap path disabled.
-    #[test]
-    fn record_replay_roundtrip_is_bit_identical(
-        seed in 1u64..1_000_000,
-        ops in 8u32..600,
-        loads in 0u32..40,
-        branches in 0u32..20,
-        chunk_ops in 1usize..9,
-        use_barrier in any::<bool>(),
-        use_queue in any::<bool>(),
-    ) {
-        let mut b = ProgramBuilder::new("prop", 2);
-        let bar = b.alloc_barrier();
-        let q = b.alloc_queue();
-        let reg = b.alloc_region(512);
-        b.spawn_workers();
-        for t in 0..2u32 {
-            b.thread(t).block(
-                BlockSpec::new(ops + t, seed + t as u64)
-                    .loads(loads as f64 / 100.0)
-                    .branches(branches as f64 / 100.0)
-                    .addr(AddressPattern::stream(reg), 1.0),
+    let path = tmp_path("malformed");
+    let _guard = TempFile(path.clone());
+    for (case, sections) in cases {
+        let bytes = join(version, &sections);
+        std::fs::write(&path, &bytes).expect("write case");
+        let details: Vec<(&str, String)> = read_all(&path, &bytes)
+            .into_iter()
+            .map(|(reader, result)| match result {
+                Err(TraceFileError::Corrupt { detail }) => (reader, detail),
+                other => panic!("{case}: {reader} returned {other:?}, expected Corrupt"),
+            })
+            .collect();
+        let first = &details[0].1;
+        for (reader, detail) in &details {
+            assert_eq!(
+                detail, first,
+                "{case}: {reader} and {} disagree",
+                details[0].0
             );
-            if use_barrier {
-                b.thread(t).barrier(bar);
-                b.thread(t).block(BlockSpec::new(ops / 2 + 1, seed ^ 0xABCD));
-            }
-        }
-        if use_queue {
-            b.thread(0u32).produce(q, 1);
-            b.thread(1u32).consume(q);
-        }
-        b.join_workers();
-        let program = b.build();
-
-        let path = tmp_path("prop");
-        let _guard = TempFile(path.clone());
-        rppm_trace::write_program_ops(&program, &path)
-            .expect("record");
-        let replay = OpReplay::open_with(&path, StreamOptions {
-            chunk_ops,
-            pool_bytes: 128,
-            mmap: false,
-            ..StreamOptions::default()
-        }).expect("open");
-
-        prop_assert_eq!(replay.total_ops(), program.total_ops());
-        for t in 0..program.num_threads() {
-            let (ops_a, syncs_a) = drain(&program, t);
-            let (ops_b, syncs_b) = drain(&replay, t);
-            prop_assert_eq!(ops_a, ops_b, "thread {} op streams diverge", t);
-            prop_assert_eq!(syncs_a, syncs_b, "thread {} sync streams diverge", t);
         }
     }
 }

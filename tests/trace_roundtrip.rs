@@ -1,14 +1,14 @@
 //! Trace interchange round-trip properties: for arbitrary programs,
 //! `export -> import` — through the JSON format, the `RPT1` binary
-//! container, and chained conversions between the two — reproduces the
-//! program, its one-time profile, and every design-point prediction bit
-//! for bit.
+//! container, the version-3 op-stream container, and chained conversions
+//! between them — reproduces the program, its one-time profile, and every
+//! design-point prediction bit for bit.
 
 use proptest::prelude::*;
 use rppm::prelude::*;
 use rppm::trace::{
     export_program, export_program_binary, export_program_ops, import_program,
-    import_program_binary, AddressPattern, BlockSpec, BranchPattern,
+    import_program_binary, import_program_bytes, AddressPattern, BlockSpec, BranchPattern,
 };
 
 /// Builds a structurally valid multi-threaded program from sampled scalars:
@@ -123,10 +123,11 @@ proptest! {
         prop_assert_eq!(text, export_program(&imported).expect("re-exports"));
     }
 
-    /// Chained conversion JSON -> binary -> JSON is the identity, and both
-    /// containers profile and predict bit-identically. This is the
-    /// trace_convert contract: a trace may hop between formats any number
-    /// of times without drifting.
+    /// Chained conversion JSON -> binary -> JSON is the identity, and every
+    /// container — JSON, RPT1 and the op-stream container that
+    /// `rppm convert --to ops` writes — profiles and predicts
+    /// bit-identically. This is the trace_convert contract: a trace may hop
+    /// between formats any number of times without drifting.
     #[test]
     fn json_binary_json_chain_is_bit_identical(
         threads in 2usize..5,
@@ -152,18 +153,29 @@ proptest! {
         // Binary is canonical too: re-exporting its import is byte-identical.
         prop_assert_eq!(&bin, &export_program_binary(&from_bin).expect("re-exports"));
 
-        // Both containers carry the same profile and predictions, bit for bit.
+        // The op-stream container carries the same program beside its
+        // recorded micro-ops.
+        let ops = export_program_ops(&from_bin).expect("records");
+        let from_ops = import_program_bytes(&ops).expect("op-stream container imports");
+        prop_assert_eq!(&program, &from_ops);
+
+        // All three containers carry the same profile and predictions, bit
+        // for bit.
         let p_json = profile(&from_json);
         let p_bin = profile(&from_bin);
+        let p_ops = profile(&from_ops);
         prop_assert_eq!(&p_json, &p_bin);
+        prop_assert_eq!(&p_json, &p_ops);
         for dp in DesignPoint::ALL {
             let a = predict(&p_json, &dp.config());
-            let b = predict(&p_bin, &dp.config());
-            prop_assert_eq!(
-                a.total_cycles.to_bits(),
-                b.total_cycles.to_bits(),
-                "prediction diverged between containers on {}", dp
-            );
+            for (p, container) in [(&p_bin, "RPT1"), (&p_ops, "op-stream")] {
+                let b = predict(p, &dp.config());
+                prop_assert_eq!(
+                    a.total_cycles.to_bits(),
+                    b.total_cycles.to_bits(),
+                    "prediction diverged between JSON and {} on {}", container, dp
+                );
+            }
         }
     }
 }
