@@ -5,11 +5,11 @@
 //! specifications that are *expanded* into micro-ops on every traversal.
 //! This module can also **record** that expansion: [`record_ops`] writes
 //! the program sections of a version-3 `RPT1` container (see
-//! [`crate::binary`]) followed by the expanded [`MicroOp`] stream in op-
-//! stream sections (tags 4–6), for tools that consume raw micro-ops. The
-//! profiler and both simulators always execute the program by expansion;
-//! every reader takes the program sections and checks the op-stream
-//! sections' structure without decoding their ops.
+//! [`crate::binary`]) followed by the expanded [`MicroOp`] stream in
+//! op-stream sections (tags 4–6), for tools that consume raw micro-ops.
+//! The profiler and both simulators always execute the program by
+//! expansion; every reader takes the program sections and checks the
+//! op-stream sections' structure without decoding their ops.
 //!
 //! # Layout of the op-stream sections
 //!
@@ -65,8 +65,8 @@ const OP_RUN_OPS: u64 = 4096;
 
 /// Delta-chain state for the three address-like fields of a micro-op.
 ///
-/// Reset at every `op-run` section boundary (writer and reader
-/// symmetrically), so sections decode independently.
+/// Reset at every `op-run` section boundary, so each section decodes on
+/// its own.
 #[derive(Debug, Clone, Copy, Default)]
 struct OpDelta {
     line: u64,
