@@ -235,6 +235,38 @@ fn import_ignores_calibration_environment() {
     assert_eq!(run(true), plain);
 }
 
+/// `rppm trace-info` prints the committed example containers exactly so.
+#[test]
+fn trace_info_output_is_pinned() {
+    const EXPECTED: &str = "\
+examples/traces/mini.rpt: RPT1 v1 `mini-external`, 2 threads, 435 bytes
+  program segments: 7; op stream: none (plain program container)
+  tag 1 header         1 section            15 bytes
+  tag 2 segments       2 sections          404 bytes
+  tag 3 end            1 section             1 bytes
+
+examples/traces/mini.ops.rpt: RPT1 v3 `mini-external`, 2 threads, 13824 bytes
+  program segments: 7; op stream: 2064 recorded ops, 4 sync events
+  tag 1 header         1 section            15 bytes
+  tag 2 segments       2 sections          404 bytes
+  tag 3 end            1 section             1 bytes
+  tag 4 op-run         3 sections        13350 bytes
+  tag 5 op-sync        4 sections           12 bytes
+  tag 6 op-meta        1 section             8 bytes
+";
+    let out = Command::new(env!("CARGO_BIN_EXE_rppm"))
+        .args([
+            "trace-info",
+            "examples/traces/mini.rpt",
+            "examples/traces/mini.ops.rpt",
+        ])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("spawn rppm");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), EXPECTED);
+}
+
 #[test]
 fn dse_sweeps_the_tiny_space_with_twins() {
     // The tiny 12-point space keeps this an actual smoke test; --json and
