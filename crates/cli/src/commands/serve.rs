@@ -23,9 +23,9 @@ Serves the profile-once session over HTTP/1.1 until POST /shutdown:
 --max-entries / --max-bytes bound the profile cache (LRU eviction; default
 unbounded like the offline tools — long-lived deployments should set one).
 --max-body caps trace uploads (default 64 MiB); uploads above --spool-bytes
-(default 1 MiB) are spooled to disk and imported through the out-of-core
-streaming reader instead of being held in memory. --workers sizes the HTTP
-pool, --runners the profiling-job pool, --jobs the threads per sweep.";
+(default 1 MiB) are copied to a temporary file first and read back by the
+same reader, with the same answer. --workers sizes the HTTP pool, --runners
+the profiling-job pool, --jobs the threads per sweep.";
 
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);

@@ -1,17 +1,17 @@
-//! `rppm trace-info` — inspect an `RPT1` container without decoding it.
+//! `rppm trace-info` — inspect an `RPT1` container's sections.
 
 use super::is_help;
 use crate::args::{ArgStream, CliError};
 
 const USAGE: &str = "usage: rppm trace-info FILE.rpt...
 
-Scans each RPT1 container and prints its format version, workload identity
-and a per-section breakdown: tag, kind, section count and payload bytes.
-Version-3 containers written by `rppm convert --to ops` additionally report
-the recorded op stream (op-run / op-sync / op-meta sections). The scan
-applies the section rules every trace reader applies, without decoding
-segment records or micro-ops; malformed or truncated files exit 2 with a
-one-line error.";
+Reads each RPT1 container through the section walker every trace reader
+uses and prints its format version, workload identity and a per-section
+breakdown: tag, kind, section count and payload bytes. Version-3 containers
+written by `rppm convert --to ops` additionally report the recorded op
+stream (op-run / op-sync / op-meta sections). Every section is read and
+checked, but no segment record or micro-op is decoded; malformed or
+truncated files exit 2 with a one-line error.";
 
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);

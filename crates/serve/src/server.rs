@@ -16,8 +16,8 @@ use rppm::docs::{
     describe_config, dse_best_doc, dse_bounds_ladder, dse_sweep_doc, prediction_doc, sweep_doc,
 };
 use rppm::trace::{
-    parse_machine, program_fingerprint, read_program, read_program_sections, read_program_stream,
-    DesignPoint, MachineConfig, Program, BINARY_TRACE_MAGIC,
+    parse_machine, program_fingerprint, read_program_any, read_program_stream, DesignPoint,
+    MachineConfig, Program,
 };
 use rppm::{CacheBudget, Session, WorkloadHandle};
 use serde_json::Value;
@@ -46,10 +46,10 @@ pub struct ServeConfig {
     pub budget: CacheBudget,
     /// Largest accepted request body (trace upload), in bytes.
     pub max_body_bytes: u64,
-    /// Trace uploads larger than this are spooled to a temporary file and
-    /// imported through the out-of-core streaming reader (mmap-backed,
-    /// section-parallel decode) instead of being parsed from the socket,
-    /// so a worker's peak memory stays bounded by sections, not bodies.
+    /// Trace uploads larger than this are copied to a temporary file
+    /// before the same sniffing reader as smaller uploads reads them back;
+    /// the answer does not depend on which side of the threshold a body
+    /// falls.
     pub spool_bytes: u64,
     /// Uploaded-trace handles retained for re-profiling after eviction;
     /// beyond this the oldest upload is forgotten (clients re-upload).
@@ -214,12 +214,10 @@ impl Drop for SpoolFile {
     }
 }
 
-/// Copies an oversized upload body to a temporary file and imports it
-/// through the out-of-core streaming reader: RPT1 containers (any version,
-/// including version-3 op streams) go through the mmap-backed
-/// section-parallel path, JSON traces are parsed from disk. Either way the
-/// worker never holds the whole body in memory.
-fn spool_and_read(body: &mut dyn Read, jobs: usize) -> Result<Program, ApiError> {
+/// Copies an oversized upload body to a temporary file and reads it back
+/// with [`read_program_any`], which sniffs the format and walks `RPT1`
+/// sections exactly as [`read_program_stream`] does for small uploads.
+fn spool_and_read(body: &mut dyn Read) -> Result<Program, ApiError> {
     static SPOOL_SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SPOOL_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!(
@@ -236,17 +234,8 @@ fn spool_and_read(body: &mut dyn Read, jobs: usize) -> Result<Program, ApiError>
         std::io::Write::flush(&mut writer)
             .map_err(|e| ApiError::new(500, format!("cannot spool upload: {e}")))?;
     }
-    let mut magic = [0u8; 4];
-    let is_binary = std::fs::File::open(&path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|()| magic == BINARY_TRACE_MAGIC)
-        .unwrap_or(false);
-    let program = if is_binary {
-        read_program_sections(&path, jobs)
-    } else {
-        read_program(&path)
-    }
-    .map_err(|e| ApiError::bad_request(format!("trace rejected: {e}")))?;
+    let program = read_program_any(&path)
+        .map_err(|e| ApiError::bad_request(format!("trace rejected: {e}")))?;
     drop(guard);
     Ok(program)
 }
@@ -435,7 +424,7 @@ impl State {
         }
         let mut limited = body.take(head.content_length);
         let program = if head.content_length > self.spool_bytes {
-            spool_and_read(&mut limited, self.jobs_hint)?
+            spool_and_read(&mut limited)?
         } else {
             read_program_stream(&mut limited)
                 .map_err(|e| ApiError::bad_request(format!("trace rejected: {e}")))?

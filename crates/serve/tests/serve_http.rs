@@ -402,12 +402,11 @@ fn machine_upload_round_trip_and_registry_errors() {
     server.wait();
 }
 
-/// Uploads above the spool threshold take the out-of-core path: the body
-/// is spooled to disk and imported through the streaming section reader
-/// rather than parsed from the socket. The answers must not change — a
-/// spooled version-3 op-stream container profiles and predicts exactly
-/// like the same program uploaded in-memory — and the 413 cap plus the
-/// corrupt-body 400 still hold on the spooled path.
+/// Uploads above the spool threshold are copied to disk and read back by
+/// the same sniffing reader. The answers must not change — a spooled
+/// version-3 op-stream container and its spooled JSON twin profile and
+/// predict exactly like the same program in-memory — and the 413 cap plus
+/// the corrupt-body 400 still hold on the spooled path.
 #[test]
 fn oversized_uploads_spool_through_the_streaming_reader() {
     let server = Server::bind(ServeConfig {
@@ -427,11 +426,13 @@ fn oversized_uploads_spool_through_the_streaming_reader() {
             seed: 7,
         });
     let body = rppm::trace::export_program_ops(&program).expect("record op stream");
-    assert!(
-        body.len() > 1024,
-        "test needs a body above the spool threshold, got {} bytes",
-        body.len()
-    );
+    let json_twin = rppm::trace::export_program(&program).expect("JSON twin");
+    for upload in [body.len(), json_twin.len()] {
+        assert!(
+            upload > 1024,
+            "test needs bodies above the spool threshold, got {upload} bytes"
+        );
+    }
 
     let accepted = client.post("/traces", &body).expect("spooled upload");
     assert_eq!(accepted.status, 202, "{}", accepted.text());
@@ -456,6 +457,21 @@ fn oversized_uploads_spool_through_the_streaming_reader() {
         offline_body,
         "spooled upload changed answers"
     );
+
+    // The JSON twin of the same program, also spooled, is the same trace
+    // and predicts byte-identically.
+    let accepted = client
+        .post("/traces", json_twin.as_bytes())
+        .expect("spooled JSON upload");
+    assert_eq!(accepted.status, 202, "{}", accepted.text());
+    let doc: Value = serde_json::from_str(&accepted.text()).expect("upload doc");
+    await_job(&mut client, field(&doc, "job").as_u64().expect("job id"));
+    assert_eq!(field(&doc, "trace").as_str(), Some(trace));
+    let twin = client
+        .get(&format!("/predict?trace={trace}&design=base"))
+        .expect("predict spooled JSON trace");
+    assert_eq!(twin.status, 200, "{}", twin.text());
+    assert_eq!(twin.text(), online.text(), "JSON twin changed answers");
 
     // Corrupt oversized body: spooled, rejected with 400, worker survives.
     let mut corrupt = body.clone();

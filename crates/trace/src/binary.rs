@@ -43,11 +43,12 @@
 //! These rules, and the per-section checks (thread ids in range, no empty
 //! segment or `op-run` sections, no excess bytes in the fixed-layout
 //! sections, op-stream totals that match the `op-meta` section, an end
-//! count that matches the segments), live in one place that every reader
-//! applies: the streaming [`TraceReader`] here and the section-indexed
-//! readers in [`crate::ops`]. A container is accepted or rejected the same
-//! way whichever reader sees it. No reader decodes the recorded micro-ops;
-//! the profiler and the simulators execute the program sections.
+//! count that matches the segments), are applied by one section walker,
+//! [`TraceReader`]. Every reader goes through it — [`read_program_any`],
+//! [`read_program_stream`], [`import_program_binary`] and
+//! [`container_info`] — so a container gets one verdict whichever reader
+//! sees it. No reader decodes the recorded micro-ops; the profiler and the
+//! simulators execute the program sections.
 //!
 //! Segment records use **varint** (LEB128) encoding for integers and
 //! **delta + zigzag** encoding for the address-like fields that grow
@@ -59,8 +60,9 @@
 //! 1 and 2 the per-thread delta state persists across sections, so a long
 //! thread split over many ops sections costs nothing extra; version 3
 //! resets it at every section boundary instead, which costs a few bytes
-//! per section but makes every section independently decodable — the
-//! property the section-parallel importer in [`crate::ops`] is built on.
+//! per section. The reset is part of the version-3 format and is kept for
+//! compatibility with the files already written; readers reset
+//! symmetrically.
 //!
 //! # Versioning policy
 //!
@@ -113,26 +115,26 @@ pub const BINARY_TRACE_MAGIC: [u8; 4] = *b"RPT1";
 /// [`Program::format_version`]).
 pub const BINARY_TRACE_VERSION: u32 = 3;
 
-/// First container version whose sections are independently decodable
-/// (per-section delta reset) and which may carry op-stream sections.
+/// First container version that resets delta chains at every section
+/// boundary and may carry op-stream sections.
 pub(crate) const OPS_MIN_VERSION: u32 = 3;
 
 /// Maximum segments buffered into one ops section before the writer
 /// flushes. Bounds writer and reader memory to O(section), not O(program).
-pub(crate) const SECTION_SEGMENTS: u64 = 256;
+const SECTION_SEGMENTS: u64 = 256;
 
 /// Upper bound on a declared section payload size. A corrupt length prefix
 /// must not make the reader allocate unbounded memory.
-pub(crate) const MAX_SECTION_BYTES: u64 = 1 << 26; // 64 MiB
+const MAX_SECTION_BYTES: u64 = 1 << 26; // 64 MiB
 
 /// Upper bound on a declared thread count, for the same reason: the reader
 /// allocates per-thread state up front, and a corrupt header must not turn
 /// that into an unbounded allocation.
 const MAX_THREADS: u64 = 1 << 20;
 
-pub(crate) const TAG_HEADER: u64 = 1;
-pub(crate) const TAG_OPS: u64 = 2;
-pub(crate) const TAG_END: u64 = 3;
+const TAG_HEADER: u64 = 1;
+const TAG_OPS: u64 = 2;
+const TAG_END: u64 = 3;
 // Version-3 op-stream section tags; invalid in streams declaring 1 or 2.
 pub(crate) const TAG_OP_RUN: u64 = 4;
 pub(crate) const TAG_OP_SYNC: u64 = 5;
@@ -183,11 +185,11 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub(crate) fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-pub(crate) fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -198,7 +200,7 @@ pub(crate) fn push_delta(buf: &mut Vec<u8>, prev: &mut u64, new: u64) {
     *prev = new;
 }
 
-pub(crate) fn push_f64(buf: &mut Vec<u8>, v: f64) {
+fn push_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
@@ -383,7 +385,7 @@ pub struct TraceWriter<W: Write> {
     total_segments: u64,
 }
 
-pub(crate) fn stream_err(context: &str, source: std::io::Error) -> TraceFileError {
+fn stream_err(context: &str, source: std::io::Error) -> TraceFileError {
     TraceFileError::Stream {
         context: context.to_string(),
         source,
@@ -533,8 +535,8 @@ impl<W: Write> TraceWriter<W> {
             .map_err(|e| stream_err("writing an ops section payload", e))?;
         self.buf.clear();
         self.buf_segments = 0;
-        // Version 3 sections are independently decodable: the delta chain
-        // restarts at every section boundary (readers reset symmetrically).
+        // Version 3 restarts the delta chain at every section boundary
+        // (readers reset symmetrically).
         if self.version >= OPS_MIN_VERSION {
             self.deltas[self.cur_thread as usize] = DeltaState::default();
         }
@@ -589,21 +591,21 @@ impl<W: Write> TraceWriter<W> {
 // ---------------------------------------------------------------------------
 // Section payload decoding
 
-pub(crate) struct Bytes<'a> {
-    pub(crate) b: &'a [u8],
-    pub(crate) pos: usize,
+struct Bytes<'a> {
+    b: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Bytes<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
+    fn new(b: &'a [u8]) -> Self {
         Bytes { b, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.b.len() - self.pos
     }
 
-    pub(crate) fn u8(&mut self, context: &str) -> Result<u8, TraceFileError> {
+    fn u8(&mut self, context: &str) -> Result<u8, TraceFileError> {
         if self.pos >= self.b.len() {
             return Err(TraceFileError::Truncated {
                 context: context.to_string(),
@@ -614,7 +616,7 @@ impl<'a> Bytes<'a> {
         Ok(v)
     }
 
-    pub(crate) fn varint(&mut self, context: &str) -> Result<u64, TraceFileError> {
+    fn varint(&mut self, context: &str) -> Result<u64, TraceFileError> {
         let mut v: u64 = 0;
         for shift in 0..10u32 {
             let byte = self.u8(context)?;
@@ -633,14 +635,14 @@ impl<'a> Bytes<'a> {
         })
     }
 
-    pub(crate) fn varint_u32(&mut self, context: &str) -> Result<u32, TraceFileError> {
+    fn varint_u32(&mut self, context: &str) -> Result<u32, TraceFileError> {
         let v = self.varint(context)?;
         u32::try_from(v).map_err(|_| TraceFileError::Corrupt {
             detail: format!("{context}: value {v} does not fit in 32 bits"),
         })
     }
 
-    pub(crate) fn f64(&mut self, context: &str) -> Result<f64, TraceFileError> {
+    fn f64(&mut self, context: &str) -> Result<f64, TraceFileError> {
         if self.remaining() < 8 {
             return Err(TraceFileError::Truncated {
                 context: context.to_string(),
@@ -658,7 +660,7 @@ impl<'a> Bytes<'a> {
         Ok(v)
     }
 
-    pub(crate) fn delta(&mut self, prev: &mut u64, context: &str) -> Result<u64, TraceFileError> {
+    fn delta(&mut self, prev: &mut u64, context: &str) -> Result<u64, TraceFileError> {
         let d = unzigzag(self.varint(context)?);
         *prev = prev.wrapping_add(d as u64);
         Ok(*prev)
@@ -725,7 +727,7 @@ fn decode_branch_pattern(b: &mut Bytes<'_>) -> Result<BranchPattern, TraceFileEr
     }
 }
 
-pub(crate) fn decode_segment(
+fn decode_segment(
     b: &mut Bytes<'_>,
     d: &mut DeltaState,
     version: u32,
@@ -854,11 +856,11 @@ pub(crate) fn decode_segment(
 }
 
 // ---------------------------------------------------------------------------
-// Section rules (shared by every section walker)
+// Section rules
 
 /// What [`SectionRules::check`] found a section to be.
 #[derive(Debug)]
-pub(crate) enum Section {
+enum Section {
     /// A program (tag-2) section for `thread` holding `count` segment
     /// records, which start `head` bytes into its payload.
     Segments {
@@ -883,32 +885,28 @@ struct OpMeta {
 
 /// The structural rules of an `RPT1` section sequence, in one place.
 ///
-/// Both section walkers feed every section through here: the streaming
-/// [`TraceReader`] (behind [`read_program_any`] and [`read_program_stream`])
-/// and the indexed scan in [`crate::ops`] (behind
-/// [`crate::read_program_sections`] and [`crate::container_info`]). So a
-/// container is accepted or rejected the same way whichever reader sees it.
-/// Program (tag-2) and `op-run` payloads may be passed as a prefix: the
-/// rules read only their thread and count, and the segment decoder checks
-/// the records that follow. Every other payload is passed whole.
+/// [`TraceReader`], the one section walker, passes every whole section
+/// payload through here. Of a program (tag-2) or `op-run` payload the
+/// rules read only the thread and count; the segment records that follow a
+/// program section's count are checked by the segment decoder.
 #[derive(Debug)]
-pub(crate) struct SectionRules {
-    pub(crate) version: u32,
-    pub(crate) name: String,
-    pub(crate) num_threads: u32,
+struct SectionRules {
+    version: u32,
+    name: String,
+    num_threads: u32,
     /// Segments declared across the program sections so far.
-    pub(crate) segments: u64,
+    segments: u64,
     /// Op-stream tallies: `op-run` sections, ops per thread, sync events.
     run_sections: u64,
-    pub(crate) per_thread_ops: Vec<u64>,
-    pub(crate) syncs: u64,
+    per_thread_ops: Vec<u64>,
+    syncs: u64,
     meta: Option<OpMeta>,
 }
 
 impl SectionRules {
     /// Starts a container of `version` from its first section, which must
     /// be the header.
-    pub(crate) fn new(version: u32, tag: u64, payload: &[u8]) -> Result<Self, TraceFileError> {
+    fn new(version: u32, tag: u64, payload: &[u8]) -> Result<Self, TraceFileError> {
         if tag != TAG_HEADER {
             return Err(TraceFileError::Corrupt {
                 detail: format!("first section has tag {tag}, expected header (tag {TAG_HEADER})"),
@@ -947,7 +945,7 @@ impl SectionRules {
     }
 
     /// Whether any op-stream section has been seen.
-    pub(crate) fn has_op_stream(&self) -> bool {
+    fn has_op_stream(&self) -> bool {
         self.meta.is_some() || self.run_sections > 0 || self.syncs > 0
     }
 
@@ -974,7 +972,7 @@ impl SectionRules {
     }
 
     /// Checks one section after the header and tallies it.
-    pub(crate) fn check(&mut self, tag: u64, payload: &[u8]) -> Result<Section, TraceFileError> {
+    fn check(&mut self, tag: u64, payload: &[u8]) -> Result<Section, TraceFileError> {
         if (TAG_OP_RUN..=TAG_OP_META).contains(&tag) && self.version < OPS_MIN_VERSION {
             return Err(TraceFileError::Corrupt {
                 detail: format!(
@@ -1096,16 +1094,20 @@ impl SectionRules {
 // ---------------------------------------------------------------------------
 // Streaming reader
 
-/// Streaming binary trace reader.
+/// Streaming binary trace reader, and the one `RPT1` section walker.
 ///
 /// Validates the magic, version and header on construction, then yields
 /// `(thread, segment)` pairs one at a time from [`TraceReader::next_segment`]
 /// while holding at most one section in memory. [`TraceReader::read_program`]
 /// is the convenience that drains the stream into a validated [`Program`].
+/// Every reader in this crate, [`container_info`] included, walks a
+/// container's sections through it.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
     rules: SectionRules,
+    /// `(sections, payload bytes)` seen so far, indexed by `tag - 1`.
+    tally: [(u64, u64); 6],
     deltas: Vec<DeltaState>,
     section: Vec<u8>,
     section_pos: usize,
@@ -1139,10 +1141,13 @@ impl<R: Read> TraceReader<R> {
         }
         let (tag, payload) = read_section(&mut source, "the header section")?;
         let rules = SectionRules::new(version as u32, tag, &payload)?;
+        let mut tally = [(0, 0); 6];
+        tally[0] = (1, payload.len() as u64);
         Ok(TraceReader {
             source,
             deltas: vec![DeltaState::default(); rules.num_threads as usize],
             rules,
+            tally,
             section: Vec::new(),
             section_pos: 0,
             section_thread: 0,
@@ -1166,6 +1171,31 @@ impl<R: Read> TraceReader<R> {
         self.rules.num_threads
     }
 
+    /// The section loop: reads the next section, checks and tallies it,
+    /// and after the end section rejects any trailing byte.
+    fn next_section(&mut self) -> Result<(Section, Vec<u8>), TraceFileError> {
+        let (tag, payload) = read_section(&mut self.source, "the next section")?;
+        let section = self.rules.check(tag, &payload)?;
+        // `check` accepts only tags 2 through 6.
+        let tally = &mut self.tally[tag as usize - 1];
+        tally.0 += 1;
+        tally.1 += payload.len() as u64;
+        if let Section::End = section {
+            let mut probe = [0u8; 1];
+            let n = self
+                .source
+                .read(&mut probe)
+                .map_err(|e| stream_err("probing for trailing data", e))?;
+            if n != 0 {
+                return Err(TraceFileError::Corrupt {
+                    detail: "trailing data after the end section".to_string(),
+                });
+            }
+            self.done = true;
+        }
+        Ok((section, payload))
+    }
+
     /// Yields the next `(thread, segment)` pair, or `None` once the end
     /// section has been reached and verified.
     ///
@@ -1174,43 +1204,29 @@ impl<R: Read> TraceReader<R> {
     /// Any binary-format failure: truncation, varint overruns, unknown
     /// tags, segment-count mismatches, trailing data, or I/O errors.
     pub fn next_segment(&mut self) -> Result<Option<(u32, Segment)>, TraceFileError> {
-        if self.done {
-            return Ok(None);
-        }
         while self.section_remaining == 0 {
-            let (tag, payload) = read_section(&mut self.source, "the next section")?;
-            match self.rules.check(tag, &payload)? {
+            if self.done {
+                return Ok(None);
+            }
+            // Op-stream sections record the expanded micro-ops beside the
+            // program; the rules checked their structure, and the program
+            // needs nothing else from them.
+            if let (
                 Section::Segments {
                     thread,
                     count,
                     head,
-                } => {
-                    if self.rules.version >= OPS_MIN_VERSION {
-                        self.deltas[thread as usize] = DeltaState::default();
-                    }
-                    self.section_thread = thread;
-                    self.section_remaining = count;
-                    self.section_pos = head;
-                    self.section = payload;
+                },
+                payload,
+            ) = self.next_section()?
+            {
+                if self.rules.version >= OPS_MIN_VERSION {
+                    self.deltas[thread as usize] = DeltaState::default();
                 }
-                // Op-stream sections record the expanded micro-ops beside
-                // the program; the rules checked their structure, and the
-                // program needs nothing else from them.
-                Section::OpStream => {}
-                Section::End => {
-                    let mut probe = [0u8; 1];
-                    let n = self
-                        .source
-                        .read(&mut probe)
-                        .map_err(|e| stream_err("probing for trailing data", e))?;
-                    if n != 0 {
-                        return Err(TraceFileError::Corrupt {
-                            detail: "trailing data after the end section".to_string(),
-                        });
-                    }
-                    self.done = true;
-                    return Ok(None);
-                }
+                self.section_thread = thread;
+                self.section_remaining = count;
+                self.section_pos = head;
+                self.section = payload;
             }
         }
         let mut b = Bytes::new(&self.section);
@@ -1249,7 +1265,98 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-pub(crate) fn read_exact_or<R: Read>(
+// ---------------------------------------------------------------------------
+// Container inspection
+
+/// Per-tag summary of an `RPT1` container's sections.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SectionSummary {
+    /// Section tag value.
+    pub tag: u64,
+    /// Human-readable tag name (`"header"`, `"segments"`, `"op-run"`, ...).
+    pub label: &'static str,
+    /// Number of sections carrying this tag.
+    pub count: u64,
+    /// Total payload bytes across those sections (headers excluded).
+    pub bytes: u64,
+}
+
+/// What `rppm trace-info` prints: the structural inventory of one `RPT1`
+/// container, gathered without decoding segment records or micro-ops.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContainerInfo {
+    /// Container format version (1–3).
+    pub version: u32,
+    /// Workload name from the header.
+    pub name: String,
+    /// Thread count from the header.
+    pub num_threads: u32,
+    /// Size of the file in bytes.
+    pub file_bytes: u64,
+    /// Per-tag section summaries, in tag order (absent tags omitted).
+    pub sections: Vec<SectionSummary>,
+    /// Total program segments across the tag-2 sections.
+    pub segments: u64,
+    /// Total recorded micro-ops across the op-run sections.
+    pub recorded_ops: u64,
+    /// Total recorded sync events across the op-sync sections.
+    pub recorded_syncs: u64,
+    /// Whether the container carries a recorded op stream (any op-stream
+    /// section).
+    pub has_op_stream: bool,
+}
+
+const TAG_LABELS: [&str; 6] = ["header", "segments", "end", "op-run", "op-sync", "op-meta"];
+
+/// Walks the `RPT1` container at `path` through [`TraceReader`]'s section
+/// loop and reports its structure. Applies every rule the program readers
+/// apply, but decodes no segment records and no micro-ops. Works on every
+/// container version.
+///
+/// # Errors
+///
+/// [`TraceFileError::Io`] if the file cannot be opened, and the reader's
+/// typed errors ([`TraceFileError::BadMagic`],
+/// [`TraceFileError::UnsupportedVersion`], [`TraceFileError::Truncated`],
+/// [`TraceFileError::Corrupt`], ...) on malformed containers.
+pub fn container_info(path: impl AsRef<Path>) -> Result<ContainerInfo, TraceFileError> {
+    let path = path.as_ref();
+    let io_err = |source| TraceFileError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let file = std::fs::File::open(path).map_err(io_err)?;
+    let file_bytes = file.metadata().map_err(io_err)?.len();
+    let mut reader = TraceReader::new(std::io::BufReader::new(file))?;
+    while !reader.done {
+        reader.next_section()?;
+    }
+    let sections = (1..)
+        .zip(TAG_LABELS)
+        .zip(reader.tally)
+        .filter(|&(_, (count, _))| count > 0)
+        .map(|((tag, label), (count, bytes))| SectionSummary {
+            tag,
+            label,
+            count,
+            bytes,
+        })
+        .collect();
+    let rules = reader.rules;
+    Ok(ContainerInfo {
+        version: rules.version,
+        has_op_stream: rules.has_op_stream(),
+        recorded_ops: rules.per_thread_ops.iter().sum(),
+        recorded_syncs: rules.syncs,
+        segments: rules.segments,
+        name: rules.name,
+        num_threads: rules.num_threads,
+        file_bytes,
+        sections,
+    })
+}
+
+fn read_exact_or<R: Read>(
     source: &mut R,
     buf: &mut [u8],
     context: &str,
@@ -1265,7 +1372,7 @@ pub(crate) fn read_exact_or<R: Read>(
     })
 }
 
-pub(crate) fn read_varint<R: Read>(source: &mut R, context: &str) -> Result<u64, TraceFileError> {
+fn read_varint<R: Read>(source: &mut R, context: &str) -> Result<u64, TraceFileError> {
     let mut v: u64 = 0;
     for shift in 0..10u32 {
         let mut byte = [0u8; 1];
@@ -1286,10 +1393,7 @@ pub(crate) fn read_varint<R: Read>(source: &mut R, context: &str) -> Result<u64,
     })
 }
 
-pub(crate) fn read_section<R: Read>(
-    source: &mut R,
-    context: &str,
-) -> Result<(u64, Vec<u8>), TraceFileError> {
+fn read_section<R: Read>(source: &mut R, context: &str) -> Result<(u64, Vec<u8>), TraceFileError> {
     let tag = read_varint(source, context)?;
     let len = read_varint(source, "a section length")?;
     if len > MAX_SECTION_BYTES {
@@ -1366,22 +1470,6 @@ pub fn write_program_binary(
     Ok(())
 }
 
-/// Reads and validates the binary trace at `path`, streaming section by
-/// section through a buffered reader.
-///
-/// # Errors
-///
-/// Propagates [`TraceFileError::Io`] (with the path) and every
-/// [`TraceReader`] failure.
-pub fn read_program_binary(path: impl AsRef<Path>) -> Result<Program, TraceFileError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|source| TraceFileError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    TraceReader::new(std::io::BufReader::new(file))?.read_program()
-}
-
 /// Reads a trace file in either format, auto-detected by magic bytes:
 /// files opening with `RPT1` parse as binary, everything else as JSON.
 ///
@@ -1391,49 +1479,35 @@ pub fn read_program_binary(path: impl AsRef<Path>) -> Result<Program, TraceFileE
 /// format's import failures.
 pub fn read_program_any(path: impl AsRef<Path>) -> Result<Program, TraceFileError> {
     let path = path.as_ref();
-    let io_err = |source| TraceFileError::Io {
+    let file = std::fs::File::open(path).map_err(|source| TraceFileError::Io {
         path: path.to_path_buf(),
         source,
-    };
-    let mut file = std::io::BufReader::new(std::fs::File::open(path).map_err(io_err)?);
-    let mut magic = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match file.read(&mut magic[got..]).map_err(io_err)? {
-            0 => break,
-            n => got += n,
-        }
-    }
-    if got == 4 && magic == BINARY_TRACE_MAGIC {
-        let stream = std::io::Cursor::new(magic).chain(file);
-        return TraceReader::new(stream)?.read_program();
-    }
-    let mut text = Vec::from(&magic[..got]);
-    file.read_to_end(&mut text).map_err(io_err)?;
-    let text = String::from_utf8(text).map_err(|_| TraceFileError::NotATraceFile {
-        detail: "file is neither an RPT1 binary trace nor UTF-8 JSON".to_string(),
     })?;
-    file::import_program(&text)
+    sniff_and_read(std::io::BufReader::new(file), path)
 }
 
 /// Reads a trace in either format from an arbitrary byte stream (e.g. an
-/// HTTP request body), auto-detected by magic bytes: streams opening with
-/// `RPT1` parse section by section through [`TraceReader`] — the binary
-/// path never buffers the whole body — and everything else is read to the
-/// end and parsed as JSON. Callers are responsible for bounding the
-/// stream (e.g. `Read::take`); a truncated stream surfaces as a typed
-/// [`TraceFileError`], never a panic.
+/// HTTP request body or an in-memory buffer), auto-detected by magic bytes
+/// like [`read_program_any`]: streams opening with `RPT1` parse section by
+/// section through [`TraceReader`] — the binary path never buffers the
+/// whole body — and everything else is read to the end and parsed as JSON.
+/// Callers are responsible for bounding the stream (e.g. `Read::take`); a
+/// truncated stream surfaces as a typed [`TraceFileError`], never a panic.
 ///
 /// # Errors
 ///
 /// [`TraceFileError::Io`] (with the synthetic path `<stream>`) on read
 /// failures, and the selected format's import failures.
 pub fn read_program_stream(source: impl Read) -> Result<Program, TraceFileError> {
+    sniff_and_read(source, Path::new("<stream>"))
+}
+
+/// The body of both sniffing readers; `path` names `source` in I/O errors.
+fn sniff_and_read(mut source: impl Read, path: &Path) -> Result<Program, TraceFileError> {
     let io_err = |source| TraceFileError::Io {
-        path: std::path::PathBuf::from("<stream>"),
+        path: path.to_path_buf(),
         source,
     };
-    let mut source = source;
     let mut magic = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -1442,14 +1516,13 @@ pub fn read_program_stream(source: impl Read) -> Result<Program, TraceFileError>
             n => got += n,
         }
     }
-    if got == 4 && magic == BINARY_TRACE_MAGIC {
-        let stream = std::io::Cursor::new(magic).chain(source);
-        return TraceReader::new(stream)?.read_program();
+    if magic[..got] == BINARY_TRACE_MAGIC {
+        return TraceReader::new(std::io::Cursor::new(magic).chain(source))?.read_program();
     }
     let mut text = Vec::from(&magic[..got]);
     source.read_to_end(&mut text).map_err(io_err)?;
     let text = String::from_utf8(text).map_err(|_| TraceFileError::NotATraceFile {
-        detail: "stream is neither an RPT1 binary trace nor UTF-8 JSON".to_string(),
+        detail: "input is neither an RPT1 binary trace nor UTF-8 JSON".to_string(),
     })?;
     file::import_program(&text)
 }
@@ -1463,22 +1536,6 @@ pub fn has_binary_extension(path: impl AsRef<Path>) -> bool {
         path.as_ref().extension().and_then(|e| e.to_str()),
         Some("rpt") | Some("bin")
     )
-}
-
-/// Parses an in-memory trace in either format, auto-detected by magic
-/// bytes (see [`read_program_any`]).
-///
-/// # Errors
-///
-/// Propagates the selected format's import failures.
-pub fn import_program_bytes(bytes: &[u8]) -> Result<Program, TraceFileError> {
-    if bytes.len() >= 4 && bytes[..4] == BINARY_TRACE_MAGIC {
-        return import_program_binary(bytes);
-    }
-    let text = std::str::from_utf8(bytes).map_err(|_| TraceFileError::NotATraceFile {
-        detail: "file is neither an RPT1 binary trace nor UTF-8 JSON".to_string(),
-    })?;
-    file::import_program(text)
 }
 
 #[cfg(test)]
@@ -1643,21 +1700,11 @@ mod tests {
 
         let bin_path = dir.join("sample.rpt");
         write_program_binary(&p, &bin_path).unwrap();
-        assert_eq!(read_program_binary(&bin_path).unwrap(), p);
         assert_eq!(read_program_any(&bin_path).unwrap(), p);
 
         let json_path = dir.join("sample.json");
         crate::file::write_program(&p, &json_path).unwrap();
         assert_eq!(read_program_any(&json_path).unwrap(), p);
-    }
-
-    #[test]
-    fn import_bytes_detects_both_formats() {
-        let p = sample();
-        let bin = export_program_binary(&p).unwrap();
-        let json = export_program(&p).unwrap();
-        assert_eq!(import_program_bytes(&bin).unwrap(), p);
-        assert_eq!(import_program_bytes(json.as_bytes()).unwrap(), p);
     }
 
     fn sample_v2() -> Program {

@@ -333,21 +333,6 @@ pub fn write_program(program: &Program, path: impl AsRef<Path>) -> Result<(), Tr
     })
 }
 
-/// Reads and validates the trace file at `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors (with the path) and every [`import_program`]
-/// failure.
-pub fn read_program(path: impl AsRef<Path>) -> Result<Program, TraceFileError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|source| TraceFileError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    import_program(&text)
-}
-
 /// Human-readable kind of a JSON value, for error messages.
 fn json_kind(v: &Value) -> &'static str {
     match v {
@@ -528,12 +513,12 @@ mod tests {
         let path = dir.join("sample.json");
         let p = sample();
         write_program(&p, &path).unwrap();
-        assert_eq!(read_program(&path).unwrap(), p);
+        assert_eq!(crate::read_program_any(&path).unwrap(), p);
     }
 
     #[test]
     fn missing_file_reports_path() {
-        let err = read_program("/nonexistent/trace.json").unwrap_err();
+        let err = crate::read_program_any("/nonexistent/trace.json").unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, TraceFileError::Io { .. }), "{msg}");
         assert!(msg.contains("/nonexistent/trace.json"), "{msg}");

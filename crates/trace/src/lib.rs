@@ -31,20 +31,19 @@
 //! * [`binary`][mod@binary] — the `RPT1` binary streaming container for
 //!   the same programs: length-prefixed sections, varint + delta encoding,
 //!   and a [`TraceWriter`] / [`TraceReader`] pair that never holds more
-//!   than one section in memory. [`read_program_any`] auto-detects either
-//!   format by magic bytes.
-//! * [`ops`][mod@ops] — op-stream recording and section-indexed reading:
-//!   [`write_program_ops`] records the fully expanded micro-op stream
-//!   beside the program in a version-3 `RPT1` container,
-//!   [`container_info`] inventories any container without decoding it, and
-//!   [`read_program_sections`] decodes the program sections of a
-//!   memory-mapped file in parallel.
+//!   than one section in memory. [`TraceReader`] is the one section walker:
+//!   [`read_program_any`] and [`read_program_stream`] auto-detect either
+//!   format by magic bytes, and [`container_info`] inventories any
+//!   container without decoding segment records or micro-ops.
+//! * [`ops`][mod@ops] — op-stream recording: [`write_program_ops`] records
+//!   the fully expanded micro-op stream beside the program in a version-3
+//!   `RPT1` container.
 //! * [`cursor`][mod@cursor] — [`ThreadCursor`], the one way the profiler
 //!   and both simulator engines walk a thread: blocks expanded on the fly,
 //!   lent out as zero-copy runs of micro-ops.
 //! * [`par`][mod@par] — the tiny scoped-thread parallel runtime
 //!   ([`par::parallel_for`] / [`par::parallel_map`] / [`par::default_jobs`])
-//!   shared by section decoding here and every crate above.
+//!   shared by every crate above.
 //! * [`sched`][mod@sched] and [`sync_core`][mod@sync_core] — the
 //!   discrete-event core every execution engine (profiler, simulator,
 //!   Algorithm 2) runs on: the [`EventQueue`] ready heap and [`SyncCore`],
@@ -76,6 +75,7 @@
 //! assert_eq!(program.num_threads(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -98,9 +98,9 @@ pub mod sync;
 pub mod sync_core;
 
 pub use binary::{
-    export_program_binary, has_binary_extension, import_program_binary, import_program_bytes,
-    read_program_any, read_program_binary, read_program_stream, write_program_binary, TraceReader,
-    TraceWriter, BINARY_TRACE_MAGIC, BINARY_TRACE_VERSION,
+    container_info, export_program_binary, has_binary_extension, import_program_binary,
+    read_program_any, read_program_stream, write_program_binary, ContainerInfo, SectionSummary,
+    TraceReader, TraceWriter, BINARY_TRACE_MAGIC, BINARY_TRACE_VERSION,
 };
 pub use block::BlockSpec;
 pub use builder::{ProgramBuilder, ThreadBuilder};
@@ -111,18 +111,15 @@ pub use config::{
 pub use cpi::CpiStack;
 pub use cursor::{BlockItem, ThreadCursor};
 pub use file::{
-    export_program, import_program, program_fingerprint, read_program, write_program,
-    TraceFileError, TRACE_FORMAT, TRACE_VERSION,
+    export_program, import_program, program_fingerprint, write_program, TraceFileError,
+    TRACE_FORMAT, TRACE_VERSION,
 };
 pub use machine::{
     format_machine, parse_machine, read_machine, write_machine, MachineFileError, MACHINE_FORMAT,
     MACHINE_VERSION,
 };
 pub use op::{MicroOp, OpClass};
-pub use ops::{
-    container_info, export_program_ops, read_program_sections, record_ops, write_program_ops,
-    ContainerInfo, SectionSummary,
-};
+pub use ops::{export_program_ops, record_ops, write_program_ops};
 pub use pattern::{AddressPattern, BranchPattern, Region};
 pub use program::{Program, ProgramError, Segment, ThreadScript};
 pub use rng::Rng;

@@ -1,5 +1,4 @@
-//! Minimal scoped-thread fan-out used by design-space sweeps and trace
-//! decode.
+//! Minimal scoped-thread fan-out used by design-space sweeps.
 //!
 //! Prediction is embarrassingly parallel — every (profile, configuration)
 //! cell is independent — so a design-space sweep only needs a
@@ -7,10 +6,9 @@
 //! is that loop: dynamically load-balanced over scoped worker threads,
 //! with results placed by index so output order never depends on the
 //! worker count. The `rppm` session facade (`predict_sweep`), the
-//! `rppm-bench` experiment engine and the version-3 trace container's
-//! section-parallel decode ([`crate::ops`]) all drive their fan-out
-//! through it. It lives in `rppm-trace` (the bottom of the crate stack)
-//! and is re-exported unchanged as `rppm_core::par`.
+//! design-space engine and the `rppm-bench` experiment engine all drive
+//! their fan-out through it. It lives in `rppm-trace` (the bottom of the
+//! crate stack) and is re-exported unchanged as `rppm_core::par`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -5,7 +5,7 @@
 
 use rppm_trace::{
     export_program, export_program_binary, import_program, import_program_binary,
-    import_program_bytes, BlockSpec, ProgramBuilder, TraceFileError, BINARY_TRACE_VERSION,
+    read_program_stream, BlockSpec, ProgramBuilder, TraceFileError, BINARY_TRACE_VERSION,
     TRACE_FORMAT, TRACE_VERSION,
 };
 
@@ -170,7 +170,7 @@ fn bad_magic_is_rejected_with_found_bytes() {
     }
     // The auto-detecting entry point treats non-RPT1 bytes as JSON, which
     // these are not either — still a typed error, never a panic.
-    assert!(import_program_bytes(&bytes).is_err());
+    assert!(read_program_stream(&bytes[..]).is_err());
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Version-3 containers (program sections plus a recorded op stream) must
 //! be as hostile-input-proof as the base container (mirroring
-//! `import_errors.rs`): every prefix truncation yields a typed error from
-//! every reader, plain containers report no op stream, and a malformed op
-//! or segment section gets the same typed error whichever reader sees it.
+//! `import_errors.rs`): every prefix truncation yields the same typed error
+//! from every reader, plain containers report no op stream, and a
+//! malformed op or segment section, or a byte after the end section, gets
+//! the same typed error whichever reader sees it.
 
 use rppm_trace::{
-    container_info, export_program_ops, read_program_any, read_program_sections,
+    container_info, export_program_ops, import_program_binary, read_program_any,
     read_program_stream, AddressPattern, BlockSpec, Program, ProgramBuilder, TraceFileError,
 };
 use std::path::{Path, PathBuf};
@@ -63,16 +64,16 @@ fn rich_program() -> Program {
     b.build()
 }
 
-/// Every reader of a whole container, by name: the streaming reader over a
-/// path and over a byte stream, the section-parallel reader and the
+/// Every reader of a whole container, by name: the sniffing readers over a
+/// path and over a byte stream, the in-memory binary reader and the
 /// trace-info scan.
 fn read_all(path: &Path, bytes: &[u8]) -> Vec<(&'static str, Result<(), TraceFileError>)> {
     vec![
         ("read_program_any", read_program_any(path).map(drop)),
         ("read_program_stream", read_program_stream(bytes).map(drop)),
         (
-            "read_program_sections",
-            read_program_sections(path, 2).map(drop),
+            "import_program_binary",
+            import_program_binary(bytes).map(drop),
         ),
         ("container_info", container_info(path).map(drop)),
     ]
@@ -84,9 +85,11 @@ fn truncated_op_stream_is_detected_at_every_cut() {
     let path = tmp_path("truncate");
     let _guard = TempFile(path.clone());
     // Every proper prefix must fail with a typed error — never Ok, never a
-    // panic — through every reader.
+    // panic — through every reader, and with the same error once the RPT1
+    // magic is whole.
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).expect("write prefix");
+        let mut first: Option<(&str, String)> = None;
         for (reader, result) in read_all(&path, &bytes[..cut]) {
             let err = match result {
                 Err(e) => e,
@@ -102,6 +105,14 @@ fn truncated_op_stream_is_detected_at_every_cut() {
                 _ => false,
             };
             assert!(typed, "cut at {cut}: {reader} got {err:?}");
+            if cut >= 4 {
+                let err = format!("{err:?}");
+                let (first_reader, first_err) = first.get_or_insert((reader, err.clone()));
+                assert_eq!(
+                    &err, first_err,
+                    "cut at {cut}: {reader} and {first_reader} disagree"
+                );
+            }
         }
     }
     // The full file reads everywhere.
@@ -218,28 +229,30 @@ fn malformed_sections_get_one_error_from_every_reader() {
     let (version, sections) = split(&clean);
     assert_eq!(join(version, &sections), clean, "split/join round-trips");
 
-    let mut cases: Vec<(&str, Sections)> = Vec::new();
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
     let mut s = sections.clone();
     patch_first_varint(&mut s, TAG_OP_META, |runs| runs + 1);
-    cases.push(("op-meta run count off by one", s));
+    cases.push(("op-meta run count off by one", join(version, &s)));
     let mut s = sections.clone();
     patch_first_varint(&mut s, TAG_OP_RUN, |_| 99);
-    cases.push(("op-run section for thread 99", s));
+    cases.push(("op-run section for thread 99", join(version, &s)));
     let mut s = sections.clone();
     insert_before_end(&mut s, TAG_OP_RUN, vec![0, 0]);
-    cases.push(("empty op-run section", s));
+    cases.push(("empty op-run section", join(version, &s)));
     let mut s = sections.clone();
     insert_before_end(&mut s, TAG_OPS, vec![0, 0]);
-    cases.push(("empty segment section", s));
+    cases.push(("empty segment section", join(version, &s)));
     let mut s = sections.clone();
     s.last_mut().expect("end section").1.push(0);
     assert_eq!(s.last().expect("end section").0, TAG_END);
-    cases.push(("excess byte in the end section", s));
+    cases.push(("excess byte in the end section", join(version, &s)));
+    let mut trailing = clean.clone();
+    trailing.push(0);
+    cases.push(("one byte after the end section", trailing));
 
     let path = tmp_path("malformed");
     let _guard = TempFile(path.clone());
-    for (case, sections) in cases {
-        let bytes = join(version, &sections);
+    for (case, bytes) in cases {
         std::fs::write(&path, &bytes).expect("write case");
         let details: Vec<(&str, String)> = read_all(&path, &bytes)
             .into_iter()

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rppm::prelude::*;
 use rppm::trace::{
     export_program, export_program_binary, export_program_ops, import_program,
-    import_program_binary, import_program_bytes, AddressPattern, BlockSpec, BranchPattern,
+    import_program_binary, read_program_stream, AddressPattern, BlockSpec, BranchPattern,
 };
 
 /// Builds a structurally valid multi-threaded program from sampled scalars:
@@ -156,7 +156,7 @@ proptest! {
         // The op-stream container carries the same program beside its
         // recorded micro-ops.
         let ops = export_program_ops(&from_bin).expect("records");
-        let from_ops = import_program_bytes(&ops).expect("op-stream container imports");
+        let from_ops = read_program_stream(&ops[..]).expect("op-stream container imports");
         prop_assert_eq!(&program, &from_ops);
 
         // All three containers carry the same profile and predictions, bit
