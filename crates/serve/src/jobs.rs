@@ -46,17 +46,27 @@ pub struct JobCounts {
     pub queued: usize,
     /// Jobs being profiled right now.
     pub running: usize,
-    /// Jobs that completed.
+    /// Jobs that completed since the queue was created (cumulative, so it
+    /// never drops when an old state is forgotten).
     pub done: usize,
-    /// Jobs that failed.
+    /// Jobs that failed since the queue was created (cumulative).
     pub failed: usize,
 }
+
+/// Finished (`done`/`failed`) job states kept for polling. Beyond this the
+/// oldest finished state is forgotten, and polling its id answers 404.
+/// Queued and running jobs are never forgotten.
+const MAX_FINISHED: usize = 1024;
 
 #[derive(Default)]
 struct Inner {
     next_id: u64,
     states: HashMap<u64, JobState>,
+    /// Ids of the finished states still held, oldest first.
+    finished: VecDeque<u64>,
     queue: VecDeque<(u64, WorkloadHandle)>,
+    done: usize,
+    failed: usize,
     shutdown: bool,
 }
 
@@ -108,17 +118,27 @@ impl JobQueue {
         }
     }
 
-    /// Records a finished job's outcome.
+    /// Records a finished job's outcome, forgetting the oldest finished
+    /// state once more than `MAX_FINISHED` are held.
     pub fn finish(&self, id: u64, outcome: Result<String, String>) {
+        let mut inner = self.inner.lock().expect("job queue lock");
         let state = match outcome {
-            Ok(workload) => JobState::Done { workload },
-            Err(error) => JobState::Failed { error },
+            Ok(workload) => {
+                inner.done += 1;
+                JobState::Done { workload }
+            }
+            Err(error) => {
+                inner.failed += 1;
+                JobState::Failed { error }
+            }
         };
-        self.inner
-            .lock()
-            .expect("job queue lock")
-            .states
-            .insert(id, state);
+        inner.states.insert(id, state);
+        inner.finished.push_back(id);
+        while inner.finished.len() > MAX_FINISHED {
+            if let Some(old) = inner.finished.pop_front() {
+                inner.states.remove(&old);
+            }
+        }
     }
 
     /// The state of job `id`, if it exists.
@@ -131,16 +151,20 @@ impl JobQueue {
             .cloned()
     }
 
-    /// Per-state job counts.
+    /// Per-state job counts: queued and running from the live states,
+    /// done and failed from cumulative counters.
     pub fn counts(&self) -> JobCounts {
         let inner = self.inner.lock().expect("job queue lock");
-        let mut c = JobCounts::default();
+        let mut c = JobCounts {
+            done: inner.done,
+            failed: inner.failed,
+            ..JobCounts::default()
+        };
         for s in inner.states.values() {
             match s {
                 JobState::Queued => c.queued += 1,
                 JobState::Running => c.running += 1,
-                JobState::Done { .. } => c.done += 1,
-                JobState::Failed { .. } => c.failed += 1,
+                JobState::Done { .. } | JobState::Failed { .. } => {}
             }
         }
         c
@@ -196,6 +220,25 @@ mod tests {
         assert!(q.state(id + 1).is_none());
         q.shutdown();
         assert!(q.next_job().is_none());
+    }
+
+    #[test]
+    fn finished_states_are_bounded() {
+        let q = JobQueue::new();
+        let session = Session::builder().jobs(1).build();
+        let w = session.workload("nn").expect("catalog");
+        let n = MAX_FINISHED + 10;
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = q.submit(w.clone());
+            let (got, _handle) = q.next_job().expect("queued job");
+            q.finish(got, Ok("nn".into()));
+            ids.push(id);
+        }
+        assert!(q.inner.lock().expect("job queue lock").states.len() <= MAX_FINISHED);
+        assert!(q.state(ids[0]).is_none(), "the oldest state is forgotten");
+        assert!(matches!(q.state(ids[n - 1]), Some(JobState::Done { .. })));
+        assert_eq!(q.counts().done, n);
     }
 
     #[test]
