@@ -17,6 +17,7 @@
 //!   generated report JSON against the committed `results/golden/*.json`
 //!   baselines (`rppm golden diff`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod golden;

@@ -34,6 +34,7 @@
 //! assert!(profile.miss_floor(8) < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,8 @@
 //! flags) exit with status 2 and a one-line `error: ...` message — never a
 //! panic or a backtrace. Regression gates that detect drift exit 1.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

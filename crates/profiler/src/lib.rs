@@ -35,6 +35,7 @@
 //! assert!(json.contains("demo"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

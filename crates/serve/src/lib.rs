@@ -29,6 +29,7 @@
 //! for concurrent requests to the same key (in-flight profiling runs are
 //! never evicted and always coalesce).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

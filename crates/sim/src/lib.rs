@@ -30,6 +30,7 @@
 //! assert_eq!(result.threads.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -37,6 +37,7 @@
 //! assert!(model.miss_rate(64) > 0.9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

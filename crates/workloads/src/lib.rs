@@ -25,6 +25,7 @@
 //! assert!(program.total_ops() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

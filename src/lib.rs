@@ -58,6 +58,7 @@
 //! The stateless free functions (`profile`, `predict`, `simulate`) remain
 //! in the [`prelude`] for one-shot use.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
