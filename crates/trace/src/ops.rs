@@ -23,9 +23,9 @@
 //! Each micro-op encodes as one class/outcome byte (`class.index() |
 //! taken << 7`), two varint dependence distances, and three
 //! zigzag-delta-coded address fields (`line`, `code_line`, `site`) whose
-//! delta chains restart at every run-section boundary. Like the version-3
-//! program sections' delta reset, that restart is part of the format and
-//! is kept so the files already written stay byte-identical.
+//! delta chains restart at every run-section boundary. Like the reset of
+//! the version-3 program sections, the restart is part of the format and
+//! is kept for compatibility with the files already written.
 //!
 //! # Entry points
 //!
