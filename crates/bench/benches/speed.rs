@@ -6,12 +6,12 @@
 //! plus the core model components.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rppm_core::{execute, predict, PreparedProfile, ThreadTimeline};
-use rppm_profiler::profile;
-use rppm_sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
-use rppm_statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
-use rppm_trace::{BlockItem, DesignPoint, Rng, SyncOp, ThreadCursor};
-use rppm_workloads::{by_name, Params};
+use rppm::core::{execute, predict, PreparedProfile, ThreadTimeline};
+use rppm::profiler::profile;
+use rppm::sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
+use rppm::statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
+use rppm::trace::{BlockItem, DesignPoint, Rng, SyncOp, ThreadCursor};
+use rppm::workloads::{by_name, Params};
 
 fn cursor(c: &mut Criterion) {
     let bench = by_name("hotspot").expect("known benchmark");
@@ -60,21 +60,21 @@ fn trace_io(c: &mut Criterion) {
         ..Params::full()
     };
     let program = bench.build(&params);
-    let json = rppm_trace::export_program(&program).expect("exports");
-    let bin = rppm_trace::export_program_binary(&program).expect("exports");
+    let json = rppm::trace::export_program(&program).expect("exports");
+    let bin = rppm::trace::export_program_binary(&program).expect("exports");
 
     let mut g = c.benchmark_group("trace_io");
     g.bench_function("export_json_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::export_program(std::hint::black_box(&program)).unwrap())
+        b.iter(|| rppm::trace::export_program(std::hint::black_box(&program)).unwrap())
     });
     g.bench_function("export_binary_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::export_program_binary(std::hint::black_box(&program)).unwrap())
+        b.iter(|| rppm::trace::export_program_binary(std::hint::black_box(&program)).unwrap())
     });
     g.bench_function("import_json_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::import_program(std::hint::black_box(&json)).unwrap())
+        b.iter(|| rppm::trace::import_program(std::hint::black_box(&json)).unwrap())
     });
     g.bench_function("import_binary_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::import_program_binary(std::hint::black_box(&bin)).unwrap())
+        b.iter(|| rppm::trace::import_program_binary(std::hint::black_box(&bin)).unwrap())
     });
     g.finish();
     eprintln!(
@@ -91,7 +91,7 @@ fn opstream(c: &mut Criterion) {
         ..Params::full()
     };
     let program = bench.build(&params);
-    let ops = rppm_trace::export_program_ops(&program).expect("records");
+    let ops = rppm::trace::export_program_ops(&program).expect("records");
 
     let mut g = c.benchmark_group("opstream");
     g.sample_size(10);
@@ -99,7 +99,7 @@ fn opstream(c: &mut Criterion) {
     // Like profile(), this walks every op, so the ratio between the two is
     // a machine-independent throughput pin.
     g.bench_function("record_ops_hotspot_0.1", |b| {
-        b.iter(|| rppm_trace::export_program_ops(std::hint::black_box(&program)).unwrap())
+        b.iter(|| rppm::trace::export_program_ops(std::hint::black_box(&program)).unwrap())
     });
     g.finish();
     eprintln!(
@@ -163,7 +163,7 @@ fn pipeline(c: &mut Criterion) {
 }
 
 fn dse(c: &mut Criterion) {
-    use rppm_core::ConfigSpace;
+    use rppm::core::ConfigSpace;
     use std::sync::Arc;
 
     // kmeans at 0.1: a barrier-heavy workload whose profile (20 distinct

@@ -12,8 +12,8 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm_core::{abs_pct_error, parallel_map, Knobs, PreparedProfile};
-use rppm_workloads::Params;
+use rppm::core::{abs_pct_error, parallel_map, Knobs, PreparedProfile};
+use rppm::workloads::Params;
 use serde_json::Value;
 use std::sync::Arc;
 
@@ -66,8 +66,8 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
     };
     let config = ctx.base.clone();
     let runs =
-        ExperimentPlan::single_config(ctx.specs(rppm_workloads::all()), params, config.clone())
-            .run(ctx.cache, ctx.jobs);
+        ExperimentPlan::single_config(ctx.handles(rppm::workloads::all(), params), config.clone())
+            .run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -84,20 +84,20 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let mut rows = Vec::new();
     for (name, knobs, overrides) in variants() {
-        let errs = parallel_map(ctx.jobs, runs.len(), |i| {
+        let errs = parallel_map(ctx.session.jobs(), runs.len(), |i| {
             let run = &runs[i];
             let predicted = if knobs == Knobs::default() {
                 // The plan predicted the full model through the cached
                 // preparation.
                 run.only().rppm.total_cycles
             } else {
-                PreparedProfile::with_knobs(Arc::clone(&run.workload.profile), knobs)
+                PreparedProfile::with_knobs(Arc::clone(run.profile.profile()), knobs)
                     .predict(&config)
                     .total_cycles
             };
             abs_pct_error(predicted, run.only().sim.total_cycles)
         });
-        let (mean, max) = (rppm_core::mean(&errs), rppm_core::max(&errs));
+        let (mean, max) = (rppm::core::mean(&errs), rppm::core::max(&errs));
         Row::new()
             .cell(38, name)
             .rcell(10, format!("{:.1}%", mean * 100.0))

@@ -8,9 +8,9 @@
 //! ladder of the new engine.
 
 use super::{arr, obj, Report, RunCtx};
-use crate::runner::{ExperimentPlan, Row, WorkloadSpec};
-use rppm_core::{dse_row, sweep, ConfigSpace, Constraints};
-use rppm_workloads::Params;
+use crate::runner::{ExperimentPlan, Row};
+use rppm::core::{dse_row, sweep, ConfigSpace, Constraints};
+use rppm::workloads::Params;
 use serde_json::Value;
 
 const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
@@ -24,8 +24,13 @@ pub fn dse(scale: f64, ctx: &RunCtx<'_>) -> Report {
     };
     let space = ConfigSpace::tiny_from(ctx.base.clone());
     let configs: Vec<_> = (0..space.len()).map(|i| space.config(i)).collect();
-    let spec = WorkloadSpec::from(rppm_workloads::by_name(WORKLOAD).expect("catalog workload"));
-    let runs = ExperimentPlan::cross(vec![spec], params, configs).run(ctx.cache, ctx.jobs);
+    let workload = ctx
+        .session
+        .workload(WORKLOAD)
+        .expect("catalog workload")
+        .scale(params.scale)
+        .seed(params.seed);
+    let runs = ExperimentPlan::cross(vec![workload], configs).run(ctx.session.jobs());
     let run = &runs[0];
 
     let predicted: Vec<f64> = run.cells.iter().map(|c| c.rppm.total_seconds).collect();
@@ -38,11 +43,11 @@ pub fn dse(scale: f64, ctx: &RunCtx<'_>) -> Report {
     // by construction, and adds the frontier + optimum the golden baseline
     // pins.
     let swept = sweep(
-        &run.workload.prepared,
+        run.profile.prepared(),
         &space,
         &Constraints::none(),
         &BOUNDS,
-        ctx.jobs,
+        ctx.session.jobs(),
     )
     .expect("tiny space is nonempty and unconstrained");
     assert_eq!(

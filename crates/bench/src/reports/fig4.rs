@@ -7,7 +7,7 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm_workloads::Params;
+use rppm::workloads::Params;
 use serde_json::Value;
 
 /// Renders Figure 4 at the given work scale.
@@ -16,9 +16,11 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
         scale,
         ..Params::full()
     };
-    let runs =
-        ExperimentPlan::single_config(ctx.specs(rppm_workloads::all()), params, ctx.base.clone())
-            .run(ctx.cache, ctx.jobs);
+    let runs = ExperimentPlan::single_config(
+        ctx.handles(rppm::workloads::all(), params),
+        ctx.base.clone(),
+    )
+    .run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -38,23 +40,24 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let mut crit_errs = Vec::new();
     let mut rppm_errs = Vec::new();
     let mut rows = Vec::new();
-    let mut prev_suite: Option<&'static str> = None;
+    let mut prev_suite = None;
 
     for run in &runs {
         // Horizontal rule between suites (rodinia / parsec / imported).
-        let suite = run.spec.suite_label();
+        let suite = run.workload.suite();
         if prev_suite.is_some_and(|p| p != suite) {
             out.push_str(&"-".repeat(58));
             out.push('\n');
         }
         prev_suite = Some(suite);
+        let suite = suite.map_or("imported".to_string(), |s| s.to_string());
         let cell = run.only();
         let (m, c, r) = (cell.main_error(), cell.crit_error(), cell.rppm_error());
         let over = cell.rppm.total_cycles >= cell.sim.total_cycles;
         let sign = if over { '+' } else { '-' };
         Row::new()
-            .cell(16, run.spec.name())
-            .cell(8, suite)
+            .cell(16, run.workload.name())
+            .cell(8, &suite)
             .rcell(9, format!("{:.1}%", m * 100.0))
             .rcell(9, format!("{:.1}%", c * 100.0))
             .rcell(9, format!("{sign}{:.1}%", r * 100.0))
@@ -63,8 +66,8 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
         crit_errs.push(c);
         rppm_errs.push(r);
         rows.push(obj([
-            ("benchmark", Value::String(run.spec.name().to_string())),
-            ("suite", Value::String(suite.to_string())),
+            ("benchmark", Value::String(run.workload.name().to_string())),
+            ("suite", Value::String(suite)),
             ("main_error", Value::F64(m)),
             ("crit_error", Value::F64(c)),
             ("rppm_error", Value::F64(r)),
@@ -76,15 +79,15 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
     out.push('\n');
     Row::new()
         .cell(25, "average")
-        .rcell(9, format!("{:.1}%", rppm_core::mean(&main_errs) * 100.0))
-        .rcell(9, format!("{:.1}%", rppm_core::mean(&crit_errs) * 100.0))
-        .rcell(9, format!("{:.1}%", rppm_core::mean(&rppm_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::mean(&main_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::mean(&crit_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::mean(&rppm_errs) * 100.0))
         .line(&mut out);
     Row::new()
         .cell(25, "max")
-        .rcell(9, format!("{:.1}%", rppm_core::max(&main_errs) * 100.0))
-        .rcell(9, format!("{:.1}%", rppm_core::max(&crit_errs) * 100.0))
-        .rcell(9, format!("{:.1}%", rppm_core::max(&rppm_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::max(&main_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::max(&crit_errs) * 100.0))
+        .rcell(9, format!("{:.1}%", rppm::core::max(&rppm_errs) * 100.0))
         .line(&mut out);
     out.push('\n');
     out.push_str("Paper: MAIN avg 45% (max >110%), CRIT avg 28%, RPPM avg 11.2% (max 23%).\n");
@@ -98,12 +101,12 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
             (
                 "summary",
                 obj([
-                    ("main_avg", Value::F64(rppm_core::mean(&main_errs))),
-                    ("crit_avg", Value::F64(rppm_core::mean(&crit_errs))),
-                    ("rppm_avg", Value::F64(rppm_core::mean(&rppm_errs))),
-                    ("main_max", Value::F64(rppm_core::max(&main_errs))),
-                    ("crit_max", Value::F64(rppm_core::max(&crit_errs))),
-                    ("rppm_max", Value::F64(rppm_core::max(&rppm_errs))),
+                    ("main_avg", Value::F64(rppm::core::mean(&main_errs))),
+                    ("crit_avg", Value::F64(rppm::core::mean(&crit_errs))),
+                    ("rppm_avg", Value::F64(rppm::core::mean(&rppm_errs))),
+                    ("main_max", Value::F64(rppm::core::max(&main_errs))),
+                    ("crit_max", Value::F64(rppm::core::max(&crit_errs))),
+                    ("rppm_max", Value::F64(rppm::core::max(&rppm_errs))),
                 ]),
             ),
         ]),

@@ -6,8 +6,8 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm_trace::CpiStack;
-use rppm_workloads::Params;
+use rppm::trace::CpiStack;
+use rppm::workloads::Params;
 use serde_json::Value;
 
 fn print_stack(label: &str, s: &CpiStack, norm: f64, out: &mut String) {
@@ -36,13 +36,12 @@ pub fn fig5(scale: f64, only: Option<&str>, ctx: &RunCtx<'_>) -> Report {
         scale,
         ..Params::full()
     };
-    let specs: Vec<_> = ctx
-        .specs(rppm_workloads::all())
+    let handles: Vec<_> = ctx
+        .handles(rppm::workloads::all(), params)
         .into_iter()
-        .filter(|s| only.is_none_or(|f| s.name() == f))
+        .filter(|h| only.is_none_or(|f| h.name() == f))
         .collect();
-    let runs =
-        ExperimentPlan::single_config(specs, params, ctx.base.clone()).run(ctx.cache, ctx.jobs);
+    let runs = ExperimentPlan::single_config(handles, ctx.base.clone()).run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -64,13 +63,13 @@ pub fn fig5(scale: f64, only: Option<&str>, ctx: &RunCtx<'_>) -> Report {
         let norm = sim_stack.total();
         out.push_str(&format!(
             "\n{} (sim {:.0} cycles total):\n",
-            run.spec.name(),
+            run.workload.name(),
             cell.sim.total_cycles
         ));
         print_stack("  RPPM", &rppm_stack, norm, &mut out);
         print_stack("  sim", &sim_stack, norm, &mut out);
         rows.push(obj([
-            ("benchmark", Value::String(run.spec.name().to_string())),
+            ("benchmark", Value::String(run.workload.name().to_string())),
             ("sim_total_cycles", Value::F64(cell.sim.total_cycles)),
             ("rppm_stack", stack_json(&rppm_stack, norm)),
             ("sim_stack", stack_json(&sim_stack, norm)),

@@ -6,8 +6,8 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::ExperimentPlan;
-use rppm_core::Bottlegraph;
-use rppm_workloads::{Params, PARSEC};
+use rppm::core::Bottlegraph;
+use rppm::workloads::{Params, PARSEC};
 use serde_json::Value;
 
 fn render(g: &Bottlegraph, label: &str, out: &mut String) {
@@ -44,8 +44,8 @@ pub fn fig6(scale: f64, ctx: &RunCtx<'_>) -> Report {
         scale,
         ..Params::full()
     };
-    let runs = ExperimentPlan::single_config(ctx.specs(PARSEC), params, ctx.base.clone())
-        .run(ctx.cache, ctx.jobs);
+    let runs = ExperimentPlan::single_config(ctx.handles(PARSEC, params), ctx.base.clone())
+        .run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -54,13 +54,13 @@ pub fn fig6(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let mut rows = Vec::new();
     for run in &runs {
         let cell = run.only();
-        out.push_str(&format!("\n{}\n", run.spec.name()));
+        out.push_str(&format!("\n{}\n", run.workload.name()));
         let pred = Bottlegraph::from_intervals(&cell.rppm.intervals, cell.rppm.total_cycles);
         let sim = Bottlegraph::from_intervals(&cell.sim.intervals, cell.sim.total_cycles);
         render(&pred, "RPPM", &mut out);
         render(&sim, "simulation", &mut out);
         rows.push(obj([
-            ("benchmark", Value::String(run.spec.name().to_string())),
+            ("benchmark", Value::String(run.workload.name().to_string())),
             ("rppm", graph_json(&pred)),
             ("simulation", graph_json(&sim)),
         ]));

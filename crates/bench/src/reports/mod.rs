@@ -4,9 +4,9 @@
 //! machine-readable [`serde_json::Value`] twin, so `rppm run-all` can emit
 //! `results/<name>.txt` and `results/<name>.json` side by side without
 //! spawning child processes. Reports that run workloads take a [`RunCtx`]:
-//! the shared [`ProfileCache`] guarantees each (workload, params) pair is
-//! profiled exactly once per invocation even across reports, and `jobs`
-//! sets the worker-thread fan-out.
+//! they open their workloads in its [`Session`], whose cache profiles each
+//! workload exactly once per session even across reports, and fan out over
+//! the session's worker threads.
 
 mod ablation;
 mod dse;
@@ -32,22 +32,21 @@ pub use table3::table3;
 pub use table4::table4;
 pub use table5::table5;
 
-use crate::runner::{ImportedTrace, ProfileCache, WorkloadSpec};
-use rppm_trace::{DesignPoint, MachineConfig};
-use rppm_workloads::Benchmark;
+use rppm::trace::{DesignPoint, MachineConfig};
+use rppm::workloads::{Benchmark, Params};
+use rppm::{Session, WorkloadHandle};
 use serde_json::Value;
 
 /// Shared execution context for workload-running reports.
 #[derive(Debug)]
 pub struct RunCtx<'a> {
-    /// Profile store shared across reports: each workload is profiled once
-    /// per cache lifetime, not once per report.
-    pub cache: &'a ProfileCache,
-    /// Worker threads for the experiment fan-out.
-    pub jobs: usize,
+    /// The session every report opens its workloads in: each workload is
+    /// profiled once per session, not once per report, and plans fan out
+    /// over its worker threads ([`Session::jobs`]).
+    pub session: &'a Session,
     /// Imported trace files, appended to every workload-running report's
     /// plan so they appear alongside the built-in benchmarks.
-    pub imports: Vec<ImportedTrace>,
+    pub imports: Vec<WorkloadHandle>,
     /// The machine configuration single-config reports evaluate (and the
     /// base the `dse` report's space is built around). Defaults to the
     /// paper's base design point; `rppm report --machine FILE` swaps in a
@@ -57,18 +56,17 @@ pub struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    /// Creates a context over `cache` with `jobs` worker threads.
-    pub fn new(cache: &'a ProfileCache, jobs: usize) -> Self {
+    /// Creates a context over `session`.
+    pub fn new(session: &'a Session) -> Self {
         RunCtx {
-            cache,
-            jobs,
+            session,
             imports: Vec::new(),
             base: DesignPoint::Base.config(),
         }
     }
 
-    /// Adds imported traces to the context.
-    pub fn with_imports(mut self, imports: Vec<ImportedTrace>) -> Self {
+    /// Adds imported traces (opened in the same session) to the context.
+    pub fn with_imports(mut self, imports: Vec<WorkloadHandle>) -> Self {
         self.imports = imports;
         self
     }
@@ -79,12 +77,23 @@ impl<'a> RunCtx<'a> {
         self
     }
 
-    /// The workload list a report should run: `base` benchmarks from the
-    /// catalog followed by every imported trace.
-    pub fn specs(&self, base: impl IntoIterator<Item = Benchmark>) -> Vec<WorkloadSpec> {
-        base.into_iter()
-            .map(WorkloadSpec::from)
-            .chain(self.imports.iter().cloned().map(WorkloadSpec::from))
+    /// The workload list a report should run: `benches` from the catalog,
+    /// generated with `params`, followed by every imported trace.
+    pub fn handles(
+        &self,
+        benches: impl IntoIterator<Item = Benchmark>,
+        params: Params,
+    ) -> Vec<WorkloadHandle> {
+        benches
+            .into_iter()
+            .map(|b| {
+                self.session
+                    .workload(b.name)
+                    .expect("catalog benchmark")
+                    .scale(params.scale)
+                    .seed(params.seed)
+            })
+            .chain(self.imports.iter().cloned())
             .collect()
     }
 }

@@ -10,8 +10,8 @@
 //! optimization discipline forbids.
 
 use super::{arr, obj, Report, RunCtx};
-use rppm_sim::{simulate_profiled, SimEngine, SimProfile};
-use rppm_workloads::Params;
+use rppm::sim::{simulate_profiled, SimEngine, SimProfile};
+use rppm::workloads::Params;
 use serde_json::Value;
 
 /// Number of op pairs listed in the text rendering.
@@ -34,7 +34,7 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
     let mut merged = SimProfile::default();
     let mut rows = Vec::new();
     let mut rows_json = Vec::new();
-    for bench in rppm_workloads::all() {
+    for bench in rppm::workloads::all() {
         let program = bench.build(&params);
         let (_, p) = simulate_profiled(&program, &config, SimEngine::Fused);
         rows.push(format!(
@@ -74,7 +74,7 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let total = merged.total_ops().max(1);
     out.push_str("catalog-wide op mix:\n");
-    for (k, class) in rppm_trace::OpClass::ALL.iter().enumerate() {
+    for (k, class) in rppm::trace::OpClass::ALL.iter().enumerate() {
         let n = merged.op_freq[k];
         if n > 0 {
             out.push_str(&format!(

@@ -8,7 +8,7 @@
 
 use super::{arr, obj, Report};
 use crate::runner::Row;
-use rppm_core::{accumulation_bias, accumulation_error};
+use rppm::core::{accumulation_bias, accumulation_error};
 use serde_json::Value;
 
 const THREADS: [u32; 5] = [1, 2, 4, 8, 16];

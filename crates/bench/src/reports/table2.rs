@@ -3,7 +3,7 @@
 
 use super::{arr, obj, Report};
 use crate::runner::Row;
-use rppm_workloads::{Params, RODINIA};
+use rppm::workloads::{Params, RODINIA};
 use serde_json::Value;
 
 /// Renders Table II at the given work scale.
@@ -34,7 +34,7 @@ pub fn table2(scale: f64) -> Report {
             .iter()
             .map(|t| {
                 t.sync_ops()
-                    .filter(|op| matches!(op, rppm_trace::SyncOp::Barrier { .. }))
+                    .filter(|op| matches!(op, rppm::trace::SyncOp::Barrier { .. }))
                     .count()
             })
             .sum();

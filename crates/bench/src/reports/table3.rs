@@ -8,7 +8,7 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm_workloads::{Params, PARSEC};
+use rppm::workloads::{Params, PARSEC};
 use serde_json::Value;
 
 /// Paper's Table III rows for reference (CS, barriers, cond. vars).
@@ -43,7 +43,7 @@ pub fn table3(scale: f64, ctx: &RunCtx<'_>) -> Report {
     };
     // Profiles only — no configurations to simulate.
     let runs =
-        ExperimentPlan::cross(ctx.specs(PARSEC), params, Vec::new()).run(ctx.cache, ctx.jobs);
+        ExperimentPlan::cross(ctx.handles(PARSEC, params), Vec::new()).run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -62,8 +62,8 @@ pub fn table3(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let mut rows = Vec::new();
     for run in &runs {
-        let paper = paper_row(run.spec.name());
-        let prof = &run.workload.profile;
+        let paper = paper_row(run.workload.name());
+        let prof = run.profile.profile();
         let (cs, bar, cond) = prof.sync_event_counts();
         let fmt = |v: u64| {
             if v == 0 {
@@ -73,7 +73,7 @@ pub fn table3(scale: f64, ctx: &RunCtx<'_>) -> Report {
             }
         };
         Row::new()
-            .cell(16, run.spec.name())
+            .cell(16, run.workload.name())
             .rcell(10, fmt(cs))
             .rcell(10, fmt(bar))
             .rcell(10, fmt(cond))
@@ -89,7 +89,7 @@ pub fn table3(scale: f64, ctx: &RunCtx<'_>) -> Report {
             usages.push(Value::String(format!("{usage:?}")));
         }
         rows.push(obj([
-            ("benchmark", Value::String(run.spec.name().to_string())),
+            ("benchmark", Value::String(run.workload.name().to_string())),
             ("critical_sections", Value::U64(cs)),
             ("barriers", Value::U64(bar)),
             ("cond_vars", Value::U64(cond)),

@@ -3,7 +3,7 @@
 
 use super::{arr, obj, Report};
 use crate::runner::Row;
-use rppm_trace::DesignPoint;
+use rppm::trace::DesignPoint;
 use serde_json::Value;
 
 /// Renders Table IV.
@@ -19,7 +19,7 @@ pub fn table4() -> Report {
     out.push_str(&"-".repeat(22 + 11 * configs.len()));
     out.push('\n');
 
-    let row = |label: &str, f: &dyn Fn(&rppm_trace::MachineConfig) -> String| {
+    let row = |label: &str, f: &dyn Fn(&rppm::trace::MachineConfig) -> String| {
         let mut r = Row::new().cell(22, label);
         for c in &configs {
             r = r.rcell(9, f(c));

@@ -5,9 +5,9 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm_core::dse_row;
-use rppm_trace::DesignPoint;
-use rppm_workloads::{Params, RODINIA};
+use rppm::core::dse_row;
+use rppm::trace::DesignPoint;
+use rppm::workloads::{Params, RODINIA};
 use serde_json::Value;
 
 const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
@@ -19,7 +19,7 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
         ..Params::full()
     };
     let configs: Vec<_> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
-    let runs = ExperimentPlan::cross(ctx.specs(RODINIA), params, configs).run(ctx.cache, ctx.jobs);
+    let runs = ExperimentPlan::cross(ctx.handles(RODINIA, params), configs).run(ctx.session.jobs());
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -39,9 +39,9 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
         // One profile, five predictions; five simulations as ground truth.
         let predicted: Vec<f64> = run.cells.iter().map(|c| c.rppm.total_seconds).collect();
         let simulated: Vec<f64> = run.cells.iter().map(|c| c.sim.total_seconds).collect();
-        let row = dse_row(run.spec.name(), &predicted, &simulated, &BOUNDS)
+        let row = dse_row(run.workload.name(), &predicted, &simulated, &BOUNDS)
             .expect("one prediction and one simulation per Table IV design point");
-        let mut r = Row::new().cell(16, run.spec.name());
+        let mut r = Row::new().cell(16, run.workload.name());
         let mut cells_json = Vec::new();
         for (k, &(_, deficiency, candidates)) in row.cells.iter().enumerate() {
             sums[k] += deficiency;
@@ -54,7 +54,7 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
         }
         r.line(&mut out);
         rows.push(obj([
-            ("benchmark", Value::String(run.spec.name().to_string())),
+            ("benchmark", Value::String(run.workload.name().to_string())),
             ("cells", arr(cells_json)),
         ]));
     }

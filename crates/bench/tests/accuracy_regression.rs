@@ -10,21 +10,20 @@
 //! cargo run --release -p rppm-cli -- golden update
 //! ```
 
+use rppm::Session;
 use rppm_bench::golden::{self, GOLDEN_RTOL};
-use rppm_bench::{ProfileCache, RunCtx};
+use rppm_bench::RunCtx;
 use serde_json::Value;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("results")
-        .join("golden")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
 }
 
 #[test]
 fn reports_match_golden_baselines() {
-    let cache = ProfileCache::new();
-    let ctx = RunCtx::new(&cache, 2);
+    let session = Session::builder().jobs(2).build();
+    let ctx = RunCtx::new(&session);
     let mut failures = String::new();
     let mut checked = 0;
     for report in golden::golden_reports(&ctx) {

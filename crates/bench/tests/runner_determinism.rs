@@ -2,14 +2,15 @@
 //! report text and its JSON twin are byte-identical whether a plan runs on
 //! one worker thread or many.
 
+use rppm::Session;
 use rppm_bench::reports;
-use rppm_bench::{ProfileCache, RunCtx};
+use rppm_bench::RunCtx;
 
 const SCALE: f64 = 0.02;
 
 fn render_all(jobs: usize) -> Vec<(&'static str, String, String)> {
-    let cache = ProfileCache::new();
-    let ctx = RunCtx::new(&cache, jobs);
+    let session = Session::builder().jobs(jobs).build();
+    let ctx = RunCtx::new(&session);
     [
         reports::table3(SCALE, &ctx),
         reports::fig4(SCALE, &ctx),

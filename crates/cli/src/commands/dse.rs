@@ -32,7 +32,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut workload: Option<String> = None;
     let mut scale = 1.0f64;
     let mut seed = 1u64;
-    let mut jobs = rppm_bench::default_jobs();
+    let mut jobs = rppm::core::default_jobs();
     let mut constraints = Constraints::none();
     let mut bound = 0.05f64;
     let mut tiny = false;

@@ -2,8 +2,9 @@
 
 use super::{is_help, take_jobs};
 use crate::args::{ArgStream, CliError};
+use rppm::Session;
 use rppm_bench::golden::{self, GOLDEN_RTOL};
-use rppm_bench::{ProfileCache, RunCtx};
+use rppm_bench::RunCtx;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -19,7 +20,7 @@ table5, dse, sim_profile and ablation at the golden scale.";
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
     let mut mode: Option<String> = None;
-    let mut jobs = rppm_bench::default_jobs();
+    let mut jobs = rppm::core::default_jobs();
     let mut golden_dir = PathBuf::from("results/golden");
     let mut out_path = PathBuf::from("results/golden_delta.txt");
     while let Some(arg) = args.next() {
@@ -39,8 +40,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         }
     }
 
-    let cache = ProfileCache::new();
-    let ctx = RunCtx::new(&cache, jobs);
+    let session = Session::builder().jobs(jobs).build();
+    let ctx = RunCtx::new(&session);
     match mode.as_deref() {
         Some("update") => update(&golden_dir, &ctx),
         Some("diff") => diff(&golden_dir, &out_path, &ctx),

@@ -5,22 +5,26 @@ use super::{is_help, take_jobs};
 use crate::args::{ArgStream, CliError};
 use rppm::trace::DesignPoint;
 use rppm::workloads::Params;
-use rppm_bench::{ExperimentPlan, ImportedTrace, ProfileCache, Row};
+use rppm::Session;
+use rppm_bench::{ExperimentPlan, Row};
 
 const USAGE: &str = "usage: rppm import TRACE.json|TRACE.rpt... [--jobs N]
        rppm import --export NAME FILE [--scale S] [--seed N]
 
 The first form predicts + simulates each trace file on all five Table IV
-design points (JSON or RPT1 binary, auto-detected by magic bytes). The
-second form exports a built-in workload as a trace file (`.rpt` / `.bin`
-extensions write the binary container).";
+design points (JSON or RPT1 binary, auto-detected by magic bytes), then
+counts the trace files and the profiling runs they took (twins of one
+trace share one). The second form exports a built-in workload as a trace
+file (`.rpt` / `.bin` extensions write the binary container).";
 
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
     let mut files = Vec::new();
-    let mut jobs = rppm_bench::default_jobs();
+    let mut jobs = rppm::core::default_jobs();
     let mut export: Option<(String, String)> = None;
     let mut params = Params::full();
+    // The first generation flag seen: only --export generates a workload.
+    let mut generation_flag = None;
     while let Some(arg) = args.next() {
         if is_help(&arg) {
             println!("{USAGE}");
@@ -37,8 +41,14 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
                 };
                 export = Some((name, file.into_positional()));
             }
-            "--scale" => params.scale = args.parse_of(&arg)?,
-            "--seed" => params.seed = args.parse_of(&arg)?,
+            "--scale" => {
+                params.scale = args.parse_of(&arg)?;
+                generation_flag.get_or_insert("--scale");
+            }
+            "--seed" => {
+                params.seed = args.parse_of(&arg)?;
+                generation_flag.get_or_insert("--seed");
+            }
             _ if arg.is_flag() => return Err(args.unknown(&arg)),
             _ => files.push(arg.into_positional()),
         }
@@ -70,26 +80,32 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         return Ok(0);
     }
 
+    if let Some(flag) = generation_flag {
+        return Err(args.error(format!(
+            "{flag} only applies to --export (a trace file's stream is fixed)"
+        )));
+    }
     if files.is_empty() {
         return Err(args.error("nothing to do: pass trace files to import, or --export NAME FILE"));
     }
 
-    let traces: Vec<ImportedTrace> = files
+    let session = Session::builder().jobs(jobs).build();
+    let traces = files
         .iter()
-        .map(|f| ImportedTrace::from_file(f).map_err(CliError::user))
+        .map(|f| session.import(f).map_err(CliError::user))
         .collect::<Result<_, _>>()?;
 
     let configs: Vec<_> = DesignPoint::ALL.iter().map(|d| d.config()).collect();
-    let cache = ProfileCache::new();
-    let runs = ExperimentPlan::cross(traces, params, configs).run(&cache, jobs);
+    let runs = ExperimentPlan::cross(traces, configs).run(session.jobs());
 
     for (run, file) in runs.iter().zip(&files) {
+        let program = run.profile.program();
         let mut out = String::new();
         out.push_str(&format!(
-            "{} (from {file}, {} threads, {} ops, profiled once)\n",
-            run.spec.name(),
-            run.workload.program.num_threads(),
-            run.workload.program.total_ops(),
+            "{} (from {file}, {} threads, {} ops)\n",
+            run.workload.name(),
+            program.num_threads(),
+            program.total_ops(),
         ));
         Row::new()
             .cell(10, "design")
@@ -109,5 +125,10 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         }
         println!("{out}");
     }
+    println!(
+        "{} trace file(s), {} profiling run(s)",
+        files.len(),
+        session.profiles_collected()
+    );
     Ok(0)
 }

@@ -118,7 +118,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut clients = 1usize;
     let mut cold = 3usize;
     let mut out: Option<String> = None;
-    let mut jobs = rppm_bench::default_jobs();
+    let mut jobs = rppm::core::default_jobs();
     while let Some(arg) = args.next() {
         if is_help(&arg) {
             println!("{USAGE}");

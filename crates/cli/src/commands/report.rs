@@ -2,7 +2,8 @@
 
 use super::{is_help, take_jobs};
 use crate::args::{parse_with, ArgStream, CliError};
-use rppm_bench::{reports, ProfileCache, RunCtx};
+use rppm::Session;
+use rppm_bench::{reports, RunCtx};
 
 const USAGE: &str = "usage: rppm report <name> [args] [--jobs N] [--machine FILE]
 
@@ -31,7 +32,7 @@ per-report binaries.";
 
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
-    let mut jobs = rppm_bench::default_jobs();
+    let mut jobs = rppm::core::default_jobs();
     let mut machine: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
@@ -70,8 +71,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             .unwrap_or(Ok(default))
     };
 
-    let cache = ProfileCache::new();
-    let mut ctx = RunCtx::new(&cache, jobs);
+    let session = Session::builder().jobs(jobs).build();
+    let mut ctx = RunCtx::new(&session);
     if let Some(path) = &machine {
         ctx = ctx.with_base(rppm::trace::read_machine(path).map_err(CliError::user)?);
     }

@@ -1,15 +1,17 @@
 //! `rppm run-all` — regenerate every report under `results/`, in-process
-//! and in parallel, sharing one profile cache across all reports.
+//! and in parallel, with every report opening its workloads in one
+//! session.
 
 use super::{is_help, take_jobs};
 use crate::args::{parse_with, ArgStream, CliError};
+use rppm::Session;
 use rppm_bench::reports::{self, Report};
-use rppm_bench::{ImportedTrace, ProfileCache, RunCtx};
+use rppm_bench::RunCtx;
 
 const USAGE: &str = "usage: rppm run-all [scale] [dse_scale] [--jobs N] [--import FILE]...
 
 Regenerates every table/figure (text + machine-readable JSON twin) under
-results/. All reports share one profile cache, so each (workload, params)
+results/. All reports share one session, so each (workload, params)
 pair is profiled exactly once per invocation. Defaults: scale 0.5,
 dse_scale 0.3, one worker per core.
 
@@ -23,8 +25,8 @@ type ReportJob<'a> = (&'a str, Box<dyn FnOnce() -> Report + 'a>);
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
     let mut positional = Vec::new();
-    let mut jobs = rppm_bench::default_jobs();
-    let mut imports = Vec::new();
+    let mut jobs = rppm::core::default_jobs();
+    let mut import_paths = Vec::new();
     while let Some(arg) = args.next() {
         if is_help(&arg) {
             println!("{USAGE}");
@@ -34,10 +36,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             continue;
         }
         if arg.as_str() == "--import" {
-            let path = args.value_of(&arg)?;
-            let t = ImportedTrace::from_file(&path).map_err(CliError::user)?;
-            eprintln!("imported {path} as workload `{}`", t.name());
-            imports.push(t);
+            import_paths.push(args.value_of(&arg)?);
             continue;
         }
         if arg.is_flag() {
@@ -57,6 +56,14 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         .map(|s| parse_with(s, "dse_scale", USAGE))
         .unwrap_or(Ok(0.3))?;
 
+    let session = Session::builder().jobs(jobs).build();
+    let mut imports = Vec::new();
+    for path in &import_paths {
+        let handle = session.import(path).map_err(CliError::user)?;
+        eprintln!("imported {path} as workload `{}`", handle.name());
+        imports.push(handle);
+    }
+
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).map_err(|e| {
         CliError::user(rppm::Error::Io {
@@ -65,8 +72,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         })
     })?;
 
-    let cache = ProfileCache::new();
-    let ctx = RunCtx::new(&cache, jobs).with_imports(imports);
+    let ctx = RunCtx::new(&session).with_imports(imports);
     let t0 = std::time::Instant::now();
 
     let jobs_list: Vec<ReportJob<'_>> = vec![
@@ -102,8 +108,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         "all experiments regenerated under results/ in {:.1?} \
          ({} workloads profiled once each, {} profile() calls)",
         t0.elapsed(),
-        cache.len(),
-        cache.profiles_collected(),
+        session.cache().len(),
+        session.profiles_collected(),
     );
     Ok(0)
 }

@@ -8,7 +8,7 @@
 //! one-op-at-a-time reference engine, whose profile is the "before" picture
 //! (every op is its own dispatch, nothing fuses).
 
-use super::{is_help, take_jobs};
+use super::is_help;
 use crate::args::{ArgStream, CliError};
 use rppm::sim::{simulate_profiled, SimEngine, SimProfile};
 use rppm::trace::DesignPoint;
@@ -103,14 +103,10 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut sim_engine = SimEngine::Fused;
     let mut json = false;
     let mut out_file: Option<String> = None;
-    let mut jobs = rppm_bench::default_jobs();
     while let Some(arg) = args.next() {
         if is_help(&arg) {
             println!("{USAGE}");
             return Ok(0);
-        }
-        if take_jobs(&mut args, &arg, &mut jobs)? {
-            continue;
         }
         match arg.as_str() {
             "--catalog" => catalog = true,

@@ -108,6 +108,19 @@ fn unknown_command_and_flags_exit_2_with_usage() {
 
     let out = rppm(&["bench"]);
     assert_user_error(&out, "missing bench action");
+
+    // Options nothing would read are rejected, not silently ignored.
+    let out = rppm(&["sim-profile", "hotspot", "--jobs", "3"]);
+    assert_user_error(&out, "unknown flag `--jobs`");
+    let out = rppm(&[
+        "import",
+        "../../examples/traces/mini.rpt",
+        "--scale",
+        "7",
+        "--seed",
+        "3",
+    ]);
+    assert_user_error(&out, "--scale only applies to --export");
 }
 
 #[test]
@@ -198,9 +211,22 @@ fn report_prints_a_table_and_convert_round_trips() {
         "JSON -> RPT1 -> JSON is byte-identical"
     );
 
-    let import = rppm(&["import", rpt.to_str().unwrap(), "--jobs", "2"]);
+    // The JSON and RPT1 twins are one trace: one profiling run, counted by
+    // the session that did it.
+    let import = rppm(&[
+        "import",
+        json.to_str().unwrap(),
+        rpt.to_str().unwrap(),
+        "--jobs",
+        "2",
+    ]);
     assert_eq!(import.status.code(), Some(0), "{}", stderr(&import));
-    assert!(stdout(&import).contains("profiled once"));
+    let text = stdout(&import);
+    assert_eq!(
+        text.lines().last(),
+        Some("2 trace file(s), 1 profiling run(s)"),
+        "{text}"
+    );
 }
 
 /// The model reads no environment: its calibration constants are explicit
@@ -412,11 +438,15 @@ fn golden_diff_detects_drift_against_perturbed_baseline() {
 fn run_all_writes_both_twins_for_every_report() {
     // The contract the run-all smoke in CI relies on: one tiny-scale run
     // writes a non-empty text and JSON twin for every report, profiling
-    // each workload once.
+    // each workload once — the JSON and RPT1 twins of one imported trace
+    // included.
     let dir = std::env::temp_dir().join(format!("rppm-cli-run-all-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    let traces = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/traces");
     let out = Command::new(env!("CARGO_BIN_EXE_rppm"))
         .args(["run-all", "0.02", "0.02", "--jobs", "2"])
+        .args(["--import", &format!("{traces}/mini.json")])
+        .args(["--import", &format!("{traces}/mini.rpt")])
         .current_dir(&dir)
         .output()
         .expect("spawn rppm");
@@ -440,6 +470,9 @@ fn run_all_writes_both_twins_for_every_report() {
             assert!(len > 0, "missing or empty {}", p.display());
         }
     }
+    // Both twins are report rows; only their profile is shared.
+    let fig4 = std::fs::read_to_string(dir.join("results/fig4.txt")).expect("fig4");
+    assert_eq!(fig4.matches("mini-external").count(), 2, "{fig4}");
     let err = stderr(&out);
     let summary = err
         .lines()

@@ -38,13 +38,15 @@
 //!   time; eviction changes cost, never results.
 //!
 //! The cache is thread-safe and lives behind an `Arc` in the `rppm`
-//! session facade; the `rppm-bench` experiment engine shares the same
-//! type, so a harness run and a library caller observe the one contract.
+//! session facade. Every workload handle profiles through its session's
+//! cache — library callers, `rppm serve`, the CLI and the `rppm-bench`
+//! experiment engine alike — so all of them observe the one contract.
 
 use crate::prepared::PreparedProfile;
 use rppm_profiler::{profile, ApplicationProfile};
 use rppm_trace::Program;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -262,7 +264,9 @@ impl ProfileCache {
     /// profiling run finishes; callers for different keys proceed in
     /// parallel. Under a [`CacheBudget`], completing a fresh profile may
     /// evict least-recently-used resident entries (the returned workload
-    /// itself is never the victim of its own insertion).
+    /// itself is never the victim of its own insertion). If `build` or the
+    /// profiling run panics, the panic reaches the caller and the key's
+    /// entry is dropped, so a later request profiles afresh.
     pub fn get_or_profile(
         &self,
         key: ProfileKey,
@@ -282,8 +286,10 @@ impl ProfileCache {
             Arc::clone(&entry.slot)
         };
         let mut fresh = false;
-        let workload = slot
-            .get_or_init(|| {
+        // Unwinding is caught only to drop the entry below; the panic is
+        // then resumed unchanged.
+        let init = panic::catch_unwind(AssertUnwindSafe(|| {
+            slot.get_or_init(|| {
                 // Release pairs with the Acquire load in
                 // `profiles_collected`: a reader that sees this increment
                 // also sees the `lookups` increment above, keeping `hits()`
@@ -299,7 +305,27 @@ impl ProfileCache {
                     prepared,
                 }
             })
-            .clone();
+            .clone()
+        }));
+        let workload = match init {
+            Ok(workload) => workload,
+            Err(payload) => {
+                // The build or the profiling run panicked and left the slot
+                // empty. An empty entry is never evicted, so drop it (unless
+                // a concurrent caller has since filled or replaced it); a
+                // retry of the key then profiles afresh.
+                let mut inner = self.inner.lock().expect("cache lock");
+                if inner
+                    .map
+                    .get(&key)
+                    .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot) && e.slot.get().is_none())
+                {
+                    inner.map.remove(&key);
+                }
+                drop(inner); // released before unwinding: no poisoned lock
+                panic::resume_unwind(payload)
+            }
+        };
         if fresh {
             self.mark_resident(&key, &slot, &workload);
         }
@@ -506,6 +532,24 @@ mod tests {
         );
         // The evicted caller's handle stayed valid throughout.
         assert_eq!(first.program.name, "t");
+    }
+
+    #[test]
+    fn panicking_builds_leave_no_entry() {
+        let cache = ProfileCache::with_budget(CacheBudget::entries(1));
+        let k = |s: u64| ProfileKey::generated("t", 0.5, s);
+        for s in 0..10 {
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                cache.get_or_profile(k(s), || panic!("build {s} fails"))
+            }));
+            assert!(run.is_err(), "the build's panic reaches the caller");
+        }
+        assert_eq!(cache.len(), 0, "no entry outlives its failed build");
+        assert_eq!(cache.resident(), 0);
+        // A later good build of one of those keys profiles afresh and stays.
+        cache.get_or_profile(k(3), || tiny("t", 3));
+        assert!(cache.peek(&k(3)).is_some());
+        assert_eq!((cache.len(), cache.resident()), (1, 1));
     }
 
     #[test]

@@ -83,7 +83,6 @@ struct State {
     max_body_bytes: u64,
     spool_bytes: u64,
     max_uploads: usize,
-    jobs_hint: usize,
     /// The bound address, kept so an HTTP-initiated shutdown can poke the
     /// accept loop out of its blocking `accept()`.
     addr: SocketAddr,
@@ -394,7 +393,7 @@ impl State {
         } else {
             ConfigSpace::default_space_from(base)
         };
-        let jobs = self.session_jobs();
+        let jobs = self.session.jobs();
         if best_only {
             let out = find_best(prepared, &space, &constraints, bound, jobs)
                 .map_err(|e| ApiError::bad_request(format!("{}: {e}", handle.name())))?;
@@ -569,12 +568,6 @@ impl State {
         ))
     }
 
-    fn session_jobs(&self) -> usize {
-        // Sweeps fan out over the session's configured worker count; the
-        // session stores it per-handle, so recover it from any handle.
-        self.jobs_hint
-    }
-
     fn route(&self, head: &RequestHead, body: &mut dyn Read) -> (u16, Value) {
         let result = match (head.method.as_str(), head.path.as_str()) {
             ("GET", "/healthz") => Ok((
@@ -655,7 +648,6 @@ impl Server {
             max_body_bytes: config.max_body_bytes,
             spool_bytes: config.spool_bytes,
             max_uploads: config.max_uploads,
-            jobs_hint: config.jobs.max(1),
             addr,
         });
 

@@ -511,11 +511,6 @@ impl CoreModel {
     pub fn dispatch_stats(&self) -> (u64, u64) {
         (self.counters.ops - self.fused, self.fused)
     }
-
-    /// Observed branch misprediction rate.
-    pub fn branch_miss_rate(&self) -> f64 {
-        self.predictor.miss_rate()
-    }
 }
 
 #[cfg(test)]

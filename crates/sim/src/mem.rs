@@ -280,11 +280,6 @@ impl MemorySystem {
             self.lat_l2
         }
     }
-
-    /// L1I miss rate observed for `core`.
-    pub fn l1i_miss_rate(&self, core: usize) -> f64 {
-        self.l1i[core].miss_rate()
-    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use rppm_core::{
 use rppm_profiler::ApplicationProfile;
 use rppm_sim::{simulate, SimResult};
 use rppm_trace::{program_fingerprint, MachineConfig, Program, ProgramError, TraceFileError};
-use rppm_workloads::{Benchmark, Params};
+use rppm_workloads::{Benchmark, Params, Suite};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -259,9 +259,14 @@ impl Session {
         self.cache.evictions()
     }
 
-    /// The shared profile cache (e.g. to hand to an
-    /// `rppm_bench::ExperimentPlan` so harness runs and session callers
-    /// amortize the same profiles).
+    /// Worker threads for parallel sweeps, as set by
+    /// [`SessionBuilder::jobs`].
+    pub fn jobs(&self) -> usize {
+        self.jobs
+    }
+
+    /// The shared profile cache, for its counters and budget (every
+    /// workload handle of this session profiles through it).
     pub fn cache(&self) -> &Arc<ProfileCache> {
         &self.cache
     }
@@ -335,6 +340,15 @@ impl WorkloadHandle {
         match &self.source {
             Source::Catalog { bench, .. } => bench.name,
             Source::Fixed { program, .. } => &program.name,
+        }
+    }
+
+    /// The catalog suite of a generated workload; `None` for imported
+    /// traces and adopted programs.
+    pub fn suite(&self) -> Option<Suite> {
+        match &self.source {
+            Source::Catalog { bench, .. } => Some(bench.suite),
+            Source::Fixed { .. } => None,
         }
     }
 

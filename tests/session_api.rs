@@ -193,37 +193,6 @@ fn session_matches_free_functions() {
     }
 }
 
-/// A session shares its cache with the bench experiment engine: a report
-/// run and a library caller amortize the same profiles.
-#[test]
-fn session_cache_is_shared_with_experiment_plans() {
-    use rppm_bench::ExperimentPlan;
-
-    let session = Session::builder().jobs(2).build();
-    let params = WorkloadParams {
-        scale: 0.02,
-        seed: 1,
-    };
-    session
-        .workload("nn")
-        .expect("catalog")
-        .scale(params.scale)
-        .seed(params.seed)
-        .profile();
-    let calls_before = session.cache().profiles_collected();
-
-    let bench = rppm::workloads::by_name("nn").expect("catalog");
-    let plan = ExperimentPlan::single_config([bench], params, DesignPoint::Base.config());
-    let runs = plan.run(session.cache(), 2);
-    assert_eq!(runs.len(), 1);
-    assert_eq!(
-        session.cache().profiles_collected(),
-        calls_before,
-        "the plan reused the session's cached profile"
-    );
-    assert_eq!(session.profiles_collected(), 1);
-}
-
 #[test]
 fn unknown_workload_error_displays_and_has_no_source() {
     let err = Session::new().workload("not-a-benchmark").unwrap_err();
