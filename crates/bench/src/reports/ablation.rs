@@ -71,8 +71,9 @@ pub fn ablation(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Ablation: RPPM suite error (all {} benchmarks, base config, scale {scale})\n\n",
-        runs.len()
+        "Ablation: RPPM suite error (all {} benchmarks, {} config, scale {scale})\n\n",
+        runs.len(),
+        config.name
     ));
     Row::new()
         .cell(38, "variant")

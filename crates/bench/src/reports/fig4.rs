@@ -24,7 +24,8 @@ pub fn fig4(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Figure 4: prediction error vs. simulation (base config, scale {scale})\n\n"
+        "Figure 4: prediction error vs. simulation ({} config, scale {scale})\n\n",
+        ctx.base.name
     ));
     Row::new()
         .cell(16, "benchmark")

@@ -1,10 +1,11 @@
 //! The `sim_profile` report: the simulator's own execution profile.
 //!
-//! Runs every catalog workload through the probed golden simulator at the
-//! paper's base design point and aggregates the engine's self-profile: op
-//! frequencies, the dynamic op-pair histogram (the superinstruction
-//! candidates), the synchronization mix and the dispatch/fusion statistics
-//! the PGO loop feeds on. The JSON twin is drift-gated by the golden suite:
+//! Runs every catalog workload through the probed golden simulator on the
+//! run's machine (the paper's base design point unless `--machine` swaps
+//! it) and aggregates the engine's self-profile: op frequencies, the
+//! dynamic op-pair histogram (the superinstruction candidates), the
+//! synchronization mix and the dispatch/fusion statistics the PGO loop
+//! feeds on. The JSON twin is drift-gated by the golden suite:
 //! a change in the committed op-frequency profile means the simulated
 //! instruction streams changed — exactly the regression the bit-identical
 //! optimization discipline forbids.
@@ -29,14 +30,14 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
         scale,
         ..Params::full()
     };
-    let config = ctx.base.clone();
+    let config = &ctx.base;
 
     let mut merged = SimProfile::default();
     let mut rows = Vec::new();
     let mut rows_json = Vec::new();
     for bench in rppm::workloads::all() {
         let program = bench.build(&params);
-        let (_, p) = simulate_profiled(&program, &config, SimEngine::Fused);
+        let (_, p) = simulate_profiled(&program, config, SimEngine::Fused);
         rows.push(format!(
             "{:<16} {:>10} {:>10} {:>7.1}% {:>8.1}%",
             bench.name,
@@ -53,12 +54,12 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
         ]));
         merged.merge(&p);
     }
-    let _ = ctx; // profile runs need no app profile; ctx keeps the report signature uniform
 
     let mut out = String::new();
     out.push_str(&format!(
-        "Simulator self-profile: {} catalog workloads, base design point (scale {scale})\n\n",
-        rows.len()
+        "Simulator self-profile: {} catalog workloads, {} design point (scale {scale})\n\n",
+        rows.len(),
+        config.name
     ));
     out.push_str(&format!(
         "{:<16} {:>10} {:>10} {:>8} {:>9}\n",
@@ -114,7 +115,7 @@ pub fn sim_profile(scale: f64, ctx: &RunCtx<'_>) -> Report {
         text: out,
         json: obj([
             ("scale", Value::F64(scale)),
-            ("point", Value::String("base".to_string())),
+            ("point", Value::String(config.name.clone())),
             ("workloads", arr(rows_json)),
             ("merged", profile_json(&merged)),
         ]),

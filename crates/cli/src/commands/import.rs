@@ -20,7 +20,7 @@ file (`.rpt` / `.bin` extensions write the binary container).";
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
     let mut files = Vec::new();
-    let mut jobs = rppm::core::default_jobs();
+    let mut jobs = None;
     let mut export: Option<(String, String)> = None;
     let mut params = Params::full();
     // The first generation flag seen: only --export generates a workload.
@@ -30,7 +30,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             println!("{USAGE}");
             return Ok(0);
         }
-        if take_jobs(&mut args, &arg, &mut jobs)? {
+        if let Some(n) = take_jobs(&mut args, &arg)? {
+            jobs = Some(n);
             continue;
         }
         match arg.as_str() {
@@ -61,6 +62,10 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
                 files.join(", ")
             )));
         }
+        if jobs.is_some() {
+            return Err(args
+                .error("--jobs only applies to importing trace files (--export writes one file)"));
+        }
         let bench = rppm::workloads::by_name(&name)
             .ok_or_else(|| CliError::user(rppm::Error::UnknownWorkload { name: name.clone() }))?;
         let program = bench.build(&params);
@@ -89,7 +94,9 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         return Err(args.error("nothing to do: pass trace files to import, or --export NAME FILE"));
     }
 
-    let session = Session::builder().jobs(jobs).build();
+    let session = Session::builder()
+        .jobs(jobs.unwrap_or_else(rppm::core::default_jobs))
+        .build();
     let traces = files
         .iter()
         .map(|f| session.import(f).map_err(CliError::user))

@@ -124,7 +124,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             println!("{USAGE}");
             return Ok(0);
         }
-        if take_jobs(&mut args, &arg, &mut jobs)? {
+        if let Some(n) = take_jobs(&mut args, &arg)? {
+            jobs = n;
             continue;
         }
         match arg.as_str() {

@@ -20,18 +20,16 @@ pub fn is_help(arg: &Arg) -> bool {
     matches!(arg.as_str(), "--help" | "-h" | "help")
 }
 
-/// Parses the shared `--jobs N` / `-j N` flag into `jobs`; returns whether
-/// the flag matched. Zero workers cannot run anything, so `--jobs 0` is a
-/// usage error rather than a silent clamp.
-pub fn take_jobs(args: &mut ArgStream, arg: &Arg, jobs: &mut usize) -> Result<bool, CliError> {
-    if matches!(arg.as_str(), "--jobs" | "-j") {
-        let n: usize = args.parse_of(arg)?;
-        if n == 0 {
-            return Err(args.error(format!("{} must be at least 1, got 0", arg.as_str())));
-        }
-        *jobs = n;
-        Ok(true)
-    } else {
-        Ok(false)
+/// Parses the shared `--jobs N` / `-j N` flag: `Some(N)` if `arg` is that
+/// flag, `None` otherwise. Zero workers cannot run anything, so `--jobs 0`
+/// is a usage error rather than a silent clamp.
+pub fn take_jobs(args: &mut ArgStream, arg: &Arg) -> Result<Option<usize>, CliError> {
+    if !matches!(arg.as_str(), "--jobs" | "-j") {
+        return Ok(None);
     }
+    let n: usize = args.parse_of(arg)?;
+    if n == 0 {
+        return Err(args.error(format!("{} must be at least 1, got 0", arg.as_str())));
+    }
+    Ok(Some(n))
 }

@@ -22,17 +22,34 @@ reports (and their optional positional arguments):
   sim_profile [scale]     simulator self-profile: op mix, hot pairs,
                           fusion/dispatch statistics (default 0.3)
 
---machine FILE evaluates single-configuration reports (and the dse
-report's space base) on the `.machine` description in FILE instead of
-the paper's base design point; reports about the five Table IV points
-themselves (table4, table5) ignore it.
+--jobs N runs the report's workloads on N worker threads; table3, table5,
+fig4, fig5, fig6, ablation and dse take it. --machine FILE evaluates
+fig4, fig5, fig6, ablation, dse (the base of its space) and sim_profile
+on the `.machine` description in FILE instead of the paper's base design
+point. Every other report rejects either flag.
 
 The report text is printed to stdout, byte-identical to the retired
 per-report binaries.";
 
+/// Every report: its name, how many positional arguments it takes, and
+/// whether it reads `--jobs` and `--machine`.
+const REPORTS: [(&str, usize, bool, bool); 11] = [
+    ("table1", 1, false, false),
+    ("table2", 1, false, false),
+    ("table3", 1, true, false),
+    ("table4", 0, false, false),
+    ("table5", 1, true, false),
+    ("fig4", 1, true, true),
+    ("fig5", 2, true, true),
+    ("fig6", 1, true, true),
+    ("ablation", 1, true, true),
+    ("dse", 1, true, true),
+    ("sim_profile", 1, false, true),
+];
+
 pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut args = ArgStream::new(argv, USAGE);
-    let mut jobs = rppm::core::default_jobs();
+    let mut jobs = None;
     let mut machine: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
@@ -40,7 +57,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             println!("{USAGE}");
             return Ok(0);
         }
-        if take_jobs(&mut args, &arg, &mut jobs)? {
+        if let Some(n) = take_jobs(&mut args, &arg)? {
+            jobs = Some(n);
             continue;
         }
         if arg.as_str() == "--machine" {
@@ -55,14 +73,19 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let Some((name, rest)) = positional.split_first() else {
         return Err(args.error("missing report name"));
     };
-    // fig5 takes [scale] [benchmark]; every other report at most [scale].
-    let max_args = match name.as_str() {
-        "fig5" => 2,
-        "table4" => 0,
-        _ => 1,
+    let Some(&(_, max_args, takes_jobs, takes_machine)) =
+        REPORTS.iter().find(|(report, ..)| report == name)
+    else {
+        return Err(args.error(format!("unknown report `{name}`")));
     };
     if let Some(surplus) = rest.get(max_args) {
         return Err(args.error(format!("unexpected argument `{surplus}`")));
+    }
+    if jobs.is_some() && !takes_jobs {
+        return Err(args.error(format!("report `{name}` does not take --jobs")));
+    }
+    if machine.is_some() && !takes_machine {
+        return Err(args.error(format!("report `{name}` does not take --machine")));
     }
 
     let scale_arg = |default: f64| -> Result<f64, CliError> {
@@ -71,7 +94,9 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             .unwrap_or(Ok(default))
     };
 
-    let session = Session::builder().jobs(jobs).build();
+    let session = Session::builder()
+        .jobs(jobs.unwrap_or_else(rppm::core::default_jobs))
+        .build();
     let mut ctx = RunCtx::new(&session);
     if let Some(path) = &machine {
         ctx = ctx.with_base(rppm::trace::read_machine(path).map_err(CliError::user)?);
@@ -94,7 +119,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
         "ablation" => reports::ablation(scale_arg(0.2)?, &ctx),
         "dse" => reports::dse(scale_arg(0.3)?, &ctx),
         "sim_profile" => reports::sim_profile(scale_arg(0.3)?, &ctx),
-        other => return Err(args.error(format!("unknown report `{other}`"))),
+        other => unreachable!("report `{other}` is missing from REPORTS"),
     };
     print!("{}", report.text);
     Ok(0)

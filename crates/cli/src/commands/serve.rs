@@ -39,7 +39,8 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             println!("{USAGE}");
             return Ok(0);
         }
-        if take_jobs(&mut args, &arg, &mut config.jobs)? {
+        if let Some(n) = take_jobs(&mut args, &arg)? {
+            config.jobs = n;
             continue;
         }
         match arg.as_str() {

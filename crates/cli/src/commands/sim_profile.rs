@@ -33,17 +33,6 @@ op pairs are listed (default 8). --json prints the machine-readable
 document instead of text; --out FILE additionally writes that document
 to FILE.";
 
-fn parse_point(s: &str) -> Result<DesignPoint, String> {
-    Ok(match s {
-        "smallest" => DesignPoint::Smallest,
-        "small" => DesignPoint::Small,
-        "base" => DesignPoint::Base,
-        "big" => DesignPoint::Big,
-        "biggest" => DesignPoint::Biggest,
-        other => return Err(format!("unknown design point `{other}`")),
-    })
-}
-
 fn render_text(scope: &str, engine: &str, point: &str, p: &SimProfile, top: usize) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -112,10 +101,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
             "--catalog" => catalog = true,
             "--scale" => scale = args.parse_of(&arg)?,
             "--seed" => seed = args.parse_of(&arg)?,
-            "--point" => {
-                let s: String = args.value_of(&arg)?;
-                point = parse_point(&s).map_err(|e| args.error(e))?;
-            }
+            "--point" => point = args.value_of(&arg)?.parse().map_err(|e| args.error(e))?,
             "--machine" => machine = Some(args.value_of(&arg)?),
             "--top" => top = args.parse_of(&arg)?,
             "--reference" => sim_engine = SimEngine::Reference,
@@ -134,13 +120,9 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     }
 
     let params = Params { scale, seed };
-    let (config, point_name) = match &machine {
-        Some(path) => {
-            let cfg = rppm::trace::read_machine(path).map_err(CliError::user)?;
-            let name = cfg.name.clone();
-            (cfg, name)
-        }
-        None => (point.config(), format!("{point:?}").to_lowercase()),
+    let config = match &machine {
+        Some(path) => rppm::trace::read_machine(path).map_err(CliError::user)?,
+        None => point.config(),
     };
     let engine = match sim_engine {
         SimEngine::Fused => "optimized",
@@ -176,7 +158,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     let mut doc_entries = vec![
         ("scope".into(), Value::String(scope.clone())),
         ("engine".into(), Value::String(engine.to_string())),
-        ("point".into(), Value::String(point_name.clone())),
+        ("point".into(), Value::String(config.name.clone())),
         ("scale".into(), Value::F64(scale)),
         ("seed".into(), Value::U64(seed)),
         (
@@ -204,7 +186,7 @@ pub fn run(argv: Vec<String>) -> Result<i32, CliError> {
     } else {
         print!(
             "{}",
-            render_text(&scope, engine, &point_name, &profile, top)
+            render_text(&scope, engine, &config.name, &profile, top)
         );
     }
     Ok(0)

@@ -121,6 +121,29 @@ fn unknown_command_and_flags_exit_2_with_usage() {
         "3",
     ]);
     assert_user_error(&out, "--scale only applies to --export");
+    let out = rppm(&["report", "table4", "--jobs", "3"]);
+    assert_user_error(&out, "report `table4` does not take --jobs");
+    let out = rppm(&[
+        "report",
+        "table1",
+        "1000",
+        "--machine",
+        "../../examples/machines/small.machine",
+    ]);
+    assert_user_error(&out, "report `table1` does not take --machine");
+    let exported = std::env::temp_dir().join("rppm-cli-smoke-never-written.json");
+    let out = rppm(&[
+        "import",
+        "--export",
+        "nn",
+        exported.to_str().unwrap(),
+        "--scale",
+        "0.02",
+        "--jobs",
+        "3",
+    ]);
+    assert_user_error(&out, "--jobs only applies to importing trace files");
+    assert!(!exported.exists(), "a rejected export writes nothing");
 }
 
 #[test]
@@ -382,6 +405,20 @@ fn machine_flag_swaps_the_design_and_rejects_malformed_files() {
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("@ small"), "{}", stdout(&out));
+    // So does the sim_profile report.
+    let out = rppm(&[
+        "report",
+        "sim_profile",
+        "0.005",
+        "--machine",
+        "../../examples/machines/small.machine",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("small design point"),
+        "{}",
+        stdout(&out)
+    );
 
     // A malformed machine file is a one-line exit-2 error on every
     // subcommand taking the flag — with the parser's line diagnostic.

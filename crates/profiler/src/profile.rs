@@ -3,7 +3,7 @@
 use rppm_branch_model::BranchProfile;
 use rppm_statstack::ReuseHistogram;
 use rppm_trace::op::NUM_OP_CLASSES;
-use rppm_trace::{OpClass, SyncOp};
+use rppm_trace::{OpClass, SyncMix, SyncOp};
 use serde::{Deserialize, Serialize};
 
 /// Microarchitecture-independent statistics of one thread over one
@@ -234,28 +234,15 @@ impl ApplicationProfile {
             + (self.name.capacity() + std::mem::size_of::<Self>()) as u64
     }
 
-    /// Dynamic synchronization-event counts by paper category (Table III).
+    /// Dynamic synchronization-event counts by paper category (Table III):
+    /// `(critical sections, barriers, condition-variable events)`, see
+    /// [`SyncMix::table3`].
     pub fn sync_event_counts(&self) -> (u64, u64, u64) {
-        let mut cs = 0;
-        let mut bar = 0;
-        let mut cond = 0;
-        for th in &self.threads {
-            for ev in &th.events {
-                match ev.category() {
-                    rppm_trace::sync::SyncCategory::CriticalSection => {
-                        // Acquisitions only — releases belong to the same
-                        // critical section and would double-count it.
-                        if matches!(ev, SyncOp::Lock { .. } | SyncOp::RwLock { .. }) {
-                            cs += 1;
-                        }
-                    }
-                    rppm_trace::sync::SyncCategory::Barrier => bar += 1,
-                    rppm_trace::sync::SyncCategory::CondVar => cond += 1,
-                    rppm_trace::sync::SyncCategory::ThreadMgmt => {}
-                }
-            }
+        let mut mix = SyncMix::default();
+        for ev in self.threads.iter().flat_map(|th| &th.events) {
+            mix.record(ev);
         }
-        (cs, bar, cond)
+        mix.table3()
     }
 
     /// Recognizes how each condition variable is used, per the paper's

@@ -8,7 +8,7 @@
 //! | `GET /healthz` | liveness probe |
 //! | `GET /stats` | cache hit/miss/eviction counters, job counts |
 //! | `POST /traces` | upload an `RPT1` or JSON trace (format sniffed by magic bytes, streamed — the binary path never buffers the body); returns a profiling job id |
-//! | `POST /machines` | upload a `.machine` description; registered under its `[machine] name` for the `machine=` query parameter |
+//! | `POST /machines` | upload a `.machine` description; registered under its `[machine] name` for the `machine=` query parameter (a preset's name is refused) |
 //! | `GET /jobs/<id>` | poll a profiling job |
 //! | `GET /predict?workload=…&design=…` | one prediction (synchronous when the profile is resident; `202` + job id otherwise); `machine=<name>` predicts a registered machine instead |
 //! | `GET /sweep?…` | all five Table IV design points, or `machine=<a,b,…>` registered machines |
@@ -16,8 +16,10 @@
 //! | `POST /shutdown` | drain and exit |
 //!
 //! The machine registry is seeded with the five Table IV presets
-//! (`smallest` … `biggest`), so `machine=base` works on a fresh service;
-//! uploads are FIFO-capped like trace uploads (presets are never evicted).
+//! (`smallest` … `biggest`), so `machine=base` works on a fresh service
+//! and always means the same machine as `design=base`: uploads may not
+//! take a preset's name, and are FIFO-capped like trace uploads (presets
+//! are never evicted).
 //!
 //! Predictions from a resident profile take microseconds; collecting a
 //! profile takes seconds. The service keeps those on different threads:

@@ -112,9 +112,10 @@ impl Uploads {
 }
 
 /// Named machine-description registry. Seeded with the five Table IV
-/// presets at startup; `POST /machines` adds (or replaces) entries under
-/// their `[machine] name`. Uploads are FIFO-capped like trace uploads;
-/// the seeded presets are not part of the FIFO and are never evicted.
+/// presets at startup; `POST /machines` adds (or replaces) uploads under
+/// their `[machine] name`, which may not be a preset's. Uploads are
+/// FIFO-capped like trace uploads; the seeded presets are not part of the
+/// FIFO and are never evicted or replaced.
 struct Machines {
     by_name: HashMap<String, MachineConfig>,
     order: VecDeque<String>,
@@ -190,19 +191,6 @@ fn parse_query_num<T: std::str::FromStr>(
     }
 }
 
-fn design_config(head: &RequestHead) -> Result<(String, MachineConfig), ApiError> {
-    let name = head.query_value("design").unwrap_or("base");
-    DesignPoint::ALL
-        .iter()
-        .find(|d| d.to_string() == name)
-        .map(|d| (d.to_string(), d.config()))
-        .ok_or_else(|| {
-            ApiError::bad_request(format!(
-                "unknown design point `{name}` (expected one of smallest/small/base/big/biggest)"
-            ))
-        })
-}
-
 /// A spooled upload on disk, removed when the guard drops (including on
 /// every import-error path).
 struct SpoolFile(std::path::PathBuf);
@@ -258,13 +246,17 @@ impl State {
     /// The machine a single-config endpoint evaluates: `machine=<name>`
     /// (registry lookup) or `design=<point>` (Table IV preset, default
     /// `base`) — passing both is an error.
-    fn machine_or_design(&self, head: &RequestHead) -> Result<(String, MachineConfig), ApiError> {
+    fn machine_or_design(&self, head: &RequestHead) -> Result<MachineConfig, ApiError> {
         match (head.query_value("machine"), head.query_value("design")) {
             (Some(_), Some(_)) => Err(ApiError::bad_request(
                 "pass either `design` (Table IV point) or `machine` (registry name), not both",
             )),
-            (Some(name), None) => Ok((name.to_string(), self.machine(name)?)),
-            (None, _) => design_config(head),
+            (Some(name), None) => self.machine(name),
+            (None, design) => design
+                .unwrap_or("base")
+                .parse::<DesignPoint>()
+                .map(DesignPoint::config)
+                .map_err(ApiError::bad_request),
         }
     }
 
@@ -328,7 +320,7 @@ impl State {
 
     fn handle_predict(&self, head: &RequestHead) -> ApiResult {
         let handle = self.resolve(head)?;
-        let (_, config) = self.machine_or_design(head)?;
+        let config = self.machine_or_design(head)?;
         match self.profile_or_job(&handle) {
             Ok(profile) => Ok((200, prediction_doc(&profile.predict(&config)))),
             Err(accepted) => Ok(accepted),
@@ -479,6 +471,12 @@ impl State {
             .map_err(|e| ApiError::bad_request(format!("body read failed: {e}")))?;
         let config = parse_machine(&text)
             .map_err(|e| ApiError::bad_request(format!("machine rejected: {e}")))?;
+        if config.name.parse::<DesignPoint>().is_ok() {
+            return Err(ApiError::bad_request(format!(
+                "machine rejected: `{}` names a Table IV preset; upload it under another name",
+                config.name
+            )));
+        }
         let name = config.name.clone();
         let description = describe_config(&config);
         self.machines

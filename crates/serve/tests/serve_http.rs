@@ -393,6 +393,28 @@ fn machine_upload_round_trip_and_registry_errors() {
     assert_eq!(garbage.status, 400, "{}", garbage.text());
     assert!(garbage.text().contains("machine rejected"));
 
+    // Preset names are reserved: an upload named `base` is refused, so
+    // `machine=base` still means the same machine as `design=base`.
+    let lean_base = DesignPoint::Base
+        .config()
+        .to_builder()
+        .mshrs(4)
+        .build()
+        .expect("a 4-MSHR base design is valid");
+    let preset = client
+        .post(
+            "/machines",
+            rppm::trace::format_machine(&lean_base).as_bytes(),
+        )
+        .expect("preset-named machine");
+    assert_eq!(preset.status, 400, "{}", preset.text());
+    assert!(preset.text().contains("names a Table IV preset"));
+    let by_machine = client
+        .get(&format!("/predict?{query}&machine=base"))
+        .expect("machine=base after the refused upload");
+    assert_eq!(by_machine.status, 200, "{}", by_machine.text());
+    assert_eq!(by_design.text(), by_machine.text(), "preset replaced");
+
     // The registry count shows 5 presets + 1 upload.
     let stats = client.get("/stats").expect("stats");
     let stats: Value = serde_json::from_str(&stats.text()).expect("stats doc");

@@ -13,7 +13,8 @@
 //! rules come from the [`SyncCore`] the profiler and Algorithm 2 share;
 //! this engine keeps its own clock arithmetic — library overhead charged
 //! per event, spawn latency for created threads, waits charged to the sync
-//! stall component — plus the active intervals and [`SyncEventCounts`].
+//! stall component — plus the active intervals. A [`ProfileCollector`]
+//! probe tallies the events executed in a [`SyncMix`](rppm_trace::SyncMix).
 //!
 //! One entry point covers every combination: [`simulate_with`] takes the
 //! [`Program`], the [`SimEngine`] (the optimized [`CoreModel`] or the
@@ -30,7 +31,6 @@ use crate::core::{CoreCounters, CoreModel};
 use crate::mem::MemorySystem;
 use crate::reference::ReferenceCore;
 use crate::simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile};
-use rppm_trace::sync::SyncCategory;
 use rppm_trace::{
     BlockItem, CpiStack, EventQueue, MachineConfig, MicroOp, Program, Step, SyncCore, SyncOp,
     ThreadCursor, ThreadStatus,
@@ -119,34 +119,6 @@ impl CoreTiming for CoreModel {
     }
 }
 
-/// Dynamic synchronization-event counts by paper category (Table III).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SyncEventCounts {
-    /// Critical sections entered (lock events).
-    pub critical_sections: u64,
-    /// Barrier waits (plain barriers).
-    pub barriers: u64,
-    /// Condition-variable events (cond-implemented barriers, produces,
-    /// consumes).
-    pub cond_vars: u64,
-}
-
-impl SyncEventCounts {
-    fn record(&mut self, op: &SyncOp) {
-        match op.category() {
-            // Acquisitions only: a release closes the same critical section.
-            SyncCategory::CriticalSection => {
-                if matches!(op, SyncOp::Lock { .. } | SyncOp::RwLock { .. }) {
-                    self.critical_sections += 1;
-                }
-            }
-            SyncCategory::Barrier => self.barriers += 1,
-            SyncCategory::CondVar => self.cond_vars += 1,
-            SyncCategory::ThreadMgmt => {}
-        }
-    }
-}
-
 /// Per-thread simulation outcome.
 #[derive(Debug, Clone)]
 pub struct ThreadResult {
@@ -208,8 +180,6 @@ pub struct SimResult {
     /// Per-thread active intervals (for bottlegraphs): time ranges during
     /// which the thread was running (not blocked on synchronization).
     pub intervals: Vec<Vec<(f64, f64)>>,
-    /// Dynamic synchronization-event counts.
-    pub sync_events: SyncEventCounts,
 }
 
 impl SimResult {
@@ -329,7 +299,6 @@ struct Engine<'p, C> {
     sync: SyncCore<f64>,
     /// Threads the last synchronization step made runnable.
     wake: Vec<(usize, f64)>,
-    counts: SyncEventCounts,
     /// Discrete-event ready queue: `(wake_time, thread)` min-heap. Threads
     /// are posted when they become runnable and popped in global time
     /// order; blocked threads are re-posted by whoever wakes them.
@@ -356,7 +325,6 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
             mem: MemorySystem::with_cores(config, n.max(1)),
             sync: SyncCore::for_program(program),
             wake: Vec::new(),
-            counts: SyncEventCounts::default(),
             queue: EventQueue::new(),
         }
     }
@@ -422,7 +390,6 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
     /// touching any of this bookkeeping.
     #[cold]
     fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
-        self.counts.record(&op);
         let core = &mut self.threads[i].core;
         core.charge_sync_overhead(self.config.sync_overhead_cycles as f64);
         let now = core.time();
@@ -555,7 +522,6 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
             total_seconds: self.config.cycles_to_seconds(total_cycles),
             threads,
             intervals,
-            sync_events: self.counts,
         }
     }
 }
@@ -563,7 +529,9 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rppm_trace::{AddressPattern, BlockSpec, DesignPoint, ProgramBuilder, Region, ThreadId};
+    use rppm_trace::{
+        AddressPattern, BlockSpec, DesignPoint, ProgramBuilder, Region, SyncMix, ThreadId,
+    };
 
     fn base() -> MachineConfig {
         DesignPoint::Base.config()
@@ -620,14 +588,14 @@ mod tests {
             .block(compute_block(1_000, 4));
         b.join_workers();
         let p = b.build();
-        let r = simulate(&p, &base());
+        let (r, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
         // Thread 0 must have waited for thread 1 at the barrier.
         assert!(
             r.threads[0].cpi.sync > 1000.0,
             "sync wait {}",
             r.threads[0].cpi.sync
         );
-        assert_eq!(r.sync_events.barriers, 2);
+        assert_eq!(profile.sync.table3().1, 2);
     }
 
     #[test]
@@ -651,8 +619,8 @@ mod tests {
         }
         b.join_workers();
         let p = b.build();
-        let r = simulate(&p, &base());
-        assert_eq!(r.sync_events.critical_sections, 60);
+        let (r, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
+        assert_eq!(profile.sync.table3().0, 60);
         // With 3 threads contending, at least one accumulated lock wait.
         let total_sync: f64 = r.threads.iter().map(|t| t.cpi.sync).sum();
         assert!(total_sync > 1000.0, "total sync {total_sync}");
@@ -678,9 +646,9 @@ mod tests {
             .rw_unlock(rw);
         b.join_workers();
         let p = b.build();
-        let r = simulate(&p, &base());
+        let (r, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
         // Acquisitions count as critical sections (releases do not).
-        assert_eq!(r.sync_events.critical_sections, 3);
+        assert_eq!(profile.sync.table3().0, 3);
         // Readers enter concurrently, so neither waits on the other; the
         // writer queues behind both and eats the read-section latency.
         let writer_wait = r.threads[2].cpi.sync;
@@ -708,7 +676,7 @@ mod tests {
             .block(compute_block(1_000, 2));
         b.join_workers();
         let p = b.build();
-        let r = simulate(&p, &base());
+        let (r, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
         // The waiter blocked until the post: most of its time is sync wait.
         assert!(
             r.threads[1].cpi.sync > r.threads[1].cpi.base,
@@ -716,7 +684,7 @@ mod tests {
             r.threads[1].cpi
         );
         // One post plus two waits, all condition-variable events.
-        assert_eq!(r.sync_events.cond_vars, 3);
+        assert_eq!(profile.sync.table3().2, 3);
     }
 
     #[test]
@@ -735,14 +703,14 @@ mod tests {
         }
         b.join_workers();
         let p = b.build();
-        let r = simulate(&p, &base());
+        let (r, profile) = simulate_profiled(&p, &base(), SimEngine::Fused);
         // The consumer is starved: most of its time is sync wait.
         assert!(
             r.threads[1].cpi.sync > r.threads[1].cpi.base,
             "consumer should be starved: {:?}",
             r.threads[1].cpi
         );
-        assert_eq!(r.sync_events.cond_vars, 20);
+        assert_eq!(profile.sync.table3().2, 20);
     }
 
     #[test]
@@ -913,15 +881,13 @@ mod tests {
             assert_eq!(a.finish.to_bits(), b.finish.to_bits());
             assert_eq!(a.ops, b.ops);
         }
-        // The profile saw every executed op and the sync mix.
+        // The profile saw every executed op and every scripted sync event.
         assert_eq!(profile.total_ops(), plain.total_ops());
-        assert_eq!(
-            profile.sync.barriers + profile.sync.cond_barriers,
-            plain.sync_events.barriers + plain.sync_events.cond_vars,
-            "barrier count mismatch: {:?} vs {:?}",
-            profile.sync,
-            plain.sync_events
-        );
+        let mut scripted = SyncMix::default();
+        for op in p.threads.iter().flat_map(|t| t.sync_ops()) {
+            scripted.record(op);
+        }
+        assert_eq!(profile.sync, scripted);
         assert_eq!(
             profile.dispatches + profile.fused_pairs,
             profile.total_ops()

@@ -45,8 +45,6 @@ pub mod simprof;
 pub use crate::core::{CoreCounters, CoreModel};
 pub use bpred::TournamentPredictor;
 pub use cache::SetAssocCache;
-pub use engine::{
-    simulate, simulate_profiled, simulate_with, SimEngine, SimResult, SyncEventCounts, ThreadResult,
-};
+pub use engine::{simulate, simulate_profiled, simulate_with, SimEngine, SimResult, ThreadResult};
 pub use mem::{MemStats, MemorySystem, ServiceLevel};
-pub use simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile, SyncMix, ThreadShape};
+pub use simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile, ThreadShape};

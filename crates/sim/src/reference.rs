@@ -328,8 +328,8 @@ mod tests {
     fn reference_matches_optimized_bit_for_bit() {
         let p = sample_program();
         let cfg = DesignPoint::Base.config();
-        let a = simulate(&p, &cfg);
-        let b = simulate_reference(&p, &cfg);
+        let (a, a_profile) = simulate_profiled(&p, &cfg, SimEngine::Fused);
+        let (b, b_profile) = simulate_profiled(&p, &cfg, SimEngine::Reference);
         assert_eq!(a.total_cycles.to_bits(), b.total_cycles.to_bits());
         assert_eq!(a.threads.len(), b.threads.len());
         for (x, y) in a.threads.iter().zip(b.threads.iter()) {
@@ -340,7 +340,7 @@ mod tests {
             assert_eq!(x.dram_loads, y.dram_loads);
             assert_eq!(x.cpi.total().to_bits(), y.cpi.total().to_bits());
         }
-        assert_eq!(a.sync_events, b.sync_events);
+        assert_eq!(a_profile.sync, b_profile.sync);
         assert_eq!(a.intervals, b.intervals);
     }
 

@@ -17,7 +17,7 @@
 //! regression-visible.
 
 use rppm_trace::op::NUM_OP_CLASSES;
-use rppm_trace::{MicroOp, OpClass, SyncOp};
+use rppm_trace::{MicroOp, OpClass, SyncMix, SyncOp};
 
 /// Observation hook for the simulation engine's dispatch loop.
 ///
@@ -54,52 +54,6 @@ pub trait SimProbe {
 pub struct NoProbe;
 
 impl SimProbe for NoProbe {}
-
-/// Dynamic synchronization-event mix (counts by [`SyncOp`] variant).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SyncMix {
-    /// Thread creations.
-    pub creates: u64,
-    /// Thread joins.
-    pub joins: u64,
-    /// Plain barrier waits.
-    pub barriers: u64,
-    /// Condition-variable-implemented barrier waits.
-    pub cond_barriers: u64,
-    /// Mutex acquisitions.
-    pub locks: u64,
-    /// Mutex releases.
-    pub unlocks: u64,
-    /// Queue produce events.
-    pub produces: u64,
-    /// Queue consume events.
-    pub consumes: u64,
-}
-
-impl SyncMix {
-    /// Total synchronization events.
-    pub fn total(&self) -> u64 {
-        self.creates
-            + self.joins
-            + self.barriers
-            + self.cond_barriers
-            + self.locks
-            + self.unlocks
-            + self.produces
-            + self.consumes
-    }
-
-    fn add(&mut self, other: &SyncMix) {
-        self.creates += other.creates;
-        self.joins += other.joins;
-        self.barriers += other.barriers;
-        self.cond_barriers += other.cond_barriers;
-        self.locks += other.locks;
-        self.unlocks += other.unlocks;
-        self.produces += other.produces;
-        self.consumes += other.consumes;
-    }
-}
 
 /// Per-thread dispatch-batch shape statistics.
 ///
@@ -346,29 +300,7 @@ impl SimProbe for ProfileCollector {
     fn on_sync(&mut self, thread: usize, op: &SyncOp) {
         self.shape(thread).syncs += 1;
         self.last[thread] = NUM_OP_CLASSES as u8;
-        let m = &mut self.profile.sync;
-        match op {
-            SyncOp::Create { .. } => m.creates += 1,
-            SyncOp::Join { .. } => m.joins += 1,
-            SyncOp::Barrier { via_cond, .. } => {
-                if *via_cond {
-                    m.cond_barriers += 1;
-                } else {
-                    m.barriers += 1;
-                }
-            }
-            SyncOp::Lock { .. } => m.locks += 1,
-            SyncOp::Unlock { .. } => m.unlocks += 1,
-            SyncOp::Produce { .. } => m.produces += 1,
-            SyncOp::Consume { .. } => m.consumes += 1,
-            // Version-2 events fold into their closest version-1 kin so the
-            // SimProfile schema (and its goldens) stay unchanged: rwlocks
-            // are critical sections, semaphores are produce/consume pairs.
-            SyncOp::RwLock { .. } => m.locks += 1,
-            SyncOp::RwUnlock { .. } => m.unlocks += 1,
-            SyncOp::SemPost { .. } => m.produces += 1,
-            SyncOp::SemWait { .. } => m.consumes += 1,
-        }
+        self.profile.sync.record(op);
     }
 
     fn on_thread_finish(&mut self, thread: usize, dispatches: u64, fused_pairs: u64) {

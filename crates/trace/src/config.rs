@@ -442,17 +442,28 @@ impl DesignPoint {
         self.config_with_cores(4)
     }
 
+    /// The point's name: `smallest`, `small`, `base`, `big` or `biggest`.
+    fn name(self) -> &'static str {
+        match self {
+            DesignPoint::Smallest => "smallest",
+            DesignPoint::Small => "small",
+            DesignPoint::Base => "base",
+            DesignPoint::Big => "big",
+            DesignPoint::Biggest => "biggest",
+        }
+    }
+
     /// Materializes the configuration with an arbitrary core count.
     pub fn config_with_cores(self, cores: u32) -> MachineConfig {
-        let (name, freq, width, rob, iq) = match self {
-            DesignPoint::Smallest => ("smallest", 5.00, 2u32, 32u32, 16u32),
-            DesignPoint::Small => ("small", 3.33, 3, 72, 36),
-            DesignPoint::Base => ("base", 2.50, 4, 128, 64),
-            DesignPoint::Big => ("big", 2.00, 5, 200, 100),
-            DesignPoint::Biggest => ("biggest", 1.66, 6, 288, 144),
+        let (freq, width, rob, iq) = match self {
+            DesignPoint::Smallest => (5.00, 2u32, 32u32, 16u32),
+            DesignPoint::Small => (3.33, 3, 72, 36),
+            DesignPoint::Base => (2.50, 4, 128, 64),
+            DesignPoint::Big => (2.00, 5, 200, 100),
+            DesignPoint::Biggest => (1.66, 6, 288, 144),
         };
         MachineConfig {
-            name: name.to_string(),
+            name: self.name().to_string(),
             cores,
             freq_ghz: freq,
             dispatch_width: width,
@@ -476,14 +487,25 @@ impl DesignPoint {
 
 impl std::fmt::Display for DesignPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DesignPoint::Smallest => "smallest",
-            DesignPoint::Small => "small",
-            DesignPoint::Base => "base",
-            DesignPoint::Big => "big",
-            DesignPoint::Biggest => "biggest",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for DesignPoint {
+    type Err = String;
+
+    /// Parses a design point by its name; the error lists every name.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        DesignPoint::ALL
+            .into_iter()
+            .find(|d| d.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = DesignPoint::ALL.iter().map(|d| d.name()).collect();
+                format!(
+                    "unknown design point `{s}` (expected one of {})",
+                    names.join(", ")
+                )
+            })
     }
 }
 
@@ -497,6 +519,21 @@ mod tests {
             let c = dp.config();
             assert!(c.validate().is_ok(), "{dp} invalid");
         }
+    }
+
+    #[test]
+    fn design_points_parse_by_name() {
+        for dp in DesignPoint::ALL {
+            assert_eq!(dp.to_string().parse::<DesignPoint>(), Ok(dp));
+            assert_eq!(dp.config().name, dp.to_string());
+        }
+        assert_eq!(
+            "huge".parse::<DesignPoint>(),
+            Err(
+                "unknown design point `huge` (expected one of smallest, small, base, big, biggest)"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

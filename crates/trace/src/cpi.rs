@@ -38,11 +38,6 @@ impl CpiStack {
             + self.sync
     }
 
-    /// Sum of the data-memory components.
-    pub fn mem_data(&self) -> f64 {
-        self.mem_l2 + self.mem_l3 + self.mem_dram
-    }
-
     /// Component-wise sum.
     pub fn add(&mut self, other: &CpiStack) {
         self.base += other.base;
@@ -102,7 +97,6 @@ mod tests {
             sync: 7.0,
         };
         assert!((s.total() - 28.0).abs() < 1e-12);
-        assert!((s.mem_data() - 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -124,5 +124,5 @@ pub use pattern::{AddressPattern, BranchPattern, Region};
 pub use program::{Program, ProgramError, Segment, ThreadScript};
 pub use rng::Rng;
 pub use sched::{Clock, EventQueue};
-pub use sync::{BarrierId, CondId, MutexId, QueueId, SyncOp, ThreadId};
+pub use sync::{BarrierId, CondId, MutexId, QueueId, SyncMix, SyncOp, ThreadId};
 pub use sync_core::{barrier_participants, Step, SyncCore, ThreadStatus};

@@ -8,7 +8,7 @@
 //! worker count. The `rppm` session facade (`predict_sweep`), the
 //! design-space engine and the `rppm-bench` experiment engine all drive
 //! their fan-out through it. It lives in `rppm-trace` (the bottom of the
-//! crate stack) and is re-exported unchanged as `rppm_core::par`.
+//! crate stack); `rppm_core` re-exports its three functions at its root.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

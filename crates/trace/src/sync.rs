@@ -179,37 +179,6 @@ pub enum SyncOp {
 }
 
 impl SyncOp {
-    /// Whether this event can block the executing thread.
-    pub fn may_block(&self) -> bool {
-        !matches!(
-            self,
-            SyncOp::Create { .. }
-                | SyncOp::Unlock { .. }
-                | SyncOp::Produce { .. }
-                | SyncOp::RwUnlock { .. }
-                | SyncOp::SemPost { .. }
-        )
-    }
-
-    /// Paper-taxonomy category used for Table III accounting.
-    pub fn category(&self) -> SyncCategory {
-        match self {
-            SyncOp::Lock { .. }
-            | SyncOp::Unlock { .. }
-            | SyncOp::RwLock { .. }
-            | SyncOp::RwUnlock { .. } => SyncCategory::CriticalSection,
-            SyncOp::Barrier {
-                via_cond: false, ..
-            } => SyncCategory::Barrier,
-            SyncOp::Barrier { via_cond: true, .. } => SyncCategory::CondVar,
-            SyncOp::Produce { .. }
-            | SyncOp::Consume { .. }
-            | SyncOp::SemWait { .. }
-            | SyncOp::SemPost { .. } => SyncCategory::CondVar,
-            SyncOp::Create { .. } | SyncOp::Join { .. } => SyncCategory::ThreadMgmt,
-        }
-    }
-
     /// Minimum trace-format version able to carry this event: version 1
     /// for the paper's original event set, version 2 for reader-writer
     /// locks and semaphores.
@@ -254,28 +223,72 @@ impl std::fmt::Display for SyncOp {
     }
 }
 
-/// Synchronization categories as reported in Table III of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SyncCategory {
-    /// Critical sections (`pthread_mutex_lock`/`unlock` pairs).
-    CriticalSection,
-    /// Barriers (`gomp_team_barrier_wait`, `pthread_barrier_wait`).
-    Barrier,
-    /// Condition variables (waits/broadcasts/markers).
-    CondVar,
-    /// Thread creation and joining (not reported in Table III).
-    ThreadMgmt,
+/// Dynamic synchronization-event mix: counts by [`SyncOp`] kind.
+///
+/// The one tally of synchronization events. The profiler folds a
+/// profile's events through it for Table III ([`SyncMix::table3`]) and the
+/// simulator's self-profiling probe records every event it executes. The
+/// version-2 events fold into their closest version-1 kin, so the mix
+/// keeps the paper's event set: reader-writer locks are critical
+/// sections, semaphores are produce/consume pairs.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SyncMix {
+    /// Thread creations.
+    pub creates: u64,
+    /// Thread joins.
+    pub joins: u64,
+    /// Plain barrier waits.
+    pub barriers: u64,
+    /// Condition-variable-implemented barrier waits.
+    pub cond_barriers: u64,
+    /// Mutex and reader-writer lock acquisitions.
+    pub locks: u64,
+    /// Mutex and reader-writer lock releases.
+    pub unlocks: u64,
+    /// Queue produce events and semaphore posts.
+    pub produces: u64,
+    /// Queue consume events and semaphore waits.
+    pub consumes: u64,
 }
 
-impl std::fmt::Display for SyncCategory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SyncCategory::CriticalSection => "critical section",
-            SyncCategory::Barrier => "barrier",
-            SyncCategory::CondVar => "condition variable",
-            SyncCategory::ThreadMgmt => "thread management",
-        };
-        f.write_str(s)
+impl SyncMix {
+    /// Counts one event.
+    pub fn record(&mut self, op: &SyncOp) {
+        match op {
+            SyncOp::Create { .. } => self.creates += 1,
+            SyncOp::Join { .. } => self.joins += 1,
+            SyncOp::Barrier {
+                via_cond: false, ..
+            } => self.barriers += 1,
+            SyncOp::Barrier { via_cond: true, .. } => self.cond_barriers += 1,
+            SyncOp::Lock { .. } | SyncOp::RwLock { .. } => self.locks += 1,
+            SyncOp::Unlock { .. } | SyncOp::RwUnlock { .. } => self.unlocks += 1,
+            SyncOp::Produce { .. } | SyncOp::SemPost { .. } => self.produces += 1,
+            SyncOp::Consume { .. } | SyncOp::SemWait { .. } => self.consumes += 1,
+        }
+    }
+
+    /// Adds another mix into this one.
+    pub fn add(&mut self, other: &SyncMix) {
+        self.creates += other.creates;
+        self.joins += other.joins;
+        self.barriers += other.barriers;
+        self.cond_barriers += other.cond_barriers;
+        self.locks += other.locks;
+        self.unlocks += other.unlocks;
+        self.produces += other.produces;
+        self.consumes += other.consumes;
+    }
+
+    /// The paper's Table III categories: `(critical sections, barriers,
+    /// condition-variable events)`. A critical section counts once, at its
+    /// acquisition; thread creation and joining are not reported.
+    pub fn table3(&self) -> (u64, u64, u64) {
+        (
+            self.locks,
+            self.barriers,
+            self.cond_barriers + self.produces + self.consumes,
+        )
     }
 }
 
@@ -291,55 +304,32 @@ mod tests {
         assert_eq!(format!("{t}"), "T3");
     }
 
-    #[test]
-    fn blocking_classification() {
-        assert!(SyncOp::Join { child: ThreadId(1) }.may_block());
-        assert!(SyncOp::Barrier {
-            id: BarrierId(0),
-            via_cond: false
-        }
-        .may_block());
-        assert!(SyncOp::Lock { id: MutexId(0) }.may_block());
-        assert!(SyncOp::Consume { queue: QueueId(0) }.may_block());
-        assert!(!SyncOp::Unlock { id: MutexId(0) }.may_block());
-        assert!(!SyncOp::Create { child: ThreadId(1) }.may_block());
-        assert!(!SyncOp::Produce {
-            queue: QueueId(0),
-            count: 1
-        }
-        .may_block());
+    /// The Table III view of a single event.
+    fn table3_of(op: SyncOp) -> (u64, u64, u64) {
+        let mut mix = SyncMix::default();
+        mix.record(&op);
+        mix.table3()
     }
 
     #[test]
     fn table3_categories() {
+        assert_eq!(table3_of(SyncOp::Lock { id: MutexId(0) }), (1, 0, 0));
         assert_eq!(
-            SyncOp::Lock { id: MutexId(0) }.category(),
-            SyncCategory::CriticalSection
-        );
-        assert_eq!(
-            SyncOp::Barrier {
+            table3_of(SyncOp::Barrier {
                 id: BarrierId(0),
                 via_cond: false
-            }
-            .category(),
-            SyncCategory::Barrier
+            }),
+            (0, 1, 0)
         );
         assert_eq!(
-            SyncOp::Barrier {
+            table3_of(SyncOp::Barrier {
                 id: BarrierId(0),
                 via_cond: true
-            }
-            .category(),
-            SyncCategory::CondVar
+            }),
+            (0, 0, 1)
         );
-        assert_eq!(
-            SyncOp::Consume { queue: QueueId(0) }.category(),
-            SyncCategory::CondVar
-        );
-        assert_eq!(
-            SyncOp::Create { child: ThreadId(1) }.category(),
-            SyncCategory::ThreadMgmt
-        );
+        assert_eq!(table3_of(SyncOp::Consume { queue: QueueId(0) }), (0, 0, 1));
+        assert_eq!(table3_of(SyncOp::Create { child: ThreadId(1) }), (0, 0, 0));
     }
 
     #[test]
@@ -394,12 +384,12 @@ mod tests {
             id: SemId(0),
             count: 1,
         };
-        assert!(rd.may_block() && wr.may_block() && sw.may_block());
-        assert!(!un.may_block() && !sp.may_block());
-        assert_eq!(rd.category(), SyncCategory::CriticalSection);
-        assert_eq!(un.category(), SyncCategory::CriticalSection);
-        assert_eq!(sw.category(), SyncCategory::CondVar);
-        assert_eq!(sp.category(), SyncCategory::CondVar);
+        // Acquisitions are critical sections (a release closes the same
+        // one); semaphore posts and waits are condition-variable events.
+        assert_eq!(table3_of(rd), (1, 0, 0));
+        assert_eq!(table3_of(un), (0, 0, 0));
+        assert_eq!(table3_of(sw), (0, 0, 1));
+        assert_eq!(table3_of(sp), (0, 0, 1));
         for op in [rd, wr, un, sw, sp] {
             assert_eq!(op.min_format_version(), 2);
         }

@@ -125,20 +125,11 @@ impl From<ProgramError> for Error {
 /// Configures and creates a [`Session`].
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    params: Params,
     jobs: usize,
     budget: CacheBudget,
 }
 
 impl SessionBuilder {
-    /// Default generation parameters for catalog workloads opened through
-    /// the session (each [`WorkloadHandle`] can override them with
-    /// [`WorkloadHandle::scale`] / [`WorkloadHandle::seed`]).
-    pub fn params(mut self, params: Params) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Worker threads for parallel sweeps ([`ProfileHandle::predict_sweep`],
     /// [`ProfileHandle::simulate_sweep`]). Defaults to one per core.
     pub fn jobs(mut self, jobs: usize) -> Self {
@@ -162,7 +153,6 @@ impl SessionBuilder {
     pub fn build(self) -> Session {
         Session {
             cache: Arc::new(ProfileCache::with_budget(self.budget)),
-            params: self.params,
             jobs: self.jobs,
         }
     }
@@ -171,7 +161,6 @@ impl SessionBuilder {
 impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
-            params: Params::full(),
             jobs: rppm_core::default_jobs(),
             budget: CacheBudget::unbounded(),
         }
@@ -185,7 +174,6 @@ impl Default for SessionBuilder {
 #[derive(Debug)]
 pub struct Session {
     cache: Arc<ProfileCache>,
-    params: Params,
     jobs: usize,
 }
 
@@ -200,7 +188,9 @@ impl Session {
         Session::builder().build()
     }
 
-    /// Opens a catalog workload by name.
+    /// Opens a catalog workload by name at full scale and the default
+    /// seed ([`Params::full`](rppm_workloads::Params::full)); set either
+    /// with [`WorkloadHandle::scale`] / [`WorkloadHandle::seed`].
     ///
     /// # Errors
     ///
@@ -211,7 +201,7 @@ impl Session {
         })?;
         Ok(self.handle(Source::Catalog {
             bench,
-            params: self.params,
+            params: Params::full(),
         }))
     }
 

@@ -2,6 +2,7 @@
 //! pipeline across crates.
 
 use rppm::prelude::*;
+use rppm::sim::{simulate_profiled, SimEngine};
 
 fn quick() -> WorkloadParams {
     WorkloadParams {
@@ -173,13 +174,11 @@ fn profiler_and_simulator_count_the_same_events() {
         let bench = rppm::workloads::by_name(name).expect("known");
         let program = bench.build(&quick());
         let prof = profile(&program);
-        let sim = simulate(&program, &DesignPoint::Base.config());
+        let (_, sim) = simulate_profiled(&program, &DesignPoint::Base.config(), SimEngine::Fused);
         let (cs, bar, cond) = prof.sync_event_counts();
-        assert_eq!(
-            cs, sim.sync_events.critical_sections,
-            "{name}: critical sections"
-        );
-        assert_eq!(bar, sim.sync_events.barriers, "{name}: barriers");
-        assert_eq!(cond, sim.sync_events.cond_vars, "{name}: cond vars");
+        let (sim_cs, sim_bar, sim_cond) = sim.sync.table3();
+        assert_eq!(cs, sim_cs, "{name}: critical sections");
+        assert_eq!(bar, sim_bar, "{name}: barriers");
+        assert_eq!(cond, sim_cond, "{name}: cond vars");
     }
 }

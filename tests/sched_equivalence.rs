@@ -6,7 +6,7 @@
 //! locks, counting semaphores) that post wakeups through the queue.
 
 use proptest::prelude::*;
-use rppm::sim::{simulate, simulate_with, NoProbe, SimEngine, SimResult};
+use rppm::sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine, SimResult};
 use rppm::trace::{BlockSpec, DesignPoint, EventQueue, MachineConfig, Program, ProgramBuilder};
 
 /// The naive reference engine, the oracle the fused engine must match.
@@ -83,7 +83,6 @@ fn assert_identical(a: &SimResult, b: &SimResult) {
         );
         prop_assert_eq!(x.ops, y.ops, "thread {} ops", t);
     }
-    prop_assert_eq!(&a.sync_events, &b.sync_events);
 }
 
 proptest! {
@@ -129,7 +128,10 @@ proptest! {
         // One core per thread: the engines enforce the paper's
         // thread-per-core assumption, so scaling threads scales cores.
         let cfg = DesignPoint::ALL[point].config_with_cores(n_threads as u32);
-        assert_identical(&simulate(&p, &cfg), &simulate_reference(&p, &cfg));
+        let (a, a_profile) = simulate_profiled(&p, &cfg, SimEngine::Fused);
+        let (b, b_profile) = simulate_profiled(&p, &cfg, SimEngine::Reference);
+        assert_identical(&a, &b);
+        prop_assert_eq!(&a_profile.sync, &b_profile.sync);
     }
 
     /// The logical profiler walks the same programs with its own inline

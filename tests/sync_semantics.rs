@@ -12,7 +12,7 @@
 
 use rppm::core::{predict, Prediction};
 use rppm::profiler::profile;
-use rppm::sim::{simulate, SimResult};
+use rppm::sim::{simulate_profiled, SimEngine, SimProfile, SimResult};
 use rppm::trace::{
     AddressPattern, BlockSpec, DesignPoint, MachineConfig, Program, ProgramBuilder, ThreadId,
 };
@@ -56,14 +56,14 @@ fn profile_digest(p: &Program) -> u64 {
     Fnv::new().bytes(profile(p).to_json().as_bytes()).0
 }
 
-fn sim_digest(r: &SimResult) -> u64 {
+fn sim_digest((r, probe): &(SimResult, SimProfile)) -> u64 {
     let mut h = Fnv::new();
     h.f64(r.total_cycles);
     for t in &r.threads {
         h.f64(t.start).f64(t.finish);
     }
-    let s = r.sync_events;
-    h.u64(s.critical_sections).u64(s.barriers).u64(s.cond_vars);
+    let (critical_sections, barriers, cond_vars) = probe.sync.table3();
+    h.u64(critical_sections).u64(barriers).u64(cond_vars);
     h.intervals(&r.intervals).0
 }
 
@@ -264,7 +264,7 @@ fn check(program: Program, want: Expected) {
     let mut got_pred = [0u64; 5];
     for (k, dp) in DesignPoint::ALL.into_iter().enumerate() {
         let config = machine(dp, n);
-        got_sim[k] = sim_digest(&simulate(&program, &config));
+        got_sim[k] = sim_digest(&simulate_profiled(&program, &config, SimEngine::Fused));
         got_pred[k] = predict_digest(&predict(&prof, &config));
     }
     let hex = |v: &[u64]| {
