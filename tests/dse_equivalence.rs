@@ -7,7 +7,9 @@
 //! then runs Algorithm 2. Preparation and batching change cost, never
 //! results. Random workloads × random design points, plus the degenerate
 //! spaces a sweep can encounter (single point, duplicated configs, extreme
-//! cache geometries).
+//! cache geometries). The pruned optimum hunt (`find_best`) must keep
+//! exactly the full sweep's optimum and candidate count under random
+//! bounds, constraints and worker counts.
 
 use proptest::prelude::*;
 use rppm::core::{
@@ -258,4 +260,91 @@ fn sweep_optimum_equals_scalar_scan() {
         })
         .fold(f64::MAX, f64::min);
     assert_eq!(swept.best.seconds.to_bits(), naive_best.to_bits());
+}
+
+/// A slice of the default space: every core family crossed with a few
+/// values of each other axis (2,160 points).
+fn default_slice() -> ConfigSpace {
+    let mut space = ConfigSpace::default_space();
+    space.l1_kb = vec![8, 32, 128];
+    space.l2_kb = vec![128, 512, 2048];
+    space.l3_mb = vec![4, 16];
+    space.mshrs = vec![8, 16];
+    space.bpred_kb = vec![2, 8];
+    space
+}
+
+/// `None` for a third of the draws, otherwise a cap between the smallest
+/// and largest value of the proxy over the space.
+fn cap((pick, frac): (f64, f64), values: &[f64]) -> Option<f64> {
+    let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    (pick >= 1.0 / 3.0).then_some(lo + frac * (hi - lo))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `find_best` keeps exactly `sweep`'s optimum, candidate count and
+    /// feasible count at any bound, constraint and worker count, and
+    /// `sweep`'s answer does not depend on the worker count.
+    #[test]
+    fn find_best_agrees_with_sweep_under_random_constraints(
+        which in 0usize..2,
+        tiny in 0usize..2,
+        bound in 0.0f64..0.2,
+        area in (0.0f64..1.0, 0.0f64..1.0),
+        power in (0.0f64..1.0, 0.0f64..1.0),
+        jobs in 1usize..5,
+    ) {
+        use rppm::core::{area_proxy, find_best, power_proxy, sweep, Constraints};
+        let space = if tiny == 1 { ConfigSpace::tiny() } else { default_slice() };
+        let configs: Vec<MachineConfig> = (0..space.len()).map(|i| space.config(i)).collect();
+        let areas: Vec<f64> = configs.iter().map(area_proxy).collect();
+        let powers: Vec<f64> = configs.iter().map(power_proxy).collect();
+        let constraints = Constraints {
+            max_area: cap(area, &areas),
+            max_power: cap(power, &powers),
+        };
+        let session = Session::new();
+        let profile = session
+            .workload(["kmeans", "hotspot"][which])
+            .expect("catalog workload")
+            .scale(0.02)
+            .profile();
+        let prep = profile.prepared();
+
+        let reference = sweep(prep, &space, &constraints, &[bound], 1);
+        for j in 2..=4 {
+            let other = sweep(prep, &space, &constraints, &[bound], j);
+            match (&reference, &other) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.best, b.best, "jobs {}", j);
+                    prop_assert_eq!(&a.candidates, &b.candidates, "jobs {}", j);
+                    let frontier = |s: &rppm::core::DseSweep| -> Vec<usize> {
+                        s.frontier.iter().map(|p| p.index).collect()
+                    };
+                    prop_assert_eq!(frontier(a), frontier(b), "jobs {}", j);
+                    prop_assert_eq!(a.feasible, b.feasible);
+                }
+                (a, b) => prop_assert_eq!(
+                    a.as_ref().err(),
+                    b.as_ref().err(),
+                    "jobs {}",
+                    j
+                ),
+            }
+        }
+
+        let best = find_best(prep, &space, &constraints, bound, jobs);
+        match (&reference, &best) {
+            (Ok(full), Ok(fast)) => {
+                prop_assert_eq!(fast.best.index, full.best.index);
+                prop_assert_eq!(fast.best.seconds.to_bits(), full.best.seconds.to_bits());
+                prop_assert_eq!(fast.candidates, full.candidates[0].1, "bound {}", bound);
+                prop_assert_eq!(fast.feasible, full.feasible);
+            }
+            (full, fast) => prop_assert_eq!(full.as_ref().err(), fast.as_ref().err()),
+        }
+    }
 }
