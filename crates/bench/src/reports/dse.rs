@@ -9,11 +9,10 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm::core::{dse_row, sweep, ConfigSpace, Constraints};
+use rppm::core::{dse_row, sweep, ConfigSpace, Constraints, TABLE_V_BOUNDS};
 use rppm::workloads::Params;
 use serde_json::Value;
 
-const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
 const WORKLOAD: &str = "kmeans";
 
 /// Renders the DSE-engine report at the given work scale.
@@ -35,7 +34,7 @@ pub fn dse(scale: f64, ctx: &RunCtx<'_>) -> Report {
 
     let predicted: Vec<f64> = run.cells.iter().map(|c| c.rppm.total_seconds).collect();
     let simulated: Vec<f64> = run.cells.iter().map(|c| c.sim.total_seconds).collect();
-    let row = dse_row(WORKLOAD, &predicted, &simulated, &BOUNDS)
+    let row = dse_row(WORKLOAD, &predicted, &simulated, &TABLE_V_BOUNDS)
         .expect("one prediction and one simulation per point of the tiny space");
 
     // The same points through the batched engine over the cached
@@ -46,7 +45,7 @@ pub fn dse(scale: f64, ctx: &RunCtx<'_>) -> Report {
         run.profile.prepared(),
         &space,
         &Constraints::none(),
-        &BOUNDS,
+        &TABLE_V_BOUNDS,
         ctx.session.jobs(),
     )
     .expect("tiny space is nonempty and unconstrained");

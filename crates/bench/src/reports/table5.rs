@@ -5,12 +5,10 @@
 
 use super::{arr, obj, Report, RunCtx};
 use crate::runner::{ExperimentPlan, Row};
-use rppm::core::dse_row;
+use rppm::core::{dse_row, TABLE_V_BOUNDS};
 use rppm::trace::DesignPoint;
 use rppm::workloads::{Params, RODINIA};
 use serde_json::Value;
-
-const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
 
 /// Renders Table V at the given work scale.
 pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
@@ -26,20 +24,20 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
         "Table V: predicting the optimum design point (bounds 0/1/3/5%, scale {scale})\n\n"
     ));
     let mut header = Row::new().cell(16, "benchmark");
-    for b in BOUNDS {
+    for b in TABLE_V_BOUNDS {
         header = header.rcell(12, format!("<{:.0}%", b * 100.0));
     }
     header.line(&mut out);
-    out.push_str(&"-".repeat(16 + 14 * BOUNDS.len()));
+    out.push_str(&"-".repeat(16 + 14 * TABLE_V_BOUNDS.len()));
     out.push('\n');
 
-    let mut sums = vec![0.0; BOUNDS.len()];
+    let mut sums = vec![0.0; TABLE_V_BOUNDS.len()];
     let mut rows = Vec::new();
     for run in &runs {
         // One profile, five predictions; five simulations as ground truth.
         let predicted: Vec<f64> = run.cells.iter().map(|c| c.rppm.total_seconds).collect();
         let simulated: Vec<f64> = run.cells.iter().map(|c| c.sim.total_seconds).collect();
-        let row = dse_row(run.workload.name(), &predicted, &simulated, &BOUNDS)
+        let row = dse_row(run.workload.name(), &predicted, &simulated, &TABLE_V_BOUNDS)
             .expect("one prediction and one simulation per Table IV design point");
         let mut r = Row::new().cell(16, run.workload.name());
         let mut cells_json = Vec::new();
@@ -47,7 +45,7 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
             sums[k] += deficiency;
             r = r.rcell(12, format!("{:.2}% {}", deficiency * 100.0, candidates));
             cells_json.push(obj([
-                ("bound", Value::F64(BOUNDS[k])),
+                ("bound", Value::F64(TABLE_V_BOUNDS[k])),
                 ("deficiency", Value::F64(deficiency)),
                 ("candidates", Value::U64(candidates as u64)),
             ]));
@@ -58,7 +56,7 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
             ("cells", arr(cells_json)),
         ]));
     }
-    out.push_str(&"-".repeat(16 + 14 * BOUNDS.len()));
+    out.push_str(&"-".repeat(16 + 14 * TABLE_V_BOUNDS.len()));
     out.push('\n');
     let mut r = Row::new().cell(16, "average");
     let mut avg_json = Vec::new();
@@ -77,7 +75,7 @@ pub fn table5(scale: f64, ctx: &RunCtx<'_>) -> Report {
         text: out,
         json: obj([
             ("scale", Value::F64(scale)),
-            ("bounds", arr(BOUNDS.map(Value::F64))),
+            ("bounds", arr(TABLE_V_BOUNDS.map(Value::F64))),
             ("benchmarks", arr(rows)),
             ("average_deficiency", arr(avg_json)),
         ]),

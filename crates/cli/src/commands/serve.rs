@@ -14,11 +14,17 @@ Serves the profile-once session over HTTP/1.1 until POST /shutdown:
   GET  /healthz              liveness probe
   GET  /stats                cache + job-queue counters
   POST /traces               upload an RPT1/JSON trace -> profiling job id
+  POST /machines             upload a .machine description, registered by name
   GET  /jobs/<id>            poll a profiling job
-  GET  /predict?workload=N   one prediction (&design=, &scale=, &seed=, or &trace=FP)
-  GET  /sweep?workload=N     all five Table IV design points
-  GET  /dse?workload=N       design-space sweep, byte-identical to `rppm dse --json`
+  GET  /predict?W            one prediction (&design=POINT or &machine=NAME)
+  GET  /sweep?W              all five Table IV design points (&machine=A,B,...)
+  GET  /dse?W                design-space sweep, byte-identical to `rppm dse --json`
+                             (&tiny=1 &best_only=1 &bound= &max_area= &max_power=
+                             &machine=NAME)
   POST /shutdown             drain and exit
+
+W is workload=NAME[&scale=S][&seed=N] or trace=FP (an uploaded trace takes
+no scale or seed). Any other query key, or a repeated one, is a 400.
 
 --max-entries / --max-bytes bound the profile cache (LRU eviction; default
 unbounded like the offline tools — long-lived deployments should set one).

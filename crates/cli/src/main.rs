@@ -28,8 +28,8 @@ const USAGE: &str = "rppm — RPPM: profile once, predict many (ISPASS 2019 repr
 usage: rppm <command> [args]
 
 commands:
-  report <name> [args]    print one report: table1|table2|table3|table4|table5|
-                          fig4|fig5|fig6|ablation (old per-report binaries)
+  report <name> [args]    print one report: table1|table2|table3|table4|
+                          table5|fig4|fig5|fig6|ablation|dse|sim_profile
   run-all [args]          regenerate every report under results/ in-process
   import [args]           predict trace files across all design points, or
                           export a catalog workload as a trace file

@@ -50,6 +50,40 @@ fn top_level_help_lists_every_subcommand() {
 }
 
 #[test]
+fn top_level_help_names_every_report() {
+    // The names `rppm report --help` lists, one per line of its table.
+    let usage = stdout(&rppm(&["report", "--help"]));
+    let table = usage
+        .split("reports (and their optional positional arguments):\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("report usage lists its reports");
+    let reports: Vec<&str> = table
+        .lines()
+        .filter(|line| !line.starts_with("   "))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(reports.len(), 11, "{reports:?}");
+    // The names `rppm help` gives for `report <name>`.
+    let help = stdout(&rppm(&["help"]));
+    let listed = help
+        .split("print one report:")
+        .nth(1)
+        .and_then(|rest| rest.split("\n  run-all").next())
+        .expect("help describes `report <name>`");
+    let listed: Vec<&str> = listed
+        .split(|c: char| c == '|' || c.is_whitespace())
+        .filter(|name| !name.is_empty())
+        .collect();
+    for report in &reports {
+        assert!(
+            listed.contains(report),
+            "`rppm help` omits {report}: {listed:?}"
+        );
+    }
+}
+
+#[test]
 fn every_subcommand_prints_usage_on_help() {
     for (args, needle) in [
         (["report", "--help"], "usage: rppm report"),

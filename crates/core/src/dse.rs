@@ -14,25 +14,38 @@
 //!   resource proxies used as feasibility filters (silicon-accurate
 //!   area/power models are out of scope; these are monotone-in-resources
 //!   stand-ins, in arbitrary units);
-//! * [`sweep`] — the batched evaluation of every feasible point through a
-//!   [`PreparedProfile`], fanned out over worker threads, with
-//!   Pareto-frontier extraction over (time, area, power);
-//! * [`find_best`] — the time-optimum hunt with **early pruning**: points
-//!   whose admissible lower bound already exceeds the running optimum are
-//!   skipped without a full Equation-1 evaluation;
+//! * [`find_best`] and [`sweep`] — one evaluation pass: every feasible
+//!   point through [`PreparedProfile::batched_chunks`], with **early
+//!   pruning** of points whose admissible lower bound already lies outside
+//!   the bound around the running optimum. [`sweep`] runs it at an infinite
+//!   bound, which never prunes, and adds the Pareto frontier over (time,
+//!   area, power) and per-bound candidate counts;
 //! * [`evaluate_choice`] / [`dse_row`] — the paper's deficiency metric:
 //!   how much slower the model-chosen design is than the true (simulated)
-//!   optimum.
+//!   optimum, at the [`TABLE_V_BOUNDS`] rungs.
+//!
+//! Every candidate test is one rule: within `best × (1 + bound)` plus a
+//! `1e-12` epsilon.
 
 use crate::prepared::PreparedProfile;
-use rppm_trace::par::parallel_map;
 use rppm_trace::{BranchPredictorConfig, CacheGeometry, MachineConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The paper's Table V bounds: keep every design predicted within 0, 1, 3
+/// or 5% of the predicted optimum.
+pub const TABLE_V_BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
 
 /// Candidate-set slack: absolute epsilon added to the relative bound so a
 /// design predicted *exactly* at the boundary stays a candidate despite
 /// floating-point rounding of `best × (1 + bound)`.
 const BOUND_EPSILON: f64 = 1e-12;
+
+/// The largest predicted time that is still a candidate at `bound` around
+/// the optimum `best`. Infinite for an infinite `bound` (NaN when `best` is
+/// 0), so no time compares above it.
+fn limit(best: f64, bound: f64) -> f64 {
+    best * (1.0 + bound) + BOUND_EPSILON
+}
 
 /// Typed failure of a design-space operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +133,7 @@ pub fn evaluate_choice(
     let candidates: Vec<usize> = predicted
         .iter()
         .enumerate()
-        .filter(|(_, &p)| p <= best_pred * (1.0 + bound) + BOUND_EPSILON)
+        .filter(|(_, &p)| p <= limit(best_pred, bound))
         .map(|(i, _)| i)
         .collect();
 
@@ -211,25 +224,6 @@ pub struct ConfigSpace {
 }
 
 impl ConfigSpace {
-    /// A single-point space equal to `base` (every axis has one value).
-    /// Any [`MachineConfig`] works — a Table IV preset, a builder product,
-    /// or a parsed `.machine` file.
-    pub fn single(base: MachineConfig) -> Self {
-        ConfigSpace {
-            cores: vec![CoreFamily {
-                freq_ghz: base.freq_ghz,
-                width: base.dispatch_width,
-                rob: base.rob_size,
-            }],
-            l1_kb: vec![(base.l1d.size_bytes >> 10) as u32],
-            l2_kb: vec![(base.l2.size_bytes >> 10) as u32],
-            l3_mb: vec![(base.l3.size_bytes >> 20) as u32],
-            mshrs: vec![base.mshrs],
-            bpred_kb: vec![base.bpred.size_bytes >> 10],
-            base,
-        }
-    }
-
     /// The default exploration space of `rppm dse` around the Table IV base
     /// configuration; see [`ConfigSpace::default_space_from`].
     pub fn default_space() -> Self {
@@ -494,10 +488,10 @@ pub struct DseSweep {
 }
 
 /// Evaluates every feasible point of `space` through `prep`'s batched
-/// evaluator, fanned out over `jobs` worker threads (each worker owns one
-/// [`crate::BatchedEq1`]; results are deterministic and independent of the
-/// worker count). Returns the optimum, the Pareto frontier and the
-/// candidate counts at each of `bounds`.
+/// evaluator, fanned out over `jobs` worker threads: [`find_best`]'s pass
+/// at an infinite bound, which prunes nothing (results are deterministic
+/// and independent of the worker count). Returns the optimum, the Pareto
+/// frontier and the candidate counts at each of `bounds`.
 ///
 /// # Errors
 ///
@@ -510,62 +504,16 @@ pub fn sweep(
     bounds: &[f64],
     jobs: usize,
 ) -> Result<DseSweep, DseError> {
-    let n = space.len();
-    if n == 0 {
-        return Err(DseError::EmptySpace);
-    }
-    let jobs = jobs.clamp(1, n);
-    let chunk = n.div_ceil(jobs);
-    let per_worker: Vec<Vec<DsePoint>> = parallel_map(jobs, jobs, |w| {
-        let mut batch = prep.batched();
-        let mut out = Vec::new();
-        for index in (w * chunk)..((w + 1) * chunk).min(n) {
-            let config = space.config(index);
-            let area = area_proxy(&config);
-            let power = power_proxy(&config);
-            if !constraints.admits(area, power) {
-                continue;
-            }
-            let cycles = batch.eval(&config);
-            out.push(DsePoint {
-                index,
-                seconds: config.cycles_to_seconds(cycles),
-                area,
-                power,
-            });
-        }
-        out
-    });
-    let evaluated: Vec<DsePoint> = per_worker.concat();
-    summarize(n, evaluated, bounds)
-}
-
-fn summarize(
-    points: usize,
-    evaluated: Vec<DsePoint>,
-    bounds: &[f64],
-) -> Result<DseSweep, DseError> {
-    if evaluated.is_empty() {
-        return Err(DseError::NoFeasiblePoint { points });
-    }
-    let best = *evaluated
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds).then(a.index.cmp(&b.index)))
-        .expect("nonempty");
-    let candidates = bounds
-        .iter()
-        .map(|&b| {
-            let limit = best.seconds * (1.0 + b) + BOUND_EPSILON;
-            (b, evaluated.iter().filter(|p| p.seconds <= limit).count())
-        })
-        .collect();
-    let frontier = pareto_frontier(&evaluated);
+    let (hunt, evaluated) = hunt(prep, space, constraints, f64::INFINITY, jobs)?;
     Ok(DseSweep {
-        points,
-        feasible: evaluated.len(),
-        best,
-        frontier,
-        candidates,
+        points: hunt.points,
+        feasible: hunt.feasible,
+        best: hunt.best,
+        frontier: pareto_frontier(&evaluated),
+        candidates: bounds
+            .iter()
+            .map(|&b| (b, candidates(&evaluated, hunt.best.seconds, b)))
+            .collect(),
     })
 }
 
@@ -576,7 +524,7 @@ pub struct DseBest {
     pub points: usize,
     /// Points passing the constraint filter.
     pub feasible: usize,
-    /// Feasible points fully evaluated (the rest were pruned).
+    /// Feasible points skipped without a full evaluation.
     pub pruned: usize,
     /// The predicted-time optimum (identical to [`sweep`]'s: pruning never
     /// discards a potential optimum or bound-candidate).
@@ -608,8 +556,22 @@ pub fn find_best(
     bound: f64,
     jobs: usize,
 ) -> Result<DseBest, DseError> {
-    let n = space.len();
-    if n == 0 {
+    hunt(prep, space, constraints, bound, jobs).map(|(best, _)| best)
+}
+
+/// The one evaluation pass: [`find_best`]'s hunt at `bound`, also
+/// returning the evaluated points in index order. A feasible point whose
+/// admissible lower bound exceeds the [`limit`] at `bound` around the
+/// running optimum is skipped; with an infinite `bound`, none is.
+fn hunt(
+    prep: &PreparedProfile,
+    space: &ConfigSpace,
+    constraints: &Constraints,
+    bound: f64,
+    jobs: usize,
+) -> Result<(DseBest, Vec<DsePoint>), DseError> {
+    let points = space.len();
+    if points == 0 {
         return Err(DseError::EmptySpace);
     }
     // Admissible numerator: the heaviest thread's operation count. Total
@@ -619,21 +581,16 @@ pub fn find_best(
         .profile()
         .threads
         .iter()
-        .map(|t| t.epochs.iter().map(|e| e.ops).sum::<u64>())
+        .map(|t| t.total_ops())
         .max()
         .unwrap_or(0) as f64;
     // Running optimum in seconds, shared across workers. For positive
     // floats the bit pattern is order-preserving as u64, so a fetch_min on
     // the bits is a fetch_min on the values.
     let running = AtomicU64::new(f64::INFINITY.to_bits());
-    let jobs = jobs.clamp(1, n);
-    let chunk = n.div_ceil(jobs);
-    let per_worker: Vec<(Vec<DsePoint>, usize, usize)> = parallel_map(jobs, jobs, |w| {
-        let mut batch = prep.batched();
-        let mut out = Vec::new();
-        let mut feasible = 0usize;
-        let mut pruned = 0usize;
-        for index in (w * chunk)..((w + 1) * chunk).min(n) {
+    let chunks = prep.batched_chunks(points, jobs, |batch, range| {
+        let (mut evaluated, mut feasible) = (Vec::new(), 0);
+        for index in range {
             let config = space.config(index);
             let area = area_proxy(&config);
             let power = power_proxy(&config);
@@ -642,42 +599,44 @@ pub fn find_best(
             }
             feasible += 1;
             let current = f64::from_bits(running.load(Ordering::Relaxed));
-            let lower = heaviest_ops / config.peak_ops_per_second();
-            if lower > current * (1.0 + bound) + BOUND_EPSILON {
-                pruned += 1;
+            if heaviest_ops / config.peak_ops_per_second() > limit(current, bound) {
                 continue;
             }
             let seconds = config.cycles_to_seconds(batch.eval(&config));
-            running.fetch_min(seconds.to_bits(), Ordering::Relaxed);
-            out.push(DsePoint {
+            if seconds < current {
+                running.fetch_min(seconds.to_bits(), Ordering::Relaxed);
+            }
+            evaluated.push(DsePoint {
                 index,
                 seconds,
                 area,
                 power,
             });
         }
-        (out, feasible, pruned)
+        (evaluated, feasible)
     });
-    let feasible: usize = per_worker.iter().map(|(_, f, _)| f).sum();
-    let pruned: usize = per_worker.iter().map(|(_, _, p)| p).sum();
-    let evaluated: Vec<DsePoint> = per_worker.into_iter().flat_map(|(v, _, _)| v).collect();
-    if evaluated.is_empty() {
-        return Err(DseError::NoFeasiblePoint { points: n });
-    }
+    let feasible = chunks.iter().map(|(_, f)| f).sum::<usize>();
+    let evaluated: Vec<DsePoint> = chunks.into_iter().flat_map(|(e, _)| e).collect();
     let best = *evaluated
         .iter()
         .min_by(|a, b| a.seconds.total_cmp(&b.seconds).then(a.index.cmp(&b.index)))
-        .expect("nonempty");
-    let limit = best.seconds * (1.0 + bound) + BOUND_EPSILON;
-    let candidates = evaluated.iter().filter(|p| p.seconds <= limit).count();
-    Ok(DseBest {
-        points: n,
+        .ok_or(DseError::NoFeasiblePoint { points })?;
+    let hunt = DseBest {
+        points,
         feasible,
-        pruned,
+        // Every feasible point is either evaluated or pruned.
+        pruned: feasible - evaluated.len(),
         best,
-        candidates,
+        candidates: candidates(&evaluated, best.seconds, bound),
         bound,
-    })
+    };
+    Ok((hunt, evaluated))
+}
+
+/// How many of `points` are predicted within `bound` of `best` seconds.
+fn candidates(points: &[DsePoint], best: f64, bound: f64) -> usize {
+    let limit = limit(best, bound);
+    points.iter().filter(|p| p.seconds <= limit).count()
 }
 
 #[cfg(test)]
@@ -763,7 +722,7 @@ mod tests {
     fn row_spans_bounds() {
         let predicted = [1.0, 1.02, 2.0];
         let simulated = [1.1, 1.0, 2.0];
-        let row = dse_row("bench", &predicted, &simulated, &[0.0, 0.01, 0.03, 0.05]).unwrap();
+        let row = dse_row("bench", &predicted, &simulated, &TABLE_V_BOUNDS).unwrap();
         assert_eq!(row.cells.len(), 4);
         // Deficiency is non-increasing in the bound.
         for w in row.cells.windows(2) {
@@ -788,22 +747,6 @@ mod tests {
         assert_eq!(evaluate_choice(&[], &[], 0.0), Err(DseError::EmptySpace));
         let err = evaluate_choice(&[], &[], 0.0).unwrap_err();
         assert!(err.to_string().contains("empty design space"));
-    }
-
-    #[test]
-    fn single_point_space_wraps_any_config() {
-        let base = MachineConfig::builder("custom")
-            .dispatch_width(3)
-            .rob_size(72)
-            .issue_queue(36)
-            .build()
-            .expect("valid");
-        let s = ConfigSpace::single(base);
-        assert_eq!(s.len(), 1);
-        let c = s.config(0);
-        assert_eq!(c.dispatch_width, 3);
-        assert_eq!(c.rob_size, 72);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

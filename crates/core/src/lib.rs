@@ -64,6 +64,7 @@ pub use cache::{CacheBudget, ProfileCache, ProfileKey, ProfiledWorkload};
 pub use dse::{
     area_proxy, dse_row, evaluate_choice, find_best, pareto_frontier, power_proxy, sweep,
     ConfigSpace, Constraints, CoreFamily, DseBest, DseChoice, DseError, DsePoint, DseRow, DseSweep,
+    TABLE_V_BOUNDS,
 };
 pub use eq1::{predict_epoch, EpochPrediction, Knobs};
 pub use predict::{predict, predict_crit, predict_main, Prediction, ThreadPrediction};

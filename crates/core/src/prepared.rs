@@ -31,7 +31,10 @@
 //! configurations, so steady-state evaluation performs **no per-point
 //! allocation**. The curve tables are built per evaluator, not per
 //! preparation: they are about half the size of the prepared state and
-//! only pay off over many configurations.
+//! only pay off over many configurations. [`PreparedProfile::batched_chunks`]
+//! is the one parallel fan-out over evaluators, shared by the design-space
+//! pass ([`sweep`](crate::sweep()), [`find_best`](crate::find_best())) and
+//! the session's batched predictions.
 //!
 //! **Bit-identity contract**: every path through this module feeds the
 //! same [`predict_epoch_rated`] arithmetic body and the same
@@ -70,10 +73,11 @@ use crate::predict::{assemble, Prediction};
 use crate::symexec::{execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline};
 use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
 use rppm_statstack::StackDistanceModel;
+use rppm_trace::par::parallel_map;
 use rppm_trace::{barrier_participants, CacheGeometry, MachineConfig, SyncOp};
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Sentinel in the flat-epoch → cell map for empty (zero-op) epochs, whose
@@ -236,6 +240,28 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
             cycles: vec![0.0; self.cell_of.len()],
             scratch: SymScratch::new(self.participants.clone()),
         }
+    }
+
+    /// Calls `f` on each of `jobs.clamp(1, n)` contiguous, near-equal
+    /// chunks of `0..n`, each on its own worker thread with its own
+    /// [`BatchedEq1`] (which is not `Sync`), and returns the results in
+    /// chunk order — so index order, whatever the worker count.
+    pub fn batched_chunks<T: Send>(
+        &self,
+        n: usize,
+        jobs: usize,
+        f: impl Fn(&mut BatchedEq1<'_, P>, Range<usize>) -> T + Sync,
+    ) -> Vec<T>
+    where
+        P: Sync,
+    {
+        if n == 0 {
+            return Vec::new();
+        }
+        let jobs = jobs.clamp(1, n);
+        parallel_map(jobs, jobs, |w| {
+            f(&mut self.batched(), w * n / jobs..(w + 1) * n / jobs)
+        })
     }
 
     /// Equation 1 for one cell from the profile's own ILP/MLP curves.
@@ -646,6 +672,20 @@ mod tests {
                 naive::predict_crit(&prof, &cfg).to_bits(),
                 "{dp} crit"
             );
+        }
+    }
+
+    #[test]
+    fn batched_chunks_cover_the_range_in_order() {
+        let prep = PreparedProfile::new(parallel_profile());
+        for n in 0..8 {
+            for jobs in 1..10 {
+                let chunks = prep.batched_chunks(n, jobs, |_, range| range);
+                assert_eq!(chunks.len(), if n == 0 { 0 } else { jobs.min(n) });
+                assert!(chunks.iter().all(|r| !r.is_empty()), "{n} over {jobs}");
+                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
+                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "{n} over {jobs}");
+            }
         }
     }
 

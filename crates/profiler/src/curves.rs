@@ -48,8 +48,8 @@ impl CurveTable {
         }
     }
 
-    /// Mirrors the profiler's private `interp_curve` exactly; `w` and
-    /// `ln_w` must come from [`ln_window`].
+    /// Mirrors the profiler's private `interp_curve` exactly; `w` is the
+    /// window clamped to at least 1 and `ln_w` its logarithm.
     fn eval(&self, w: f64, ln_w: f64) -> Option<f64> {
         let pts = &self.pts;
         let first = pts.first()?;
@@ -64,13 +64,6 @@ impl CurveTable {
         }
         Some(pts.last().expect("nonempty").v)
     }
-}
-
-/// The effective window value and its logarithm for a window size, shared
-/// across the several interpolations one Equation-1 evaluation performs.
-pub fn ln_window(window: u32) -> (f64, f64) {
-    let w = window.max(1) as f64;
-    (w, w.ln())
 }
 
 /// Precomputed interpolation tables for one epoch's ILP and MLP curves.
@@ -98,12 +91,15 @@ impl EpochCurves {
         }
     }
 
-    /// [`EpochProfile::ilp_at`] with the window logarithm supplied by the
-    /// caller (see [`ln_window`]); bit-identical to the profile method.
-    pub fn ilp_at_ln(&self, w: f64, ln_w: f64, load_lat: f64) -> Option<f64> {
+    /// [`EpochProfile::ilp_at`] from the cached tables; bit-identical to
+    /// the profile method. The window logarithm is taken once and shared
+    /// by both latitude curves.
+    pub fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64> {
         if self.ilp.is_empty() {
             return None;
         }
+        let w = window.max(1) as f64;
+        let ln_w = w.ln();
         let grid = &LOAD_LAT_GRID;
         let lat = load_lat.clamp(grid[0] as f64, *grid.last().expect("grid") as f64);
         let mut k = 0;
@@ -128,22 +124,11 @@ impl EpochCurves {
         Some(lo + t * (hi - lo))
     }
 
-    /// [`EpochProfile::mlp_at`] with the window logarithm supplied by the
-    /// caller; bit-identical to the profile method.
-    pub fn mlp_at_ln(&self, w: f64, ln_w: f64) -> Option<f64> {
-        self.mlp.eval(w, ln_w)
-    }
-
-    /// Convenience wrapper computing the window logarithm itself.
-    pub fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64> {
-        let (w, ln_w) = ln_window(window);
-        self.ilp_at_ln(w, ln_w, load_lat)
-    }
-
-    /// Convenience wrapper computing the window logarithm itself.
+    /// [`EpochProfile::mlp_at`] from the cached table; bit-identical to
+    /// the profile method.
     pub fn mlp_at(&self, window: u32) -> Option<f64> {
-        let (w, ln_w) = ln_window(window);
-        self.mlp_at_ln(w, ln_w)
+        let w = window.max(1) as f64;
+        self.mlp.eval(w, w.ln())
     }
 }
 

@@ -44,7 +44,7 @@ pub mod logical;
 pub mod microtrace;
 pub mod profile;
 
-pub use curves::{ln_window, EpochCurves};
+pub use curves::EpochCurves;
 pub use logical::profile;
 pub use microtrace::{analyze, MicroTraceAnalysis, WINDOWS};
 pub use profile::{ApplicationProfile, CondVarUsage, EpochProfile, ThreadProfile};

@@ -25,16 +25,6 @@ pub struct RequestHead {
     pub keep_alive: bool,
 }
 
-impl RequestHead {
-    /// First query value for `key`, if present.
-    pub fn query_value(&self, key: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// Why a request head failed to parse — each maps to one 4xx status.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
@@ -248,8 +238,15 @@ mod tests {
             .unwrap();
         assert_eq!(h.method, "GET");
         assert_eq!(h.path, "/predict");
-        assert_eq!(h.query_value("workload"), Some("nn"));
-        assert_eq!(h.query_value("design"), Some("big"));
+        let pair = |k: &str, v: &str| (k.to_string(), v.to_string());
+        assert_eq!(
+            h.query,
+            [
+                pair("workload", "nn"),
+                pair("scale", "0.02"),
+                pair("design", "big")
+            ]
+        );
         assert_eq!(h.content_length, 0);
         assert!(h.keep_alive);
     }
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn percent_decoding_applies_to_queries() {
         let h = head("GET /predict?name=a%20b+c HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(h.query_value("name"), Some("a b c"));
+        assert_eq!(h.query, [("name".to_string(), "a b c".to_string())]);
     }
 
     #[test]

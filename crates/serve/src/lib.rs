@@ -12,8 +12,14 @@
 //! | `GET /jobs/<id>` | poll a profiling job |
 //! | `GET /predict?workload=…&design=…` | one prediction (synchronous when the profile is resident; `202` + job id otherwise); `machine=<name>` predicts a registered machine instead |
 //! | `GET /sweep?…` | all five Table IV design points, or `machine=<a,b,…>` registered machines |
-//! | `GET /dse?…` | design-space exploration; byte-identical to `rppm dse --json`; `machine=<name>` rebases the space |
+//! | `GET /dse?…` | design-space exploration (`tiny`, `best_only`, `bound`, `max_area`, `max_power`); byte-identical to `rppm dse --json`; `machine=<name>` rebases the space |
 //! | `POST /shutdown` | drain and exit |
+//!
+//! `/predict`, `/sweep` and `/dse` name their workload with
+//! `workload=NAME[&scale=S][&seed=N]` or `trace=FP` (an uploaded trace
+//! takes no `scale` or `seed`); the other endpoints take no query. A key
+//! an endpoint does not read (misspelt, foreign or repeated) is a `400`
+//! naming it, before any lookup or profiling job.
 //!
 //! The machine registry is seeded with the five Table IV presets
 //! (`smallest` … `biggest`), so `machine=base` works on a fresh service

@@ -177,17 +177,56 @@ fn error_doc(message: &str) -> Value {
     )])
 }
 
-fn parse_query_num<T: std::str::FromStr>(
-    head: &RequestHead,
-    key: &str,
-) -> Result<Option<T>, ApiError> {
-    match head.query_value(key) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<T>().map(Some).map_err(|_| {
-            ApiError::bad_request(format!(
-                "query parameter `{key}={raw}` is not a valid number"
-            ))
-        }),
+/// A request's query as its handler reads it: every lookup marks the
+/// `(key, value)` pair it returns, and [`Query::finish`] refuses the
+/// request if any pair was left unread — a misspelt key, a key the
+/// endpoint does not take, or a repeated key (only its first value is
+/// ever read).
+struct Query<'h> {
+    head: &'h RequestHead,
+    read: Vec<bool>,
+}
+
+impl<'h> Query<'h> {
+    fn new(head: &'h RequestHead) -> Self {
+        let read = vec![false; head.query.len()];
+        Query { head, read }
+    }
+
+    /// The first value of `key`, if present.
+    fn str(&mut self, key: &str) -> Option<&'h str> {
+        let i = self.head.query.iter().position(|(k, _)| k == key)?;
+        self.read[i] = true;
+        Some(&self.head.query[i].1)
+    }
+
+    /// The value of `key` parsed as a number, if present.
+    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, ApiError> {
+        match self.str(key) {
+            None => Ok(None),
+            Some(raw) => raw.parse::<T>().map(Some).map_err(|_| {
+                ApiError::bad_request(format!(
+                    "query parameter `{key}={raw}` is not a valid number"
+                ))
+            }),
+        }
+    }
+
+    /// Whether the flag `key` is set (`1` or `true`).
+    fn flag(&mut self, key: &str) -> bool {
+        matches!(self.str(key), Some("1") | Some("true"))
+    }
+
+    /// Refuses the request, naming the key and the endpoint, if any pair
+    /// was left unread.
+    fn finish(self) -> Result<(), ApiError> {
+        match self.read.iter().position(|read| !read) {
+            None => Ok(()),
+            Some(i) => Err(ApiError::bad_request(format!(
+                "{} does not read query parameter `{}` (unknown to it, or repeated)",
+                self.head.path, self.head.query[i].0
+            ))),
+        }
     }
 }
 
@@ -246,8 +285,12 @@ impl State {
     /// The machine a single-config endpoint evaluates: `machine=<name>`
     /// (registry lookup) or `design=<point>` (Table IV preset, default
     /// `base`) — passing both is an error.
-    fn machine_or_design(&self, head: &RequestHead) -> Result<MachineConfig, ApiError> {
-        match (head.query_value("machine"), head.query_value("design")) {
+    fn machine_or_design(
+        &self,
+        machine: Option<&str>,
+        design: Option<&str>,
+    ) -> Result<MachineConfig, ApiError> {
+        match (machine, design) {
             (Some(_), Some(_)) => Err(ApiError::bad_request(
                 "pass either `design` (Table IV point) or `machine` (registry name), not both",
             )),
@@ -260,16 +303,18 @@ impl State {
         }
     }
 
-    /// Resolves `?workload=NAME[&scale=S][&seed=N]` or `?trace=FP` to a
-    /// workload handle.
-    fn resolve(&self, head: &RequestHead) -> Result<WorkloadHandle, ApiError> {
-        match (head.query_value("workload"), head.query_value("trace")) {
+    /// Resolves `workload=NAME[&scale=S][&seed=N]` or `trace=FP` to a
+    /// workload handle, after refusing any pair of `query` left unread
+    /// (so a malformed query is never looked up or profiled).
+    fn resolve(&self, mut query: Query<'_>) -> Result<WorkloadHandle, ApiError> {
+        match (query.str("workload"), query.str("trace")) {
             (Some(_), Some(_)) => Err(ApiError::bad_request(
                 "pass either `workload` (catalog) or `trace` (uploaded fingerprint), not both",
             )),
             (Some(name), None) => {
-                let scale = parse_query_num::<f64>(head, "scale")?.unwrap_or(1.0);
-                let seed = parse_query_num::<u64>(head, "seed")?.unwrap_or(1);
+                let scale = query.num::<f64>("scale")?.unwrap_or(1.0);
+                let seed = query.num::<u64>("seed")?.unwrap_or(1);
+                query.finish()?;
                 let handle = self
                     .session
                     .workload(name)
@@ -277,9 +322,18 @@ impl State {
                 Ok(handle.scale(scale).seed(seed))
             }
             (None, Some(fp)) => {
+                if let Some(key) = ["scale", "seed"]
+                    .into_iter()
+                    .find(|k| query.str(k).is_some())
+                {
+                    return Err(ApiError::bad_request(format!(
+                        "`{key}` applies to catalog workloads only: an uploaded trace's stream is fixed"
+                    )));
+                }
                 let fp = u64::from_str_radix(fp, 16).map_err(|_| {
                     ApiError::bad_request(format!("`trace={fp}` is not a hex fingerprint"))
                 })?;
+                query.finish()?;
                 self.uploads
                     .lock()
                     .expect("uploads lock")
@@ -319,8 +373,10 @@ impl State {
     }
 
     fn handle_predict(&self, head: &RequestHead) -> ApiResult {
-        let handle = self.resolve(head)?;
-        let config = self.machine_or_design(head)?;
+        let mut query = Query::new(head);
+        let (machine, design) = (query.str("machine"), query.str("design"));
+        let handle = self.resolve(query)?;
+        let config = self.machine_or_design(machine, design)?;
         match self.profile_or_job(&handle) {
             Ok(profile) => Ok((200, prediction_doc(&profile.predict(&config)))),
             Err(accepted) => Ok(accepted),
@@ -328,10 +384,12 @@ impl State {
     }
 
     fn handle_sweep(&self, head: &RequestHead) -> ApiResult {
-        let handle = self.resolve(head)?;
+        let mut query = Query::new(head);
+        let machines = query.str("machine");
+        let handle = self.resolve(query)?;
         // Default sweep: the five Table IV points. `machine=a,b,c` sweeps
         // registered machines instead, labelled by registry name.
-        let targets: Vec<(String, MachineConfig)> = match head.query_value("machine") {
+        let targets: Vec<(String, MachineConfig)> = match machines {
             Some(list) => list
                 .split(',')
                 .map(|name| {
@@ -359,27 +417,30 @@ impl State {
     }
 
     fn handle_dse(&self, head: &RequestHead) -> ApiResult {
-        let handle = self.resolve(head)?;
-        let tiny = matches!(head.query_value("tiny"), Some("1") | Some("true"));
-        let best_only = matches!(head.query_value("best_only"), Some("1") | Some("true"));
-        let bound = parse_query_num::<f64>(head, "bound")?.unwrap_or(0.05);
+        let mut query = Query::new(head);
+        let tiny = query.flag("tiny");
+        let best_only = query.flag("best_only");
+        let bound = query.num::<f64>("bound")?.unwrap_or(0.05);
         if !(0.0..1.0).contains(&bound) {
             return Err(ApiError::bad_request(format!(
                 "`bound={bound}` is not in [0, 1)"
             )));
         }
-        let mut constraints = Constraints::none();
-        constraints.max_area = parse_query_num::<f64>(head, "max_area")?;
-        constraints.max_power = parse_query_num::<f64>(head, "max_power")?;
+        let constraints = Constraints {
+            max_area: query.num("max_area")?,
+            max_power: query.num("max_power")?,
+        };
+        let machine = query.str("machine");
+        let handle = self.resolve(query)?;
+        let base = match machine {
+            Some(name) => self.machine(name)?,
+            None => DesignPoint::Base.config(),
+        };
         let profile = match self.profile_or_job(&handle) {
             Ok(p) => p,
             Err(accepted) => return Ok(accepted),
         };
         let prepared = profile.prepared();
-        let base = match head.query_value("machine") {
-            Some(name) => self.machine(name)?,
-            None => DesignPoint::Base.config(),
-        };
         let space = if tiny {
             ConfigSpace::tiny_from(base)
         } else {
@@ -397,11 +458,14 @@ impl State {
         Ok((200, dse_sweep_doc(handle.name(), &space, &out)))
     }
 
-    fn handle_upload(&self, head: &RequestHead, body: &mut dyn Read) -> ApiResult {
+    /// What every upload passes before its body is read: no query, and a
+    /// `Content-Length` body (411) within the body limit (413).
+    fn check_upload(&self, head: &RequestHead, what: &str) -> Result<(), ApiError> {
+        Query::new(head).finish()?;
         if head.content_length == 0 {
             return Err(ApiError::new(
                 411,
-                "trace upload needs a Content-Length body",
+                format!("{what} upload needs a Content-Length body"),
             ));
         }
         if head.content_length > self.max_body_bytes {
@@ -413,6 +477,11 @@ impl State {
                 ),
             ));
         }
+        Ok(())
+    }
+
+    fn handle_upload(&self, head: &RequestHead, body: &mut dyn Read) -> ApiResult {
+        self.check_upload(head, "trace")?;
         let mut limited = body.take(head.content_length);
         let program = if head.content_length > self.spool_bytes {
             spool_and_read(&mut limited)?
@@ -450,21 +519,7 @@ impl State {
     }
 
     fn handle_machine_upload(&self, head: &RequestHead, body: &mut dyn Read) -> ApiResult {
-        if head.content_length == 0 {
-            return Err(ApiError::new(
-                411,
-                "machine upload needs a Content-Length body",
-            ));
-        }
-        if head.content_length > self.max_body_bytes {
-            return Err(ApiError::new(
-                413,
-                format!(
-                    "body of {} bytes exceeds the {}-byte limit",
-                    head.content_length, self.max_body_bytes
-                ),
-            ));
-        }
+        self.check_upload(head, "machine")?;
         let mut text = String::new();
         body.take(head.content_length)
             .read_to_string(&mut text)
@@ -567,30 +622,34 @@ impl State {
     }
 
     fn route(&self, head: &RequestHead, body: &mut dyn Read) -> (u16, Value) {
+        // Endpoints that read no query refuse any key.
+        let no_query = || Query::new(head).finish();
         let result = match (head.method.as_str(), head.path.as_str()) {
-            ("GET", "/healthz") => Ok((
-                200,
-                Value::Object(vec![("ok".to_string(), Value::Bool(true))]),
-            )),
-            ("GET", "/stats") => self.handle_stats(),
+            ("GET", "/healthz") => no_query().map(|()| {
+                (
+                    200,
+                    Value::Object(vec![("ok".to_string(), Value::Bool(true))]),
+                )
+            }),
+            ("GET", "/stats") => no_query().and_then(|()| self.handle_stats()),
             ("GET", "/predict") => self.handle_predict(head),
             ("GET", "/sweep") => self.handle_sweep(head),
             ("GET", "/dse") => self.handle_dse(head),
             ("POST", "/traces") => self.handle_upload(head, body),
             ("POST", "/machines") => self.handle_machine_upload(head, body),
-            ("POST", "/shutdown") => {
+            ("POST", "/shutdown") => no_query().map(|()| {
                 self.stopping.store(true, Ordering::SeqCst);
                 self.jobs.shutdown();
                 // The accept thread is parked in `accept()`; without this
                 // poke it would only notice `stopping` on the next organic
                 // connection — i.e. never, for a drained service.
                 let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-                Ok((
+                (
                     200,
                     Value::Object(vec![("stopping".to_string(), Value::Bool(true))]),
-                ))
-            }
-            ("GET", p) if p.starts_with("/jobs/") => self.handle_job(p),
+                )
+            }),
+            ("GET", p) if p.starts_with("/jobs/") => no_query().and_then(|()| self.handle_job(p)),
             (m, _) if m != "GET" && m != "POST" => {
                 Err(ApiError::new(405, format!("method {m} not supported")))
             }

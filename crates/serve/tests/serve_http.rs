@@ -122,7 +122,9 @@ fn hostile_requests_get_4xx_not_a_dead_worker() {
     let empty = client.post("/traces", b"").expect("empty");
     assert_eq!(empty.status, 411, "{}", empty.text());
 
-    // Missing/unknown parameters: 400/404 with one-line JSON errors.
+    // Missing/unknown parameters: 400/404 with one-line JSON errors. A key
+    // the endpoint never reads (misspelt, foreign to it, or repeated) is a
+    // 400, as is rescaling an uploaded trace, even before the 404 lookup.
     for (path, status) in [
         ("/predict", 400),
         ("/predict?workload=no-such-workload", 404),
@@ -130,7 +132,22 @@ fn hostile_requests_get_4xx_not_a_dead_worker() {
         ("/predict?workload=hotspot&trace=1234", 400),
         ("/predict?trace=zz", 400),
         ("/predict?trace=00000000deadbeef", 404),
+        ("/predict?trace=00000000deadbeef&scale=7", 400),
+        ("/predict?trace=00000000deadbeef&seed=3", 400),
+        ("/predict?workload=nn&scale=0.02&seed=1&desgin=big", 400),
+        (
+            "/predict?workload=nn&scale=0.02&seed=1&design=big&design=small",
+            400,
+        ),
+        ("/sweep?workload=nn&scale=0.02&seed=1&design=big", 400),
+        (
+            "/dse?workload=nn&scale=0.02&seed=1&tiny=1&best_only=1&design=biggest",
+            400,
+        ),
         ("/dse?workload=hotspot&bound=1.5", 400),
+        ("/stats?verbose=1", 400),
+        ("/healthz?probe=1", 400),
+        ("/jobs/1?verbose=1", 400),
         ("/jobs/not-a-number", 400),
         ("/jobs/999999", 404),
         ("/no-such-endpoint", 404),
@@ -143,6 +160,29 @@ fn hostile_requests_get_4xx_not_a_dead_worker() {
             resp.text()
         );
     }
+    let unread = client
+        .get("/predict?workload=nn&scale=0.02&seed=1&desgin=big")
+        .expect("misspelt key");
+    assert!(
+        unread.text().contains("/predict") && unread.text().contains("`desgin`"),
+        "the refusal names the endpoint and the key: {}",
+        unread.text()
+    );
+    // None of those queries submitted a profiling job.
+    let stats: Value =
+        serde_json::from_str(&client.get("/stats").expect("stats").text()).expect("stats doc");
+    for state in ["queued", "running", "done", "failed"] {
+        assert_eq!(
+            field(field(&stats, "jobs"), state).as_u64(),
+            Some(0),
+            "{state}"
+        );
+    }
+    // A POST refuses query keys too, before reading its body.
+    let posted = client
+        .post("/machines?name=x", b"rppm-machine v1\n")
+        .expect("post with query");
+    assert_eq!(posted.status, 400, "{}", posted.text());
 
     // Oversized declared body: rejected up front with 413. Send only the
     // head so the refusal is readable before any body bytes move.

@@ -1,8 +1,9 @@
-//! Reuse-distance collectors.
+//! The multi-threaded reuse-distance collector.
 //!
-//! [`SingleThreadCollector`] reproduces the original StatStack measurement:
-//! a per-location counter yields the reuse distance of every access in one
-//! thread's stream.
+//! The original single-stream StatStack measurement, a per-location counter
+//! that yields the reuse distance of every access, is
+//! [`ReuseTracker`](crate::ReuseTracker); the profiler uses it for
+//! instruction-line reuse.
 //!
 //! [`MultiThreadCollector`] implements the multi-threaded extension RPPM
 //! relies on (Section III-A, "Memory Behavior"): every thread's accesses are
@@ -13,7 +14,7 @@
 //! broken by a remote write is recorded as an infinite private distance
 //! (write invalidation ⇒ coherence miss).
 //!
-//! Both collectors sit on the profiler's per-access hot path, so line state
+//! The collector sits on the profiler's per-access hot path, so line state
 //! lives in flat struct-of-arrays tables indexed by interned dense line ids
 //! ([`AddrInterner`]) rather than a per-line-allocating hash map. The
 //! per-thread columns use a power-of-two stride (so the common 1–8-thread
@@ -22,7 +23,7 @@
 //! multi-word fallback beyond.
 
 use crate::hist::ReuseHistogram;
-use crate::intern::{AddrInterner, ReuseTracker};
+use crate::intern::AddrInterner;
 
 /// Locality statistics of one thread over one inter-synchronization epoch.
 #[derive(Debug, Clone, Default)]
@@ -37,39 +38,6 @@ pub struct EpochLocality {
     pub accesses: u64,
     /// Store accesses observed in the epoch.
     pub stores: u64,
-}
-
-/// Single-threaded reuse-distance collector (classic StatStack).
-#[derive(Debug, Default)]
-pub struct SingleThreadCollector {
-    tracker: ReuseTracker,
-    hist: ReuseHistogram,
-}
-
-impl SingleThreadCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an access to `line`.
-    #[inline]
-    pub fn access(&mut self, line: u64) {
-        match self.tracker.access(line) {
-            Some(d) => self.hist.record(d),
-            None => self.hist.record_cold(1),
-        }
-    }
-
-    /// Finishes collection, returning the histogram.
-    pub fn into_histogram(self) -> ReuseHistogram {
-        self.hist
-    }
-
-    /// Accesses recorded so far.
-    pub fn accesses(&self) -> u64 {
-        self.tracker.accesses()
-    }
 }
 
 /// Sentinel for "no thread has written this line".
@@ -251,31 +219,6 @@ impl MultiThreadCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_thread_loop_distances() {
-        let mut c = SingleThreadCollector::new();
-        for _ in 0..3 {
-            for line in 0..4u64 {
-                c.access(line);
-            }
-        }
-        let h = c.into_histogram();
-        assert_eq!(h.cold, 4);
-        assert_eq!(h.total_finite(), 8);
-        // All finite distances are 3.
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert_eq!(buckets, vec![(3, 8)]);
-    }
-
-    #[test]
-    fn immediate_reuse_is_distance_zero() {
-        let mut c = SingleThreadCollector::new();
-        c.access(7);
-        c.access(7);
-        let h = c.into_histogram();
-        assert_eq!(h.iter().next(), Some((0, 1)));
-    }
 
     #[test]
     fn multithread_private_matches_single_when_disjoint() {

@@ -248,6 +248,19 @@ mod tests {
     }
 
     #[test]
+    fn single_thread_loop_distances() {
+        // A 4-line loop read three times: 4 cold touches, then 8 reuses at
+        // distance 3.
+        let mut t = ReuseTracker::new();
+        let distances: Vec<Option<u64>> = (0..3)
+            .flat_map(|_| 0..4u64)
+            .map(|line| t.access(line))
+            .collect();
+        assert_eq!(distances[..4], [None; 4]);
+        assert_eq!(distances[4..], [Some(3); 8]);
+    }
+
+    #[test]
     fn tracker_matches_manual_distances() {
         let mut t = ReuseTracker::new();
         assert_eq!(t.access(7), None);

@@ -46,7 +46,7 @@ pub mod hist;
 pub mod intern;
 pub mod model;
 
-pub use collect::{EpochLocality, MultiThreadCollector, SingleThreadCollector};
+pub use collect::{EpochLocality, MultiThreadCollector};
 pub use hist::ReuseHistogram;
 pub use intern::{AddrInterner, FxHashMap, FxHasher, ReuseTracker};
 pub use model::StackDistanceModel;

@@ -5,7 +5,7 @@
 //! cargo run --release --example design_space_exploration
 //! ```
 
-use rppm::core::evaluate_choice;
+use rppm::core::{evaluate_choice, TABLE_V_BOUNDS};
 use rppm::prelude::*;
 
 fn main() -> Result<(), rppm::Error> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), rppm::Error> {
         );
     }
 
-    for bound in [0.0, 0.01, 0.03, 0.05] {
+    for bound in TABLE_V_BOUNDS {
         let choice = evaluate_choice(&predicted, &simulated, bound)
             .expect("predicted and simulated cover the same five design points");
         println!(

@@ -437,25 +437,21 @@ impl ProfileHandle {
 
     /// Predicts total cycles for every configuration, chunked over the
     /// session's worker threads with one batched Equation-1 evaluator
-    /// ([`rppm_core::BatchedEq1`]) per worker — an order of magnitude
+    /// ([`rppm_core::BatchedEq1`]) per worker
+    /// ([`PreparedProfile::batched_chunks`]) — an order of magnitude
     /// cheaper per point than [`ProfileHandle::predict`] over many points.
     /// Results are in `configs` order, independent of the worker count,
     /// and each equals `predict(config).total_cycles` bit for bit.
     pub fn predict_batch(&self, configs: &[MachineConfig]) -> Vec<f64> {
-        let n = configs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let jobs = self.jobs.clamp(1, n);
-        let chunk = n.div_ceil(jobs);
-        let per_worker: Vec<Vec<f64>> = parallel_map(jobs, jobs, |w| {
-            let mut batch = self.workload.prepared.batched();
-            configs[w * chunk..((w + 1) * chunk).min(n)]
-                .iter()
-                .map(|config| batch.eval(config))
-                .collect()
-        });
-        per_worker.concat()
+        self.workload
+            .prepared
+            .batched_chunks(configs.len(), self.jobs, |batch, range| {
+                configs[range]
+                    .iter()
+                    .map(|config| batch.eval(config))
+                    .collect::<Vec<f64>>()
+            })
+            .concat()
     }
 
     /// Golden-reference detailed simulation (slow; for validation).
@@ -525,7 +521,8 @@ mod tests {
 
     #[test]
     fn prepared_batch_is_bit_identical_to_scalar() {
-        let session = Session::builder().jobs(3).build();
+        // Five points on four workers: chunks of 2, 1, 1 and 1.
+        let session = Session::builder().jobs(4).build();
         let profile = session
             .workload("nn")
             .expect("catalog")

@@ -5,9 +5,12 @@
 //! service's `/dse` endpoint are byte-identical for identical inputs, and
 //! likewise for the prediction sweep twins. Keeping the builders here (the
 //! only crate both depend on) is what makes that a structural guarantee
-//! instead of a convention.
+//! instead of a convention. The DSE candidate ladder is built here too
+//! ([`dse_bounds_ladder`]), from the one Table V ladder
+//! [`rppm_core::TABLE_V_BOUNDS`] that the `table5` and `dse` reports
+//! also read.
 
-use rppm_core::{ConfigSpace, DseBest, DsePoint, DseSweep, Prediction};
+use rppm_core::{ConfigSpace, DseBest, DsePoint, DseSweep, Prediction, TABLE_V_BOUNDS};
 use rppm_trace::MachineConfig;
 use serde_json::Value;
 
@@ -28,13 +31,12 @@ pub fn describe_config(c: &MachineConfig) -> String {
     )
 }
 
-/// The bound ladder reported by DSE sweeps (the paper's Table V rungs),
-/// with `bound` merged in when it is not already a rung. Both `rppm dse`
-/// and the service's `/dse` endpoint build their ladder here, so their
-/// candidate tables agree rung for rung.
+/// The bound ladder reported by DSE sweeps: the paper's Table V rungs
+/// ([`TABLE_V_BOUNDS`]), with `bound` merged in when it is not already a
+/// rung. Both `rppm dse` and the service's `/dse` endpoint build their
+/// ladder here, so their candidate tables agree rung for rung.
 pub fn dse_bounds_ladder(bound: f64) -> Vec<f64> {
-    const BOUNDS: [f64; 4] = [0.0, 0.01, 0.03, 0.05];
-    let mut bounds = BOUNDS.to_vec();
+    let mut bounds = TABLE_V_BOUNDS.to_vec();
     if !bounds.iter().any(|b| (b - bound).abs() < 1e-15) {
         bounds.push(bound);
         bounds.sort_by(f64::total_cmp);
