@@ -221,6 +221,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn immediate_reuse_is_distance_zero() {
+        let mut m = MultiThreadCollector::new(1);
+        m.access(0, 7, false);
+        m.access(0, 7, false);
+        let e = m.end_epoch(0);
+        assert_eq!(e.private.cold, 1);
+        assert_eq!(e.private.iter().collect::<Vec<_>>(), vec![(0, 1)]);
+        assert_eq!(e.global.iter().collect::<Vec<_>>(), vec![(0, 1)]);
+    }
+
+    #[test]
     fn multithread_private_matches_single_when_disjoint() {
         // Two threads touching disjoint lines: private distances unaffected
         // by interleaving.
