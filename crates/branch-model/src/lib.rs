@@ -99,21 +99,48 @@ impl BranchProfile {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct Counts {
-    taken: u64,
-    total: u64,
-    errors: u64,
-}
+/// History lengths with a flat table per site: every one but the longest.
+const FLAT: usize = HIST_LENGTHS.len() - 1;
 
+/// Where each flat history length's table starts in [`SiteCollector`]'s
+/// slots (one slot per history value), and the total slot count.
+const FLAT_OFFSET: [usize; FLAT + 1] = {
+    let mut offset = [0; FLAT + 1];
+    let mut k = 0;
+    while k < FLAT {
+        assert!(
+            HIST_LENGTHS[k] <= 8,
+            "flat tables hold at most 2^8 histories"
+        );
+        offset[k + 1] = offset[k] + (1 << HIST_LENGTHS[k]);
+        k += 1;
+    }
+    offset
+};
+
+/// Outcome statistics of one static branch.
+///
+/// For each profiled history length `h` an ideal predictor keeps one
+/// counter per `h`-bit history and predicts by online majority vote: this
+/// is what an ideal table predictor achieves *including training
+/// transients*, and it converges to `min(p, 1 − p)` — unlike the offline
+/// plug-in estimator, which is badly biased when many histories have few
+/// samples. A counter needs only its balance (taken minus not-taken
+/// outcomes; the vote is "taken" iff the balance is not negative), and a
+/// length's misprediction count is kept as one sum. The histories of up to
+/// 8 bits index flat tables directly; only the 12-bit histories, of which
+/// a site sees few of the 4,096 possible, are kept in a map, whose size is
+/// the site's pattern footprint.
 #[derive(Debug)]
 struct SiteCollector {
     history: u64,
     observed: u64,
-    /// Per profiled history length: history-bits → outcome counts.
-    /// FxHash-keyed: this map is probed [`HIST_LENGTHS`]-many times per
-    /// dynamic branch on the profiling hot path.
-    tables: Vec<FxHashMap<u64, Counts>>,
+    /// Mispredictions of the majority vote, per profiled history length.
+    errors: [u64; HIST_LENGTHS.len()],
+    /// Balances of the flat history lengths, at [`FLAT_OFFSET`].
+    flat: [i64; FLAT_OFFSET[FLAT]],
+    /// Balances of the longest history length, by history.
+    long: FxHashMap<u64, i64>,
 }
 
 impl Default for SiteCollector {
@@ -121,48 +148,42 @@ impl Default for SiteCollector {
         SiteCollector {
             history: 0,
             observed: 0,
-            tables: (0..HIST_LENGTHS.len())
-                .map(|_| FxHashMap::default())
-                .collect(),
+            errors: [0; HIST_LENGTHS.len()],
+            flat: [0; FLAT_OFFSET[FLAT]],
+            long: FxHashMap::default(),
         }
     }
 }
 
 impl SiteCollector {
     fn record(&mut self, taken: bool) {
-        for (k, &h) in HIST_LENGTHS.iter().enumerate() {
-            let key = if h == 0 {
-                0
-            } else {
-                self.history & ((1u64 << h) - 1)
-            };
-            let e = self.tables[k].entry(key).or_default();
-            // Online majority vote: this is what an ideal table predictor
-            // achieves *including training transients*, and it converges to
-            // min(p, 1−p) — unlike the offline plug-in estimator, which is
-            // badly biased when many histories have few samples.
-            let predict_taken = 2 * e.taken >= e.total;
-            if predict_taken != taken {
-                e.errors += 1;
-            }
-            e.taken += taken as u64;
-            e.total += 1;
+        let step = if taken { 1 } else { -1 };
+        let vote = |balance: &mut i64, errors: &mut u64| {
+            *errors += u64::from((*balance >= 0) != taken);
+            *balance += step;
+        };
+        for (k, errors) in self.errors[..FLAT].iter_mut().enumerate() {
+            let mask = (1u64 << HIST_LENGTHS[k]) - 1;
+            vote(
+                &mut self.flat[FLAT_OFFSET[k] + (self.history & mask) as usize],
+                errors,
+            );
         }
+        let mask = (1u64 << HIST_LENGTHS[FLAT]) - 1;
+        vote(
+            self.long.entry(self.history & mask).or_default(),
+            &mut self.errors[FLAT],
+        );
         self.history = (self.history << 1) | taken as u64;
         self.observed += 1;
     }
 
     /// Misprediction floor at each profiled history length.
     fn floors(&self) -> [f64; HIST_LENGTHS.len()] {
-        let mut m = [0.0; HIST_LENGTHS.len()];
         if self.observed == 0 {
-            return m;
+            return [0.0; HIST_LENGTHS.len()];
         }
-        for (k, table) in self.tables.iter().enumerate() {
-            let wrong: u64 = table.values().map(|c| c.errors).sum();
-            m[k] = wrong as f64 / self.observed as f64;
-        }
-        m
+        self.errors.map(|wrong| wrong as f64 / self.observed as f64)
     }
 }
 
@@ -206,7 +227,7 @@ impl EntropyCollector {
                 for k in 0..HIST_LENGTHS.len() {
                     m[k] += w * f[k];
                 }
-                patterns += site.tables.last().map_or(0, |t| t.len() as u64);
+                patterns += site.long.len() as u64;
             }
         }
         BranchProfile {

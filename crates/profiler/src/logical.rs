@@ -19,7 +19,7 @@
 //! Each thread's micro-ops come from one [`ThreadCursor`], which expands
 //! the program's blocks on the fly and lends them out a chunk at a time.
 
-use crate::microtrace::{self, LOAD_LAT_GRID, WINDOWS};
+use crate::microtrace::{Scratch, NLAT, NWIN, WINDOWS};
 use crate::profile::{ApplicationProfile, EpochProfile, ThreadProfile};
 use rppm_branch_model::EntropyCollector;
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, ReuseTracker};
@@ -59,9 +59,11 @@ struct EpochCollector {
     ops: u64,
     mix: [u64; NUM_OP_CLASSES],
     entropy: EntropyCollector,
+    /// The micro-trace being sampled; the buffer moves on to the thread's
+    /// next epoch.
     microtrace: Vec<MicroOp>,
-    ilp_sum: Vec<Vec<f64>>,
-    mlp_sum: Vec<f64>,
+    ilp_sum: [[f64; NWIN]; NLAT],
+    mlp_sum: [f64; NWIN],
     curve_weight: f64,
     branch_depth_sum: f64,
     branch_slice_loads_sum: f64,
@@ -71,14 +73,15 @@ struct EpochCollector {
 }
 
 impl EpochCollector {
-    fn new() -> Self {
+    fn new(microtrace: Vec<MicroOp>) -> Self {
+        debug_assert!(microtrace.is_empty());
         EpochCollector {
             ops: 0,
             mix: [0; NUM_OP_CLASSES],
             entropy: EntropyCollector::new(),
-            microtrace: Vec::with_capacity(MICROTRACE_LEN as usize),
-            ilp_sum: vec![vec![0.0; WINDOWS.len()]; LOAD_LAT_GRID.len()],
-            mlp_sum: vec![0.0; WINDOWS.len()],
+            microtrace,
+            ilp_sum: [[0.0; NWIN]; NLAT],
+            mlp_sum: [0.0; NWIN],
             curve_weight: 0.0,
             branch_depth_sum: 0.0,
             branch_slice_loads_sum: 0.0,
@@ -88,81 +91,72 @@ impl EpochCollector {
         }
     }
 
-    fn flush_microtrace(&mut self) {
-        if self.microtrace.len() < 16 {
-            self.microtrace.clear();
-            return;
-        }
-        let a = microtrace::analyze(&self.microtrace);
-        for (g, curve) in a.ilp.iter().enumerate() {
-            for (k, &(_, v)) in curve.iter().enumerate() {
-                if k < self.ilp_sum[g].len() {
-                    self.ilp_sum[g][k] += v;
+    fn flush_microtrace(&mut self, scratch: &mut Scratch) {
+        if self.microtrace.len() >= 16 {
+            let a = scratch.analyze(&self.microtrace);
+            let ilp = a.ilp.expect("a 16-op trace has an ILP curve");
+            for (sums, curve) in self.ilp_sum.iter_mut().zip(&ilp) {
+                for (s, v) in sums.iter_mut().zip(curve) {
+                    *s += v;
                 }
             }
-        }
-        for (k, &(_, v)) in a.mlp.iter().enumerate() {
-            if k < self.mlp_sum.len() {
-                self.mlp_sum[k] += v;
+            for (s, v) in self.mlp_sum.iter_mut().zip(&a.mlp) {
+                *s += v;
             }
-        }
-        self.curve_weight += 1.0;
-        if a.branch_depth > 0.0 {
-            self.branch_depth_sum += a.branch_depth;
-            self.branch_slice_loads_sum += a.branch_slice_loads;
-            self.branch_depth_weight += 1.0;
+            self.curve_weight += 1.0;
+            if a.branch_depth > 0.0 {
+                self.branch_depth_sum += a.branch_depth;
+                self.branch_slice_loads_sum += a.branch_slice_loads;
+                self.branch_depth_weight += 1.0;
+            }
         }
         self.microtrace.clear();
     }
 
-    fn finalize(mut self, locality: rppm_statstack::EpochLocality) -> EpochProfile {
-        self.flush_microtrace();
-        let w = self.curve_weight;
-        let ilp = if w > 0.0 {
-            self.ilp_sum
-                .iter()
-                .map(|sums| {
-                    WINDOWS
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &win)| (win, sums[k] / w))
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mlp = if w > 0.0 {
+    /// Ends the epoch: returns its profile and leaves a fresh collector
+    /// (holding the same micro-trace buffer) in its place.
+    fn finish(
+        &mut self,
+        locality: rppm_statstack::EpochLocality,
+        scratch: &mut Scratch,
+    ) -> EpochProfile {
+        self.flush_microtrace(scratch);
+        let buffer = std::mem::take(&mut self.microtrace);
+        let e = std::mem::replace(self, EpochCollector::new(buffer));
+        let w = e.curve_weight;
+        let curve = |sums: &[f64; NWIN]| -> Vec<(u32, f64)> {
             WINDOWS
                 .iter()
-                .enumerate()
-                .map(|(k, &win)| (win, self.mlp_sum[k] / w))
+                .zip(sums)
+                .map(|(&win, s)| (win, s / w))
                 .collect()
+        };
+        let (ilp, mlp) = if w > 0.0 {
+            (e.ilp_sum.iter().map(curve).collect(), curve(&e.mlp_sum))
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
+        };
+        let per_trace = |s: f64| {
+            if e.branch_depth_weight > 0.0 {
+                s / e.branch_depth_weight
+            } else {
+                0.0
+            }
         };
         EpochProfile {
-            ops: self.ops,
-            mix: self.mix,
+            ops: e.ops,
+            mix: e.mix,
             ilp,
             mlp,
-            branch: self.entropy.finish(),
-            branch_depth: if self.branch_depth_weight > 0.0 {
-                self.branch_depth_sum / self.branch_depth_weight
-            } else {
-                0.0
-            },
-            branch_slice_loads: if self.branch_depth_weight > 0.0 {
-                self.branch_slice_loads_sum / self.branch_depth_weight
-            } else {
-                0.0
-            },
+            branch: e.entropy.finish(),
+            branch_depth: per_trace(e.branch_depth_sum),
+            branch_slice_loads: per_trace(e.branch_slice_loads_sum),
             private_rd: locality.private,
             global_rd: locality.global,
             accesses: locality.accesses,
             stores: locality.stores,
-            icache_rd: self.icache_rd,
-            code_fetches: self.code_fetches,
+            icache_rd: e.icache_rd,
+            code_fetches: e.code_fetches,
         }
     }
 }
@@ -193,6 +187,8 @@ struct Profiler<'p> {
     wake: Vec<(usize, u64)>,
     /// Runnable threads keyed by tick.
     ready: EventQueue,
+    /// Micro-trace analysis buffers, shared by every thread's epochs.
+    scratch: Scratch,
 }
 
 impl<'p> Profiler<'p> {
@@ -202,7 +198,7 @@ impl<'p> Profiler<'p> {
         let threads = (0..n)
             .map(|_| ThreadState {
                 tick: 0,
-                epoch: EpochCollector::new(),
+                epoch: EpochCollector::new(Vec::with_capacity(MICROTRACE_LEN as usize)),
                 sample_phase: 0,
                 code_rd: ReuseTracker::new(),
                 last_code_line: u64::MAX,
@@ -218,14 +214,21 @@ impl<'p> Profiler<'p> {
             sync: SyncCore::for_program(program),
             wake: Vec::new(),
             ready: EventQueue::new(),
+            scratch: Scratch::default(),
         }
     }
 
-    /// Accounts one micro-op to thread `i`'s state (`th`) and the shared
-    /// memory collector (`mem`). A free-standing function over disjoint
-    /// borrows so the caller can iterate a cursor-lent op slice while
-    /// mutating them.
-    fn step_op(th: &mut ThreadState, mem: &mut MultiThreadCollector, i: usize, op: MicroOp) {
+    /// Accounts one micro-op to thread `i`'s state (`th`), the shared
+    /// memory collector (`mem`) and the micro-trace `scratch`. A
+    /// free-standing function over disjoint borrows so the caller can
+    /// iterate a cursor-lent op slice while mutating them.
+    fn step_op(
+        th: &mut ThreadState,
+        mem: &mut MultiThreadCollector,
+        scratch: &mut Scratch,
+        i: usize,
+        op: MicroOp,
+    ) {
         th.tick += 1;
         let e = &mut th.epoch;
         e.ops += 1;
@@ -238,7 +241,7 @@ impl<'p> Profiler<'p> {
         if th.sample_phase < MICROTRACE_LEN {
             e.microtrace.push(op);
             if e.microtrace.len() >= MICROTRACE_LEN as usize {
-                e.flush_microtrace();
+                e.flush_microtrace(scratch);
             }
         }
         th.sample_phase += 1;
@@ -271,8 +274,8 @@ impl<'p> Profiler<'p> {
     fn end_epoch(&mut self, i: usize, event: Option<SyncOp>) {
         let locality = self.mem.end_epoch(i);
         let th = &mut self.threads[i];
-        let collector = std::mem::replace(&mut th.epoch, EpochCollector::new());
-        th.epochs.push(collector.finalize(locality));
+        let epoch = th.epoch.finish(locality, &mut self.scratch);
+        th.epochs.push(epoch);
         th.sample_phase = 0;
         if let Some(ev) = event {
             th.events.push(ev);
@@ -332,6 +335,7 @@ impl<'p> Profiler<'p> {
                     cursors,
                     threads,
                     mem,
+                    scratch,
                     ..
                 } = &mut self;
                 match cursors[i].peek_block() {
@@ -354,7 +358,7 @@ impl<'p> Profiler<'p> {
                         let budget = limit.saturating_sub(th.tick).max(1) as usize;
                         let take = ops.len().min(budget);
                         for &op in &ops[..take] {
-                            Self::step_op(th, mem, i, op);
+                            Self::step_op(th, mem, scratch, i, op);
                         }
                         cursors[i].consume_ops(take);
                         if th.tick >= limit {

@@ -14,7 +14,35 @@
 //!   parallelism).
 //! * **Branch resolution depth** — the average dependence-chain latency from
 //!   window entry to a branch's execution, i.e. the paper's `c_res`.
+//!
+//! # One pass
+//!
+//! All three are computed in a single forward pass over the trace. Each op
+//! resolves its two sources once and fills one row of [`LANES`] `f32`
+//! critical-path depths: one lane per (window size, load latency) pair, plus
+//! the number of loads on the branch-resolution memory path. This is exact:
+//!
+//! * A depth is a sum of integer latencies along a chain inside one window,
+//!   so it never exceeds `512 × 250`, far below 2^24: `f32` holds every
+//!   depth, and every maximum of depths, exactly.
+//! * The windows are aligned powers of two, so source `j` lies in op `i`'s
+//!   `W`-window iff `i ^ j < W`. A trace shorter than `W` is one window,
+//!   which the same test covers (both indices are below `W`). Each lane
+//!   simply ignores sources outside its window; a window's maximum is
+//!   folded into its sum when the window's last op is reached.
+//! * Branch resolution uses disjoint 64-op windows at nominal latencies
+//!   and at the memory weight `MEM_W`: exactly the 64-op lanes at load
+//!   latencies `LOAD_LAT_GRID[0]` (a load's nominal latency) and
+//!   `LOAD_LAT_GRID[3]`, which a const assertion pins.
+//! * MLP dependences are integers (one bitset row per op over the trace's
+//!   loads), and every `f64` sum — per-window critical paths, branch depths
+//!   and load counts — is accumulated in the same order as a separate pass
+//!   per window would.
+//!
+//! The scratch rows live in a [`Scratch`] the profiler owns and reuses for
+//! every micro-trace of a run.
 
+use rppm_trace::op::NUM_OP_CLASSES;
 use rppm_trace::{MicroOp, OpClass};
 
 /// Window sizes (in micro-ops) at which ILP and MLP are profiled.
@@ -49,183 +77,285 @@ pub struct MicroTraceAnalysis {
 
 /// Analyzes one micro-trace (typically ~500 consecutive ops).
 pub fn analyze(trace: &[MicroOp]) -> MicroTraceAnalysis {
-    let (branch_depth, branch_slice_loads) = branch_resolution(trace);
+    let a = Scratch::default().analyze(trace);
+    let curve =
+        |values: &[f64; NWIN]| -> Vec<(u32, f64)> { WINDOWS.into_iter().zip(*values).collect() };
     MicroTraceAnalysis {
-        ilp: ilp_curves(trace),
-        mlp: mlp_curve(trace),
-        branch_depth,
-        branch_slice_loads,
+        ilp: match &a.ilp {
+            Some(ilp) => ilp.iter().map(curve).collect(),
+            None => vec![Vec::new(); NLAT],
+        },
+        mlp: curve(&a.mlp),
+        branch_depth: a.branch_depth,
+        branch_slice_loads: a.branch_slice_loads,
         ops: trace.len(),
     }
 }
 
-/// Per-class latency with a parameterized load latency.
-#[inline]
-fn lat_of(op: &MicroOp, load_lat: f64) -> f64 {
-    if op.class == OpClass::Load {
-        load_lat
-    } else {
-        op.class.latency() as f64
-    }
-}
-
 /// Number of profiled load latencies.
-const NLAT: usize = LOAD_LAT_GRID.len();
+pub(crate) const NLAT: usize = LOAD_LAT_GRID.len();
+/// Number of profiled window sizes.
+pub(crate) const NWIN: usize = WINDOWS.len();
+/// Critical-path lanes, window-major: lane `k * NLAT + l` is window
+/// `WINDOWS[k]` with loads costing `LOAD_LAT_GRID[l]` cycles.
+const ILP_LANES: usize = NWIN * NLAT;
+/// Lane holding the loads on an op's branch-resolution memory path.
+const PATH_LOADS: usize = ILP_LANES;
+/// Width of one depth row (the ILP lanes, the path-load lane, padding).
+pub const LANES: usize = 32;
 
-/// Critical path (in latency units) of `ops`, dependences outside the slice
-/// ignored, computed for every [`LOAD_LAT_GRID`] latency at once. `depth`
-/// is caller-provided scratch of at least `ops.len()` entries (the batched
-/// lanes share one dependence-resolution pass, which is what makes the
-/// per-access profiling hot path affordable).
-fn critical_path_lanes(ops: &[MicroOp], depth: &mut [[f64; NLAT]]) -> [f64; NLAT] {
-    let mut max = [0.0f64; NLAT];
-    for (i, op) in ops.iter().enumerate() {
-        let mut start = [0.0f64; NLAT];
-        if op.src1 != 0 {
-            if let Some(j) = i.checked_sub(op.src1 as usize) {
-                for (s, d) in start.iter_mut().zip(&depth[j]) {
-                    *s = s.max(*d);
-                }
-            }
-        }
-        if op.src2 != 0 {
-            if let Some(j) = i.checked_sub(op.src2 as usize) {
-                for (s, d) in start.iter_mut().zip(&depth[j]) {
-                    *s = s.max(*d);
-                }
-            }
-        }
-        if op.class == OpClass::Load {
-            for (l, (s, lat)) in start.iter_mut().zip(LOAD_LAT_GRID).enumerate() {
-                let d = *s + lat as f64;
-                depth[i][l] = d;
-                max[l] = max[l].max(d);
-            }
-        } else {
-            let lat = op.class.latency() as f64;
-            for (l, s) in start.iter_mut().enumerate() {
-                let d = *s + lat;
-                depth[i][l] = d;
-                max[l] = max[l].max(d);
-            }
-        }
+/// Branch resolution's window: dependence chains persist through the
+/// register file, so it reflects how far back a chain can realistically
+/// hold up a branch (roughly the dispatch backlog), not the issue-queue
+/// depth.
+const BRANCH_WINDOW: usize = 2;
+/// Load weight used when tracing the memory-critical path feeding a
+/// branch: high enough that any path through a potentially-missing load
+/// dominates. The *depth* is still reported at nominal latencies; only the
+/// load count uses the memory-weighted path (a load that misses turns its
+/// path into the critical one, so this is the count that matters at
+/// prediction time).
+const MEM_W: u32 = 75;
+/// The nominal-latency and memory-weighted branch lanes.
+const NOMINAL: usize = BRANCH_WINDOW * NLAT;
+const MEM: usize = BRANCH_WINDOW * NLAT + 3;
+
+const _: () = {
+    assert!(ILP_LANES < LANES);
+    // Windows are 16 · 2^k, so `window_reaching` can take a logarithm.
+    let mut k = 0;
+    while k < NWIN {
+        assert!(WINDOWS[k] == 16 << k);
+        k += 1;
     }
-    max
+    // The branch lanes are the 64-op lanes at a load's nominal latency and
+    // at `MEM_W`.
+    assert!(WINDOWS[BRANCH_WINDOW] == 64);
+    assert!(LOAD_LAT_GRID[NOMINAL - BRANCH_WINDOW * NLAT] == OpClass::Load.latency());
+    assert!(LOAD_LAT_GRID[MEM - BRANCH_WINDOW * NLAT] == MEM_W);
+};
+
+/// Per class, the latency each lane adds: a load costs its lane's
+/// [`LOAD_LAT_GRID`] entry, every other class its nominal latency.
+const LANE_LATENCY: [[f32; LANES]; NUM_OP_CLASSES] = {
+    let mut t = [[0.0; LANES]; NUM_OP_CLASSES];
+    let mut c = 0;
+    while c < NUM_OP_CLASSES {
+        let class = OpClass::ALL[c];
+        let mut lane = 0;
+        while lane < ILP_LANES {
+            t[c][lane] = match class {
+                OpClass::Load => LOAD_LAT_GRID[lane % NLAT],
+                _ => class.latency(),
+            } as f32;
+            lane += 1;
+        }
+        c += 1;
+    }
+    t
+};
+
+/// `IN_WINDOW[k][lane]` is 1 for the ILP lanes of windows `WINDOWS[k..]`
+/// and 0 elsewhere: the lanes a source reaches when the smallest window
+/// holding it is `WINDOWS[k]` (`k == NWIN`: none).
+const IN_WINDOW: [[f32; LANES]; NWIN + 1] = {
+    let mut t = [[0.0; LANES]; NWIN + 1];
+    let mut k = 0;
+    while k <= NWIN {
+        let mut lane = k * NLAT;
+        while lane < ILP_LANES {
+            t[k][lane] = 1.0;
+            lane += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Index of the smallest window holding a source at `reach = i ^ j`
+/// (`NWIN` if none does).
+#[inline]
+fn window_reaching(reach: usize) -> usize {
+    ((reach | 8).ilog2() as usize - 3).min(NWIN)
 }
 
-/// ILP at each profiled window size, for every [`LOAD_LAT_GRID`] latency:
-/// `result[k]` is the `(window, IPC)` curve with loads costing
-/// `LOAD_LAT_GRID[k]` cycles.
-pub fn ilp_curves(trace: &[MicroOp]) -> Vec<Vec<(u32, f64)>> {
-    let mut out: Vec<Vec<(u32, f64)>> = (0..NLAT)
-        .map(|_| Vec::with_capacity(WINDOWS.len()))
-        .collect();
-    // Enough scratch for the largest chunk (full windows) and for the
-    // whole-trace fallback (trace shorter than the window).
-    let mut depth =
-        vec![[0.0f64; NLAT]; trace.len().min(*WINDOWS.last().expect("nonempty") as usize)];
-    for &w in &WINDOWS {
-        let w_us = w as usize;
-        if trace.len() < w_us {
-            // Use the whole trace as a single (short) window if possible.
-            if trace.len() >= 4 {
-                let cp = critical_path_lanes(trace, &mut depth);
-                for (l, curves) in out.iter_mut().enumerate() {
-                    curves.push((w, trace.len() as f64 / cp[l].max(1.0)));
-                }
-            }
-            continue;
-        }
-        let mut total_cp = [0.0f64; NLAT];
-        let mut windows = 0u32;
-        let mut i = 0;
-        while i + w_us <= trace.len() {
-            let cp = critical_path_lanes(&trace[i..i + w_us], &mut depth);
-            for (t, c) in total_cp.iter_mut().zip(cp) {
-                *t += c.max(1.0);
-            }
-            windows += 1;
-            i += w_us;
-        }
-        if windows > 0 {
-            for (l, curves) in out.iter_mut().enumerate() {
-                curves.push((w, w as f64 / (total_cp[l] / windows as f64)));
-            }
-        }
-    }
-    out
+/// Reusable buffers of the one-pass analysis: a depth row per op, a
+/// load-dependence bitset row per op and the positions of the loads seen.
+/// One per profiling run; [`analyze`] makes its own.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    depth: Vec<[f32; LANES]>,
+    dep: Vec<u64>,
+    load_pos: Vec<usize>,
 }
 
-/// Mean number of independent trailing loads per load, at each window size.
-///
-/// Counts, for every load, the later loads within each window that are not
-/// transitively data-dependent on it. Dependence is propagated as one
-/// bitset per op over the trace's load indices (`dep[k]` has bit `i` set
-/// iff op `k` transitively depends on load `i`), so the whole trace takes
-/// one forward pass of word-ORs plus a masked popcount per (load, window)
-/// — the seed's per-load re-propagation was the profiler's single largest
-/// cost.
-pub fn mlp_curve(trace: &[MicroOp]) -> Vec<(u32, f64)> {
-    let n_loads = trace.iter().filter(|o| o.class == OpClass::Load).count();
-    if n_loads == 0 {
-        return WINDOWS.iter().map(|&w| (w, 0.0)).collect();
-    }
-    let words = n_loads.div_ceil(64);
-    // dep bitsets, op-major: dep[k*words..][..words].
-    let mut dep = vec![0u64; trace.len() * words];
-    // Positions of loads seen so far (sorted), and one sliding lower bound
-    // per window: the first earlier load within `W[wi]` ops of the current
-    // op. Pair counting: sums[wi] = #{(i, k) loads, 0 < pos_k - pos_i <=
-    // W[wi], k independent of i} — identical to crediting each load i with
-    // its independent trailing loads at every window checkpoint.
-    let mut load_pos: Vec<usize> = Vec::with_capacity(n_loads);
-    let mut lower = [0usize; WINDOWS.len()];
-    let mut sums = [0u64; WINDOWS.len()];
-    let mut li = 0usize; // load index of the current op, if it is a load
-    for (k, op) in trace.iter().enumerate() {
-        let (prev, cur) = dep.split_at_mut(k * words);
-        let row = &mut cur[..words];
-        let mut any = false;
-        if op.src1 != 0 {
-            if let Some(j) = k.checked_sub(op.src1 as usize) {
+/// One micro-trace's analysis in fixed-size form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Analysis {
+    /// `ilp[l][k]`: IPC at window `WINDOWS[k]` with loads costing
+    /// `LOAD_LAT_GRID[l]`; `None` for a trace shorter than 4 ops.
+    pub(crate) ilp: Option<[[f64; NWIN]; NLAT]>,
+    /// Mean independent trailing loads per load, per window.
+    pub(crate) mlp: [f64; NWIN],
+    /// Mean nominal dependence-chain latency feeding a branch.
+    pub(crate) branch_depth: f64,
+    /// Mean loads on the memory-critical path feeding a branch.
+    pub(crate) branch_slice_loads: f64,
+}
+
+impl Scratch {
+    /// Analyzes `trace` in one forward pass (see the module docs).
+    pub(crate) fn analyze(&mut self, trace: &[MicroOp]) -> Analysis {
+        let n = trace.len();
+        let n_loads = trace.iter().filter(|o| o.class == OpClass::Load).count();
+        let words = n_loads.div_ceil(64);
+        // Every row is written before it is read, so growing is enough.
+        if self.depth.len() < n {
+            self.depth.resize(n, [0.0; LANES]);
+        }
+        if self.dep.len() < n * words {
+            self.dep.resize(n * words, 0);
+        }
+        self.load_pos.clear();
+
+        // ILP: the running critical path of each lane's current window,
+        // and per window the sum of its completed windows' paths.
+        let mut cp = [0.0f32; LANES];
+        let mut total = [[0.0f64; NLAT]; NWIN];
+        let mut windows = [0u32; NWIN];
+        // MLP: per window, the first earlier load within reach of the
+        // current op, and the count of independent (load, trailing load)
+        // pairs within the window.
+        let mut lower = [0usize; NWIN];
+        let mut pairs = [0u64; NWIN];
+        let mut li = 0usize;
+        // Branch resolution sums.
+        let (mut depth_sum, mut loads_sum, mut branches) = (0.0f64, 0.0f64, 0u64);
+
+        for (i, op) in trace.iter().enumerate() {
+            let sources = [op.src1, op.src2].map(|s| match s {
+                0 => None,
+                s => i.checked_sub(s as usize),
+            });
+            let is_load = op.class == OpClass::Load;
+
+            // Critical paths, all lanes at once; and the memory-critical
+            // source of the branch-resolution path (the first deepest one).
+            let mut start = [0.0f32; LANES];
+            let (mut mem_start, mut path_loads) = (0.0f32, 0.0f32);
+            for j in sources.into_iter().flatten() {
+                let (row, reach) = (&self.depth[j], i ^ j);
+                let mask = &IN_WINDOW[window_reaching(reach)];
+                for ((s, d), m) in start.iter_mut().zip(row).zip(mask) {
+                    *s = s.max(d * m);
+                }
+                if reach < WINDOWS[BRANCH_WINDOW] as usize && row[MEM] > mem_start {
+                    mem_start = row[MEM];
+                    path_loads = row[PATH_LOADS];
+                }
+            }
+            let row = &mut self.depth[i];
+            for (((d, s), lat), c) in row
+                .iter_mut()
+                .zip(start)
+                .zip(&LANE_LATENCY[op.class.index()])
+                .zip(cp.iter_mut())
+            {
+                *d = s + lat;
+                *c = c.max(*d);
+            }
+            row[PATH_LOADS] = path_loads + is_load as u8 as f32;
+            if op.class == OpClass::Branch {
+                depth_sum += row[NOMINAL] as f64;
+                loads_sum += path_loads as f64;
+                branches += 1;
+            }
+            // Fold every window that ends at this op (windows nest).
+            for (k, &w) in WINDOWS.iter().enumerate() {
+                if (i + 1) % w as usize != 0 {
+                    break;
+                }
+                let lanes = &mut cp[k * NLAT..(k + 1) * NLAT];
+                for (t, c) in total[k].iter_mut().zip(lanes.iter_mut()) {
+                    *t += (*c as f64).max(1.0);
+                    *c = 0.0;
+                }
+                windows[k] += 1;
+            }
+
+            // MLP: `dep` row `i` has bit `b` set iff op `i` transitively
+            // depends on load number `b`.
+            if words == 0 {
+                continue;
+            }
+            let (prev, cur) = self.dep.split_at_mut(i * words);
+            let row = &mut cur[..words];
+            row.fill(0);
+            let mut any = false;
+            for j in sources.into_iter().flatten() {
                 for (r, p) in row.iter_mut().zip(&prev[j * words..(j + 1) * words]) {
                     *r |= p;
                     any |= *p != 0;
                 }
             }
-        }
-        if op.src2 != 0 {
-            if let Some(j) = k.checked_sub(op.src2 as usize) {
-                for (r, p) in row.iter_mut().zip(&prev[j * words..(j + 1) * words]) {
-                    *r |= p;
-                    any |= *p != 0;
+            if is_load {
+                // The earlier loads within each window, and how many of
+                // them this load depends on; windows nest, so each count
+                // extends the previous window's.
+                let (mut hi, mut dependent) = (li, 0);
+                for (k, &w) in WINDOWS.iter().enumerate() {
+                    while lower[k] < li && i - self.load_pos[lower[k]] > w as usize {
+                        lower[k] += 1;
+                    }
+                    if any {
+                        dependent += count_bits_in_range(row, lower[k], hi);
+                        hi = lower[k];
+                    }
+                    pairs[k] += (li - lower[k]) as u64 - dependent;
                 }
+                // Self bit: later ops reading this load depend on it.
+                row[li / 64] |= 1u64 << (li % 64);
+                self.load_pos.push(i);
+                li += 1;
             }
         }
-        if op.class == OpClass::Load {
-            for (wi, &w) in WINDOWS.iter().enumerate() {
-                while lower[wi] < li && k - load_pos[lower[wi]] > w as usize {
-                    lower[wi] += 1;
+
+        // A trace shorter than a window is analyzed as one short window
+        // (if it has at least 4 ops); otherwise only complete windows count.
+        let ilp = (n >= 4).then(|| {
+            let mut ilp = [[0.0; NWIN]; NLAT];
+            for (k, &w) in WINDOWS.iter().enumerate() {
+                for (l, curve) in ilp.iter_mut().enumerate() {
+                    curve[k] = if n < w as usize {
+                        n as f64 / (cp[k * NLAT + l] as f64).max(1.0)
+                    } else {
+                        w as f64 / (total[k][l] / windows[k] as f64)
+                    };
                 }
-                let eligible = (li - lower[wi]) as u64;
-                let dependent = if any {
-                    count_bits_in_range(row, lower[wi], li)
-                } else {
-                    0
-                };
-                sums[wi] += eligible - dependent;
             }
-            // Self bit: later ops reading this load become dependent on it.
-            row[li / 64] |= 1u64 << (li % 64);
-            load_pos.push(k);
-            li += 1;
+            ilp
+        });
+        let per_load = |p: u64| {
+            if n_loads == 0 {
+                0.0
+            } else {
+                p as f64 / n_loads as f64
+            }
+        };
+        let per_branch = |s: f64| {
+            if branches == 0 {
+                0.0
+            } else {
+                s / branches as f64
+            }
+        };
+        Analysis {
+            ilp,
+            mlp: pairs.map(per_load),
+            branch_depth: per_branch(depth_sum),
+            branch_slice_loads: per_branch(loads_sum),
         }
     }
-    WINDOWS
-        .iter()
-        .enumerate()
-        .map(|(k, &w)| (w, sums[k] as f64 / n_loads as f64))
-        .collect()
 }
 
 /// Population count of `row` bits in `[lo, hi)`.
@@ -249,73 +379,6 @@ fn count_bits_in_range(row: &[u64], lo: usize, hi: usize) -> u64 {
         n += (row[hw] & (u64::MAX >> (64 - hb))).count_ones() as u64;
     }
     n
-}
-
-/// Mean dependence-chain latency feeding branch instructions (at nominal
-/// latencies) and the mean number of loads on that critical path, measured
-/// in disjoint 64-op windows (the paper's branch resolution time `c_res`;
-/// the load count lets the model add cache-miss latencies at prediction
-/// time).
-pub fn branch_resolution(trace: &[MicroOp]) -> (f64, f64) {
-    // Dependence chains persist through the register file, so the window
-    // here reflects how far back a chain can realistically hold up a branch
-    // (roughly the dispatch backlog), not the issue-queue depth.
-    const W: usize = 64;
-    // Load weight used when tracing the memory-critical path: high enough
-    // that any path through a potentially-missing load dominates. The
-    // *depth* is still reported at nominal latencies; only the load count
-    // uses the memory-weighted path (a load that misses turns its path into
-    // the critical one, so this is the count that matters at prediction
-    // time).
-    const MEM_W: f64 = 75.0;
-    let mut total = 0.0f64;
-    let mut total_loads = 0.0f64;
-    let mut branches = 0u64;
-    // Fixed-size window: stack scratch, no per-window allocation.
-    let mut depth = [0.0f64; W];
-    let mut mem_depth = [0.0f64; W];
-    let mut path_loads = [0.0f64; W];
-    let mut i = 0;
-    while i < trace.len() {
-        let end = (i + W).min(trace.len());
-        let slice = &trace[i..end];
-        for (k, op) in slice.iter().enumerate() {
-            let mut start = 0.0f64;
-            let mut mstart = 0.0f64;
-            let mut loads = 0.0f64;
-            for src in [op.src1, op.src2] {
-                if src != 0 {
-                    if let Some(j) = k.checked_sub(src as usize) {
-                        start = start.max(depth[j]);
-                        if mem_depth[j] > mstart {
-                            mstart = mem_depth[j];
-                            loads = path_loads[j];
-                        }
-                    }
-                }
-            }
-            depth[k] = start + op.class.latency() as f64;
-            mem_depth[k] = mstart + lat_of(op, MEM_W);
-            path_loads[k] = loads + (op.class == OpClass::Load) as u64 as f64;
-            if op.class == OpClass::Branch {
-                total += depth[k];
-                total_loads += loads;
-                branches += 1;
-            }
-        }
-        i = end;
-    }
-    if branches == 0 {
-        (0.0, 0.0)
-    } else {
-        (total / branches as f64, total_loads / branches as f64)
-    }
-}
-
-/// Mean dependence-chain latency feeding branches (compatibility wrapper
-/// around [`branch_resolution`]).
-pub fn branch_depth(trace: &[MicroOp]) -> f64 {
-    branch_resolution(trace).0
 }
 
 #[cfg(test)]
@@ -377,14 +440,14 @@ mod tests {
             .deps(1.0, 1.5)
             .addr(AddressPattern::random(Region::new(0, 4096)), 1.0)
             .expand();
-        let (_, slice_loads) = branch_resolution(&loady);
+        let slice_loads = analyze(&loady).branch_slice_loads;
         assert!(slice_loads > 1.0, "loady slice loads {slice_loads}");
 
         let pure = BlockSpec::new(4096, 15)
             .branches(0.2)
             .deps(1.0, 1.5)
             .expand();
-        let (_, none) = branch_resolution(&pure);
+        let none = analyze(&pure).branch_slice_loads;
         assert!(none < 0.2, "pure-compute slice loads {none}");
     }
 
@@ -446,7 +509,7 @@ mod tests {
             .filter(|o| o.class != OpClass::Branch)
             .cloned()
             .collect();
-        assert_eq!(branch_depth(&no_branch), 0.0);
+        assert_eq!(analyze(&no_branch).branch_depth, 0.0);
     }
 
     #[test]
@@ -460,8 +523,8 @@ mod tests {
             .branches(0.1)
             .deps(0.0, 1.0)
             .expand();
-        let d_chained = branch_depth(&chained);
-        let d_free = branch_depth(&free);
+        let d_chained = analyze(&chained).branch_depth;
+        let d_free = analyze(&free).branch_depth;
         assert!(
             d_chained > d_free * 2.0,
             "chained {d_chained} vs free {d_free}"

@@ -66,7 +66,7 @@ impl OpClass {
     /// L1 hit latency; cache misses add on top (simulator) or are modelled
     /// separately (Equation 1 memory components).
     #[inline]
-    pub fn latency(self) -> u32 {
+    pub const fn latency(self) -> u32 {
         match self {
             OpClass::IntAlu => 1,
             OpClass::IntMul => 3,
