@@ -72,10 +72,11 @@ use crate::eq1::{empty_epoch_prediction, predict_epoch_rated, EpochPrediction, K
 use crate::predict::{assemble, Prediction};
 use crate::symexec::{execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline};
 use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
-use rppm_statstack::StackDistanceModel;
+use rppm_statstack::{FxHashMap, FxHasher, StackDistanceModel};
 use rppm_trace::par::parallel_map;
 use rppm_trace::{barrier_participants, CacheGeometry, MachineConfig, SyncOp};
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::mem::size_of;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -106,6 +107,36 @@ impl PreparedEpoch {
             + self.icache_model.approx_bytes()
             + 2 * size_of::<usize>() as u64
     }
+}
+
+/// A hash of `epoch` that agrees with `EpochProfile`'s `==`: equal epochs
+/// hash equally, because only fields `==` compares go in. It takes the
+/// counts and the two branch-resolution floats (by bit pattern, `-0.0`
+/// folded into `0.0`, which compare equal; a NaN equals nothing, so its
+/// hash does not matter) and leaves the curves and histogram buckets to
+/// `==`: cheap enough for a profile of a few epochs, and epochs that
+/// agree on every count rarely differ elsewhere.
+fn content_hash(epoch: &EpochProfile) -> u64 {
+    let mut h = FxHasher::default();
+    for n in epoch.mix {
+        h.write_u64(n);
+    }
+    let b = &epoch.branch;
+    for n in [epoch.ops, epoch.accesses, epoch.stores, epoch.code_fetches]
+        .into_iter()
+        .chain([b.branches, b.patterns, u64::from(b.static_sites)])
+    {
+        h.write_u64(n);
+    }
+    for rd in [&epoch.private_rd, &epoch.global_rd, &epoch.icache_rd] {
+        h.write_u64(rd.cold);
+        h.write_u64(rd.invalidated);
+        h.write_u64(rd.total_finite());
+    }
+    for x in [epoch.branch_depth, epoch.branch_slice_loads] {
+        h.write_u64(if x == 0.0 { 0 } else { x.to_bits() });
+    }
+    h.finish()
 }
 
 /// A profile with all configuration-independent prediction work done.
@@ -152,6 +183,11 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
         assert!(profile.is_consistent(), "inconsistent profile");
         let mut cells: Vec<PreparedEpoch> = Vec::new();
         let mut reps: Vec<&EpochProfile> = Vec::new();
+        // Cells by content hash: the newest cell with each hash, and per
+        // cell the previous one with its hash. An epoch is compared with
+        // `==` only to the representatives of its own hash.
+        let mut newest: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut older: Vec<Option<usize>> = Vec::new();
         let mut cell_of = Vec::new();
         let mut ranges = Vec::new();
         for (t, thread) in profile.threads.iter().enumerate() {
@@ -161,9 +197,15 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
                     cell_of.push(EMPTY_CELL);
                     continue;
                 }
-                let cell = match reps.iter().position(|r| *r == epoch) {
-                    Some(i) => i,
+                let hash = content_hash(epoch);
+                let mut same_hash = newest.get(&hash).copied();
+                while let Some(c) = same_hash.filter(|&c| reps[c] != epoch) {
+                    same_hash = older[c];
+                }
+                let cell = match same_hash {
+                    Some(c) => c,
                     None => {
+                        older.push(newest.insert(hash, cells.len()));
                         reps.push(epoch);
                         cells.push(PreparedEpoch {
                             thread: t,
@@ -179,7 +221,7 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
             }
         }
         let participants = barrier_participants(profile.threads.iter().map(|t| &t.events));
-        drop(reps);
+        drop((reps, newest, older));
         PreparedProfile {
             profile,
             knobs,
@@ -573,7 +615,7 @@ mod tests {
                 .fold(0.0, f64::max)
         }
     }
-    use rppm_profiler::profile;
+    use rppm_profiler::{profile, ThreadProfile};
     use rppm_trace::{AddressPattern, BlockSpec, DesignPoint, ProgramBuilder};
 
     fn parallel_profile() -> Arc<ApplicationProfile> {
@@ -613,6 +655,73 @@ mod tests {
             "{} distinct of {total}",
             prep.cells.len()
         );
+    }
+
+    #[test]
+    fn cells_match_a_linear_search() {
+        let prof = parallel_profile();
+        let base = prof.threads[1].epochs[0].clone();
+        assert!(base.ops > 0 && base.branch_depth != 0.0);
+        // Near-duplicates: one extra reuse in one histogram bucket (two
+        // different buckets), and a float that differs only in its sign
+        // of zero (equal under `==`, so it must share a cell).
+        let variant = |f: &dyn Fn(&mut EpochProfile)| {
+            let mut e = base.clone();
+            f(&mut e);
+            e
+        };
+        let near = variant(&|e| e.private_rd.record(5));
+        let far = variant(&|e| e.private_rd.record(5000));
+        let zero = variant(&|e| e.branch_depth = 0.0);
+        let negative_zero = variant(&|e| e.branch_depth = -0.0);
+        let empty = EpochProfile::default();
+        let mut epochs = vec![
+            base.clone(),
+            near.clone(),
+            far.clone(),
+            empty,
+            zero,
+            negative_zero,
+            near,
+            base,
+            far,
+        ];
+        epochs.extend(prof.threads.iter().flat_map(|t| t.epochs.clone()));
+        let mut threads = vec![ThreadProfile {
+            events: vec![
+                SyncOp::Barrier {
+                    id: 7.into(),
+                    via_cond: false,
+                };
+                epochs.len() - 1
+            ],
+            epochs,
+        }];
+        threads.extend(prof.threads.iter().cloned());
+        let prof = ApplicationProfile {
+            name: "near-duplicates".to_string(),
+            threads,
+        };
+        // The linear search the hashed buckets replace.
+        let mut reps: Vec<&EpochProfile> = Vec::new();
+        let linear: Vec<usize> = prof
+            .threads
+            .iter()
+            .flat_map(|t| &t.epochs)
+            .map(|e| {
+                if e.ops == 0 {
+                    return EMPTY_CELL;
+                }
+                reps.iter().position(|r| *r == e).unwrap_or_else(|| {
+                    reps.push(e);
+                    reps.len() - 1
+                })
+            })
+            .collect();
+        let prep = PreparedProfile::new(&prof);
+        assert_eq!(prep.cell_of, linear);
+        assert_eq!(prep.cells.len(), reps.len());
+        assert_eq!(prep.cell_of[..9], [0, 1, 2, EMPTY_CELL, 3, 3, 1, 0, 2]);
     }
 
     #[test]
