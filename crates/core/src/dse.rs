@@ -542,9 +542,12 @@ pub struct DseBest {
 /// `(1 + bound) ×` the best time seen so far is skipped without a full
 /// evaluation. The returned optimum and candidate count are identical to
 /// an unpruned [`sweep`] over the same space: only points that can be
-/// neither the optimum nor a bound-candidate are pruned. The *amount*
-/// pruned depends on evaluation order — with `jobs > 1` it varies run to
-/// run; `jobs == 1` is deterministic.
+/// neither the optimum nor a bound-candidate are pruned. Each worker
+/// visits its contiguous share of the space in ascending order of that
+/// lower bound, so the designs that can be fastest seed the running
+/// optimum first, whatever order the space enumerates them in. The
+/// *amount* pruned depends on evaluation order — with `jobs > 1` it varies
+/// run to run; `jobs == 1` is deterministic.
 ///
 /// # Errors
 ///
@@ -589,19 +592,27 @@ fn hunt(
     // the bits is a fetch_min on the values.
     let running = AtomicU64::new(f64::INFINITY.to_bits());
     let chunks = prep.batched_chunks(points, jobs, |batch, range| {
-        let (mut evaluated, mut feasible) = (Vec::new(), 0);
-        for index in range {
-            let config = space.config(index);
-            let area = area_proxy(&config);
-            let power = power_proxy(&config);
-            if !constraints.admits(area, power) {
-                continue;
-            }
-            feasible += 1;
+        // Each worker visits its feasible points in ascending order of the
+        // lower bound (ties by index), so the running optimum falls fast
+        // whatever order the space enumerates its core families in.
+        let mut order: Vec<(f64, usize, f64, f64)> = range
+            .filter_map(|index| {
+                let config = space.config(index);
+                let (area, power) = (area_proxy(&config), power_proxy(&config));
+                constraints.admits(area, power).then(|| {
+                    let lower = heaviest_ops / config.peak_ops_per_second();
+                    (lower, index, area, power)
+                })
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut evaluated = Vec::new();
+        for &(lower, index, area, power) in &order {
             let current = f64::from_bits(running.load(Ordering::Relaxed));
-            if heaviest_ops / config.peak_ops_per_second() > limit(current, bound) {
+            if lower > limit(current, bound) {
                 continue;
             }
+            let config = space.config(index);
             let seconds = config.cycles_to_seconds(batch.eval(&config));
             if seconds < current {
                 running.fetch_min(seconds.to_bits(), Ordering::Relaxed);
@@ -613,7 +624,8 @@ fn hunt(
                 power,
             });
         }
-        (evaluated, feasible)
+        evaluated.sort_unstable_by_key(|p| p.index);
+        (evaluated, order.len())
     });
     let feasible = chunks.iter().map(|(_, f)| f).sum::<usize>();
     let evaluated: Vec<DsePoint> = chunks.into_iter().flat_map(|(e, _)| e).collect();
@@ -888,6 +900,36 @@ mod tests {
         }
         let fast = find_best(&prep, &space, &Constraints::none(), 0.0, 1).unwrap();
         assert!(fast.pruned > 0, "10x peak gap should prune");
+    }
+
+    #[test]
+    fn find_best_prunes_with_one_job_when_the_slow_family_enumerates_first() {
+        let prep = prepared();
+        // The mirror of the space above: the slow-narrow family comes
+        // first in index order, so only a lower-bound visiting order lets
+        // the fast family seed the running optimum.
+        let mut space = small_space();
+        space.cores = vec![
+            CoreFamily {
+                freq_ghz: 0.5,
+                width: 2,
+                rob: 64,
+            },
+            CoreFamily {
+                freq_ghz: 5.0,
+                width: 6,
+                rob: 288,
+            },
+        ];
+        for bound in [0.0, 0.05] {
+            let full = sweep(&prep, &space, &Constraints::none(), &[bound], 1).unwrap();
+            let fast = find_best(&prep, &space, &Constraints::none(), bound, 1).unwrap();
+            assert_eq!(fast.best.index, full.best.index);
+            assert_eq!(fast.best.seconds.to_bits(), full.best.seconds.to_bits());
+            assert_eq!(fast.candidates, full.candidates[0].1, "bound {bound}");
+            assert_eq!(fast.feasible, full.feasible);
+            assert!(fast.pruned > 0, "bound {bound}: 10x peak gap should prune");
+        }
     }
 
     #[test]
