@@ -22,8 +22,8 @@ use rppm::trace::{
 use rppm::{CacheBudget, Session, WorkloadHandle};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -86,6 +86,40 @@ struct State {
     /// The bound address, kept so an HTTP-initiated shutdown can poke the
     /// accept loop out of its blocking `accept()`.
     addr: SocketAddr,
+    /// One slot per HTTP worker: the connection it serves.
+    workers: Vec<WorkerSlot>,
+}
+
+/// What [`State::stop`] needs to know of one HTTP worker.
+#[derive(Default)]
+struct WorkerSlot {
+    /// A handle on the connection being served, if any.
+    conn: Mutex<Option<TcpStream>>,
+    /// Set while the worker waits for the first byte of a request.
+    idle: AtomicBool,
+}
+
+impl State {
+    /// Stops the service: no new connections or jobs, and every worker
+    /// waiting for a request on a kept-alive connection is released by
+    /// shutting down the connection's read half (bytes already received
+    /// are still read). Requests being read or answered complete, and
+    /// their responses close the connection.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        self.jobs.shutdown();
+        for slot in &self.workers {
+            if slot.idle.load(Ordering::SeqCst) {
+                if let Some(conn) = &*slot.conn.lock().expect("worker slot lock") {
+                    let _ = conn.shutdown(Shutdown::Read);
+                }
+            }
+        }
+        // The accept thread is parked in `accept()`; without this poke it
+        // would only notice `stopping` on the next organic connection —
+        // i.e. never, for a drained service.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+    }
 }
 
 /// FIFO-capped registry of uploaded traces, keyed by content fingerprint.
@@ -638,12 +672,7 @@ impl State {
             ("POST", "/traces") => self.handle_upload(head, body),
             ("POST", "/machines") => self.handle_machine_upload(head, body),
             ("POST", "/shutdown") => no_query().map(|()| {
-                self.stopping.store(true, Ordering::SeqCst);
-                self.jobs.shutdown();
-                // The accept thread is parked in `accept()`; without this
-                // poke it would only notice `stopping` on the next organic
-                // connection — i.e. never, for a drained service.
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+                self.stop();
                 (
                     200,
                     Value::Object(vec![("stopping".to_string(), Value::Bool(true))]),
@@ -706,6 +735,9 @@ impl Server {
             spool_bytes: config.spool_bytes,
             max_uploads: config.max_uploads,
             addr,
+            workers: (0..config.workers.max(1))
+                .map(|_| WorkerSlot::default())
+                .collect(),
         });
 
         let mut threads = Vec::new();
@@ -723,7 +755,7 @@ impl Server {
                             Ok(s) => s,
                             Err(_) => return,
                         };
-                        serve_connection(&state, stream);
+                        serve_connection(&state, &state.workers[w], stream);
                     })
                     .expect("spawn http worker"),
             );
@@ -785,13 +817,11 @@ impl Server {
         &self.state.session
     }
 
-    /// Initiates shutdown: stops accepting, wakes the job runners, and
+    /// Initiates shutdown: stops accepting, wakes the job runners,
+    /// releases the workers waiting on idle kept-alive connections, and
     /// unblocks the accept loop.
     pub fn shutdown(&self) {
-        self.state.stopping.store(true, Ordering::SeqCst);
-        self.state.jobs.shutdown();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
+        self.state.stop();
     }
 
     /// Blocks until every thread exits (after [`Server::shutdown`] or an
@@ -813,20 +843,41 @@ impl Server {
     }
 }
 
-/// Serves one connection: keep-alive request loop with panic isolation —
-/// a handler panic produces a 500 and closes this connection, never kills
-/// the worker.
-fn serve_connection(state: &Arc<State>, stream: TcpStream) {
+/// Serves one connection on the worker owning `slot`, which holds a
+/// handle on it for [`State::stop`].
+fn serve_connection(state: &State, slot: &WorkerSlot, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     // Responses are small and latency-bound; never wait on Nagle.
     let _ = stream.set_nodelay(true);
-    let peer_ok = stream.try_clone();
-    let Ok(write_half) = peer_ok else { return };
+    let Ok(handle) = stream.try_clone() else {
+        return;
+    };
+    *slot.conn.lock().expect("worker slot lock") = Some(handle);
+    serve_requests(state, &slot.idle, &stream);
+    slot.idle.store(false, Ordering::Relaxed);
+    *slot.conn.lock().expect("worker slot lock") = None;
+}
+
+/// The keep-alive request loop, with panic isolation — a handler panic
+/// produces a 500 and closes this connection, never kills the worker.
+/// `idle` is set while the loop waits for a request's first byte.
+fn serve_requests(state: &State, idle: &AtomicBool, stream: &TcpStream) {
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+    let mut writer = BufWriter::new(stream);
 
     const MAX_REQUESTS_PER_CONN: usize = 10_000;
     for _ in 0..MAX_REQUESTS_PER_CONN {
+        // Either this load sees the stop, or the stop sees `idle` and
+        // shuts the read half down under this wait.
+        idle.store(true, Ordering::SeqCst);
+        if state.stopping.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let arrived = reader.fill_buf().map(|bytes| !bytes.is_empty());
+        idle.store(false, Ordering::Relaxed);
+        if !matches!(arrived, Ok(true)) {
+            return;
+        }
         let head = match read_request_head(&mut reader) {
             Ok(h) => h,
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,

@@ -585,3 +585,35 @@ fn http_shutdown_unparks_a_server_already_waiting() {
     }
     waiter.join().expect("waiter thread");
 }
+
+/// Stopping must not wait out a client that holds a kept-alive connection
+/// open between requests: the worker waiting for its next request is
+/// released at once, whether the stop comes from [`Server::shutdown`] or
+/// from `POST /shutdown` on another connection.
+#[test]
+fn shutdown_releases_an_idle_keep_alive_connection() {
+    for over_http in [false, true] {
+        let server = Server::bind(ServeConfig::default()).expect("bind");
+        let addr = server.local_addr();
+        let mut idle = Client::new(addr);
+        assert_eq!(idle.get("/healthz").expect("healthz").status, 200);
+        // `idle` keeps its connection open and sends nothing more.
+        let start = Instant::now();
+        if over_http {
+            let mut other = Client::new(addr);
+            assert_eq!(other.post("/shutdown", b"").expect("shutdown").status, 200);
+        } else {
+            server.shutdown();
+        }
+        let waiter = std::thread::spawn(move || server.wait());
+        while !waiter.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "server.wait() still blocked on an idle keep-alive client (over HTTP: {over_http})"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        waiter.join().expect("waiter thread");
+        drop(idle);
+    }
+}
