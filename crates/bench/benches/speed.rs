@@ -6,11 +6,14 @@
 //! plus the core model components.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rppm::branch_model::EntropyCollector;
 use rppm::core::{execute, predict, PreparedProfile, ThreadTimeline};
-use rppm::profiler::profile;
+use rppm::profiler::{analyze, profile};
 use rppm::sim::{simulate, simulate_profiled, simulate_with, NoProbe, SimEngine};
 use rppm::statstack::{MultiThreadCollector, ReuseHistogram, StackDistanceModel};
-use rppm::trace::{BlockItem, DesignPoint, Rng, SyncOp, ThreadCursor};
+use rppm::trace::{
+    AddressPattern, BlockItem, BlockSpec, DesignPoint, MicroOp, Region, Rng, SyncOp, ThreadCursor,
+};
 use rppm::workloads::{by_name, Params};
 
 fn cursor(c: &mut Criterion) {
@@ -265,6 +268,52 @@ fn components(c: &mut Criterion) {
         .collect();
     g.bench_function("symexec_4x1000_barriers", |b| {
         b.iter(|| execute(std::hint::black_box(&timelines), &config))
+    });
+
+    // Micro-trace analysis (ILP, MLP, branch resolution) of fixed 512-op
+    // traces, the length the profiler samples.
+    let traces: Vec<Vec<MicroOp>> = (0..8u64)
+        .map(|s| {
+            BlockSpec::new(512, 100 + s)
+                .loads(0.25)
+                .branches(0.1)
+                .deps(0.6, 6.0)
+                .addr(AddressPattern::random(Region::new(0, 1 << 16)), 1.0)
+                .expand()
+        })
+        .collect();
+    g.bench_function("microtrace_analyze_512", |b| {
+        b.iter(|| {
+            traces
+                .iter()
+                .map(|t| analyze(std::hint::black_box(t)).branch_depth)
+                .sum::<f64>()
+        })
+    });
+
+    // Branch entropy over a fixed 20,000-branch stream of 32 sites: loops,
+    // biased coins, fair coins (every 12-bit history) and period-3 loops.
+    let mut rng = Rng::new(11);
+    let stream: Vec<(u32, bool)> = (0..20_000u32)
+        .map(|i| {
+            let site = i % 32;
+            let taken = match site % 4 {
+                0 => (i / 32) % 7 != 6,
+                1 => rng.chance(0.9),
+                2 => rng.chance(0.5),
+                _ => (i / 32) % 3 != 2,
+            };
+            (site * 8 + 1, taken)
+        })
+        .collect();
+    g.bench_function("entropy_record", |b| {
+        b.iter(|| {
+            let mut c = EntropyCollector::new();
+            for &(site, taken) in std::hint::black_box(&stream) {
+                c.record(site, taken);
+            }
+            c.finish().patterns
+        })
     });
     g.finish();
 }
