@@ -18,7 +18,7 @@
 //! # One pass
 //!
 //! All three are computed in a single forward pass over the trace. Each op
-//! resolves its two sources once and fills one row of [`LANES`] `f32`
+//! resolves its two sources once and fills one row of 32 `f32`
 //! critical-path depths: one lane per (window size, load latency) pair, plus
 //! the number of loads on the branch-resolution memory path. This is exact:
 //!
@@ -39,7 +39,7 @@
 //!   and load counts — is accumulated in the same order as a separate pass
 //!   per window would.
 //!
-//! The scratch rows live in a [`Scratch`] the profiler owns and reuses for
+//! The scratch rows live in a `Scratch` the profiler owns and reuses for
 //! every micro-trace of a run.
 
 use rppm_trace::op::NUM_OP_CLASSES;
@@ -102,7 +102,7 @@ const ILP_LANES: usize = NWIN * NLAT;
 /// Lane holding the loads on an op's branch-resolution memory path.
 const PATH_LOADS: usize = ILP_LANES;
 /// Width of one depth row (the ILP lanes, the path-load lane, padding).
-pub const LANES: usize = 32;
+const LANES: usize = 32;
 
 /// Branch resolution's window: dependence chains persist through the
 /// register file, so it reflects how far back a chain can realistically
@@ -116,7 +116,8 @@ const BRANCH_WINDOW: usize = 2;
 /// path into the critical one, so this is the count that matters at
 /// prediction time).
 const MEM_W: u32 = 75;
-/// The nominal-latency and memory-weighted branch lanes.
+/// The branch lanes: the branch window at a load's nominal latency
+/// (`LOAD_LAT_GRID[0]`) and at `MEM_W` (`LOAD_LAT_GRID[3]`).
 const NOMINAL: usize = BRANCH_WINDOW * NLAT;
 const MEM: usize = BRANCH_WINDOW * NLAT + 3;
 
@@ -128,11 +129,10 @@ const _: () = {
         assert!(WINDOWS[k] == 16 << k);
         k += 1;
     }
-    // The branch lanes are the 64-op lanes at a load's nominal latency and
-    // at `MEM_W`.
+    // Branch resolution reads the 64-op lanes at these two latencies.
     assert!(WINDOWS[BRANCH_WINDOW] == 64);
-    assert!(LOAD_LAT_GRID[NOMINAL - BRANCH_WINDOW * NLAT] == OpClass::Load.latency());
-    assert!(LOAD_LAT_GRID[MEM - BRANCH_WINDOW * NLAT] == MEM_W);
+    assert!(LOAD_LAT_GRID[0] == OpClass::Load.latency());
+    assert!(LOAD_LAT_GRID[3] == MEM_W);
 };
 
 /// Per class, the latency each lane adds: a load costs its lane's
@@ -183,7 +183,7 @@ fn window_reaching(reach: usize) -> usize {
 /// load-dependence bitset row per op and the positions of the loads seen.
 /// One per profiling run; [`analyze`] makes its own.
 #[derive(Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     depth: Vec<[f32; LANES]>,
     dep: Vec<u64>,
     load_pos: Vec<usize>,
