@@ -874,6 +874,8 @@ fn serve_requests(state: &State, idle: &AtomicBool, stream: &TcpStream) {
             let _ = stream.shutdown(Shutdown::Read);
         }
         let arrived = reader.fill_buf().map(|bytes| !bytes.is_empty());
+        // Clearing publishes nothing: a stop that still reads `true` meets
+        // a request that arrived as it stopped, and may cut it short.
         idle.store(false, Ordering::Relaxed);
         if !matches!(arrived, Ok(true)) {
             return;
