@@ -180,13 +180,14 @@ fn window_reaching(reach: usize) -> usize {
 }
 
 /// Reusable buffers of the one-pass analysis: a depth row per op, a
-/// load-dependence bitset row per op and the positions of the loads seen.
+/// load-dependence bitset row per op and the number of loads before each
+/// op.
 /// One per profiling run; [`analyze`] makes its own.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     depth: Vec<[f32; LANES]>,
     dep: Vec<u64>,
-    load_pos: Vec<usize>,
+    loads_before: Vec<usize>,
 }
 
 /// One micro-trace's analysis in fixed-size form.
@@ -216,17 +217,17 @@ impl Scratch {
         if self.dep.len() < n * words {
             self.dep.resize(n * words, 0);
         }
-        self.load_pos.clear();
+        if self.loads_before.len() < n {
+            self.loads_before.resize(n, 0);
+        }
 
         // ILP: the running critical path of each lane's current window,
         // and per window the sum of its completed windows' paths.
         let mut cp = [0.0f32; LANES];
         let mut total = [[0.0f64; NLAT]; NWIN];
         let mut windows = [0u32; NWIN];
-        // MLP: per window, the first earlier load within reach of the
-        // current op, and the count of independent (load, trailing load)
+        // MLP: per window, the count of independent (load, trailing load)
         // pairs within the window.
-        let mut lower = [0usize; NWIN];
         let mut pairs = [0u64; NWIN];
         let mut li = 0usize;
         // Branch resolution sums.
@@ -298,24 +299,23 @@ impl Scratch {
                     any |= *p != 0;
                 }
             }
+            self.loads_before[i] = li;
             if is_load {
-                // The earlier loads within each window, and how many of
-                // them this load depends on; windows nest, so each count
-                // extends the previous window's.
+                // The earlier loads within each window (the loads from
+                // position `i - w` on), and how many of them this load
+                // depends on; windows nest, so each count extends the
+                // previous window's.
                 let (mut hi, mut dependent) = (li, 0);
                 for (k, &w) in WINDOWS.iter().enumerate() {
-                    while lower[k] < li && i - self.load_pos[lower[k]] > w as usize {
-                        lower[k] += 1;
-                    }
+                    let lower = self.loads_before[i.saturating_sub(w as usize)];
                     if any {
-                        dependent += count_bits_in_range(row, lower[k], hi);
-                        hi = lower[k];
+                        dependent += count_bits_in_range(row, lower, hi);
+                        hi = lower;
                     }
-                    pairs[k] += (li - lower[k]) as u64 - dependent;
+                    pairs[k] += (li - lower) as u64 - dependent;
                 }
                 // Self bit: later ops reading this load depend on it.
                 row[li / 64] |= 1u64 << (li % 64);
-                self.load_pos.push(i);
                 li += 1;
             }
         }
