@@ -592,9 +592,7 @@ fn hunt(
     // the bits is a fetch_min on the values.
     let running = AtomicU64::new(f64::INFINITY.to_bits());
     let chunks = prep.batched_chunks(points, jobs, |batch, range| {
-        // Each worker visits its feasible points in ascending order of the
-        // lower bound (ties by index), so the running optimum falls fast
-        // whatever order the space enumerates its core families in.
+        // Feasible points by ascending lower bound, ties by index.
         let mut order: Vec<(f64, usize, f64, f64)> = range
             .filter_map(|index| {
                 let config = space.config(index);

@@ -221,7 +221,7 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
             }
         }
         let participants = barrier_participants(profile.threads.iter().map(|t| &t.events));
-        drop((reps, newest, older));
+        drop(reps);
         PreparedProfile {
             profile,
             knobs,
