@@ -7,9 +7,10 @@
 //! then runs Algorithm 2. Preparation and batching change cost, never
 //! results. Random workloads × random design points, plus the degenerate
 //! spaces a sweep can encounter (single point, duplicated configs, extreme
-//! cache geometries). The pruned optimum hunt (`find_best`) must keep
-//! exactly the full sweep's optimum and candidate count under random
-//! bounds, constraints and worker counts.
+//! cache geometries), and every session entry called in random order over
+//! config lists that mix repeated and novel axis values. The pruned
+//! optimum hunt (`find_best`) must keep exactly the full sweep's optimum
+//! and candidate count under random bounds, constraints and worker counts.
 
 use proptest::prelude::*;
 use rppm::core::{
@@ -17,7 +18,7 @@ use rppm::core::{
     Knobs, Prediction, Schedule, ThreadTimeline,
 };
 use rppm::profiler::{ApplicationProfile, EpochProfile};
-use rppm::trace::{CacheGeometry, DesignPoint, MachineConfig};
+use rppm::trace::{BranchPredictorConfig, CacheGeometry, CpiStack, DesignPoint, MachineConfig};
 use rppm::Session;
 
 /// Workloads with distinct sync behaviour: barriers, critical sections and
@@ -86,10 +87,40 @@ fn naive_crit(profile: &ApplicationProfile, config: &MachineConfig) -> f64 {
         .fold(0.0, f64::max)
 }
 
+fn stack_bits(s: &CpiStack) -> [u64; 7] {
+    [
+        s.base, s.branch, s.icache, s.mem_l2, s.mem_l3, s.mem_dram, s.sync,
+    ]
+    .map(f64::to_bits)
+}
+
+fn epoch_bits(p: &EpochPrediction) -> ([u64; 5], [u64; 7]) {
+    (
+        [p.cycles, p.deff, p.mispredicts, p.dram_misses, p.mlp].map(f64::to_bits),
+        stack_bits(&p.stack),
+    )
+}
+
+fn interval_bits(intervals: &[Vec<(f64, f64)>]) -> Vec<Vec<(u64, u64)>> {
+    intervals
+        .iter()
+        .map(|t| t.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect())
+        .collect()
+}
+
 /// Asserts that `pred` equals the naive reference bit for bit, field by
-/// field.
+/// field: totals, intervals, and each thread's active, sync and finish
+/// times, CPI stack (assembled as a prediction assembles it: the epochs'
+/// stacks plus the schedule's idle and library time) and epochs.
 fn assert_naive(pred: &Prediction, profile: &ApplicationProfile, config: &MachineConfig) {
-    let (epochs, schedule) = naive(profile, config);
+    assert_reference(pred, &naive(profile, config), config);
+}
+
+fn assert_reference(
+    pred: &Prediction,
+    (epochs, schedule): &(Vec<Vec<EpochPrediction>>, Schedule),
+    config: &MachineConfig,
+) {
     assert_eq!(
         pred.total_cycles.to_bits(),
         schedule.total.to_bits(),
@@ -101,13 +132,25 @@ fn assert_naive(pred: &Prediction, profile: &ApplicationProfile, config: &Machin
         config.cycles_to_seconds(schedule.total).to_bits()
     );
     assert_eq!(pred.threads.len(), epochs.len());
-    for ((t, e), s) in pred.threads.iter().zip(&epochs).zip(&schedule.threads) {
+    for ((t, e), s) in pred.threads.iter().zip(epochs).zip(&schedule.threads) {
         assert_eq!(&t.epochs, e);
+        let bits = |ps: &[EpochPrediction]| ps.iter().map(epoch_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&t.epochs), bits(e), "{}", config.name);
         assert_eq!(t.active_cycles.to_bits(), s.active.to_bits());
         assert_eq!(t.sync_cycles.to_bits(), s.idle.to_bits());
         assert_eq!(t.finish.to_bits(), s.finish.to_bits());
+        let mut cpi = CpiStack::default();
+        for p in e {
+            cpi.add(&p.stack);
+        }
+        cpi.sync = s.idle + (s.active - e.iter().map(|p| p.cycles).sum::<f64>());
+        assert_eq!(stack_bits(&t.cpi), stack_bits(&cpi), "{}", config.name);
     }
     assert_eq!(pred.intervals, schedule.intervals());
+    assert_eq!(
+        interval_bits(&pred.intervals),
+        interval_bits(&schedule.intervals())
+    );
 }
 
 proptest! {
@@ -169,6 +212,128 @@ proptest! {
         prop_assert_eq!(profile.predict_crit(&config).to_bits(), naive_crit(prof, &config).to_bits());
         prop_assert_eq!(predict_main(prof, &config).to_bits(), naive_main(prof, &config).to_bits());
         prop_assert_eq!(predict_crit(prof, &config).to_bits(), naive_crit(prof, &config).to_bits());
+    }
+}
+
+/// A config list mixing repeated and novel axis values. Each draw starts
+/// from a Table IV design point or a point of the default space, then keeps
+/// its caches, branch predictor and core count, or swaps in values from a
+/// small shared pool (repeated across the list), or fresh ones (novel).
+fn mixed_configs(draws: &[((usize, usize), usize, usize, usize)]) -> Vec<MachineConfig> {
+    let space = space();
+    draws
+        .iter()
+        .enumerate()
+        .map(|(i, &((base, index), geom, bpred, cores))| {
+            let mut c = match DesignPoint::ALL.get(base) {
+                Some(dp) => dp.config(),
+                None => space.config(index % space.len()),
+            };
+            c.name = format!("mixed-{i}");
+            let n = index as u64;
+            let (l1d_kb, l2_kb, l3_kb) = match geom {
+                3 => (32, 256, 8 << 10),
+                4 => (16, 1 << 10, 4 << 10),
+                5 => (64, 512, 16 << 10),
+                6 | 7 => (4 * (1 + n % 13), 32 * (1 + n % 37), 512 * (1 + n % 29)),
+                _ => (0, 0, 0),
+            };
+            if l1d_kb > 0 {
+                c.l1d = CacheGeometry::new(l1d_kb << 10, 4, 64, c.l1d.latency);
+                c.l2 = CacheGeometry::new(l2_kb << 10, 8, 64, c.l2.latency);
+                c.l3 = CacheGeometry::new(l3_kb << 10, 16, 64, c.l3.latency);
+            }
+            let predictor = |size_bytes, history_bits| BranchPredictorConfig {
+                size_bytes,
+                history_bits,
+            };
+            match bpred {
+                3 => c.bpred = predictor(1024, 10),
+                4 => c.bpred = predictor(8192, 14),
+                5 => c.bpred = predictor(256 * (1 + index as u32 % 61), 4 + index as u32 % 13),
+                _ => {}
+            }
+            match cores {
+                3 => c.cores = 2,
+                4 => c.cores = 16,
+                5 => c.cores = 1 + index as u32 % 64,
+                _ => {}
+            }
+            c
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every prediction entry of a session — `predict`, `predict_sweep`,
+    /// `predict_batch`, `predict_main` and `predict_crit` — called in random
+    /// order over config lists that mix repeated and novel cache
+    /// geometries, predictor budgets and core counts, equals the naive
+    /// reference in full, with 1 to 4 workers.
+    #[test]
+    fn interleaved_entries_match_the_naive_reference(
+        which in 0usize..WORKLOADS.len(),
+        seed in 1u64..50,
+        draws in proptest::collection::vec(
+            ((0usize..10, 0usize..108_000), 0usize..8, 0usize..6, 0usize..6),
+            3..9,
+        ),
+        calls in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64), 5..12),
+    ) {
+        let configs = mixed_configs(&draws);
+        let mut reference: Vec<Option<(Vec<Vec<EpochPrediction>>, Schedule)>> =
+            vec![None; configs.len()];
+        let mut baselines: Vec<Option<(f64, f64)>> = vec![None; configs.len()];
+        for jobs in 1..=4 {
+            let session = Session::builder().jobs(jobs).build();
+            let profile = session
+                .workload(WORKLOADS[which])
+                .expect("catalog workload")
+                .scale(0.02)
+                .seed(seed)
+                .profile();
+            let prof = profile.profile();
+            for &(call, a, b) in &calls {
+                let (a, b) = (a % configs.len(), b % configs.len());
+                let range = a.min(b)..a.max(b) + 1;
+                let slice = &configs[range.clone()];
+                match call {
+                    0 => {
+                        let r = reference[a].get_or_insert_with(|| naive(prof, &configs[a]));
+                        assert_reference(&profile.predict(&configs[a]), r, &configs[a]);
+                    }
+                    1 => {
+                        let sweep = profile.predict_sweep(slice);
+                        prop_assert_eq!(sweep.len(), slice.len());
+                        for (i, pred) in range.zip(&sweep) {
+                            let r = reference[i].get_or_insert_with(|| naive(prof, &configs[i]));
+                            assert_reference(pred, r, &configs[i]);
+                        }
+                    }
+                    2 => {
+                        let batch = profile.predict_batch(slice);
+                        prop_assert_eq!(batch.len(), slice.len());
+                        for (i, cycles) in range.zip(&batch) {
+                            let r = reference[i].get_or_insert_with(|| naive(prof, &configs[i]));
+                            prop_assert_eq!(cycles.to_bits(), r.1.total.to_bits(), "{}", i);
+                        }
+                    }
+                    _ => {
+                        let config = &configs[a];
+                        let (main, crit) = *baselines[a].get_or_insert_with(|| {
+                            (naive_main(prof, config), naive_crit(prof, config))
+                        });
+                        if call == 3 {
+                            prop_assert_eq!(profile.predict_main(config).to_bits(), main.to_bits());
+                        } else {
+                            prop_assert_eq!(profile.predict_crit(config).to_bits(), crit.to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
