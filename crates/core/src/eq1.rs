@@ -29,20 +29,23 @@
 //!   DRAM misses consumed this way are removed from the D-cache component
 //!   (they overlap, as in Eyerman et al.'s interval analysis).
 //!
-//! # One arithmetic body, two rate providers
+//! # One arithmetic body, one rate provider
 //!
 //! [`predict_epoch_rated`] is Equation 1 downstream of the StatStack and
-//! branch-model queries. Every prediction reaches it through a
-//! [`crate::PreparedProfile`], which builds the stack-distance models once
-//! per distinct epoch and queries them per configuration; a
-//! [`crate::BatchedEq1`] sweep additionally memoizes those queries per
-//! distinct cache geometry. [`predict_epoch`] is the naive reference: it
-//! builds fresh models for one epoch and feeds the same body, so the
+//! branch-model queries. Every prediction reaches it through the one
+//! evaluator, [`crate::BatchedEq1`], over a [`crate::PreparedProfile`]: the
+//! preparation builds the stack-distance models once per distinct epoch,
+//! and the evaluator memoizes their queries per distinct cache geometry
+//! and predictor. [`predict_epoch`] is the naive reference: it builds
+//! fresh models for one epoch and feeds the same body, so the
 //! differential suites can compare every path against it bit for bit.
-//! The calibration [`Knobs`] are always an explicit argument; the model
-//! reads no environment.
+//! Both interpolate the epoch's ILP/MLP curves through
+//! [`EpochProfile::ilp_at`] / [`EpochProfile::mlp_at`] with the grid's
+//! logarithms ([`GridLogs`]) taken once per caller. The calibration
+//! [`Knobs`] are always an explicit argument; the model reads no
+//! environment.
 
-use rppm_profiler::EpochProfile;
+use rppm_profiler::{EpochProfile, GridLogs};
 use rppm_statstack::StackDistanceModel;
 use rppm_trace::{CpiStack, MachineConfig, OpClass};
 
@@ -117,38 +120,6 @@ pub struct RawRates {
     pub bmiss: f64,
 }
 
-/// Source of interpolated ILP/MLP curve evaluations for one epoch.
-///
-/// Two implementations exist: [`EpochProfile`] itself (recomputes the
-/// logarithms of the profiled grid on every call; used by single
-/// predictions) and the precomputed [`rppm_profiler::EpochCurves`] tables
-/// a [`crate::BatchedEq1`] builds once per sweep worker. Both must return
-/// bit-identical values for identical inputs.
-pub trait CurveSource {
-    /// See [`EpochProfile::ilp_at`].
-    fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64>;
-    /// See [`EpochProfile::mlp_at`].
-    fn mlp_at(&self, window: u32) -> Option<f64>;
-}
-
-impl CurveSource for EpochProfile {
-    fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64> {
-        EpochProfile::ilp_at(self, window, load_lat)
-    }
-    fn mlp_at(&self, window: u32) -> Option<f64> {
-        EpochProfile::mlp_at(self, window)
-    }
-}
-
-impl CurveSource for rppm_profiler::EpochCurves {
-    fn ilp_at(&self, window: u32, load_lat: f64) -> Option<f64> {
-        rppm_profiler::EpochCurves::ilp_at(self, window, load_lat)
-    }
-    fn mlp_at(&self, window: u32) -> Option<f64> {
-        rppm_profiler::EpochCurves::mlp_at(self, window)
-    }
-}
-
 /// An all-zero prediction for an empty epoch (MLP floor of 1.0).
 pub(crate) fn empty_epoch_prediction() -> EpochPrediction {
     EpochPrediction {
@@ -161,13 +132,13 @@ pub(crate) fn empty_epoch_prediction() -> EpochPrediction {
 /// arithmetic body every prediction path shares.
 ///
 /// `epoch.ops` must be nonzero (callers handle the empty-epoch early
-/// return). `curves` supplies the ILP/MLP interpolations and `rates` the
-/// raw model queries for this `(epoch, config)` cell; `knobs` carries the
-/// calibration constants.
-pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
+/// return). `logs` serves the epoch's ILP/MLP interpolations and `rates`
+/// holds the raw model queries for this `(epoch, config)` cell; `knobs`
+/// carries the calibration constants.
+pub fn predict_epoch_rated(
     epoch: &EpochProfile,
     config: &MachineConfig,
-    curves: &C,
+    logs: &GridLogs,
     rates: RawRates,
     knobs: &Knobs,
 ) -> EpochPrediction {
@@ -234,8 +205,8 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
 
     // --- Base: effective dispatch rate at the effective load latency. ---
     let width = config.dispatch_width as f64;
-    let ilp_nominal = curves.ilp_at(w_eff, lat_l1).unwrap_or(f64::INFINITY);
-    let ilp_eff = curves.ilp_at(w_eff, l_eff).unwrap_or(f64::INFINITY);
+    let ilp_nominal = epoch.ilp_at(logs, w_eff, lat_l1).unwrap_or(f64::INFINITY);
+    let ilp_eff = epoch.ilp_at(logs, w_eff, l_eff).unwrap_or(f64::INFINITY);
     // Functional-unit throughput limit: the tightest ports/mix ratio,
     // grouping classes that share an issue-port pool.
     let mut pool_frac = [0.0f64; rppm_trace::op::NUM_PORT_POOLS];
@@ -312,7 +283,7 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
     } else {
         0.0
     };
-    let indep = curves.mlp_at(w_eff).unwrap_or(0.0);
+    let indep = epoch.mlp_at(logs, w_eff).unwrap_or(0.0);
     // Effective MSHR utilization: issue-port and dispatch gaps keep the
     // overlap below the ideal independent-miss count (calibrated once
     // against the reference simulator).
@@ -359,7 +330,7 @@ pub fn predict_epoch_rated<C: CurveSource + ?Sized>(
             mlp,
         };
     }
-    if let Some(ilp_chain) = curves.ilp_at(w_eff, l_chain) {
+    if let Some(ilp_chain) = epoch.ilp_at(logs, w_eff, l_chain) {
         let chain_cycles = n / ilp_chain.min(deff_nominal).max(0.05);
         let total = stack.total();
         if chain_cycles > total {
@@ -402,7 +373,7 @@ pub fn predict_epoch(
         l1i: icache_model.miss_rate_geom(&config.l1i),
         bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
     };
-    predict_epoch_rated(epoch, config, epoch, rates, knobs)
+    predict_epoch_rated(epoch, config, &GridLogs::new(), rates, knobs)
 }
 
 #[cfg(test)]

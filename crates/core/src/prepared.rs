@@ -22,29 +22,38 @@
 //! [`predict_crit`](crate::predict_crit()) prepare and evaluate in one call
 //! for one-shot use.
 //!
-//! [`BatchedEq1`] is the design-space evaluator over a preparation: a
-//! structure-of-arrays sweep loop that memoizes StatStack and
-//! branch-predictor queries per distinct cache geometry (design spaces
-//! reuse a handful of axis values across thousands of points), evaluates
-//! the ILP/MLP curves through precomputed [`EpochCurves`] tables, and
-//! reuses one flat cycle buffer plus one `SymScratch` across
-//! configurations, so steady-state evaluation performs **no per-point
-//! allocation**. The curve tables are built per evaluator, not per
-//! preparation: they are about half the size of the prepared state and
-//! only pay off over many configurations. [`PreparedProfile::batched_chunks`]
-//! is the one parallel fan-out over evaluators, shared by the design-space
-//! pass ([`sweep`](crate::sweep()), [`find_best`](crate::find_best())) and
-//! the session's batched predictions.
+//! # One evaluator
 //!
-//! **Bit-identity contract**: every path through this module feeds the
-//! same [`predict_epoch_rated`] arithmetic body and the same
-//! symbolic-execution engine, and the curve tables are proven
-//! bit-identical to the profile's own interpolation. So
-//! [`BatchedEq1::eval`] equals
+//! [`BatchedEq1`] is the only evaluator over a preparation. Every
+//! prediction goes through it: the full [`BatchedEq1::predict`], the
+//! MAIN/CRIT baselines and the cycles-only [`BatchedEq1::eval`] of the
+//! design-space pass. It memoizes the StatStack and branch-predictor
+//! queries in one column per distinct cache geometry and predictor (design
+//! spaces, and the five Table IV points, reuse a handful of axis values),
+//! runs one per-cell Equation-1 loop over those columns, and runs
+//! Algorithm 2 on the preparation's flat timelines in one reusable cycle
+//! buffer and `SymScratch`. After the first evaluation of each distinct
+//! axis value, [`BatchedEq1::eval`] allocates nothing. The evaluator keeps
+//! no per-epoch tables: it interpolates the profile's own ILP/MLP curves
+//! with the grid logarithms ([`GridLogs`]) it takes once, so creating one
+//! costs little next to a prediction. [`PreparedProfile::predict`],
+//! [`PreparedProfile::predict_main`] and [`PreparedProfile::predict_crit`]
+//! each create one for a single call; [`PreparedProfile::batched_chunks`]
+//! is the one parallel fan-out over evaluators, shared by the
+//! design-space pass ([`sweep`](crate::sweep()),
+//! [`find_best`](crate::find_best())) and the session's sweeps and
+//! batches.
+//!
+//! **Bit-identity contract**: the evaluator feeds the same
+//! [`predict_epoch_rated`] arithmetic body, the same interpolation and the
+//! same symbolic-execution engine as the naive reference, which rebuilds
+//! every epoch's models through [`predict_epoch`](crate::predict_epoch())
+//! with no deduplication and no memo; a memoized column is a pure function
+//! of (epoch, geometry). So [`BatchedEq1::eval`] equals
 //! [`PreparedProfile::predict`]`(...).total_cycles` to the last bit, and
-//! both equal a naive evaluation that rebuilds every epoch's models
-//! through [`predict_epoch`](crate::predict_epoch()) (pinned by the
-//! `dse_equivalence` differential property suite).
+//! every prediction equals the naive one field by field, whatever the
+//! order of the calls an evaluator serves (pinned by the `dse_equivalence`
+//! differential property suite).
 //!
 //! # Example: prepare once, evaluate many
 //!
@@ -59,7 +68,7 @@
 //! let prof = profile(&b.build());
 //!
 //! let prepared = PreparedProfile::new(Arc::new(prof)); // models built here
-//! let mut batch = prepared.batched();                  // curve tables here
+//! let mut batch = prepared.batched();                  // one evaluator
 //! for dp in DesignPoint::ALL {
 //!     let cfg = dp.config();
 //!     let fast = batch.eval(&cfg);                     // microseconds
@@ -70,8 +79,8 @@
 
 use crate::eq1::{empty_epoch_prediction, predict_epoch_rated, EpochPrediction, Knobs, RawRates};
 use crate::predict::{assemble, Prediction};
-use crate::symexec::{execute, execute_total, FlatTimelines, SymScratch, ThreadTimeline};
-use rppm_profiler::{ApplicationProfile, EpochCurves, EpochProfile};
+use crate::symexec::{execute_flat, execute_total, FlatTimelines, SymScratch};
+use rppm_profiler::{ApplicationProfile, EpochProfile, GridLogs};
 use rppm_statstack::{FxHashMap, FxHasher, StackDistanceModel};
 use rppm_trace::par::parallel_map;
 use rppm_trace::{barrier_participants, CacheGeometry, MachineConfig, SyncOp};
@@ -253,21 +262,15 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
             + tables as u64
     }
 
-    /// Creates a reusable batched evaluator borrowing this preparation,
-    /// building its interpolation tables.
+    /// Creates a reusable evaluator borrowing this preparation.
     ///
-    /// The evaluator owns the mutable sweep state (curve tables, rate
-    /// memos, cycle buffer, symbolic-execution scratch); create one per
-    /// worker thread for parallel sweeps — they share the preparation
-    /// read-only.
+    /// The evaluator owns the mutable evaluation state (rate memos, cycle
+    /// buffers, symbolic-execution scratch); create one per worker thread
+    /// for parallel sweeps — they share the preparation read-only.
     pub fn batched(&self) -> BatchedEq1<'_, P> {
         BatchedEq1 {
             prep: self,
-            curves: self
-                .cells
-                .iter()
-                .map(|c| EpochCurves::new(c.epoch(&self.profile)))
-                .collect(),
+            logs: GridLogs::new(),
             events: self
                 .profile
                 .threads
@@ -306,98 +309,20 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
         })
     }
 
-    /// Equation 1 for one cell from the profile's own ILP/MLP curves.
-    /// `isolated` answers the LLC from the private histogram: the
-    /// single-threaded model of the MAIN/CRIT baselines (no interference,
-    /// no coherence awareness beyond what profiling embedded in the
-    /// private histogram).
-    fn cell_prediction(
-        &self,
-        cell: &PreparedEpoch,
-        config: &MachineConfig,
-        isolated: bool,
-    ) -> EpochPrediction {
-        let epoch = cell.epoch(&self.profile);
-        let llc = if isolated {
-            &cell.priv_model
-        } else {
-            &cell.glob_model
-        };
-        let rates = RawRates {
-            r1: cell.priv_model.miss_rate_geom(&config.l1d),
-            r2: cell.priv_model.miss_rate_geom(&config.l2),
-            r3: llc.miss_rate_geom(&config.l3),
-            l1i: cell.icache_model.miss_rate_geom(&config.l1i),
-            bmiss: rppm_branch_model::predict_miss_rate(&epoch.branch, &config.bpred),
-        };
-        predict_epoch_rated(epoch, config, epoch, rates, &self.knobs)
-    }
-
     /// Full prediction for one configuration (Equation 1 per distinct
-    /// epoch, then Algorithm 2).
+    /// epoch, then Algorithm 2); see [`BatchedEq1::predict`].
     pub fn predict(&self, config: &MachineConfig) -> Prediction {
-        let cell_preds: Vec<EpochPrediction> = self
-            .cells
-            .iter()
-            .map(|c| self.cell_prediction(c, config, false))
-            .collect();
-        let epoch_preds: Vec<Vec<EpochPrediction>> = self
-            .ranges
-            .iter()
-            .map(|&(off, len)| {
-                self.cell_of[off..off + len]
-                    .iter()
-                    .map(|&c| match c {
-                        EMPTY_CELL => empty_epoch_prediction(),
-                        c => cell_preds[c].clone(),
-                    })
-                    .collect()
-            })
-            .collect();
-        let timelines: Vec<ThreadTimeline> = self
-            .profile
-            .threads
-            .iter()
-            .zip(&epoch_preds)
-            .map(|(t, preds)| ThreadTimeline {
-                epochs: preds.iter().map(|p| p.cycles).collect(),
-                events: t.events.clone(),
-            })
-            .collect();
-        let schedule = execute(&timelines, config);
-        assemble(&self.profile, config, epoch_preds, schedule)
+        self.batched().predict(config)
     }
 
-    /// Per-thread active cycles under the single-threaded model, each the
-    /// sum of its epochs' isolated predictions in epoch order.
-    fn isolated_active(&self, config: &MachineConfig) -> Vec<f64> {
-        let cycles: Vec<f64> = self
-            .cells
-            .iter()
-            .map(|c| self.cell_prediction(c, config, true).cycles)
-            .collect();
-        self.ranges
-            .iter()
-            .map(|&(off, len)| {
-                self.cell_of[off..off + len]
-                    .iter()
-                    .map(|&c| if c == EMPTY_CELL { 0.0 } else { cycles[c] })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// The MAIN baseline (Section II-C): the single-threaded model applied
-    /// to the main thread only; its active time in cycles.
+    /// The MAIN baseline; see [`BatchedEq1::predict_main`].
     pub fn predict_main(&self, config: &MachineConfig) -> f64 {
-        self.isolated_active(config)[0]
+        self.batched().predict_main(config)
     }
 
-    /// The CRIT baseline (Section II-C): the single-threaded model applied
-    /// to every thread in isolation; the slowest thread's active time in
-    /// cycles.
+    /// The CRIT baseline; see [`BatchedEq1::predict_crit`].
     pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
-        self.isolated_active(config).into_iter().fold(0.0, f64::max)
+        self.batched().predict_crit(config)
     }
 }
 
@@ -417,13 +342,14 @@ enum ModelKind {
     Icache,
 }
 
-/// Structure-of-arrays Equation-1 evaluator over a [`PreparedProfile`].
+/// The evaluator over a [`PreparedProfile`]: every prediction goes through
+/// one (see the module docs).
 ///
-/// Owns the per-sweep state: the ILP/MLP curve tables of every distinct
-/// epoch, miss-rate columns memoized per distinct cache geometry (and
-/// branch-predictor miss rates per distinct predictor), the flat cycle
-/// buffer and the symbolic-execution scratch. After the first evaluation
-/// of each distinct axis value, an evaluation allocates nothing.
+/// Owns the evaluation state: miss-rate columns (one `f64` per distinct
+/// epoch) memoized per distinct cache geometry, branch miss-rate columns
+/// per distinct predictor, the per-cell and flat cycle buffers, and the
+/// symbolic-execution scratch. After the first evaluation of each distinct
+/// axis value, [`BatchedEq1::eval`] allocates nothing.
 ///
 /// Not `Sync` by design: create one evaluator per worker thread (they
 /// share the read-only [`PreparedProfile`]). Memoized values are pure
@@ -432,8 +358,7 @@ enum ModelKind {
 #[derive(Debug)]
 pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
     prep: &'p PreparedProfile<P>,
-    /// Interpolation tables, one per cell.
-    curves: Vec<EpochCurves>,
+    logs: GridLogs,
     /// Per-thread event slices for the borrowed flat-timeline view.
     events: Vec<&'p [SyncOp]>,
     /// Miss-rate columns (one `f64` per cell) per distinct geometry.
@@ -486,24 +411,41 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
         });
     }
 
-    /// Predicted end-to-end execution time in **cycles** for `config` —
-    /// bit-identical to [`PreparedProfile::predict`]`(config).total_cycles`.
-    /// Seconds follow as [`MachineConfig::cycles_to_seconds`], the same
-    /// conversion a full prediction applies.
-    pub fn eval(&mut self, config: &MachineConfig) -> f64 {
+    /// Equation 1 for every cell at `config`, from the memoized columns,
+    /// into `cell_cycles`; `keep` also receives every cell's prediction, in
+    /// cell order. `isolated` answers the LLC from the private model's
+    /// column at the L3 geometry: the single-threaded model of the
+    /// MAIN/CRIT baselines (no interference, no coherence awareness beyond
+    /// what profiling embedded in the private histogram).
+    fn eq1(
+        &mut self,
+        config: &MachineConfig,
+        isolated: bool,
+        mut keep: Option<&mut Vec<EpochPrediction>>,
+    ) {
+        let llc = if isolated {
+            ModelKind::Private
+        } else {
+            ModelKind::Global
+        };
         self.ensure_column(ModelKind::Private, &config.l1d);
         self.ensure_column(ModelKind::Private, &config.l2);
-        self.ensure_column(ModelKind::Global, &config.l3);
+        self.ensure_column(llc, &config.l3);
         self.ensure_column(ModelKind::Icache, &config.l1i);
         self.ensure_bpred(config);
         let r1 = &self.priv_rates[&geom_key(&config.l1d)];
         let r2 = &self.priv_rates[&geom_key(&config.l2)];
-        let r3 = &self.glob_rates[&geom_key(&config.l3)];
+        let r3 = if isolated {
+            &self.priv_rates
+        } else {
+            &self.glob_rates
+        };
+        let r3 = &r3[&geom_key(&config.l3)];
         let l1i = &self.icache_rates[&geom_key(&config.l1i)];
         let bmiss = &self.bpred_rates[&(config.bpred.size_bytes, config.bpred.history_bits)];
 
         let prep = self.prep;
-        for (i, (cell, curves)) in prep.cells.iter().zip(&self.curves).enumerate() {
+        for (i, cell) in prep.cells.iter().enumerate() {
             let rates = RawRates {
                 r1: r1[i],
                 r2: r2[i],
@@ -511,15 +453,25 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
                 l1i: l1i[i],
                 bmiss: bmiss[i],
             };
-            self.cell_cycles[i] = predict_epoch_rated(
+            let p = predict_epoch_rated(
                 cell.epoch(&prep.profile),
                 config,
-                curves,
+                &self.logs,
                 rates,
                 &prep.knobs,
-            )
-            .cycles;
+            );
+            self.cell_cycles[i] = p.cycles;
+            if let Some(keep) = keep.as_deref_mut() {
+                keep.push(p);
+            }
         }
+    }
+
+    /// Spreads the cell cycles over the flat epoch buffer (an empty epoch
+    /// takes 0) and hands the preparation's flat timelines to `run`, one
+    /// of Algorithm 2's flat entries.
+    fn symexec<T>(&mut self, run: impl FnOnce(FlatTimelines<'_>, &mut SymScratch) -> T) -> T {
+        let prep = self.prep;
         for (slot, &c) in self.cycles.iter_mut().zip(&prep.cell_of) {
             *slot = if c == EMPTY_CELL {
                 0.0
@@ -527,16 +479,21 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
                 self.cell_cycles[c]
             };
         }
-        execute_total(
-            FlatTimelines {
-                cycles: &self.cycles,
-                ranges: &prep.ranges,
-                events: &self.events,
-            },
-            config.sync_overhead_cycles as f64,
-            config.spawn_latency_cycles as f64,
-            &mut self.scratch,
-        )
+        let flat = FlatTimelines {
+            cycles: &self.cycles,
+            ranges: &prep.ranges,
+            events: &self.events,
+        };
+        run(flat, &mut self.scratch)
+    }
+
+    /// Predicted end-to-end execution time in **cycles** for `config` —
+    /// bit-identical to [`BatchedEq1::predict`]`(config).total_cycles`.
+    /// Seconds follow as [`MachineConfig::cycles_to_seconds`], the same
+    /// conversion a full prediction applies.
+    pub fn eval(&mut self, config: &MachineConfig) -> f64 {
+        self.eq1(config, false, None);
+        self.symexec(|tl, scratch| execute_total(tl, config, scratch))
     }
 
     /// Evaluates a vector of configurations, writing predicted cycles into
@@ -544,6 +501,68 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
     pub fn eval_into(&mut self, configs: &[MachineConfig], out: &mut Vec<f64>) {
         out.clear();
         out.extend(configs.iter().map(|c| self.eval(c)));
+    }
+
+    /// The full prediction for `config`: Equation 1 per distinct epoch,
+    /// then Algorithm 2 with each thread's active intervals, assembled with
+    /// every epoch's prediction.
+    pub fn predict(&mut self, config: &MachineConfig) -> Prediction {
+        let mut cells = Vec::with_capacity(self.prep.cells.len());
+        self.eq1(config, false, Some(&mut cells));
+        let schedule = self.symexec(|tl, scratch| execute_flat(tl, config, scratch));
+        let prep = self.prep;
+        let epochs = prep
+            .ranges
+            .iter()
+            .map(|&(off, len)| {
+                prep.cell_of[off..off + len]
+                    .iter()
+                    .map(|&c| match c {
+                        EMPTY_CELL => empty_epoch_prediction(),
+                        c => cells[c].clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        assemble(&prep.profile, config, epochs, schedule)
+    }
+
+    /// One thread's active cycles under the single-threaded model after an
+    /// isolated [`eq1`](Self::eq1): the sum of its epochs' predictions in
+    /// epoch order. `(off, len)` is its range of the flat epoch order.
+    fn isolated_active(&self, (off, len): (usize, usize)) -> f64 {
+        self.prep.cell_of[off..off + len]
+            .iter()
+            .map(|&c| {
+                if c == EMPTY_CELL {
+                    0.0
+                } else {
+                    self.cell_cycles[c]
+                }
+            })
+            .sum()
+    }
+
+    /// The MAIN baseline (Section II-C): the single-threaded model applied
+    /// to the main thread only; its active time in cycles.
+    pub fn predict_main(&mut self, config: &MachineConfig) -> f64 {
+        self.eq1(config, true, None);
+        self.prep
+            .ranges
+            .first()
+            .map_or(0.0, |&range| self.isolated_active(range))
+    }
+
+    /// The CRIT baseline (Section II-C): the single-threaded model applied
+    /// to every thread in isolation; the slowest thread's active time in
+    /// cycles.
+    pub fn predict_crit(&mut self, config: &MachineConfig) -> f64 {
+        self.eq1(config, true, None);
+        self.prep
+            .ranges
+            .iter()
+            .map(|&range| self.isolated_active(range))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -781,6 +800,37 @@ mod tests {
                 naive::predict_crit(&prof, &cfg).to_bits(),
                 "{dp} crit"
             );
+        }
+    }
+
+    #[test]
+    fn one_evaluator_serves_every_entry_interleaved() {
+        // One evaluator, its memos filled by whichever entry comes first:
+        // full predictions, cycles and baselines stay equal to the naive
+        // reference in any order.
+        let prof = parallel_profile();
+        let prep = PreparedProfile::new(Arc::clone(&prof));
+        let mut batch = prep.batched();
+        for round in 0..2 {
+            for (i, dp) in DesignPoint::ALL.iter().enumerate() {
+                let cfg = dp.config();
+                let main = naive::predict_main(&prof, &cfg).to_bits();
+                let crit = naive::predict_crit(&prof, &cfg).to_bits();
+                if (i + round) % 2 == 0 {
+                    assert_eq!(batch.predict_main(&cfg).to_bits(), main, "{dp}");
+                }
+                let full = batch.predict(&cfg);
+                let slow = naive::predict(&prof, &cfg);
+                assert_eq!(full.total_cycles.to_bits(), slow.total_cycles.to_bits());
+                assert_eq!(batch.eval(&cfg).to_bits(), slow.total_cycles.to_bits());
+                assert_eq!(batch.predict_crit(&cfg).to_bits(), crit, "{dp}");
+                assert_eq!(batch.predict_main(&cfg).to_bits(), main, "{dp}");
+                for (f, s) in full.threads.iter().zip(&slow.threads) {
+                    assert_eq!(f.epochs, s.epochs, "{dp}");
+                    assert_eq!(f.finish.to_bits(), s.finish.to_bits(), "{dp}");
+                }
+                assert_eq!(full.intervals, slow.intervals, "{dp}");
+            }
         }
     }
 

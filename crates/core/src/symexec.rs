@@ -14,13 +14,16 @@
 //! Algorithm 2's clock arithmetic: predicted epoch times, library overhead
 //! counted as active time, spawn latency, and idle time for every wait.
 //!
-//! Two entry points share one engine: [`execute`] (full predictions —
-//! records per-thread active intervals for bottlegraphs) and the
-//! crate-internal `execute_total` used by the batched design-space sweep,
-//! which borrows the epoch/event slices, reuses a `SymScratch` across
-//! configurations (so a design point allocates nothing) and skips interval
-//! recording. Both produce bit-identical times: the interval bookkeeping
-//! never feeds back into the schedule.
+//! Three entry points share one engine. Two are crate-internal and run over
+//! the borrowed flat timelines of a preparation (one cycle buffer, per-thread
+//! ranges and event slices) in a `SymScratch` reused across configurations,
+//! so a design point allocates nothing there: `execute_flat` records each
+//! thread's active intervals and returns the full [`Schedule`] (every full
+//! prediction), and `execute_total` skips the intervals and returns the
+//! total (the design-space sweep). [`execute`] is the public adapter over
+//! per-thread [`ThreadTimeline`]s: it flattens them and calls
+//! `execute_flat`. All three produce bit-identical times: the interval
+//! bookkeeping never feeds back into the schedule.
 
 use rppm_trace::{
     barrier_participants, EventQueue, MachineConfig, Step, SyncCore, SyncOp, ThreadStatus,
@@ -172,14 +175,22 @@ pub fn execute(timelines: &[ThreadTimeline], config: &MachineConfig) -> Schedule
         ranges: &ranges,
         events: &events,
     };
-    let mut scratch = SymScratch::new(barrier_participants(&events));
-    let total = run_symexec(
+    execute_flat(
         flat,
-        config.sync_overhead_cycles as f64,
-        config.spawn_latency_cycles as f64,
-        &mut scratch,
-        true,
-    );
+        config,
+        &mut SymScratch::new(barrier_participants(&events)),
+    )
+}
+
+/// The recording entry: Algorithm 2 over borrowed flat timelines in a
+/// reusable scratch (holding the barrier participants), with per-thread
+/// active intervals. Returns the full schedule.
+pub(crate) fn execute_flat(
+    tl: FlatTimelines<'_>,
+    config: &MachineConfig,
+    scratch: &mut SymScratch,
+) -> Schedule {
+    let total = run_symexec(tl, config, scratch, true);
     let threads = scratch
         .threads
         .iter_mut()
@@ -195,31 +206,27 @@ pub fn execute(timelines: &[ThreadTimeline], config: &MachineConfig) -> Schedule
     Schedule { total, threads }
 }
 
-/// Lean entry for the batched path: borrowed timelines, reusable scratch
-/// (holding the precomputed barrier participants), no interval recording.
-/// Returns the predicted end-to-end execution time in cycles.
-///
-/// Produces exactly the same total as [`execute`] on equivalent inputs.
+/// The lean entry for the design-space sweep: like [`execute_flat`], but
+/// without interval recording. Returns the predicted end-to-end execution
+/// time in cycles, the same total [`execute_flat`] reports.
 pub(crate) fn execute_total(
     tl: FlatTimelines<'_>,
-    overhead: f64,
-    spawn: f64,
+    config: &MachineConfig,
     scratch: &mut SymScratch,
 ) -> f64 {
-    run_symexec(tl, overhead, spawn, scratch, false)
+    run_symexec(tl, config, scratch, false)
 }
 
 fn run_symexec(
     tl: FlatTimelines<'_>,
-    overhead: f64,
-    spawn: f64,
+    config: &MachineConfig,
     scratch: &mut SymScratch,
     record: bool,
 ) -> f64 {
     scratch.reset(tl.ranges.len());
     SymExec {
-        overhead,
-        spawn,
+        overhead: config.sync_overhead_cycles as f64,
+        spawn: config.spawn_latency_cycles as f64,
         record,
         tl,
         st: scratch,
@@ -611,17 +618,16 @@ mod tests {
         // Run twice through the same scratch: results must be identical
         // (state fully reset between runs).
         for _ in 0..2 {
-            let total = execute_total(
-                FlatTimelines {
-                    cycles: &cycles,
-                    ranges: &ranges,
-                    events: &events,
-                },
-                c.sync_overhead_cycles as f64,
-                c.spawn_latency_cycles as f64,
-                &mut scratch,
-            );
+            let flat = FlatTimelines {
+                cycles: &cycles,
+                ranges: &ranges,
+                events: &events,
+            };
+            let total = execute_total(flat, &c, &mut scratch);
             assert_eq!(total.to_bits(), full.total.to_bits());
+            let recorded = execute_flat(flat, &c, &mut scratch);
+            assert_eq!(recorded.total.to_bits(), full.total.to_bits());
+            assert_eq!(recorded.threads, full.threads);
         }
     }
 

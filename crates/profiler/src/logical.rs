@@ -462,8 +462,9 @@ mod tests {
         let e = &prof.threads[1].epochs[0];
         assert!(!e.ilp.is_empty(), "ILP profiled");
         assert!(!e.mlp.is_empty(), "MLP profiled");
-        let ipc = e.ilp_at(128, 3.0).expect("interpolates");
-        let ipc_slow = e.ilp_at(128, 75.0).expect("interpolates");
+        let logs = crate::GridLogs::new();
+        let ipc = e.ilp_at(&logs, 128, 3.0).expect("interpolates");
+        let ipc_slow = e.ilp_at(&logs, 128, 75.0).expect("interpolates");
         assert!(ipc_slow <= ipc, "slow loads cannot raise ILP");
         assert!(ipc > 1.0 && ipc < 20.0, "ipc {ipc}");
     }

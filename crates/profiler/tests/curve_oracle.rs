@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rppm_profiler::microtrace::{LOAD_LAT_GRID, WINDOWS};
-use rppm_profiler::EpochProfile;
+use rppm_profiler::{EpochProfile, GridLogs};
 
 // The reference: the interpolation before the grid logarithms were shared.
 
@@ -65,9 +65,10 @@ fn mlp_at(epoch: &EpochProfile, window: u32) -> Option<f64> {
 
 /// The public methods under test, as bit patterns: `(ilp, mlp)`.
 fn public(epoch: &EpochProfile, window: u32, lat: f64) -> (Option<u64>, Option<u64>) {
+    let logs = GridLogs::new();
     (
-        epoch.ilp_at(window, lat).map(f64::to_bits),
-        epoch.mlp_at(window).map(f64::to_bits),
+        epoch.ilp_at(&logs, window, lat).map(f64::to_bits),
+        epoch.mlp_at(&logs, window).map(f64::to_bits),
     )
 }
 

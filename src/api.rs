@@ -429,10 +429,23 @@ impl ProfileHandle {
     }
 
     /// Predicts every configuration of a design space from the one
-    /// profile, fanned out over the session's worker threads. Results are
-    /// in `configs` order regardless of the worker count.
+    /// profile, chunked over the session's worker threads with one
+    /// evaluator per worker, like [`ProfileHandle::predict_batch`]: each
+    /// distinct cache geometry and predictor is queried once per worker.
+    /// Results are in `configs` order regardless of the worker count, and
+    /// each equals `predict(config)`.
     pub fn predict_sweep(&self, configs: &[MachineConfig]) -> Vec<Prediction> {
-        parallel_map(self.jobs, configs.len(), |i| self.predict(&configs[i]))
+        self.workload
+            .prepared
+            .batched_chunks(configs.len(), self.jobs, |batch, range| {
+                configs[range]
+                    .iter()
+                    .map(|config| batch.predict(config))
+                    .collect::<Vec<Prediction>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Predicts total cycles for every configuration, chunked over the
