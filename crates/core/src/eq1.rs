@@ -286,9 +286,10 @@ pub fn predict_epoch_rated(
     let indep = epoch.mlp_at(logs, w_eff).unwrap_or(0.0);
     // Effective MSHR utilization: issue-port and dispatch gaps keep the
     // overlap below the ideal independent-miss count (calibrated once
-    // against the reference simulator).
-    let mlp =
-        (knobs.mlp_eff * (1.0 + indep * p_dram)).clamp(1.0, knobs.mlp_cap * config.mshrs as f64);
+    // against the reference simulator). The cap is at least one miss in
+    // flight: a single MSHR allows no overlap, not less than none.
+    let mlp_cap = (knobs.mlp_cap * config.mshrs as f64).max(1.0);
+    let mlp = (knobs.mlp_eff * (1.0 + indep * p_dram)).clamp(1.0, mlp_cap);
     let mem_dram_raw = dram_eff * c_mem / mlp;
     // Misses *independent* of a mispredicted branch's slice still overlap
     // with its resolution stall (the window keeps servicing them while the
@@ -455,6 +456,26 @@ mod tests {
         assert!(p.dram_misses > 1000.0);
         assert!(p.stack.mem_dram > 0.0);
         assert!(p.mlp > 1.0, "streaming should overlap misses: {}", p.mlp);
+    }
+
+    #[test]
+    fn one_mshr_serializes_misses() {
+        // With one MSHR the usable share of the MSHRs is below one miss;
+        // the prediction still stands, with no overlap, and no faster than
+        // with two.
+        let e = single_epoch(
+            BlockSpec::new(50_000, 5)
+                .loads(0.3)
+                .addr(AddressPattern::stream(Region::new(0, 4 << 20)), 1.0),
+        );
+        let mut one = DesignPoint::Base.config();
+        one.mshrs = 1;
+        let mut two = one.clone();
+        two.mshrs = 2;
+        let (p1, p2) = (eq1(&e, &one), eq1(&e, &two));
+        assert!(p1.cycles.is_finite() && p1.cycles > 0.0, "{p1:?}");
+        assert_eq!(p1.mlp, 1.0);
+        assert!(p1.cycles >= p2.cycles, "{} vs {}", p1.cycles, p2.cycles);
     }
 
     #[test]

@@ -118,6 +118,17 @@ fn hostile_requests_get_4xx_not_a_dead_worker() {
     assert_eq!(garbage.status, 400, "{}", garbage.text());
     assert!(garbage.text().contains("trace rejected"));
 
+    // A well-formed trace of a program with no threads: refused at upload,
+    // not accepted as a job that then fails.
+    let threadless = client
+        .post(
+            "/traces",
+            br#"{"format":"rppm-trace","version":1,"program":{"name":"empty","threads":[]}}"#,
+        )
+        .expect("threadless");
+    assert_eq!(threadless.status, 400, "{}", threadless.text());
+    assert!(threadless.text().contains("no threads"));
+
     // Empty upload: 411 (a Content-Length body is required).
     let empty = client.post("/traces", b"").expect("empty");
     assert_eq!(empty.status, 411, "{}", empty.text());
@@ -459,6 +470,50 @@ fn machine_upload_round_trip_and_registry_errors() {
     let stats = client.get("/stats").expect("stats");
     let stats: Value = serde_json::from_str(&stats.text()).expect("stats doc");
     assert_eq!(field(&stats, "machines").as_u64(), Some(6));
+
+    server.shutdown();
+    server.wait();
+}
+
+/// A one-MSHR machine is valid; predicting on it answers like the offline
+/// pipeline instead of failing the request.
+#[test]
+fn one_mshr_machine_predicts_like_the_offline_pipeline() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let mut client = Client::new(server.local_addr());
+    let one_mshr = DesignPoint::Base
+        .config()
+        .to_builder()
+        .name("one-mshr")
+        .mshrs(1)
+        .build()
+        .expect("a 1-MSHR base design is valid");
+    let posted = client
+        .post(
+            "/machines",
+            rppm::trace::format_machine(&one_mshr).as_bytes(),
+        )
+        .expect("post machine");
+    assert_eq!(posted.status, 200, "{}", posted.text());
+
+    let query = "workload=hotspot&scale=0.02&seed=1&machine=one-mshr";
+    let mut online = client.get(&format!("/predict?{query}")).expect("predict");
+    if online.status == 202 {
+        let doc: Value = serde_json::from_str(&online.text()).expect("202 doc");
+        await_job(&mut client, field(&doc, "job").as_u64().expect("job id"));
+        online = client.get(&format!("/predict?{query}")).expect("predict");
+    }
+    assert_eq!(online.status, 200, "{}", online.text());
+    let offline = Session::builder()
+        .build()
+        .workload("hotspot")
+        .expect("catalog workload")
+        .scale(0.02)
+        .seed(1)
+        .profile()
+        .predict(&one_mshr);
+    let offline_body = serde_json::to_string(&prediction_doc(&offline)).expect("doc");
+    assert_eq!(online.text(), offline_body, "serve/offline one-MSHR drift");
 
     server.shutdown();
     server.wait();
