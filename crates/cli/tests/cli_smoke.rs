@@ -227,6 +227,18 @@ fn user_errors_are_one_line_typed_messages() {
     let out = rppm(&["import", garbage.to_str().unwrap()]);
     assert_user_error(&out, "not valid JSON");
 
+    // A well-formed trace of a program with no threads: refused at import
+    // in one line, before the profiler sees it.
+    let threadless = dir.join("threadless.json");
+    std::fs::write(
+        &threadless,
+        r#"{"format":"rppm-trace","version":1,"program":{"name":"empty","threads":[]}}"#,
+    )
+    .unwrap();
+    let out = rppm(&["import", threadless.to_str().unwrap()]);
+    assert_user_error(&out, "no threads");
+    assert_eq!(stderr(&out).lines().count(), 1, "{}", stderr(&out));
+
     // Missing bench capture.
     let out = rppm(&["bench", "guard", "/definitely/not/fresh.json"]);
     assert_user_error(&out, "cannot read");

@@ -126,6 +126,7 @@ impl Program {
 
     /// Validates structural invariants:
     ///
+    /// * the main thread exists (a program has at least one thread);
     /// * every non-main thread is created exactly once, by an earlier thread;
     /// * lock/unlock events are balanced and well-nested per thread;
     /// * barrier, queue and mutex identifiers are used consistently.
@@ -135,6 +136,9 @@ impl Program {
     /// Returns a [`ProgramError`] describing the first violation found.
     pub fn validate(&self) -> Result<(), ProgramError> {
         let n = self.threads.len();
+        if n == 0 {
+            return Err(ProgramError::NoThreads);
+        }
         let mut created = vec![0usize; n];
         for (tid, script) in self.threads.iter().enumerate() {
             let mut held: Vec<u32> = Vec::new();
@@ -217,6 +221,8 @@ impl Program {
 /// Structural validation error for a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
+    /// The program has no threads, so not even the main thread runs.
+    NoThreads,
     /// A create/join referenced a thread index that does not exist.
     UnknownThread {
         /// Thread issuing the event.
@@ -251,6 +257,12 @@ pub enum ProgramError {
 impl std::fmt::Display for ProgramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ProgramError::NoThreads => {
+                write!(
+                    f,
+                    "the program has no threads (thread 0 is the main thread)"
+                )
+            }
             ProgramError::UnknownThread { by, target } => {
                 write!(f, "thread {by} references unknown thread {target}")
             }

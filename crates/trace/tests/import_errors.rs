@@ -5,8 +5,8 @@
 
 use rppm_trace::{
     export_program, export_program_binary, import_program, import_program_binary,
-    read_program_stream, BlockSpec, ProgramBuilder, TraceFileError, BINARY_TRACE_VERSION,
-    TRACE_FORMAT, TRACE_VERSION,
+    read_program_stream, BlockSpec, Program, ProgramBuilder, ProgramError, TraceFileError,
+    BINARY_TRACE_VERSION, TRACE_FORMAT, TRACE_VERSION,
 };
 
 fn good_file() -> String {
@@ -134,6 +134,30 @@ fn structurally_invalid_program_is_rejected() {
         }
         other => panic!("expected InvalidProgram, got {other:?}"),
     }
+}
+
+#[test]
+fn program_without_threads_is_rejected_by_every_reader() {
+    // Not even a main thread: JSON and RPT1, buffered and streamed, refuse
+    // it at import, before anything tries to profile it.
+    let text = format!(
+        "{{\"format\":\"{TRACE_FORMAT}\",\"version\":{TRACE_VERSION},\"program\":\
+         {{\"name\":\"empty\",\"threads\":[]}}}}"
+    );
+    let bytes = export_program_binary(&Program::new("empty", 0)).expect("writer does not validate");
+    for (reader, result) in [
+        ("json", import_program(&text)),
+        ("json stream", read_program_stream(text.as_bytes())),
+        ("rpt1", import_program_binary(&bytes)),
+        ("rpt1 stream", read_program_stream(&bytes[..])),
+    ] {
+        match result {
+            Err(TraceFileError::InvalidProgram(ProgramError::NoThreads)) => {}
+            other => panic!("{reader}: expected InvalidProgram(NoThreads), got {other:?}"),
+        }
+    }
+    let message = import_program(&text).unwrap_err().to_string();
+    assert!(message.contains("no threads"), "{message}");
 }
 
 // ---------------------------------------------------------------------------

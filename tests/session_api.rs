@@ -260,6 +260,31 @@ fn invalid_program_error_preserves_source() {
 }
 
 #[test]
+fn program_without_threads_is_an_invalid_program() {
+    // Adopted in memory or imported from a file, a program with no threads
+    // is refused up front instead of reaching the profiler.
+    let err = Session::new().program(Program::new("x", 0)).unwrap_err();
+    assert!(
+        matches!(err, rppm::Error::InvalidProgram(ProgramError::NoThreads)),
+        "got {err:?}"
+    );
+    let dir = std::env::temp_dir().join("rppm-session-api-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("no-threads.json");
+    let text = "{\"format\":\"rppm-trace\",\"version\":1,\
+                \"program\":{\"name\":\"empty\",\"threads\":[]}}";
+    std::fs::write(&path, text).unwrap();
+    let err = Session::new().import(&path).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            rppm::Error::Trace(TraceFileError::InvalidProgram(ProgramError::NoThreads))
+        ),
+        "got {err:?}"
+    );
+}
+
+#[test]
 fn io_error_preserves_source() {
     let err = rppm::Error::Io {
         path: "/tmp/some/path".into(),
