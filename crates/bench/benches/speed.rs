@@ -15,6 +15,7 @@ use rppm::trace::{
     AddressPattern, BlockItem, BlockSpec, DesignPoint, MicroOp, Region, Rng, SyncOp, ThreadCursor,
 };
 use rppm::workloads::{by_name, Params};
+use rppm::Session;
 
 fn cursor(c: &mut Criterion) {
     let bench = by_name("hotspot").expect("known benchmark");
@@ -161,6 +162,18 @@ fn pipeline(c: &mut Criterion) {
                 .map(|dp| predict(std::hint::black_box(&prof), &dp.config()).total_cycles)
                 .sum::<f64>()
         })
+    });
+    // The same five points on the session API: full predictions from a
+    // resident handle of a jobs-1 session (prepared once, when profiled).
+    let session = Session::builder().jobs(1).build();
+    let handle = session
+        .workload("hotspot")
+        .expect("known benchmark")
+        .scale(0.1)
+        .profile();
+    let configs: Vec<_> = DesignPoint::ALL.iter().map(|dp| dp.config()).collect();
+    g.bench_function("predict_sweep_hotspot_0.1", |b| {
+        b.iter(|| handle.predict_sweep(std::hint::black_box(&configs)))
     });
     g.finish();
 }

@@ -530,7 +530,7 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
     /// One thread's active cycles under the single-threaded model after an
     /// isolated [`eq1`](Self::eq1): the sum of its epochs' predictions in
     /// epoch order. `(off, len)` is its range of the flat epoch order.
-    fn isolated_active(&self, (off, len): (usize, usize)) -> f64 {
+    fn isolated_cycles(&self, (off, len): (usize, usize)) -> f64 {
         self.prep.cell_of[off..off + len]
             .iter()
             .map(|&c| {
@@ -550,7 +550,7 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
         self.prep
             .ranges
             .first()
-            .map_or(0.0, |&range| self.isolated_active(range))
+            .map_or(0.0, |&range| self.isolated_cycles(range))
     }
 
     /// The CRIT baseline (Section II-C): the single-threaded model applied
@@ -561,7 +561,7 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
         self.prep
             .ranges
             .iter()
-            .map(|&range| self.isolated_active(range))
+            .map(|&range| self.isolated_cycles(range))
             .fold(0.0, f64::max)
     }
 }
