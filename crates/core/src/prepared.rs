@@ -26,8 +26,9 @@
 //!
 //! [`BatchedEq1`] is the only evaluator over a preparation. Every
 //! prediction goes through it: the full [`BatchedEq1::predict`], the
-//! MAIN/CRIT baselines and the cycles-only [`BatchedEq1::eval`] of the
-//! design-space pass. It memoizes the StatStack and branch-predictor
+//! MAIN/CRIT baselines ([`PreparedProfile::predict_main`],
+//! [`PreparedProfile::predict_crit`]) and the cycles-only
+//! [`BatchedEq1::eval`] of the design-space pass. It memoizes the StatStack and branch-predictor
 //! queries in one column per distinct cache geometry and predictor (design
 //! spaces, and the five Table IV points, reuse a handful of axis values),
 //! runs one per-cell Equation-1 loop over those columns, and runs
@@ -315,12 +316,15 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
         self.batched().predict(config)
     }
 
-    /// The MAIN baseline; see [`BatchedEq1::predict_main`].
+    /// The MAIN baseline (Section II-C): the single-threaded model applied
+    /// to the main thread only; its active time in cycles.
     pub fn predict_main(&self, config: &MachineConfig) -> f64 {
         self.batched().predict_main(config)
     }
 
-    /// The CRIT baseline; see [`BatchedEq1::predict_crit`].
+    /// The CRIT baseline (Section II-C): the single-threaded model applied
+    /// to every thread in isolation; the slowest thread's active time in
+    /// cycles.
     pub fn predict_crit(&self, config: &MachineConfig) -> f64 {
         self.batched().predict_crit(config)
     }
@@ -543,9 +547,8 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
             .sum()
     }
 
-    /// The MAIN baseline (Section II-C): the single-threaded model applied
-    /// to the main thread only; its active time in cycles.
-    pub fn predict_main(&mut self, config: &MachineConfig) -> f64 {
+    /// [`PreparedProfile::predict_main`] in this evaluator.
+    pub(crate) fn predict_main(&mut self, config: &MachineConfig) -> f64 {
         self.eq1(config, true, None);
         self.prep
             .ranges
@@ -553,10 +556,8 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
             .map_or(0.0, |&range| self.isolated_cycles(range))
     }
 
-    /// The CRIT baseline (Section II-C): the single-threaded model applied
-    /// to every thread in isolation; the slowest thread's active time in
-    /// cycles.
-    pub fn predict_crit(&mut self, config: &MachineConfig) -> f64 {
+    /// [`PreparedProfile::predict_crit`] in this evaluator.
+    pub(crate) fn predict_crit(&mut self, config: &MachineConfig) -> f64 {
         self.eq1(config, true, None);
         self.prep
             .ranges
