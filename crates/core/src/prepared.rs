@@ -362,6 +362,7 @@ enum ModelKind {
 #[derive(Debug)]
 pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
     prep: &'p PreparedProfile<P>,
+    /// The grid logarithms every interpolation reads.
     logs: GridLogs,
     /// Per-thread event slices for the borrowed flat-timeline view.
     events: Vec<&'p [SyncOp]>,
