@@ -39,10 +39,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod curves;
 pub mod logical;
 pub mod microtrace;
 pub mod profile;
 
+pub use curves::GridLogs;
 pub use logical::profile;
 pub use microtrace::{analyze, MicroTraceAnalysis, WINDOWS};
-pub use profile::{ApplicationProfile, CondVarUsage, EpochProfile, GridLogs, ThreadProfile};
+pub use profile::{ApplicationProfile, CondVarUsage, EpochProfile, ThreadProfile};

@@ -1,18 +1,7 @@
 //! The application profile: RPPM's "collect once, predict many" artifact.
 //!
-//! # Interpolating the ILP and MLP curves
-//!
-//! [`EpochProfile::ilp_at`] and [`EpochProfile::mlp_at`] interpolate the
-//! profiled curves log-linearly in the window size (and, for ILP, in the
-//! load latency). The logarithms of the grid's six [`WINDOWS`] and five
-//! [`LOAD_LAT_GRID`] latencies are the same in every epoch, so a
-//! [`GridLogs`] holds them: an evaluator takes them once and passes them to
-//! every interpolation. A curve point or latency off the grid (a hand-built
-//! or deserialized curve, a latency between grid values) takes its
-//! logarithm on the spot, so every curve interpolates to the same bits as
-//! if each logarithm were taken on every call.
+//! An epoch's ILP and MLP curves are interpolated in [`crate::curves`].
 
-use crate::microtrace::{LOAD_LAT_GRID, NLAT, NWIN, WINDOWS};
 use rppm_branch_model::BranchProfile;
 use rppm_statstack::ReuseHistogram;
 use rppm_trace::op::NUM_OP_CLASSES;
@@ -88,108 +77,6 @@ impl EpochProfile {
             self.mix[class.index()] as f64 / self.ops as f64
         }
     }
-
-    /// Achievable IPC for an instruction window of `window` micro-ops and
-    /// an expected per-load latency of `load_lat` cycles, interpolated
-    /// (log-linearly in both dimensions) on the profiled grid, whose
-    /// logarithms `logs` holds. Returns `None` when the epoch was too small
-    /// to profile ILP.
-    pub fn ilp_at(&self, logs: &GridLogs, window: u32, load_lat: f64) -> Option<f64> {
-        if self.ilp.is_empty() {
-            return None;
-        }
-        let grid = &LOAD_LAT_GRID;
-        let lat = load_lat.clamp(grid[0] as f64, *grid.last().expect("grid") as f64);
-        // Find the surrounding latitude pair.
-        let mut k = 0;
-        while k + 1 < grid.len() && (grid[k + 1] as f64) < lat {
-            k += 1;
-        }
-        let w = window.max(1) as f64;
-        let ln_w = w.ln();
-        let lo = interp_curve(self.ilp.get(k)?, logs, w, ln_w)?;
-        if k + 1 >= self.ilp.len() {
-            return Some(lo);
-        }
-        let hi = interp_curve(&self.ilp[k + 1], logs, w, ln_w)?;
-        let ln_lat = if lat == grid[k] as f64 {
-            logs.lats[k]
-        } else {
-            lat.ln()
-        };
-        let (l0, l1) = (logs.lats[k], logs.lats[k + 1]);
-        let t = ((ln_lat - l0) / (l1 - l0)).clamp(0.0, 1.0);
-        Some(lo + t * (hi - lo))
-    }
-
-    /// Mean independent trailing loads within `window` micro-ops of a load,
-    /// log-linearly interpolated (`logs` as for [`EpochProfile::ilp_at`]).
-    /// Returns `None` when unprofiled.
-    pub fn mlp_at(&self, logs: &GridLogs, window: u32) -> Option<f64> {
-        let w = window.max(1) as f64;
-        interp_curve(&self.mlp, logs, w, w.ln())
-    }
-}
-
-/// The natural logarithms of the profiled grid: every [`WINDOWS`] size and
-/// every [`LOAD_LAT_GRID`] latency (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridLogs {
-    windows: [f64; NWIN],
-    lats: [f64; NLAT],
-}
-
-impl GridLogs {
-    /// Takes the grid's eleven logarithms.
-    pub fn new() -> Self {
-        GridLogs {
-            windows: WINDOWS.map(|w| f64::from(w).ln()),
-            lats: LOAD_LAT_GRID.map(|l| f64::from(l).ln()),
-        }
-    }
-
-    /// `ln(window)` of point `j` of a curve: the table's value when the
-    /// point sits at the grid's `j`-th window, as every profiled curve's
-    /// points do, else taken here.
-    fn window_ln(&self, j: usize, window: u32) -> f64 {
-        match WINDOWS.get(j) {
-            Some(&w) if w == window => self.windows[j],
-            _ => off_grid_ln(window),
-        }
-    }
-}
-
-impl Default for GridLogs {
-    fn default() -> Self {
-        GridLogs::new()
-    }
-}
-
-/// `ln(window)` of a curve point off the grid; out of line, because
-/// profiled curves never get here.
-#[cold]
-fn off_grid_ln(window: u32) -> f64 {
-    f64::from(window).ln()
-}
-
-/// Log-linear interpolation on a `(window, value)` curve at window `w`
-/// (at least 1), whose logarithm is `ln_w`.
-fn interp_curve(curve: &[(u32, f64)], logs: &GridLogs, w: f64, ln_w: f64) -> Option<f64> {
-    let &(w_first, v_first) = curve.first()?;
-    if w <= w_first as f64 {
-        return Some(v_first);
-    }
-    for (j, pair) in curve.windows(2).enumerate() {
-        let (w0, v0) = pair[0];
-        let (w1, v1) = pair[1];
-        if w <= w1 as f64 {
-            let lw0 = logs.window_ln(j, w0);
-            let lw1 = logs.window_ln(j + 1, w1);
-            let t = (ln_w - lw0) / (lw1 - lw0);
-            return Some(v0 + t * (v1 - v0));
-        }
-    }
-    Some(curve.last().expect("nonempty").1)
 }
 
 /// Profile of one thread: alternating epochs and synchronization events.
@@ -372,6 +259,8 @@ impl ApplicationProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curves::interp_curve;
+    use crate::GridLogs;
     use rppm_trace::{BarrierId, QueueId, ThreadId};
 
     fn epoch(ops: u64) -> EpochProfile {
