@@ -8,7 +8,9 @@
 //! results. Random workloads × random design points, plus the degenerate
 //! spaces a sweep can encounter (single point, duplicated configs, extreme
 //! cache geometries), and every session entry called in random order over
-//! config lists that mix repeated and novel axis values. The pruned
+//! config lists that mix repeated and novel axis values — sequentially and
+//! from several threads at once on one resident handle, over more distinct
+//! geometries and predictors per kind than a preparation keeps. The pruned
 //! optimum hunt (`find_best`) must keep exactly the full sweep's optimum
 //! and candidate count under random bounds, constraints and worker counts.
 
@@ -264,6 +266,77 @@ fn mixed_configs(draws: &[((usize, usize), usize, usize, usize)]) -> Vec<Machine
         .collect()
 }
 
+/// More distinct values of every rate-column axis than a preparation keeps
+/// resident: private (L1D and L2; L3 for MAIN/CRIT), global (L3),
+/// instruction (L1I) and predictor columns.
+const WIDE: usize = 36;
+
+/// `WIDE` configurations, each with its own L1D, L2, L3 and L1I geometry
+/// and its own predictor, derived from `seed`.
+fn wide_configs(seed: u64) -> Vec<MachineConfig> {
+    (0..WIDE as u64)
+        .map(|k| {
+            let mut c = DesignPoint::ALL[(k % 5) as usize].config();
+            c.name = format!("wide-{k}");
+            let n = seed * 131 + k;
+            c.l1d = CacheGeometry::new((4 + k) << 10, 4, 64, c.l1d.latency);
+            c.l1i = CacheGeometry::new((2 + k) << 10, 2 + (n % 3) as u32, 64, c.l1i.latency);
+            c.l2 = CacheGeometry::new((64 + 8 * k) << 10, 8, 64, c.l2.latency);
+            c.l3 = CacheGeometry::new((1024 + 64 * k) << 10, 16, 64, c.l3.latency);
+            c.bpred = BranchPredictorConfig {
+                size_bytes: 512 * (1 + k as u32),
+                history_bits: 4 + (n % 12) as u32,
+            };
+            c
+        })
+        .collect()
+}
+
+/// Calls every prediction entry on `profile` from three threads at once,
+/// each over every configuration in its own order, and checks each answer
+/// against the precomputed naive references.
+fn assert_concurrent_calls(
+    profile: &rppm::ProfileHandle,
+    configs: &[MachineConfig],
+    reference: &[(Vec<Vec<EpochPrediction>>, Schedule)],
+    baselines: &[(f64, f64)],
+) {
+    let n = configs.len();
+    std::thread::scope(|s| {
+        for worker in 0..3usize {
+            s.spawn(move || {
+                for step in 0..n {
+                    let i = if worker == 1 {
+                        n - 1 - step
+                    } else {
+                        (step + worker * n / 3) % n
+                    };
+                    let config = &configs[i];
+                    match (step + worker) % 4 {
+                        0 => assert_reference(&profile.predict(config), &reference[i], config),
+                        1 => {
+                            let batch = profile.predict_batch(std::slice::from_ref(config));
+                            assert_eq!(batch[0].to_bits(), reference[i].1.total.to_bits());
+                        }
+                        2 => {
+                            let (main, crit) = baselines[i];
+                            assert_eq!(profile.predict_main(config).to_bits(), main.to_bits());
+                            assert_eq!(profile.predict_crit(config).to_bits(), crit.to_bits());
+                        }
+                        _ => {
+                            let j = (i + 1) % n;
+                            let pair = [config.clone(), configs[j].clone()];
+                            let sweep = profile.predict_sweep(&pair);
+                            assert_reference(&sweep[0], &reference[i], config);
+                            assert_reference(&sweep[1], &reference[j], &configs[j]);
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -271,7 +344,10 @@ proptest! {
     /// `predict_batch`, `predict_main` and `predict_crit` — called in random
     /// order over config lists that mix repeated and novel cache
     /// geometries, predictor budgets and core counts, equals the naive
-    /// reference in full, with 1 to 4 workers.
+    /// reference in full, with 1 to 4 workers; then again from three
+    /// threads at once on the same resident handle. Half the lists carry
+    /// more distinct values of every rate-column axis than a preparation
+    /// keeps resident.
     #[test]
     fn interleaved_entries_match_the_naive_reference(
         which in 0usize..WORKLOADS.len(),
@@ -281,8 +357,12 @@ proptest! {
             3..9,
         ),
         calls in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64), 5..12),
+        wide in 0usize..2,
     ) {
-        let configs = mixed_configs(&draws);
+        let mut configs = mixed_configs(&draws);
+        if wide == 1 {
+            configs.extend(wide_configs(seed));
+        }
         let mut reference: Vec<Option<(Vec<Vec<EpochPrediction>>, Schedule)>> =
             vec![None; configs.len()];
         let mut baselines: Vec<Option<(f64, f64)>> = vec![None; configs.len()];
@@ -333,6 +413,18 @@ proptest! {
                     }
                 }
             }
+            let all: Vec<_> = (0..configs.len())
+                .map(|i| reference[i].get_or_insert_with(|| naive(prof, &configs[i])).clone())
+                .collect();
+            let base: Vec<(f64, f64)> = (0..configs.len())
+                .map(|i| {
+                    let config = &configs[i];
+                    *baselines[i].get_or_insert_with(|| {
+                        (naive_main(prof, config), naive_crit(prof, config))
+                    })
+                })
+                .collect();
+            assert_concurrent_calls(&profile, &configs, &all, &base);
         }
     }
 }
