@@ -175,6 +175,13 @@ fn pipeline(c: &mut Criterion) {
     g.bench_function("predict_sweep_hotspot_0.1", |b| {
         b.iter(|| handle.predict_sweep(std::hint::black_box(&configs)))
     });
+    // A serve hit's model time: one full prediction on the same resident
+    // handle after its first, so the preparation already holds the rate
+    // columns of every Table IV cache geometry and predictor.
+    handle.predict(&config);
+    g.bench_function("predict_resident_hotspot_0.1", |b| {
+        b.iter(|| handle.predict(std::hint::black_box(&config)))
+    });
     g.finish();
 }
 

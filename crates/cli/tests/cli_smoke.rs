@@ -239,6 +239,37 @@ fn user_errors_are_one_line_typed_messages() {
     assert_user_error(&out, "no threads");
     assert_eq!(stderr(&out).lines().count(), 1, "{}", stderr(&out));
 
+    // A block its expansion cannot use (a loop period of 0), as JSON and
+    // as RPT1: one line, exit 2, never a panic.
+    let mini = std::fs::read_to_string("../../examples/traces/mini.json").unwrap();
+    let loopless = mini.replacen("\"period\": 16", "\"period\": 0", 1);
+    assert_ne!(loopless, mini);
+    let loopless_json = dir.join("loopless.json");
+    std::fs::write(&loopless_json, &loopless).unwrap();
+    let mut program = rppm::trace::import_program(&mini).unwrap();
+    for seg in &mut program.threads[0].segments {
+        if let rppm::trace::Segment::Block(block) = seg {
+            block.branch = rppm::trace::BranchPattern::Loop { period: 0 };
+        }
+    }
+    let loopless_rpt = dir.join("loopless.rpt");
+    std::fs::write(
+        &loopless_rpt,
+        rppm::trace::export_program_binary(&program).unwrap(),
+    )
+    .unwrap();
+    for file in [&loopless_json, &loopless_rpt] {
+        let out = rppm(&["import", file.to_str().unwrap()]);
+        assert_user_error(&out, "period 0");
+        assert_eq!(stderr(&out).lines().count(), 1, "{}", stderr(&out));
+    }
+    let out = rppm(&[
+        "convert",
+        loopless_json.to_str().unwrap(),
+        dir.join("loopless2.rpt").to_str().unwrap(),
+    ]);
+    assert_user_error(&out, "period 0");
+
     // Missing bench capture.
     let out = rppm(&["bench", "guard", "/definitely/not/fresh.json"]);
     assert_user_error(&out, "cannot read");

@@ -12,11 +12,13 @@
 //! * holds the calibration [`Knobs`] ([`Knobs::default`] unless built with
 //!   [`PreparedProfile::with_knobs`]),
 //! * flattens the thread timelines and precomputes the barrier-participant
-//!   counts consumed by the symbolic execution.
+//!   counts consumed by the symbolic execution,
+//! * keeps the miss-rate columns its evaluators compute (see below).
 //!
 //! The profile-once cache (`crate::cache`) builds one preparation per
 //! profiling run, so [`PreparedProfile::predict`] on a resident profile
-//! costs the miss-rate queries, Equation 1 and Algorithm 2 only. The free
+//! costs Equation 1 and Algorithm 2 only, plus the miss-rate queries the
+//! first time a cache geometry or predictor is asked for. The free
 //! functions [`predict`](crate::predict()),
 //! [`predict_main`](crate::predict_main()) and
 //! [`predict_crit`](crate::predict_crit()) prepare and evaluate in one call
@@ -28,16 +30,33 @@
 //! prediction goes through it: the full [`BatchedEq1::predict`], the
 //! MAIN/CRIT baselines ([`PreparedProfile::predict_main`],
 //! [`PreparedProfile::predict_crit`]) and the cycles-only
-//! [`BatchedEq1::eval`] of the design-space pass. It memoizes the StatStack and branch-predictor
-//! queries in one column per distinct cache geometry and predictor (design
-//! spaces, and the five Table IV points, reuse a handful of axis values),
-//! runs one per-cell Equation-1 loop over those columns, and runs
-//! Algorithm 2 on the preparation's flat timelines in one reusable cycle
-//! buffer and `SymScratch`. After the first evaluation of each distinct
-//! axis value, [`BatchedEq1::eval`] allocates nothing. The evaluator keeps
-//! no per-epoch tables: it interpolates the profile's own ILP/MLP curves
-//! with the grid logarithms ([`GridLogs`]) it takes once, so creating one
-//! costs little next to a prediction. [`PreparedProfile::predict`],
+//! [`BatchedEq1::eval`] of the design-space pass. It reads the StatStack
+//! and branch-predictor answers as columns, one `f64` per distinct epoch
+//! for each distinct cache geometry and predictor (design spaces, and the
+//! five Table IV points, reuse a handful of axis values), runs one per-cell
+//! Equation-1 loop over those columns, and runs Algorithm 2 on the
+//! preparation's flat timelines in one reusable cycle buffer and
+//! `SymScratch`. After the first evaluation of each distinct axis value,
+//! [`BatchedEq1::eval`] allocates nothing and takes no lock.
+//!
+//! # Where the columns live
+//!
+//! The preparation owns the columns: a memo behind a mutex, mapping each
+//! geometry (per stack-distance model) and each predictor to a shared
+//! column. An evaluator takes a column from the memo, or computes it
+//! outside the lock and publishes it; it then holds its own handle, so the
+//! design-space pass reads columns without locking. The memo keeps at most
+//! 16 columns of each kind (private, global, instruction, predictor), a
+//! constant, and [`PreparedProfile::approx_bytes`] counts it full, so a
+//! resident entry's budget does not move as it answers requests. Beyond
+//! the cap, columns stay with the evaluator that computed them. So every
+//! request on a resident profile, every evaluator of a sweep and every
+//! session entry share one set of columns, computed once.
+//!
+//! Creating an evaluator costs little next to a prediction: it keeps no
+//! per-epoch tables, interpolates the profile's own ILP/MLP curves with the
+//! grid logarithms ([`GridLogs`]) it takes once, and finds its columns in
+//! the memo. [`PreparedProfile::predict`],
 //! [`PreparedProfile::predict_main`] and [`PreparedProfile::predict_crit`]
 //! each create one for a single call; [`PreparedProfile::batched_chunks`]
 //! is the one parallel fan-out over evaluators, shared by the
@@ -89,7 +108,7 @@ use std::collections::HashMap;
 use std::hash::Hasher;
 use std::mem::size_of;
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Sentinel in the flat-epoch → cell map for empty (zero-op) epochs, whose
 /// prediction is always the zero prediction.
@@ -109,6 +128,14 @@ struct PreparedEpoch {
 impl PreparedEpoch {
     fn epoch<'p>(&self, profile: &'p ApplicationProfile) -> &'p EpochProfile {
         &profile.threads[self.thread].epochs[self.epoch]
+    }
+
+    fn model(&self, kind: ModelKind) -> &StackDistanceModel {
+        match kind {
+            ModelKind::Private => &self.priv_model,
+            ModelKind::Global => &self.glob_model,
+            ModelKind::Icache => &self.icache_model,
+        }
     }
 
     fn approx_bytes(&self) -> u64 {
@@ -170,6 +197,12 @@ pub struct PreparedProfile<P = Arc<ApplicationProfile>> {
     ranges: Vec<(usize, usize)>,
     /// Barrier participant counts (pure profile property).
     participants: HashMap<u32, usize>,
+    /// The rate columns every evaluator of this preparation reads, up to
+    /// [`SHARED_COLUMNS`] of each kind; beyond that, columns stay with the
+    /// evaluator that computed them. A column is a pure function of
+    /// (cells, key), so whichever evaluator publishes one first, every
+    /// other would have computed the same bits.
+    shared: Mutex<FxHashMap<ColumnKey, Column>>,
 }
 
 impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
@@ -239,6 +272,7 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
             cell_of,
             ranges,
             participants,
+            shared: Mutex::default(),
         }
     }
 
@@ -248,19 +282,31 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
     }
 
     /// Approximate heap + inline size in bytes of the prepared state: the
-    /// stack-distance models plus the flattening tables (the profile is
-    /// accounted separately). What the profile-once cache adds to a
-    /// resident entry's budget.
+    /// stack-distance models, the flattening tables and the shared rate
+    /// columns at their cap (the profile is accounted separately). What the
+    /// profile-once cache adds to a resident entry's budget; predictions
+    /// do not change it.
     pub fn approx_bytes(&self) -> u64 {
+        let column = size_of::<(ColumnKey, Column)>()
+            + 2 * size_of::<usize>()
+            + self.cells.len() * size_of::<f64>();
         let tables = size_of::<Self>()
             + self.cell_of.capacity() * size_of::<usize>()
             + self.ranges.capacity() * size_of::<(usize, usize)>()
-            + self.participants.capacity() * size_of::<(u32, usize)>();
+            + self.participants.capacity() * size_of::<(u32, usize)>()
+            + COLUMN_KINDS * SHARED_COLUMNS * column;
         self.cells
             .iter()
             .map(PreparedEpoch::approx_bytes)
             .sum::<u64>()
             + tables as u64
+    }
+
+    /// The shared rate columns. Every change to them is one map insert, so
+    /// a panic elsewhere while the lock was held leaves them whole and a
+    /// poisoned lock is read as is.
+    fn shared(&self) -> MutexGuard<'_, FxHashMap<ColumnKey, Column>> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Creates a reusable evaluator borrowing this preparation.
@@ -278,10 +324,7 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
                 .iter()
                 .map(|t| t.events.as_slice())
                 .collect(),
-            priv_rates: HashMap::new(),
-            glob_rates: HashMap::new(),
-            icache_rates: HashMap::new(),
-            bpred_rates: HashMap::new(),
+            columns: FxHashMap::default(),
             cell_cycles: vec![0.0; self.cells.len()],
             cycles: vec![0.0; self.cell_of.len()],
             scratch: SymScratch::new(self.participants.clone()),
@@ -339,26 +382,57 @@ fn geom_key(g: &CacheGeometry) -> GeomKey {
 }
 
 /// Which stack-distance model a rate column is drawn from.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ModelKind {
     Private,
     Global,
     Icache,
 }
 
+/// A rate column: one miss rate per cell, in cell order.
+type Column = Arc<[f64]>;
+
+/// What a rate column answers: one stack-distance model at one cache
+/// geometry, or the branch model at one predictor `(size_bytes,
+/// history_bits)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ColumnKey {
+    Cache(ModelKind, GeomKey),
+    Bpred(u32, u32),
+}
+
+/// The kinds of rate column: the three stack-distance models and the
+/// branch model.
+const COLUMN_KINDS: usize = 4;
+
+impl ColumnKey {
+    fn kind(self) -> usize {
+        match self {
+            ColumnKey::Cache(kind, _) => kind as usize,
+            ColumnKey::Bpred(..) => COLUMN_KINDS - 1,
+        }
+    }
+}
+
+/// Most rate columns of each kind a preparation keeps for all its
+/// evaluators. The Table IV points need three private columns and one of
+/// every other kind; the default design space at most 12 of a kind.
+const SHARED_COLUMNS: usize = 16;
+
 /// The evaluator over a [`PreparedProfile`]: every prediction goes through
 /// one (see the module docs).
 ///
-/// Owns the evaluation state: miss-rate columns (one `f64` per distinct
-/// epoch) memoized per distinct cache geometry, branch miss-rate columns
-/// per distinct predictor, the per-cell and flat cycle buffers, and the
-/// symbolic-execution scratch. After the first evaluation of each distinct
-/// axis value, [`BatchedEq1::eval`] allocates nothing.
+/// Owns the evaluation state: handles on the miss-rate columns (one `f64`
+/// per distinct epoch) it has read, per distinct cache geometry and
+/// predictor, the per-cell and flat cycle buffers, and the
+/// symbolic-execution scratch. A column comes from the preparation's
+/// shared memo, or is computed here and published to it while it has room.
+/// After the first evaluation of each distinct axis value,
+/// [`BatchedEq1::eval`] allocates nothing and takes no lock.
 ///
 /// Not `Sync` by design: create one evaluator per worker thread (they
-/// share the read-only [`PreparedProfile`]). Memoized values are pure
-/// functions of (epoch, geometry), so every worker computes identical
-/// bits.
+/// share the [`PreparedProfile`]). Memoized values are pure functions of
+/// (epoch, geometry), so every worker computes identical bits.
 #[derive(Debug)]
 pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
     prep: &'p PreparedProfile<P>,
@@ -366,12 +440,8 @@ pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
     logs: GridLogs,
     /// Per-thread event slices for the borrowed flat-timeline view.
     events: Vec<&'p [SyncOp]>,
-    /// Miss-rate columns (one `f64` per cell) per distinct geometry.
-    priv_rates: HashMap<GeomKey, Box<[f64]>>,
-    glob_rates: HashMap<GeomKey, Box<[f64]>>,
-    icache_rates: HashMap<GeomKey, Box<[f64]>>,
-    /// Branch miss-rate columns per distinct predictor configuration.
-    bpred_rates: HashMap<(u32, u32), Box<[f64]>>,
+    /// The rate columns this evaluator has read.
+    columns: FxHashMap<ColumnKey, Column>,
     /// Per-cell predicted cycles for the configuration being evaluated.
     cell_cycles: Vec<f64>,
     /// Flat per-epoch cycle buffer fed to the symbolic execution.
@@ -380,40 +450,29 @@ pub struct BatchedEq1<'p, P = Arc<ApplicationProfile>> {
 }
 
 impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
-    fn ensure_column(&mut self, kind: ModelKind, geom: &CacheGeometry) {
-        let cells = &self.prep.cells;
-        let map = match kind {
-            ModelKind::Private => &mut self.priv_rates,
-            ModelKind::Global => &mut self.glob_rates,
-            ModelKind::Icache => &mut self.icache_rates,
-        };
-        map.entry(geom_key(geom)).or_insert_with(|| {
-            cells
-                .iter()
-                .map(|c| {
-                    match kind {
-                        ModelKind::Private => &c.priv_model,
-                        ModelKind::Global => &c.glob_model,
-                        ModelKind::Icache => &c.icache_model,
-                    }
-                    .miss_rate_geom(geom)
-                })
-                .collect()
+    /// Makes column `key` this evaluator's: the shared memo's if it has
+    /// it, else `rate` of every cell, published to the memo while the
+    /// memo has room for its kind (a column published meanwhile by another
+    /// evaluator wins; its bits are the same).
+    fn ensure(&mut self, key: ColumnKey, rate: impl Fn(&PreparedEpoch) -> f64) {
+        if self.columns.contains_key(&key) {
+            return;
+        }
+        let prep = self.prep;
+        let found = prep.shared().get(&key).cloned();
+        let column = found.unwrap_or_else(|| {
+            let column: Column = prep.cells.iter().map(rate).collect();
+            let mut shared = prep.shared();
+            if let Some(first) = shared.get(&key) {
+                return first.clone();
+            }
+            let kind = key.kind();
+            if shared.keys().filter(|k| k.kind() == kind).count() < SHARED_COLUMNS {
+                shared.insert(key, column.clone());
+            }
+            column
         });
-    }
-
-    fn ensure_bpred(&mut self, config: &MachineConfig) {
-        let key = (config.bpred.size_bytes, config.bpred.history_bits);
-        let profile = &self.prep.profile;
-        let cells = &self.prep.cells;
-        self.bpred_rates.entry(key).or_insert_with(|| {
-            cells
-                .iter()
-                .map(|c| {
-                    rppm_branch_model::predict_miss_rate(&c.epoch(profile).branch, &config.bpred)
-                })
-                .collect()
-        });
+        self.columns.insert(key, column);
     }
 
     /// Equation 1 for every cell at `config`, from the memoized columns,
@@ -433,23 +492,25 @@ impl<P: Deref<Target = ApplicationProfile>> BatchedEq1<'_, P> {
         } else {
             ModelKind::Global
         };
-        self.ensure_column(ModelKind::Private, &config.l1d);
-        self.ensure_column(ModelKind::Private, &config.l2);
-        self.ensure_column(llc, &config.l3);
-        self.ensure_column(ModelKind::Icache, &config.l1i);
-        self.ensure_bpred(config);
-        let r1 = &self.priv_rates[&geom_key(&config.l1d)];
-        let r2 = &self.priv_rates[&geom_key(&config.l2)];
-        let r3 = if isolated {
-            &self.priv_rates
-        } else {
-            &self.glob_rates
-        };
-        let r3 = &r3[&geom_key(&config.l3)];
-        let l1i = &self.icache_rates[&geom_key(&config.l1i)];
-        let bmiss = &self.bpred_rates[&(config.bpred.size_bytes, config.bpred.history_bits)];
-
+        let caches = [
+            (ModelKind::Private, &config.l1d),
+            (ModelKind::Private, &config.l2),
+            (llc, &config.l3),
+            (ModelKind::Icache, &config.l1i),
+        ]
+        .map(|(kind, geom)| {
+            let key = ColumnKey::Cache(kind, geom_key(geom));
+            self.ensure(key, |c| c.model(kind).miss_rate_geom(geom));
+            key
+        });
         let prep = self.prep;
+        let bpred = ColumnKey::Bpred(config.bpred.size_bytes, config.bpred.history_bits);
+        self.ensure(bpred, |c| {
+            rppm_branch_model::predict_miss_rate(&c.epoch(&prep.profile).branch, &config.bpred)
+        });
+        let [r1, r2, r3, l1i] = caches.map(|key| &self.columns[&key]);
+        let bmiss = &self.columns[&bpred];
+
         for (i, cell) in prep.cells.iter().enumerate() {
             let rates = RawRates {
                 r1: r1[i],
@@ -862,6 +923,77 @@ mod tests {
         let first = out.clone();
         batch.eval_into(&configs, &mut out);
         assert_eq!(out, first);
+    }
+
+    #[test]
+    fn shared_memo_stops_at_its_cap_and_keeps_its_byte_count() {
+        let prof = parallel_profile();
+        let prep = PreparedProfile::new(Arc::clone(&prof));
+        let bytes = prep.approx_bytes();
+        // Distinct values of every kind, well past the cap: private (L1D,
+        // L2), global (L3), instruction (L1I) and predictor columns.
+        let configs: Vec<MachineConfig> = (0..SHARED_COLUMNS as u64 + 5)
+            .map(|k| {
+                let mut c = DesignPoint::Base.config();
+                c.name = format!("distinct-{k}");
+                c.l1d = CacheGeometry::new((4 + k) << 10, 4, 64, 4);
+                c.l2 = CacheGeometry::new((64 + k) << 10, 8, 64, 12);
+                c.l3 = CacheGeometry::new((1024 + k) << 10, 16, 64, 35);
+                c.l1i = CacheGeometry::new((8 + k) << 10, 4, 64, 3);
+                c.bpred.size_bytes = 1024 + 64 * k as u32;
+                c
+            })
+            .collect();
+        for (round, cfg) in configs.iter().chain(&configs).enumerate() {
+            // Alternate a fresh evaluator per call with one long-lived
+            // evaluator: both read and fill the one memo.
+            let slow = naive::predict(&prof, cfg).total_cycles.to_bits();
+            assert_eq!(prep.predict(cfg).total_cycles.to_bits(), slow, "{round}");
+            assert_eq!(prep.batched().eval(cfg).to_bits(), slow, "{round}");
+            assert_eq!(prep.approx_bytes(), bytes, "{round}");
+        }
+        let shared = prep.shared();
+        assert_eq!(shared.len(), COLUMN_KINDS * SHARED_COLUMNS);
+        for kind in 0..COLUMN_KINDS {
+            let n = shared.keys().filter(|k| k.kind() == kind).count();
+            assert_eq!(n, SHARED_COLUMNS, "kind {kind}");
+        }
+    }
+
+    #[test]
+    fn every_evaluator_reads_the_columns_of_the_first() {
+        let prep = PreparedProfile::new(parallel_profile());
+        let cfg = DesignPoint::Base.config();
+        let mut first = prep.batched();
+        let cycles = first.eval(&cfg);
+        let mut second = prep.batched();
+        assert_eq!(second.eval(&cfg).to_bits(), cycles.to_bits());
+        assert_eq!(first.columns.len(), 5);
+        for (key, column) in &first.columns {
+            assert!(Arc::ptr_eq(column, &second.columns[key]), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_memo_still_answers() {
+        let prof = parallel_profile();
+        let prep = PreparedProfile::new(Arc::clone(&prof));
+        let cfg = DesignPoint::Big.config();
+        let before = prep.predict(&cfg).total_cycles.to_bits();
+        std::thread::scope(|s| {
+            let poison = s.spawn(|| {
+                let _held = prep.shared.lock().unwrap();
+                panic!("poison the memo");
+            });
+            assert!(poison.join().is_err());
+        });
+        assert!(prep.shared.is_poisoned());
+        assert_eq!(prep.predict(&cfg).total_cycles.to_bits(), before);
+        let base = DesignPoint::Base.config();
+        assert_eq!(
+            prep.predict(&base).total_cycles.to_bits(),
+            naive::predict(&prof, &base).total_cycles.to_bits()
+        );
     }
 
     #[test]

@@ -68,7 +68,6 @@ struct EpochCollector {
     branch_depth_sum: f64,
     branch_slice_loads_sum: f64,
     branch_depth_weight: f64,
-    icache_rd: ReuseHistogram,
     code_fetches: u64,
 }
 
@@ -86,7 +85,6 @@ impl EpochCollector {
             branch_depth_sum: 0.0,
             branch_slice_loads_sum: 0.0,
             branch_depth_weight: 0.0,
-            icache_rd: ReuseHistogram::new(),
             code_fetches: 0,
         }
     }
@@ -118,6 +116,7 @@ impl EpochCollector {
     fn finish(
         &mut self,
         locality: rppm_statstack::EpochLocality,
+        icache_rd: ReuseHistogram,
         scratch: &mut Scratch,
     ) -> EpochProfile {
         self.flush_microtrace(scratch);
@@ -155,7 +154,7 @@ impl EpochCollector {
             global_rd: locality.global,
             accesses: locality.accesses,
             stores: locality.stores,
-            icache_rd: e.icache_rd,
+            icache_rd,
             code_fetches: e.code_fetches,
         }
     }
@@ -165,8 +164,9 @@ struct ThreadState {
     tick: u64,
     epoch: EpochCollector,
     sample_phase: u64,
-    /// Per-code-line last-fetch tracker for I-cache reuse distances
-    /// (interner-backed; persists across epochs like the data-side state).
+    /// Per-code-line last-fetch tracker for I-cache reuse distances and
+    /// their per-epoch histogram (interner-backed; the line state persists
+    /// across epochs like the data-side state).
     code_rd: ReuseTracker,
     last_code_line: u64,
     epochs: Vec<EpochProfile>,
@@ -259,10 +259,7 @@ impl<'p> Profiler<'p> {
         if op.code_line != th.last_code_line {
             th.last_code_line = op.code_line;
             e.code_fetches += 1;
-            match th.code_rd.access(op.code_line) {
-                Some(d) => e.icache_rd.record(d),
-                None => e.icache_rd.record_cold(1),
-            }
+            th.code_rd.access(op.code_line);
         }
 
         // Data reuse (private + global counters, coherence detection).
@@ -274,7 +271,8 @@ impl<'p> Profiler<'p> {
     fn end_epoch(&mut self, i: usize, event: Option<SyncOp>) {
         let locality = self.mem.end_epoch(i);
         let th = &mut self.threads[i];
-        let epoch = th.epoch.finish(locality, &mut self.scratch);
+        let icache_rd = th.code_rd.end_epoch();
+        let epoch = th.epoch.finish(locality, icache_rd, &mut self.scratch);
         th.epochs.push(epoch);
         th.sample_phase = 0;
         if let Some(ev) = event {

@@ -129,6 +129,25 @@ fn hostile_requests_get_4xx_not_a_dead_worker() {
     assert_eq!(threadless.status, 400, "{}", threadless.text());
     assert!(threadless.text().contains("no threads"));
 
+    // A block whose fields its expansion cannot use (no branch sites) is
+    // refused at upload too, not profiled into a failed job.
+    let mini = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/traces/mini.json"
+    ))
+    .expect("examples/traces/mini.json exists");
+    let siteless = mini.replacen("\"n_sites\": 1", "\"n_sites\": 0", 1);
+    assert_ne!(siteless, mini);
+    let siteless = client
+        .post("/traces", siteless.as_bytes())
+        .expect("siteless");
+    assert_eq!(siteless.status, 400, "{}", siteless.text());
+    assert!(
+        siteless.text().contains("branch site"),
+        "{}",
+        siteless.text()
+    );
+
     // Empty upload: 411 (a Content-Length body is required).
     let empty = client.post("/traces", b"").expect("empty");
     assert_eq!(empty.status, 411, "{}", empty.text());

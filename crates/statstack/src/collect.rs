@@ -20,9 +20,11 @@
 //! per-thread columns use a power-of-two stride (so the common 1–8-thread
 //! case indexes with a shift) and the per-line "which threads touched this
 //! line" set is a single bitmask word for up to 64 threads, with a
-//! multi-word fallback beyond.
+//! multi-word fallback beyond. Each thread's reuse distances are counted
+//! into dense per-bucket arrays kept for the whole run; an epoch boundary
+//! hands out their compact [`ReuseHistogram`]s and clears them.
 
-use crate::hist::ReuseHistogram;
+use crate::hist::{DenseHistogram, ReuseHistogram};
 use crate::intern::AddrInterner;
 
 /// Locality statistics of one thread over one inter-synchronization epoch.
@@ -38,6 +40,16 @@ pub struct EpochLocality {
     pub accesses: u64,
     /// Store accesses observed in the epoch.
     pub stores: u64,
+}
+
+/// One thread's counts since its last epoch boundary: kept for the whole
+/// run, emptied at each boundary.
+#[derive(Debug, Clone, Default)]
+struct EpochCounts {
+    private: DenseHistogram,
+    global: DenseHistogram,
+    accesses: u64,
+    stores: u64,
 }
 
 /// Sentinel for "no thread has written this line".
@@ -78,7 +90,7 @@ pub struct MultiThreadCollector {
     last_write_glob: Vec<u64>,
     /// Per line: thread of the most recent write, or [`NO_WRITER`].
     last_writer: Vec<u32>,
-    current: Vec<EpochLocality>,
+    current: Vec<EpochCounts>,
 }
 
 impl MultiThreadCollector {
@@ -102,7 +114,7 @@ impl MultiThreadCollector {
             last_any_glob: Vec::new(),
             last_write_glob: Vec::new(),
             last_writer: Vec::new(),
-            current: vec![EpochLocality::default(); n_threads],
+            current: vec![EpochCounts::default(); n_threads],
         }
     }
 
@@ -171,7 +183,7 @@ impl MultiThreadCollector {
                 && writer != thread as u32
                 && self.last_write_glob[idx] > glob_prev;
             if invalidated {
-                epoch.private.record_invalidated(1);
+                epoch.private.record_invalidated();
             } else {
                 epoch.private.record(p - self.priv_last[slot] - 1);
             }
@@ -180,11 +192,11 @@ impl MultiThreadCollector {
             // First touch by this thread. For the *shared* cache the line may
             // have been brought in by another thread (positive interference):
             // measure against the most recent access by anyone.
-            epoch.private.record_cold(1);
+            epoch.private.record_cold();
             if any_seen {
                 epoch.global.record(g - self.last_any_glob[idx] - 1);
             } else {
-                epoch.global.record_cold(1);
+                epoch.global.record_cold();
             }
         }
 
@@ -202,7 +214,13 @@ impl MultiThreadCollector {
     /// Ends the current epoch of `thread`, returning its locality statistics
     /// and starting a fresh accumulation.
     pub fn end_epoch(&mut self, thread: usize) -> EpochLocality {
-        std::mem::take(&mut self.current[thread])
+        let counts = &mut self.current[thread];
+        EpochLocality {
+            private: counts.private.take(),
+            global: counts.global.take(),
+            accesses: std::mem::take(&mut counts.accesses),
+            stores: std::mem::take(&mut counts.stores),
+        }
     }
 
     /// Total accesses recorded across all threads.

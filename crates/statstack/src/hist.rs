@@ -57,9 +57,16 @@ fn bucket_mid(i: usize) -> u64 {
 /// accesses; `invalidated` counts reuses broken by a remote write (cache
 /// coherence), which behave as compulsory misses in a private cache of any
 /// size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Only the non-empty finite buckets are stored, as ascending
+/// `(bucket, count)` pairs: a profile keeps three histograms per epoch and
+/// each fills a handful of its 224 buckets. The JSON form is the dense one
+/// (every bucket's count, in order). The profiler's collectors count into a
+/// [`DenseHistogram`] and compact it once per epoch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReuseHistogram {
-    counts: Vec<u64>,
+    /// The non-empty finite buckets, ascending by bucket.
+    buckets: Vec<(u8, u64)>,
     /// First-touch accesses (miss at every cache size).
     pub cold: u64,
     /// Reuses broken by a remote write (coherence miss at every size).
@@ -67,26 +74,22 @@ pub struct ReuseHistogram {
     total_finite: u64,
 }
 
-impl Default for ReuseHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+// Bucket indices are stored in a byte.
+const _: () = assert!(BUCKETS <= 256);
 
 impl ReuseHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        ReuseHistogram {
-            counts: vec![0; BUCKETS],
-            cold: 0,
-            invalidated: 0,
-            total_finite: 0,
-        }
+        Self::default()
     }
 
     /// Records a finite reuse distance.
     pub fn record(&mut self, distance: u64) {
-        self.counts[bucket_of(distance)] += 1;
+        let bucket = bucket_of(distance) as u8;
+        match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (bucket, 1)),
+        }
         self.total_finite += 1;
     }
 
@@ -103,7 +106,8 @@ impl ReuseHistogram {
     /// Approximate heap + inline size of this histogram in bytes (cache
     /// memory-budget accounting).
     pub fn approx_bytes(&self) -> u64 {
-        (std::mem::size_of::<Self>() + self.counts.capacity() * std::mem::size_of::<u64>()) as u64
+        (std::mem::size_of::<Self>() + self.buckets.capacity() * std::mem::size_of::<(u8, u64)>())
+            as u64
     }
 
     /// Total recorded accesses (finite + cold + invalidated).
@@ -129,21 +133,9 @@ impl ReuseHistogram {
     /// Iterates over the non-empty finite buckets as
     /// `(representative distance, count)`, in increasing distance order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
+        self.buckets
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_mid(i), c))
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &ReuseHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.cold += other.cold;
-        self.invalidated += other.invalidated;
-        self.total_finite += other.total_finite;
+            .map(|&(b, c)| (bucket_mid(b as usize), c))
     }
 
     /// Mean finite reuse distance (bucket-representative approximation);
@@ -159,6 +151,117 @@ impl ReuseHistogram {
     /// Returns whether no accesses have been recorded.
     pub fn is_empty(&self) -> bool {
         self.total() == 0
+    }
+}
+
+/// The serialized form of a [`ReuseHistogram`]: every bucket's count.
+mod wire {
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub(super) struct ReuseHistogram {
+        pub(super) counts: Vec<u64>,
+        pub(super) cold: u64,
+        pub(super) invalidated: u64,
+        pub(super) total_finite: u64,
+    }
+}
+
+impl Serialize for ReuseHistogram {
+    fn to_value(&self) -> serde::Value {
+        let mut counts = vec![0; BUCKETS];
+        for &(b, c) in &self.buckets {
+            counts[b as usize] = c;
+        }
+        wire::ReuseHistogram {
+            counts,
+            cold: self.cold,
+            invalidated: self.invalidated,
+            total_finite: self.total_finite,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for ReuseHistogram {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let w = wire::ReuseHistogram::from_value(v)?;
+        if w.counts.len() != BUCKETS {
+            return Err(serde::Error::custom(format!(
+                "a reuse histogram has {BUCKETS} buckets, not {}",
+                w.counts.len()
+            )));
+        }
+        Ok(ReuseHistogram {
+            buckets: (0..=u8::MAX)
+                .zip(w.counts)
+                .filter(|&(_, c)| c > 0)
+                .collect(),
+            cold: w.cold,
+            invalidated: w.invalidated,
+            total_finite: w.total_finite,
+        })
+    }
+}
+
+/// A reuse-distance histogram with one counter per bucket, for the
+/// collectors' per-access hot path: recording is one increment. A collector
+/// keeps one per thread for its whole run; [`DenseHistogram::take`] hands
+/// out an epoch's [`ReuseHistogram`] and leaves it empty for the next.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseHistogram {
+    counts: Box<[u64; BUCKETS]>,
+    cold: u64,
+    invalidated: u64,
+}
+
+impl Default for DenseHistogram {
+    fn default() -> Self {
+        DenseHistogram {
+            counts: Box::new([0; BUCKETS]),
+            cold: 0,
+            invalidated: 0,
+        }
+    }
+}
+
+impl DenseHistogram {
+    /// Records a finite reuse distance.
+    #[inline]
+    pub(crate) fn record(&mut self, distance: u64) {
+        self.counts[bucket_of(distance)] += 1;
+    }
+
+    /// Records one cold (first-touch) access.
+    #[inline]
+    pub(crate) fn record_cold(&mut self) {
+        self.cold += 1;
+    }
+
+    /// Records one coherence-invalidated reuse.
+    #[inline]
+    pub(crate) fn record_invalidated(&mut self) {
+        self.invalidated += 1;
+    }
+
+    /// Returns the counts recorded since the last call as a compact
+    /// [`ReuseHistogram`] and clears them.
+    pub(crate) fn take(&mut self) -> ReuseHistogram {
+        let mut total_finite = 0;
+        let buckets = (0..=u8::MAX)
+            .zip(self.counts.iter_mut())
+            .filter(|(_, c)| **c > 0)
+            .map(|(b, c)| {
+                total_finite += *c;
+                (b, std::mem::take(c))
+            })
+            .collect();
+        ReuseHistogram {
+            buckets,
+            cold: std::mem::take(&mut self.cold),
+            invalidated: std::mem::take(&mut self.invalidated),
+            total_finite,
+        }
     }
 }
 
@@ -221,19 +324,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_everything() {
-        let mut a = ReuseHistogram::new();
-        a.record(1);
-        a.record_cold(1);
-        let mut b = ReuseHistogram::new();
-        b.record(1);
-        b.record(1 << 20);
-        b.record_invalidated(4);
-        a.merge(&b);
-        assert_eq!(a.total(), 8);
-        assert_eq!(a.total_finite(), 3);
-        assert_eq!(a.cold, 1);
-        assert_eq!(a.invalidated, 4);
+    fn dense_take_matches_recording_and_clears() {
+        let mut dense = DenseHistogram::default();
+        let mut compact = ReuseHistogram::new();
+        for d in [1u64, 1, 1 << 20, 63, 64, 7] {
+            dense.record(d);
+            compact.record(d);
+        }
+        dense.record_cold();
+        dense.record_invalidated();
+        compact.record_cold(1);
+        compact.record_invalidated(1);
+        assert_eq!(dense.take(), compact);
+        assert_eq!(dense.take(), ReuseHistogram::new(), "take leaves it empty");
+        dense.record(5);
+        assert_eq!(dense.take().iter().collect::<Vec<_>>(), vec![(5, 1)]);
+    }
+
+    #[test]
+    fn json_needs_every_bucket() {
+        let json = serde_json::to_string(&ReuseHistogram::new()).unwrap();
+        let short = json.replacen("[0,", "[", 1);
+        let err = serde_json::from_str::<ReuseHistogram>(&short).unwrap_err();
+        assert!(err.to_string().contains("224 buckets, not 223"), "{err}");
     }
 
     #[test]

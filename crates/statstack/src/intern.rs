@@ -7,6 +7,8 @@
 //! probe sequence over a flat slot array, no per-entry allocation, and a
 //! dense id that indexes struct-of-arrays state kept by the caller.
 
+use crate::hist::{DenseHistogram, ReuseHistogram};
+
 /// Golden-ratio multiplier used by FxHash-style mixers.
 const FX_K: u64 = 0x517C_C1B7_2722_0A95;
 
@@ -155,16 +157,19 @@ impl AddrInterner {
 }
 
 /// A per-stream reuse-distance tracker built on [`AddrInterner`]: one
-/// access counter and a flat last-access table.
+/// access counter, a flat last-access table and the current epoch's
+/// histogram.
 ///
-/// Returns the reuse distance of each access (`None` for a first touch), so
-/// callers can feed whatever histogram they keep — the profiler uses one
+/// Returns the reuse distance of each access (`None` for a first touch) and
+/// counts it into the epoch's histogram, which
+/// [`ReuseTracker::end_epoch`] hands out — the profiler keeps one tracker
 /// per thread for instruction-line (I-cache) reuse.
 #[derive(Debug, Clone, Default)]
 pub struct ReuseTracker {
     interner: AddrInterner,
     last: Vec<u64>,
     count: u64,
+    epoch: DenseHistogram,
 }
 
 impl ReuseTracker {
@@ -183,12 +188,21 @@ impl ReuseTracker {
         let (id, first) = self.interner.intern(addr);
         if first {
             self.last.push(c);
+            self.epoch.record_cold();
             return None;
         }
         let idx = id as usize;
         let d = c - self.last[idx] - 1;
         self.last[idx] = c;
+        self.epoch.record(d);
         Some(d)
+    }
+
+    /// Returns the histogram of the accesses since the previous call (or
+    /// since creation) and starts the next epoch's; the per-address state
+    /// carries over, so a reuse can span the boundary.
+    pub fn end_epoch(&mut self) -> ReuseHistogram {
+        self.epoch.take()
     }
 
     /// Accesses recorded so far.
@@ -269,5 +283,21 @@ mod tests {
         assert_eq!(t.access(7), Some(1));
         assert_eq!(t.accesses(), 4);
         assert_eq!(t.unique(), 2);
+    }
+
+    #[test]
+    fn epochs_histogram_their_own_accesses() {
+        let mut t = ReuseTracker::new();
+        for addr in [7, 7, 9, 7] {
+            t.access(addr);
+        }
+        let first = t.end_epoch();
+        assert_eq!(first.cold, 2);
+        assert_eq!(first.iter().collect::<Vec<_>>(), vec![(0, 1), (1, 1)]);
+        // A reuse across the boundary counts in the next epoch, not cold.
+        assert_eq!(t.access(9), Some(1));
+        let second = t.end_epoch();
+        assert_eq!((second.cold, second.total()), (0, 1));
+        assert!(t.end_epoch().is_empty());
     }
 }

@@ -102,6 +102,32 @@ impl BlockSpec {
         }
     }
 
+    /// Why expansion cannot use this block's parameters, if it cannot: it
+    /// takes branch sites round-robin, reduces pattern positions modulo the
+    /// loop period or periodic length, and addresses modulo each region's
+    /// extent.
+    pub(crate) fn defect(&self) -> Option<String> {
+        if self.n_sites == 0 {
+            return Some("a block needs at least one branch site, not n_sites 0".to_string());
+        }
+        match self.branch {
+            BranchPattern::Loop { period: 0 } => {
+                return Some("loop branch pattern with period 0".to_string());
+            }
+            BranchPattern::Periodic { len, .. } if !(1..=64).contains(&len) => {
+                return Some(format!(
+                    "periodic branch pattern length {len} not in 1..=64"
+                ));
+            }
+            _ => {}
+        }
+        self.addr
+            .iter()
+            .chain(&self.store_addr)
+            .any(|(pattern, _)| pattern.region().lines == 0)
+            .then(|| "address-pattern region with zero lines".to_string())
+    }
+
     /// Sets the load fraction.
     pub fn loads(mut self, f: f64) -> Self {
         self.f_load = f.clamp(0.0, 1.0);

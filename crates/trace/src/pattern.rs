@@ -152,6 +152,15 @@ impl AddressPattern {
         }
     }
 
+    /// The region the pattern draws from.
+    pub(crate) fn region(&self) -> Region {
+        match self {
+            AddressPattern::Stream { region, .. }
+            | AddressPattern::Random { region }
+            | AddressPattern::Hot { region, .. } => *region,
+        }
+    }
+
     /// Instantiates the stateful sampler for one block expansion.
     pub(crate) fn sampler(&self) -> AddrSampler {
         // Stream advances are strength-reduced: `(start + pos * stride) %

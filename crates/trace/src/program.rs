@@ -129,7 +129,10 @@ impl Program {
     /// * the main thread exists (a program has at least one thread);
     /// * every non-main thread is created exactly once, by an earlier thread;
     /// * lock/unlock events are balanced and well-nested per thread;
-    /// * barrier, queue and mutex identifiers are used consistently.
+    /// * barrier, queue and mutex identifiers are used consistently;
+    /// * every block expands: at least one branch site, a loop period of at
+    ///   least 1, a periodic pattern of 1 to 64 bits, and at least one line
+    ///   in every address-pattern region.
     ///
     /// # Errors
     ///
@@ -143,7 +146,16 @@ impl Program {
         for (tid, script) in self.threads.iter().enumerate() {
             let mut held: Vec<u32> = Vec::new();
             let mut held_rw: Vec<u32> = Vec::new();
-            for seg in &script.segments {
+            for (index, seg) in script.segments.iter().enumerate() {
+                if let Segment::Block(block) = seg {
+                    if let Some(detail) = block.defect() {
+                        return Err(ProgramError::InvalidBlock {
+                            thread: ThreadId(tid as u32),
+                            segment: index,
+                            detail,
+                        });
+                    }
+                }
                 if let Segment::Sync(op) = seg {
                     match op {
                         SyncOp::Create { child } => {
@@ -252,6 +264,15 @@ pub enum ProgramError {
         /// Offending thread.
         thread: ThreadId,
     },
+    /// A block whose parameters its expansion cannot use.
+    InvalidBlock {
+        /// Thread whose script holds the block.
+        thread: ThreadId,
+        /// The block's index in that script's segments.
+        segment: usize,
+        /// What is wrong with it.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ProgramError {
@@ -285,6 +306,11 @@ impl std::fmt::Display for ProgramError {
                     "unbalanced or badly nested rwlock/rwunlock in thread {thread}"
                 )
             }
+            ProgramError::InvalidBlock {
+                thread,
+                segment,
+                detail,
+            } => write!(f, "thread {thread}, segment {segment}: {detail}"),
         }
     }
 }
@@ -365,6 +391,65 @@ mod tests {
                 thread: ThreadId(0)
             })
         );
+    }
+
+    #[test]
+    fn validate_catches_blocks_expansion_cannot_use() {
+        use crate::pattern::{AddressPattern, BranchPattern, Region};
+        fn region(lines: u64) -> Region {
+            Region { base: 0, lines }
+        }
+        let base = BlockSpec::new(10, 1).addr(AddressPattern::stream(region(4)), 1.0);
+        let with = |breakage: fn(&mut BlockSpec)| {
+            let mut spec = base.clone();
+            breakage(&mut spec);
+            spec
+        };
+        let cases = [
+            (with(|b| b.n_sites = 0), "at least one branch site"),
+            (
+                with(|b| b.branch = BranchPattern::Loop { period: 0 }),
+                "period 0",
+            ),
+            (
+                with(|b| b.branch = BranchPattern::Periodic { bits: 1, len: 0 }),
+                "length 0 not in 1..=64",
+            ),
+            (
+                with(|b| b.branch = BranchPattern::Periodic { bits: 1, len: 65 }),
+                "length 65 not in 1..=64",
+            ),
+            (
+                with(|b| b.addr = vec![(AddressPattern::stream(region(0)), 1.0)]),
+                "zero lines",
+            ),
+            (
+                with(|b| b.store_addr = vec![(AddressPattern::Random { region: region(0) }, 1.0)]),
+                "zero lines",
+            ),
+        ];
+        for (spec, message) in cases {
+            let mut p = Program::new("t", 1);
+            p.threads[0].segments = vec![block(10), Segment::Block(spec)];
+            let err = p.validate().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProgramError::InvalidBlock {
+                        thread: ThreadId(0),
+                        segment: 1,
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(message), "{err}");
+        }
+        let mut fine = BlockSpec::new(10, 1).addr(AddressPattern::stream(region(1)), 1.0);
+        fine.branch = BranchPattern::Loop { period: 1 };
+        let mut p = Program::new("t", 1);
+        p.threads[0].segments = vec![Segment::Block(fine)];
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

@@ -160,6 +160,99 @@ fn program_without_threads_is_rejected_by_every_reader() {
     assert!(message.contains("no threads"), "{message}");
 }
 
+/// Sets one field of a block that expansion cannot use.
+type Breakage = fn(&mut BlockSpec);
+
+/// A two-thread program whose worker block has one expansion-breaking
+/// field, set by `breakage`.
+fn broken_block_program(breakage: Breakage) -> Program {
+    let mut b = ProgramBuilder::new("broken-block", 2);
+    let r = b.alloc_region(64);
+    b.spawn_workers();
+    b.thread(1u32).block(
+        BlockSpec::new(256, 3)
+            .loads(0.2)
+            .branches(0.1)
+            .addr(rppm_trace::AddressPattern::stream(r), 1.0),
+    );
+    b.join_workers();
+    let mut program = b.build();
+    for seg in &mut program.threads[1].segments {
+        if let rppm_trace::Segment::Block(block) = seg {
+            breakage(block);
+        }
+    }
+    program
+}
+
+#[test]
+fn blocks_expansion_cannot_use_are_rejected_by_every_reader() {
+    use rppm_trace::{AddressPattern, BranchPattern, Region};
+    const ZERO: Region = Region { base: 0, lines: 0 };
+    // Fields both containers carry: every reader, buffered and streamed,
+    // refuses them at validation instead of panicking in expansion.
+    let both: [(&str, Breakage); 2] = [
+        ("branch site", |b| b.n_sites = 0),
+        ("period 0", |b| b.branch = BranchPattern::Loop { period: 0 }),
+    ];
+    for (message, breakage) in both {
+        let program = broken_block_program(breakage);
+        let text = export_program(&program).expect("writer does not validate");
+        let bytes = export_program_binary(&program).expect("writer does not validate");
+        for (reader, result) in [
+            ("json", import_program(&text)),
+            ("json stream", read_program_stream(text.as_bytes())),
+            ("rpt1", import_program_binary(&bytes)),
+            ("rpt1 stream", read_program_stream(&bytes[..])),
+        ] {
+            match result {
+                Err(TraceFileError::InvalidProgram(e @ ProgramError::InvalidBlock { .. })) => {
+                    assert!(e.to_string().contains(message), "{reader}: {e}");
+                }
+                other => panic!("{reader}: expected InvalidBlock, got {other:?}"),
+            }
+        }
+    }
+    // Fields the RPT1 decoder already refuses as corrupt: JSON refuses
+    // them at validation.
+    let json_only: [(&str, Breakage); 3] = [
+        ("zero lines", |b| {
+            b.addr = vec![(AddressPattern::stream(ZERO), 1.0)]
+        }),
+        ("zero lines", |b| {
+            b.store_addr = vec![(AddressPattern::Random { region: ZERO }, 1.0)]
+        }),
+        ("length 0 not in 1..=64", |b| {
+            b.branch = BranchPattern::Periodic { bits: 1, len: 0 }
+        }),
+    ];
+    for (message, breakage) in json_only {
+        let program = broken_block_program(breakage);
+        let text = export_program(&program).expect("writer does not validate");
+        for (reader, result) in [
+            ("json", import_program(&text)),
+            ("json stream", read_program_stream(text.as_bytes())),
+        ] {
+            match result {
+                Err(TraceFileError::InvalidProgram(e @ ProgramError::InvalidBlock { .. })) => {
+                    assert!(e.to_string().contains(message), "{reader}: {e}");
+                }
+                other => panic!("{reader}: expected InvalidBlock, got {other:?}"),
+            }
+        }
+        let bytes = export_program_binary(&program).expect("writer does not validate");
+        for (reader, result) in [
+            ("rpt1", import_program_binary(&bytes)),
+            ("rpt1 stream", read_program_stream(&bytes[..])),
+        ] {
+            assert!(
+                matches!(result, Err(TraceFileError::Corrupt { .. })),
+                "{reader}: {result:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // RPT1 binary container
 
