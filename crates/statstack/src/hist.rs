@@ -61,8 +61,8 @@ fn bucket_mid(i: usize) -> u64 {
 /// Only the non-empty finite buckets are stored, as ascending
 /// `(bucket, count)` pairs: a profile keeps three histograms per epoch and
 /// each fills a handful of its 224 buckets. The JSON form is the dense one
-/// (every bucket's count, in order). The profiler's collectors count into a
-/// [`DenseHistogram`] and compact it once per epoch.
+/// (every bucket's count, in order). The profiler's collectors count into
+/// one counter per bucket and compact the counts once per epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReuseHistogram {
     /// The non-empty finite buckets, ascending by bucket.
@@ -154,6 +154,18 @@ impl ReuseHistogram {
     }
 }
 
+/// The non-empty buckets of dense `counts` as `(bucket, count)` pairs, in
+/// a vector of exactly their number.
+fn nonempty(counts: &[u64]) -> Vec<(u8, u64)> {
+    let mut buckets = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+    buckets.extend(
+        (0..=u8::MAX)
+            .zip(counts.iter().copied())
+            .filter(|&(_, c)| c > 0),
+    );
+    buckets
+}
+
 /// The serialized form of a [`ReuseHistogram`]: every bucket's count.
 mod wire {
     use serde::{Deserialize, Serialize};
@@ -193,10 +205,7 @@ impl Deserialize for ReuseHistogram {
             )));
         }
         Ok(ReuseHistogram {
-            buckets: (0..=u8::MAX)
-                .zip(w.counts)
-                .filter(|&(_, c)| c > 0)
-                .collect(),
+            buckets: nonempty(&w.counts),
             cold: w.cold,
             invalidated: w.invalidated,
             total_finite: w.total_finite,
@@ -247,20 +256,13 @@ impl DenseHistogram {
     /// Returns the counts recorded since the last call as a compact
     /// [`ReuseHistogram`] and clears them.
     pub(crate) fn take(&mut self) -> ReuseHistogram {
-        let mut total_finite = 0;
-        let buckets = (0..=u8::MAX)
-            .zip(self.counts.iter_mut())
-            .filter(|(_, c)| **c > 0)
-            .map(|(b, c)| {
-                total_finite += *c;
-                (b, std::mem::take(c))
-            })
-            .collect();
+        let buckets = nonempty(&self.counts[..]);
+        self.counts.fill(0);
         ReuseHistogram {
+            total_finite: buckets.iter().map(|&(_, c)| c).sum(),
             buckets,
             cold: std::mem::take(&mut self.cold),
             invalidated: std::mem::take(&mut self.invalidated),
-            total_finite,
         }
     }
 }
