@@ -192,7 +192,7 @@ fn dse(c: &mut Criterion) {
     // kmeans at 0.1: a barrier-heavy workload whose profile (20 distinct
     // epoch cells) is representative of the catalog. The one-shot
     // predict() prepares the profile on every call; the batched path
-    // prepares once and memoizes its rate columns in one evaluator.
+    // prepares once and evaluates from the preparation's rate columns.
     let bench = by_name("kmeans").expect("known benchmark");
     let params = Params {
         scale: 0.1,

@@ -34,9 +34,9 @@
 //! [`predict_epoch_rated`] is Equation 1 downstream of the StatStack and
 //! branch-model queries. Every prediction reaches it through the one
 //! evaluator, [`crate::BatchedEq1`], over a [`crate::PreparedProfile`]: the
-//! preparation builds the stack-distance models once per distinct epoch,
-//! and the evaluator memoizes their queries per distinct cache geometry
-//! and predictor. [`predict_epoch`] is the naive reference: it builds
+//! preparation builds the stack-distance models once per distinct epoch
+//! and keeps their answers as one column per distinct cache geometry and
+//! predictor, which every evaluator reads. [`predict_epoch`] is the naive reference: it builds
 //! fresh models for one epoch and feeds the same body, so the
 //! differential suites can compare every path against it bit for bit.
 //! Both interpolate the epoch's ILP/MLP curves through

@@ -182,9 +182,11 @@ fn content_hash(epoch: &EpochProfile) -> u64 {
 /// preparation that outlives its caller (the profile-once cache keeps one
 /// per resident profile), a plain reference for the one-shot free
 /// functions. Construction costs about one prediction's worth of model
-/// building; each subsequent [`PreparedProfile::predict`] costs only the
-/// per-configuration queries, and each [`BatchedEq1::eval`] microseconds
-/// (see the module docs for the bit-identity contract).
+/// building; each subsequent [`PreparedProfile::predict`] costs Equation 1
+/// and Algorithm 2, plus the miss-rate queries of a cache geometry or
+/// predictor the preparation has not answered yet, and each
+/// [`BatchedEq1::eval`] microseconds (see the module docs for the
+/// bit-identity contract).
 #[derive(Debug)]
 pub struct PreparedProfile<P = Arc<ApplicationProfile>> {
     profile: P,
@@ -311,9 +313,10 @@ impl<P: Deref<Target = ApplicationProfile>> PreparedProfile<P> {
 
     /// Creates a reusable evaluator borrowing this preparation.
     ///
-    /// The evaluator owns the mutable evaluation state (rate memos, cycle
-    /// buffers, symbolic-execution scratch); create one per worker thread
-    /// for parallel sweeps — they share the preparation read-only.
+    /// The evaluator owns the mutable evaluation state (handles on the rate
+    /// columns it reads, cycle buffers, symbolic-execution scratch); create
+    /// one per worker thread for parallel sweeps — they share the
+    /// preparation and its rate columns.
     pub fn batched(&self) -> BatchedEq1<'_, P> {
         BatchedEq1 {
             prep: self,

@@ -430,8 +430,9 @@ impl ProfileHandle {
 
     /// Predicts every configuration of a design space from the one
     /// profile, chunked over the session's worker threads with one
-    /// evaluator per worker, like [`ProfileHandle::predict_batch`]: each
-    /// distinct cache geometry and predictor is queried once per worker.
+    /// evaluator per worker, like [`ProfileHandle::predict_batch`]; the
+    /// workers share the preparation's rate columns, so a cache geometry or
+    /// predictor it has answered before is not queried again.
     /// Results are in `configs` order regardless of the worker count, and
     /// each equals `predict(config)`.
     pub fn predict_sweep(&self, configs: &[MachineConfig]) -> Vec<Prediction> {
