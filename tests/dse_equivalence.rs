@@ -292,9 +292,9 @@ fn wide_configs(seed: u64) -> Vec<MachineConfig> {
         .collect()
 }
 
-/// Calls every prediction entry on `profile` from three threads at once,
-/// each over every configuration in its own order, and checks each answer
-/// against the precomputed naive references.
+/// Calls every prediction entry on `profile` from three threads released
+/// together, each over every configuration in its own order, and checks
+/// each answer against the precomputed naive references.
 fn assert_concurrent_calls(
     profile: &rppm::ProfileHandle,
     configs: &[MachineConfig],
@@ -302,9 +302,12 @@ fn assert_concurrent_calls(
     baselines: &[(f64, f64)],
 ) {
     let n = configs.len();
+    let start = std::sync::Barrier::new(3);
     std::thread::scope(|s| {
         for worker in 0..3usize {
+            let start = &start;
             s.spawn(move || {
+                start.wait();
                 for step in 0..n {
                     let i = if worker == 1 {
                         n - 1 - step
