@@ -9,10 +9,12 @@
 //! idle (sync) time. The critical path through this schedule is the
 //! predicted execution time.
 //!
-//! The semantics come from the [`SyncCore`] the profiler and the simulator
-//! share, scheduled through the same [`EventQueue`]. What stays here is
-//! Algorithm 2's clock arithmetic: predicted epoch times, library overhead
-//! counted as active time, spawn latency, and idle time for every wait.
+//! The scheduling and the semantics come from the [`SyncCore`] the profiler
+//! and the simulator share; Algorithm 2 is its [`Executor`]. What stays
+//! here is Algorithm 2's clock arithmetic — predicted epoch times, library
+//! overhead counted as active time, spawn latency, idle time for every
+//! wait — and its slice of work: a popped thread runs its pending epoch and
+//! the event that ends it.
 //!
 //! Three entry points share one engine. Two are crate-internal and run over
 //! the borrowed flat timelines of a preparation (one cycle buffer, per-thread
@@ -25,9 +27,7 @@
 //! `execute_flat`. All three produce bit-identical times: the interval
 //! bookkeeping never feeds back into the schedule.
 
-use rppm_trace::{
-    barrier_participants, EventQueue, MachineConfig, Step, SyncCore, SyncOp, ThreadStatus,
-};
+use rppm_trace::{barrier_participants, Executor, MachineConfig, SyncCore, SyncOp};
 use std::collections::HashMap;
 
 /// One thread's input to the symbolic execution: predicted active cycles per
@@ -89,9 +89,8 @@ impl Schedule {
 /// Mutable per-thread execution state (the timeline itself is borrowed).
 #[derive(Debug, Default)]
 struct ThreadState {
-    /// Next element to execute: epoch `idx` if `at_epoch`, else event `idx`.
+    /// The next epoch to run; event `idx` ends it.
     idx: usize,
-    at_epoch: bool,
     time: f64,
     start: f64,
     active: f64,
@@ -103,13 +102,20 @@ struct ThreadState {
 impl ThreadState {
     fn reset(&mut self) {
         self.idx = 0;
-        self.at_epoch = true;
         self.time = 0.0;
         self.start = 0.0;
         self.active = 0.0;
         self.idle = 0.0;
         self.intervals.clear();
         self.open = 0.0;
+    }
+
+    /// Ends the active interval open since `open` at the current time, if
+    /// intervals are recorded.
+    fn close_interval(&mut self, record: bool) {
+        if record && self.time > self.open {
+            self.intervals.push((self.open, self.time));
+        }
     }
 }
 
@@ -121,8 +127,6 @@ impl ThreadState {
 pub(crate) struct SymScratch {
     threads: Vec<ThreadState>,
     sync: SyncCore<f64>,
-    wake: Vec<(usize, f64)>,
-    queue: EventQueue,
 }
 
 impl SymScratch {
@@ -132,8 +136,6 @@ impl SymScratch {
         SymScratch {
             threads: Vec::new(),
             sync: SyncCore::new(0, participants),
-            wake: Vec::new(),
-            queue: EventQueue::new(),
         }
     }
 
@@ -141,7 +143,6 @@ impl SymScratch {
         self.threads.resize_with(n_threads, ThreadState::default);
         self.threads.iter_mut().for_each(ThreadState::reset);
         self.sync.reset(n_threads);
-        self.queue.clear();
     }
 }
 
@@ -224,168 +225,105 @@ fn run_symexec(
     record: bool,
 ) -> f64 {
     scratch.reset(tl.ranges.len());
-    SymExec {
+    let SymScratch { threads, sync } = scratch;
+    let mut exec = SymExec {
         overhead: config.sync_overhead_cycles as f64,
         spawn: config.spawn_latency_cycles as f64,
         record,
         tl,
-        st: scratch,
-    }
-    .run()
+        threads,
+    };
+    // Algorithm 2 picks the unblocked thread with the shortest accumulated
+    // time. We schedule by *arrival time at the next synchronization event*
+    // (time + pending epoch), the discrete-event refinement: every
+    // synchronization state change is processed in globally nondecreasing
+    // time order, so untimed lock/queue state is always consistent with
+    // wall-clock order.
+    sync.run(&mut exec, "symbolic execution");
+    (0..threads.len())
+        .map(|i| sync.finish_time(i))
+        .fold(0.0, f64::max)
 }
 
-struct SymExec<'e, 's> {
+struct SymExec<'e> {
     overhead: f64,
     spawn: f64,
     record: bool,
     tl: FlatTimelines<'e>,
-    st: &'s mut SymScratch,
+    threads: &'e mut [ThreadState],
 }
 
-impl SymExec<'_, '_> {
+impl Executor<f64> for SymExec<'_> {
     /// Arrival time of thread `i` at its next synchronization event (its
-    /// accumulated time plus the pending epoch, if any) — the wake key the
-    /// old linear scan minimized.
-    fn eta(&self, i: usize) -> f64 {
-        let th = &self.st.threads[i];
+    /// accumulated time plus the pending epoch, if any) — the key the old
+    /// linear scan minimized.
+    fn ready_at(&self, i: usize) -> f64 {
+        let th = &self.threads[i];
         let (off, len) = self.tl.ranges[i];
-        if th.at_epoch && th.idx < len {
+        if th.idx < len {
             th.time + self.tl.cycles[off + th.idx]
         } else {
             th.time
         }
     }
 
-    /// Posts a wake-up for thread `i`, which must have just become ready.
-    /// Called on every transition into [`ThreadStatus::Ready`] (and only
-    /// there), so each thread has at most one live event in the queue.
-    fn post(&mut self, i: usize) {
-        let eta = self.eta(i);
-        self.st.queue.post_at(eta, i);
+    fn clock(&self, i: usize) -> f64 {
+        self.threads[i].time
     }
 
-    /// Closes the running thread's active interval as it blocks.
-    fn block(&mut self, i: usize) {
-        let th = &mut self.st.threads[i];
-        if self.record && th.time > th.open {
-            th.intervals.push((th.open, th.time));
-        }
+    fn start(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
+        th.time = t + self.spawn;
+        th.start = th.time;
+        th.open = th.time;
     }
 
-    /// Thread `i`, while running, waits in place until `t`.
-    fn wait_running(&mut self, i: usize, t: f64) {
-        let th = &mut self.st.threads[i];
+    /// Idle until `t`.
+    fn resume(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
         if t > th.time {
-            if self.record && th.time > th.open {
-                th.intervals.push((th.open, th.time));
-            }
+            th.idle += t - th.time;
+            th.time = t;
+        }
+        th.open = th.time;
+    }
+
+    fn wait(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
+        if t > th.time {
+            th.close_interval(self.record);
             th.idle += t - th.time;
             th.time = t;
             th.open = t;
         }
     }
 
-    /// Makes the threads in `wake` runnable: the child of a `Create`
-    /// starts after the spawn latency; a blocked thread resumes at `t`,
-    /// idle until then.
-    fn wake_all(&mut self, spawn: bool) {
-        let mut wake = std::mem::take(&mut self.st.wake);
-        for (w, t) in wake.drain(..) {
-            let th = &mut self.st.threads[w];
-            if spawn {
-                th.time = t + self.spawn;
-                th.start = th.time;
-            } else if t > th.time {
-                th.idle += t - th.time;
-                th.time = t;
-            }
-            th.open = th.time;
-            self.post(w);
-        }
-        self.st.wake = wake;
+    fn block(&mut self, i: usize) {
+        self.threads[i].close_interval(self.record);
     }
 
-    fn finish_thread(&mut self, i: usize) {
-        let th = &mut self.st.threads[i];
-        let t = th.time;
-        if self.record && t > th.open {
-            th.intervals.push((th.open, t));
+    /// Runs thread `i`'s pending epoch, then the event that ends it (with
+    /// its library overhead, counted as active time) or the thread.
+    fn run(&mut self, i: usize, core: &mut SyncCore<f64>) {
+        let (off, len) = self.tl.ranges[i];
+        let th = &mut self.threads[i];
+        if th.idx < len {
+            let dur = self.tl.cycles[off + th.idx];
+            th.time += dur;
+            th.active += dur;
         }
-        self.st.sync.finish(i, t, &mut self.st.wake);
-        self.wake_all(false);
-    }
-
-    /// Applies event `ev` of thread `i` (library overhead is active time).
-    fn handle_event(&mut self, i: usize, ev: SyncOp) {
-        let th = &mut self.st.threads[i];
-        th.time += self.overhead;
-        th.active += self.overhead;
-        let now = th.time;
-        let step = self.st.sync.handle(i, ev, now, &mut self.st.wake);
-        self.wake_all(matches!(ev, SyncOp::Create { .. }));
-        match step {
-            Step::Proceed => {}
-            Step::WaitUntil(t) => self.wait_running(i, t),
-            Step::Block => self.block(i),
-        }
-    }
-
-    fn run(mut self) -> f64 {
-        // Algorithm 2 picks the unblocked thread with the shortest
-        // accumulated time. We schedule by *arrival time at the next
-        // synchronization event* (time + pending epoch), the discrete-event
-        // refinement: every synchronization state change is processed in
-        // globally nondecreasing time order, so untimed lock/queue state is
-        // always consistent with wall-clock order. Ready threads live in a
-        // min-heap keyed by that arrival time (ties to the lowest thread
-        // index, matching the old scan); blocked and finished threads cost
-        // nothing per scheduling step.
-        if !self.st.threads.is_empty() {
-            self.post(0); // main thread starts ready at t=0
-        }
-        while let Some((_, i)) = self.st.queue.pop() {
-            debug_assert_eq!(self.st.sync.status(i), ThreadStatus::Ready);
-
-            // Proceed thread i to its next synchronization event (or end).
-            loop {
-                let (off, len) = self.tl.ranges[i];
-                let events = self.tl.events[i];
-                let th = &mut self.st.threads[i];
-                if th.at_epoch {
-                    if th.idx >= len {
-                        self.finish_thread(i);
-                        break;
-                    }
-                    let dur = self.tl.cycles[off + th.idx];
-                    th.time += dur;
-                    th.active += dur;
-                    th.at_epoch = false;
-                    if th.idx >= events.len() {
-                        // Last epoch: thread ends.
-                        th.idx += 1;
-                        self.finish_thread(i);
-                        break;
-                    }
-                } else {
-                    let ev = events[th.idx];
-                    th.idx += 1;
-                    th.at_epoch = true;
-                    // Whether or not the thread blocked, reschedule: another
-                    // thread may now have the smallest accumulated time.
-                    self.handle_event(i, ev);
-                    break;
-                }
+        match self.tl.events[i].get(th.idx) {
+            Some(&ev) => {
+                th.idx += 1;
+                th.time += self.overhead;
+                th.active += self.overhead;
+                core.sync(self, i, ev);
             }
-            // Re-post the thread if it is still runnable after its event
-            // (blocked threads are re-posted by whoever wakes them).
-            if self.st.sync.status(i) == ThreadStatus::Ready {
-                self.post(i);
+            None => {
+                th.close_interval(self.record);
+                core.exit(self, i);
             }
         }
-        self.st.sync.assert_finished("symbolic execution");
-        (0..self.st.threads.len())
-            .map(|i| self.st.sync.finish_time(i))
-            .fold(0.0, f64::max)
     }
 }
 

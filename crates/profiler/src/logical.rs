@@ -10,24 +10,22 @@
 //! verify in integration tests) that predictions are insensitive to the
 //! particular profiling interleaving.
 //!
-//! The executor is one driver of the shared discrete-event core: threads
-//! run from an [`EventQueue`] keyed by their `u64` tick, and every
-//! synchronization event goes through the same [`SyncCore`] the simulator
-//! and Algorithm 2 use. What stays here is the profiler's own clock
-//! arithmetic: an epoch is cut at every event, and a created child starts
-//! at its creator's tick (the unit-cost machine has no spawn latency).
-//! Each thread's micro-ops come from one [`ThreadCursor`], which expands
-//! the program's blocks on the fly and lends them out a chunk at a time.
+//! The executor is an [`Executor`] of the shared discrete-event core: the
+//! [`SyncCore`] the simulator and Algorithm 2 use schedules threads by
+//! their `u64` tick and applies every synchronization event. What stays
+//! here is the profiler's own clock arithmetic and its slice of work: a
+//! popped thread runs up to `CHUNK` ops, an epoch is cut at every event,
+//! and a created child starts at its creator's tick (the unit-cost machine
+//! has no spawn latency). Each thread's micro-ops come from one
+//! [`ThreadCursor`], which expands the program's blocks on the fly and
+//! lends them out a chunk at a time.
 
 use crate::microtrace::{Scratch, NLAT, NWIN, WINDOWS};
 use crate::profile::{ApplicationProfile, EpochProfile, ThreadProfile};
 use rppm_branch_model::EntropyCollector;
 use rppm_statstack::{MultiThreadCollector, ReuseHistogram, ReuseTracker};
 use rppm_trace::op::NUM_OP_CLASSES;
-use rppm_trace::{
-    BlockItem, EventQueue, MicroOp, OpClass, Program, Step, SyncCore, SyncOp, ThreadCursor,
-    ThreadStatus,
-};
+use rppm_trace::{BlockItem, Executor, MicroOp, OpClass, Program, SyncCore, SyncOp, ThreadCursor};
 
 /// Ops per scheduling chunk of the unit-cost executor.
 const CHUNK: u64 = 256;
@@ -50,7 +48,9 @@ const SAMPLE_PERIOD: u64 = 10_000;
 /// Panics if the program is structurally invalid or deadlocks.
 pub fn profile(program: &Program) -> ApplicationProfile {
     program.validate().expect("invalid program");
-    Profiler::new(program).run()
+    let mut profiler = Profiler::new(program);
+    SyncCore::for_program(program).run(&mut profiler, &program.name);
+    profiler.into_profile()
 }
 
 /// Accumulates one epoch's statistics for one thread.
@@ -182,11 +182,6 @@ struct Profiler<'p> {
     cursors: Vec<ThreadCursor<'p>>,
     threads: Vec<ThreadState>,
     mem: MultiThreadCollector,
-    sync: SyncCore<u64>,
-    /// Threads the last synchronization step made runnable.
-    wake: Vec<(usize, u64)>,
-    /// Runnable threads keyed by tick.
-    ready: EventQueue,
     /// Micro-trace analysis buffers, shared by every thread's epochs.
     scratch: Scratch,
 }
@@ -211,9 +206,6 @@ impl<'p> Profiler<'p> {
             cursors,
             threads,
             mem: MultiThreadCollector::new(n),
-            sync: SyncCore::for_program(program),
-            wake: Vec::new(),
-            ready: EventQueue::new(),
             scratch: Scratch::default(),
         }
     }
@@ -280,99 +272,7 @@ impl<'p> Profiler<'p> {
         }
     }
 
-    /// Makes the threads in `wake` runnable: a blocked thread resumes at
-    /// the later of its tick and the wake tick, a created child starts at
-    /// its creator's tick.
-    fn wake_all(&mut self) {
-        for (w, tick) in self.wake.drain(..) {
-            let th = &mut self.threads[w];
-            th.tick = th.tick.max(tick);
-            self.ready.post(th.tick, w);
-        }
-    }
-
-    fn finish_thread(&mut self, i: usize) {
-        self.end_epoch(i, None);
-        let tick = self.threads[i].tick;
-        self.sync.finish(i, tick, &mut self.wake);
-        self.wake_all();
-    }
-
-    /// Cuts thread `i`'s epoch at `op` and applies the event. Returns
-    /// `true` if the thread blocked.
-    fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
-        self.end_epoch(i, Some(op));
-        let tick = self.threads[i].tick;
-        let step = self.sync.handle(i, op, tick, &mut self.wake);
-        self.wake_all();
-        match step {
-            Step::Proceed => false,
-            Step::WaitUntil(t) => {
-                let th = &mut self.threads[i];
-                th.tick = th.tick.max(t);
-                false
-            }
-            Step::Block => true,
-        }
-    }
-
-    fn run(mut self) -> ApplicationProfile {
-        // Discrete-event scheduling: pop the runnable thread with the
-        // smallest tick (ties to the lowest thread index, matching the
-        // historical linear scan bit for bit).
-        if !self.threads.is_empty() {
-            self.ready.post(0, 0); // main thread starts ready
-        }
-        while let Some((_, i)) = self.ready.pop() {
-            debug_assert_eq!(self.sync.status(i), ThreadStatus::Ready);
-            let t0 = self.threads[i].tick;
-
-            let limit = t0 + CHUNK;
-            loop {
-                let Profiler {
-                    cursors,
-                    threads,
-                    mem,
-                    scratch,
-                    ..
-                } = &mut self;
-                match cursors[i].peek_block() {
-                    None => {
-                        self.finish_thread(i);
-                        break;
-                    }
-                    Some(BlockItem::Sync(op)) => {
-                        cursors[i].consume_sync();
-                        if self.handle_sync(i, op) {
-                            break;
-                        }
-                    }
-                    Some(BlockItem::Ops(ops)) => {
-                        // Every op costs one tick, so the chunk budget
-                        // translates directly into an op count. A thread
-                        // arriving at/over the limit (a sync event can jump
-                        // its tick forward) still makes one op of progress.
-                        let th = &mut threads[i];
-                        let budget = limit.saturating_sub(th.tick).max(1) as usize;
-                        let take = ops.len().min(budget);
-                        for &op in &ops[..take] {
-                            Self::step_op(th, mem, scratch, i, op);
-                        }
-                        cursors[i].consume_ops(take);
-                        if th.tick >= limit {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Re-post the thread if it is still runnable after its chunk
-            // (blocked threads are re-posted by whoever wakes them).
-            if self.sync.status(i) == ThreadStatus::Ready {
-                self.ready.post(self.threads[i].tick, i);
-            }
-        }
-        self.sync.assert_finished(&self.program.name);
-
+    fn into_profile(self) -> ApplicationProfile {
         ApplicationProfile {
             name: self.program.name.clone(),
             threads: self
@@ -387,6 +287,67 @@ impl<'p> Profiler<'p> {
                     tp
                 })
                 .collect(),
+        }
+    }
+}
+
+impl Executor<u64> for Profiler<'_> {
+    fn ready_at(&self, i: usize) -> u64 {
+        self.threads[i].tick
+    }
+
+    fn clock(&self, i: usize) -> u64 {
+        self.threads[i].tick
+    }
+
+    fn start(&mut self, i: usize, tick: u64) {
+        self.threads[i].tick = tick;
+    }
+
+    fn resume(&mut self, i: usize, tick: u64) {
+        let th = &mut self.threads[i];
+        th.tick = th.tick.max(tick);
+    }
+
+    fn wait(&mut self, i: usize, tick: u64) {
+        self.resume(i, tick);
+    }
+
+    fn block(&mut self, _: usize) {}
+
+    fn run(&mut self, i: usize, core: &mut SyncCore<u64>) {
+        let limit = self.threads[i].tick + CHUNK;
+        loop {
+            match self.cursors[i].peek_block() {
+                None => {
+                    self.end_epoch(i, None);
+                    core.exit(self, i);
+                    return;
+                }
+                Some(BlockItem::Sync(op)) => {
+                    self.cursors[i].consume_sync();
+                    self.end_epoch(i, Some(op));
+                    if !core.sync(self, i, op) {
+                        return;
+                    }
+                }
+                Some(BlockItem::Ops(ops)) => {
+                    // Every op costs one tick, so the chunk budget
+                    // translates directly into an op count. A thread
+                    // arriving at/over the limit (a sync event can jump its
+                    // tick forward) still makes one op of progress.
+                    let th = &mut self.threads[i];
+                    let budget = limit.saturating_sub(th.tick).max(1) as usize;
+                    let take = ops.len().min(budget);
+                    for &op in &ops[..take] {
+                        Self::step_op(th, &mut self.mem, &mut self.scratch, i, op);
+                    }
+                    self.cursors[i].consume_ops(take);
+                    if th.tick >= limit {
+                        return;
+                    }
+                }
+            }
         }
     }
 }

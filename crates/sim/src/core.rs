@@ -29,6 +29,7 @@
 //! bit-identical.
 
 use crate::bpred::TournamentPredictor;
+use crate::engine::CoreTiming;
 use crate::mem::{MemorySystem, ServiceLevel};
 use rppm_trace::{CpiStack, MachineConfig, MicroOp, OpClass};
 
@@ -145,84 +146,9 @@ pub struct CoreModel {
 }
 
 impl CoreModel {
-    /// Creates a core in its reset state, with the thread's clock at
-    /// `start_time`.
-    pub fn new(config: &MachineConfig, start_time: f64) -> Self {
-        let mut ports = [1u8; rppm_trace::op::NUM_PORT_POOLS];
-        for class in OpClass::ALL {
-            ports[class.port_pool()] = config.ports_for(class).clamp(1, 8) as u8;
-        }
-        let ring = (config.rob_size as usize + 1).next_power_of_two().min(RING);
-        CoreModel {
-            width: config.dispatch_width,
-            rob_size: config.rob_size as usize,
-            frontend_depth: config.frontend_depth as f64,
-            mshrs: config.mshrs as usize,
-            ports,
-            cycle: start_time,
-            dispatched: 0,
-            fe_stall_until: 0.0,
-            fe_cause: Cause::Branch,
-            completions: vec![0.0; ring],
-            ring_mask: ring - 1,
-            op_index: 0,
-            rob: vec![(0.0, Cause::Base); config.rob_size as usize],
-            rob_head: 0,
-            rob_len: 0,
-            last_retire: start_time,
-            fu_free: [[0.0; 8]; rppm_trace::op::NUM_PORT_POOLS],
-            mshr: vec![0.0; config.mshrs as usize],
-            miss_index: 0,
-            last_code_line: u64::MAX,
-            predictor: TournamentPredictor::new(&config.bpred),
-            stalls: CpiStack::default(),
-            overhead: 0.0,
-            counters: CoreCounters::default(),
-            fused: 0,
-        }
-    }
-
-    /// Current thread-local time (dispatch clock) in cycles.
-    pub fn time(&self) -> f64 {
-        self.cycle
-    }
-
     /// Time at which every in-flight op will have retired.
-    pub fn drain_time(&self) -> f64 {
+    fn drain_time(&self) -> f64 {
         self.cycle.max(self.last_retire)
-    }
-
-    /// Sets the thread's initial clock (thread creation), without charging
-    /// any component.
-    pub fn set_start_time(&mut self, t: f64) {
-        self.cycle = t;
-        self.last_retire = t;
-    }
-
-    /// Moves the clock forward to `t` (synchronization resume), charging the
-    /// jump to the sync component.
-    pub fn resume_at(&mut self, t: f64) {
-        if t > self.cycle {
-            self.stalls.sync += t - self.cycle;
-            self.cycle = t;
-            self.dispatched = 0;
-        }
-    }
-
-    /// Charges `cycles` of synchronization-library overhead and advances the
-    /// clock past them. Overhead is *executed* time (the thread is active),
-    /// but the paper accounts it to the sync component.
-    pub fn charge_sync_overhead(&mut self, cycles: f64) {
-        self.stalls.sync += cycles;
-        self.overhead += cycles;
-        self.cycle += cycles;
-        self.dispatched = 0;
-    }
-
-    /// Total synchronization-library overhead charged (a subset of the sync
-    /// component during which the thread was active, not blocked).
-    pub fn sync_overhead_charged(&self) -> f64 {
-        self.overhead
     }
 
     /// Instruction fetch and front-end stalls: charge an I-cache refill when
@@ -344,7 +270,7 @@ impl CoreModel {
     }
 
     /// Cold path: loads, stores and branches (plus a general fallback for
-    /// compute classes so [`CoreModel::process`] stays total).
+    /// compute classes so `CoreModel::process` stays total).
     fn exec_other(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
         self.counters.ops += 1;
         let ready = self.dispatch_ready(op);
@@ -414,8 +340,10 @@ impl CoreModel {
         self.retire(complete, cause);
     }
 
-    /// Processes one micro-op, advancing the thread's timing state.
-    pub fn process(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
+    /// Processes one micro-op, advancing the thread's timing state: the
+    /// per-op loop [`CoreModel::run_ops`] is pinned against.
+    #[cfg(test)]
+    fn process(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
         self.fetch(op, mem, core_id);
         let c = op.class.index();
         if c < NUM_COMPUTE_CLASSES {
@@ -424,10 +352,113 @@ impl CoreModel {
             self.exec_other(op, mem, core_id);
         }
     }
+}
+
+impl CoreTiming for CoreModel {
+    /// Creates a core in its reset state, with the thread's clock at
+    /// `start_time`.
+    fn new(config: &MachineConfig, start_time: f64) -> Self {
+        let mut ports = [1u8; rppm_trace::op::NUM_PORT_POOLS];
+        for class in OpClass::ALL {
+            ports[class.port_pool()] = config.ports_for(class).clamp(1, 8) as u8;
+        }
+        let ring = (config.rob_size as usize + 1).next_power_of_two().min(RING);
+        CoreModel {
+            width: config.dispatch_width,
+            rob_size: config.rob_size as usize,
+            frontend_depth: config.frontend_depth as f64,
+            mshrs: config.mshrs as usize,
+            ports,
+            cycle: start_time,
+            dispatched: 0,
+            fe_stall_until: 0.0,
+            fe_cause: Cause::Branch,
+            completions: vec![0.0; ring],
+            ring_mask: ring - 1,
+            op_index: 0,
+            rob: vec![(0.0, Cause::Base); config.rob_size as usize],
+            rob_head: 0,
+            rob_len: 0,
+            last_retire: start_time,
+            fu_free: [[0.0; 8]; rppm_trace::op::NUM_PORT_POOLS],
+            mshr: vec![0.0; config.mshrs as usize],
+            miss_index: 0,
+            last_code_line: u64::MAX,
+            predictor: TournamentPredictor::new(&config.bpred),
+            stalls: CpiStack::default(),
+            overhead: 0.0,
+            counters: CoreCounters::default(),
+            fused: 0,
+        }
+    }
+
+    /// Current thread-local time (dispatch clock) in cycles.
+    fn time(&self) -> f64 {
+        self.cycle
+    }
+
+    /// Sets the thread's initial clock (thread creation), without charging
+    /// any component.
+    fn set_start_time(&mut self, t: f64) {
+        self.cycle = t;
+        self.last_retire = t;
+    }
+
+    /// Moves the clock forward to `t` (synchronization resume), charging the
+    /// jump to the sync component.
+    fn resume_at(&mut self, t: f64) {
+        if t > self.cycle {
+            self.stalls.sync += t - self.cycle;
+            self.cycle = t;
+            self.dispatched = 0;
+        }
+    }
+
+    /// Charges `cycles` of synchronization-library overhead and advances the
+    /// clock past them. Overhead is *executed* time (the thread is active),
+    /// but the paper accounts it to the sync component.
+    fn charge_sync_overhead(&mut self, cycles: f64) {
+        self.stalls.sync += cycles;
+        self.overhead += cycles;
+        self.cycle += cycles;
+        self.dispatched = 0;
+    }
+
+    /// Total synchronization-library overhead charged (a subset of the sync
+    /// component during which the thread was active, not blocked).
+    fn sync_overhead_charged(&self) -> f64 {
+        self.overhead
+    }
+
+    /// Finishes the thread: drains the ROB and returns the final time.
+    fn finish(&mut self) -> f64 {
+        let t = self.drain_time();
+        self.cycle = t;
+        t
+    }
+
+    /// Stall attribution accumulated so far. The `base` field is *not* yet
+    /// populated (it is the residual, computed by the engine as active time
+    /// minus attributed stalls).
+    fn stalls(&self) -> &CpiStack {
+        &self.stalls
+    }
+
+    /// Execution counters.
+    fn counters(&self) -> &CoreCounters {
+        &self.counters
+    }
+
+    /// Dispatch statistics: `(dispatch_actions, fused_pairs)`. A fused
+    /// superinstruction pair retires two ops in one dispatch action, so
+    /// `dispatch_actions = ops - fused_pairs`.
+    fn dispatch_stats(&self) -> (u64, u64) {
+        (self.counters.ops - self.fused, self.fused)
+    }
 
     /// Processes a prefix of `ops`, stopping after the first op that pushes
     /// the clock past `limit`. Returns `(ops_used, over_limit)` — exactly
-    /// the contract of a per-op [`CoreModel::process`] loop with a
+    /// the contract of a per-op `CoreModel::process` loop with a
     /// `time() > limit` check after each op, but dispatched hot-first and
     /// with superinstruction fusion of compute pairs.
     ///
@@ -439,7 +470,7 @@ impl CoreModel {
     /// first member's fetch (which jumped the clock past any pending stall)
     /// because a compute op never raises `fe_stall_until` and the clock only
     /// moves forward. Timing is therefore bit-identical to the naive loop.
-    pub fn run_ops(
+    fn run_ops(
         &mut self,
         ops: &[MicroOp],
         mem: &mut MemorySystem,
@@ -484,32 +515,6 @@ impl CoreModel {
             }
         }
         (n, false)
-    }
-
-    /// Finishes the thread: drains the ROB and returns the final time.
-    pub fn finish(&mut self) -> f64 {
-        let t = self.drain_time();
-        self.cycle = t;
-        t
-    }
-
-    /// Stall attribution accumulated so far. The `base` field is *not* yet
-    /// populated (it is the residual, computed by the engine as active time
-    /// minus attributed stalls).
-    pub fn stalls(&self) -> &CpiStack {
-        &self.stalls
-    }
-
-    /// Execution counters.
-    pub fn counters(&self) -> &CoreCounters {
-        &self.counters
-    }
-
-    /// Dispatch statistics: `(dispatch_actions, fused_pairs)`. A fused
-    /// superinstruction pair retires two ops in one dispatch action, so
-    /// `dispatch_actions = ops - fused_pairs`.
-    pub fn dispatch_stats(&self) -> (u64, u64) {
-        (self.counters.ops - self.fused, self.fused)
     }
 }
 

@@ -6,34 +6,34 @@
 //! Cores advance in quantum-sized slices in global-time order (the runnable
 //! thread with the smallest local clock goes next), so shared-cache and
 //! coherence interactions are observed in approximately correct order and
-//! the whole simulation is deterministic. Scheduling is discrete-event: the
-//! runnable threads live in an [`EventQueue`] min-heap keyed by their local
-//! clocks, so blocked and idle threads cost nothing per scheduling step and
-//! thread counts far beyond the paper's 4–8 stay cheap. Synchronization
-//! rules come from the [`SyncCore`] the profiler and Algorithm 2 share;
-//! this engine keeps its own clock arithmetic — library overhead charged
-//! per event, spawn latency for created threads, waits charged to the sync
-//! stall component — plus the active intervals. A [`ProfileCollector`]
-//! probe tallies the events executed in a [`SyncMix`](rppm_trace::SyncMix).
+//! the whole simulation is deterministic. The engine is an [`Executor`] of
+//! the [`SyncCore`] the profiler and Algorithm 2 share, which schedules
+//! threads by their local clocks (blocked and idle threads cost nothing per
+//! scheduling step, so thread counts far beyond the paper's 4–8 stay cheap)
+//! and applies the synchronization rules. This engine keeps its own clock
+//! arithmetic — library overhead charged per event, spawn latency for
+//! created threads, waits charged to the sync stall component — plus the
+//! active intervals and the slice of work: up to one quantum of ops, run
+//! by the core model. A [`ProfileCollector`] probe tallies the events
+//! executed in a [`SyncMix`](rppm_trace::SyncMix).
 //!
 //! One entry point covers every combination: [`simulate_with`] takes the
-//! [`Program`], the [`SimEngine`] (the optimized [`CoreModel`] or the
-//! pinned naive dispatch in [`crate::reference`]) and a [`SimProbe`]
+//! [`Program`], the [`SimEngine`] (the optimized core model or the pinned
+//! naive dispatch in [`crate::reference`]) and a [`SimProbe`]
 //! ([`NoProbe`], or a [`ProfileCollector`] as in [`simulate_profiled`]);
 //! [`simulate`] is the common case. Both the core and the probe type
 //! monomorphize away. Each thread is walked by one [`ThreadCursor`] that
 //! expands its blocks on the fly; uninterrupted op runs are handed to the
 //! core as whole zero-copy block slices (`CoreTiming::run_ops`), keeping
-//! the per-op quantum bookkeeping out of this loop; the cold
-//! synchronization path stays here.
+//! the per-op quantum bookkeeping out of this loop; the synchronization
+//! path stays out of line (`#[cold]`).
 
 use crate::core::{CoreCounters, CoreModel};
 use crate::mem::MemorySystem;
 use crate::reference::ReferenceCore;
 use crate::simprof::{NoProbe, ProfileCollector, SimProbe, SimProfile};
 use rppm_trace::{
-    BlockItem, CpiStack, EventQueue, MachineConfig, MicroOp, Program, Step, SyncCore, SyncOp,
-    ThreadCursor, ThreadStatus,
+    BlockItem, CpiStack, Executor, MachineConfig, MicroOp, Program, SyncCore, SyncOp, ThreadCursor,
 };
 
 /// Scheduling quantum in cycles.
@@ -41,8 +41,8 @@ const QUANTUM: f64 = 500.0;
 
 /// A per-thread timing model the engine can schedule.
 ///
-/// Implemented by the optimized [`CoreModel`] and by the naive
-/// reference core (see [`crate::reference`]); both must produce
+/// Implemented by the optimized core model (`crate::core`) and by the
+/// naive reference core (see [`crate::reference`]); both must produce
 /// bit-identical timing, which the differential equivalence tests pin.
 pub(crate) trait CoreTiming {
     /// Creates a core in reset state with its clock at `start_time`.
@@ -74,49 +74,6 @@ pub(crate) trait CoreTiming {
         core_id: usize,
         limit: f64,
     ) -> (usize, bool);
-}
-
-impl CoreTiming for CoreModel {
-    fn new(config: &MachineConfig, start_time: f64) -> Self {
-        CoreModel::new(config, start_time)
-    }
-    fn time(&self) -> f64 {
-        self.time()
-    }
-    fn set_start_time(&mut self, t: f64) {
-        self.set_start_time(t)
-    }
-    fn resume_at(&mut self, t: f64) {
-        self.resume_at(t)
-    }
-    fn charge_sync_overhead(&mut self, cycles: f64) {
-        self.charge_sync_overhead(cycles)
-    }
-    fn sync_overhead_charged(&self) -> f64 {
-        self.sync_overhead_charged()
-    }
-    fn finish(&mut self) -> f64 {
-        self.finish()
-    }
-    fn stalls(&self) -> &CpiStack {
-        self.stalls()
-    }
-    fn counters(&self) -> &CoreCounters {
-        self.counters()
-    }
-    fn dispatch_stats(&self) -> (u64, u64) {
-        self.dispatch_stats()
-    }
-    #[inline]
-    fn run_ops(
-        &mut self,
-        ops: &[MicroOp],
-        mem: &mut MemorySystem,
-        core_id: usize,
-        limit: f64,
-    ) -> (usize, bool) {
-        self.run_ops(ops, mem, core_id, limit)
-    }
 }
 
 /// Per-thread simulation outcome.
@@ -205,6 +162,16 @@ struct ThreadCtx<C> {
     open: f64,
 }
 
+impl<C: CoreTiming> ThreadCtx<C> {
+    /// Ends the active interval open since `open` at the current time.
+    fn close_interval(&mut self) {
+        let t = self.core.time();
+        if t > self.open {
+            self.intervals.push((self.open, t));
+        }
+    }
+}
+
 /// The per-thread timing model driving a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEngine {
@@ -284,10 +251,13 @@ fn run_simulation<C: CoreTiming, P: SimProbe>(
         program.num_threads(),
         config.cores
     );
-    Engine::<C>::new(program, config).run(probe)
+    let mut engine = Engine::<C, P>::new(program, config, probe);
+    let mut sync = SyncCore::for_program(program);
+    sync.run(&mut engine, &program.name);
+    engine.collect(&sync)
 }
 
-struct Engine<'p, C> {
+struct Engine<'p, C, P> {
     config: &'p MachineConfig,
     program: &'p Program,
     /// Per-thread stream cursors, parallel to `threads`. Kept separate so
@@ -296,17 +266,11 @@ struct Engine<'p, C> {
     cursors: Vec<ThreadCursor<'p>>,
     threads: Vec<ThreadCtx<C>>,
     mem: MemorySystem,
-    sync: SyncCore<f64>,
-    /// Threads the last synchronization step made runnable.
-    wake: Vec<(usize, f64)>,
-    /// Discrete-event ready queue: `(wake_time, thread)` min-heap. Threads
-    /// are posted when they become runnable and popped in global time
-    /// order; blocked threads are re-posted by whoever wakes them.
-    queue: EventQueue,
+    probe: &'p mut P,
 }
 
-impl<'p, C: CoreTiming> Engine<'p, C> {
-    fn new(program: &'p Program, config: &'p MachineConfig) -> Self {
+impl<'p, C: CoreTiming, P: SimProbe> Engine<'p, C, P> {
+    fn new(program: &'p Program, config: &'p MachineConfig, probe: &'p mut P) -> Self {
         let n = program.num_threads();
         let cursors = program.threads.iter().map(ThreadCursor::new).collect();
         let threads = (0..n)
@@ -323,163 +287,30 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
             cursors,
             threads,
             mem: MemorySystem::with_cores(config, n.max(1)),
-            sync: SyncCore::for_program(program),
-            wake: Vec::new(),
-            queue: EventQueue::new(),
+            probe,
         }
     }
 
-    /// Closes the running thread's active interval as it blocks.
-    fn block(&mut self, i: usize) {
-        let th = &mut self.threads[i];
-        let t = th.core.time();
-        if t > th.open {
-            th.intervals.push((th.open, t));
-        }
-    }
-
-    /// The running thread `i` waits in place until `t` (join of a finished
-    /// thread, barrier release as last arriver, consuming an item produced
-    /// "in the future" relative to this thread's clock). The wait is charged
-    /// to sync and excluded from the active intervals.
-    fn wait_running(&mut self, i: usize, t: f64) {
-        let th = &mut self.threads[i];
-        let now = th.core.time();
-        if t > now {
-            if now > th.open {
-                th.intervals.push((th.open, now));
-            }
-            th.core.resume_at(t);
-            th.open = th.core.time();
-        }
-    }
-
-    /// Makes the threads in `wake` runnable: the child of a `Create`
-    /// starts after the spawn latency; a blocked thread resumes at `t`,
-    /// its wait charged to sync.
-    fn wake_all(&mut self, spawn: bool) {
-        let mut wake = std::mem::take(&mut self.wake);
-        for (w, t) in wake.drain(..) {
-            let th = &mut self.threads[w];
-            if spawn {
-                let start = t + self.config.spawn_latency_cycles as f64;
-                th.core.set_start_time(start);
-                th.start = start;
-            } else {
-                th.core.resume_at(t);
-            }
-            th.open = th.core.time();
-            self.queue.post_at(th.core.time(), w);
-        }
-        self.wake = wake;
-    }
-
-    fn finish_thread(&mut self, i: usize) {
-        let th = &mut self.threads[i];
-        let t = th.core.finish();
-        if t > th.open {
-            th.intervals.push((th.open, t));
-        }
-        self.sync.finish(i, t, &mut self.wake);
-        self.wake_all(false);
-    }
-
-    /// Handles one synchronization event for thread `i`. Returns `true` if
-    /// the thread blocked. This is the cold path of the run loop: every op
-    /// between two sync events flows through `CoreTiming::run_ops` without
-    /// touching any of this bookkeeping.
+    /// Charges thread `i`'s synchronization event `op` its library
+    /// overhead and applies it; returns whether the thread is still
+    /// running. This is the cold path of a slice: every op between two
+    /// sync events flows through `CoreTiming::run_ops` without touching
+    /// any of this bookkeeping.
     #[cold]
-    fn handle_sync(&mut self, i: usize, op: SyncOp) -> bool {
-        let core = &mut self.threads[i].core;
-        core.charge_sync_overhead(self.config.sync_overhead_cycles as f64);
-        let now = core.time();
-        let step = self.sync.handle(i, op, now, &mut self.wake);
-        self.wake_all(matches!(op, SyncOp::Create { .. }));
-        match step {
-            Step::Proceed => false,
-            Step::WaitUntil(t) => {
-                self.wait_running(i, t);
-                false
-            }
-            Step::Block => {
-                self.block(i);
-                true
-            }
-        }
+    fn sync(&mut self, i: usize, op: SyncOp, core: &mut SyncCore<f64>) -> bool {
+        let overhead = self.config.sync_overhead_cycles as f64;
+        self.threads[i].core.charge_sync_overhead(overhead);
+        core.sync(self, i, op)
     }
 
-    fn run<P: SimProbe>(mut self, probe: &mut P) -> SimResult {
-        // Discrete-event scheduling: pop the runnable thread with the
-        // smallest local clock from the ready queue (ties to the lowest
-        // thread index, matching the historical scan bit for bit); blocked
-        // and finished threads cost nothing per scheduling step.
-        if !self.threads.is_empty() {
-            self.queue.post_at(self.threads[0].core.time(), 0); // main thread starts ready
-        }
-        while let Some((_, i)) = self.queue.pop() {
-            debug_assert_eq!(self.sync.status(i), ThreadStatus::Ready);
-            let t0 = self.threads[i].core.time();
-
-            let limit = t0 + QUANTUM;
-            loop {
-                let Engine {
-                    cursors,
-                    threads,
-                    mem,
-                    ..
-                } = &mut self;
-                match cursors[i].peek_block() {
-                    None => {
-                        self.finish_thread(i);
-                        break;
-                    }
-                    Some(BlockItem::Sync(op)) => {
-                        cursors[i].consume_sync();
-                        probe.on_sync(i, &op);
-                        if self.handle_sync(i, op) {
-                            break;
-                        }
-                        if self.threads[i].core.time() > limit {
-                            break;
-                        }
-                    }
-                    Some(BlockItem::Ops(ops)) => {
-                        // Hand the whole lent slice to the core model; it
-                        // enforces the quantum after each op exactly like
-                        // the per-op loop did (op latencies vary, so the
-                        // budget cannot be precomputed as an op count).
-                        let th = &mut threads[i];
-                        let (used, over) = th.core.run_ops(ops, mem, i, limit);
-                        probe.on_ops(i, &ops[..used]);
-                        cursors[i].consume_ops(used);
-                        if over {
-                            break;
-                        }
-                    }
-                }
-            }
-            // Re-post the thread if it is still runnable after its slice
-            // (blocked threads are re-posted by whoever wakes them).
-            if self.sync.status(i) == ThreadStatus::Ready {
-                self.queue.post_at(self.threads[i].core.time(), i);
-            }
-        }
-        self.sync.assert_finished(&self.program.name);
-
-        for (i, th) in self.threads.iter().enumerate() {
-            let (dispatches, fused) = th.core.dispatch_stats();
-            probe.on_thread_finish(i, dispatches, fused);
-        }
-
-        self.collect()
-    }
-
-    fn collect(self) -> SimResult {
+    fn collect(self, sync: &SyncCore<f64>) -> SimResult {
         let mut threads = Vec::with_capacity(self.threads.len());
         let mut intervals = Vec::with_capacity(self.threads.len());
         let mut total_cycles: f64 = 0.0;
         for (i, th) in self.threads.iter().enumerate() {
-            let finish = self.sync.finish_time(i);
+            let (dispatches, fused) = th.core.dispatch_stats();
+            self.probe.on_thread_finish(i, dispatches, fused);
+            let finish = sync.finish_time(i);
             total_cycles = total_cycles.max(finish);
             let counters = th.core.counters();
             let stalls = th.core.stalls();
@@ -522,6 +353,80 @@ impl<'p, C: CoreTiming> Engine<'p, C> {
             total_seconds: self.config.cycles_to_seconds(total_cycles),
             threads,
             intervals,
+        }
+    }
+}
+
+impl<C: CoreTiming, P: SimProbe> Executor<f64> for Engine<'_, C, P> {
+    fn ready_at(&self, i: usize) -> f64 {
+        self.threads[i].core.time()
+    }
+
+    fn clock(&self, i: usize) -> f64 {
+        self.threads[i].core.time()
+    }
+
+    fn start(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
+        let start = t + self.config.spawn_latency_cycles as f64;
+        th.core.set_start_time(start);
+        th.start = start;
+        th.open = th.core.time();
+    }
+
+    /// The wait is charged to sync.
+    fn resume(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
+        th.core.resume_at(t);
+        th.open = th.core.time();
+    }
+
+    /// The wait is charged to sync and excluded from the active intervals.
+    fn wait(&mut self, i: usize, t: f64) {
+        let th = &mut self.threads[i];
+        if t > th.core.time() {
+            th.close_interval();
+            th.core.resume_at(t);
+            th.open = th.core.time();
+        }
+    }
+
+    fn block(&mut self, i: usize) {
+        self.threads[i].close_interval();
+    }
+
+    fn run(&mut self, i: usize, core: &mut SyncCore<f64>) {
+        let limit = self.threads[i].core.time() + QUANTUM;
+        loop {
+            match self.cursors[i].peek_block() {
+                None => {
+                    let th = &mut self.threads[i];
+                    th.core.finish();
+                    th.close_interval();
+                    core.exit(self, i);
+                    return;
+                }
+                Some(BlockItem::Sync(op)) => {
+                    self.cursors[i].consume_sync();
+                    self.probe.on_sync(i, &op);
+                    if !self.sync(i, op, core) || self.threads[i].core.time() > limit {
+                        return;
+                    }
+                }
+                Some(BlockItem::Ops(ops)) => {
+                    // Hand the whole lent slice to the core model; it
+                    // enforces the quantum after each op exactly like the
+                    // per-op loop did (op latencies vary, so the budget
+                    // cannot be precomputed as an op count).
+                    let th = &mut self.threads[i];
+                    let (used, over) = th.core.run_ops(ops, &mut self.mem, i, limit);
+                    self.probe.on_ops(i, &ops[..used]);
+                    self.cursors[i].consume_ops(used);
+                    if over {
+                        return;
+                    }
+                }
+            }
         }
     }
 }

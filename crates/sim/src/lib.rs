@@ -2,10 +2,10 @@
 //!
 //! The paper validates RPPM against Sniper, a hardware-validated cycle-level
 //! multicore simulator. This crate plays that role: an instruction-grain
-//! out-of-order core model ([`CoreModel`]) per thread, a shared memory
-//! hierarchy with write-invalidate coherence ([`MemorySystem`]), a real
-//! tournament branch predictor ([`TournamentPredictor`]), and an execution
-//! engine implementing full synchronization semantics ([`simulate`]).
+//! out-of-order core model per thread, a shared memory hierarchy with
+//! write-invalidate coherence ([`MemorySystem`]), a real tournament branch
+//! predictor ([`TournamentPredictor`]), and an execution engine
+//! implementing full synchronization semantics ([`simulate`]).
 //!
 //! The simulator and the analytical model (`rppm-core`) share *only* what
 //! lives in `rppm-trace`: the workload IR, the
@@ -36,13 +36,12 @@
 
 pub mod bpred;
 pub mod cache;
-pub mod core;
+mod core;
 pub mod engine;
 pub mod mem;
 pub mod reference;
 pub mod simprof;
 
-pub use crate::core::{CoreCounters, CoreModel};
 pub use bpred::TournamentPredictor;
 pub use cache::SetAssocCache;
 pub use engine::{simulate, simulate_profiled, simulate_with, SimEngine, SimResult, ThreadResult};

@@ -1,6 +1,6 @@
 //! Naive reference dispatch: the pre-PGO core model, kept verbatim.
 //!
-//! The optimized [`CoreModel`](crate::CoreModel) reorders its dispatch
+//! The optimized core model (`CoreModel`) reorders its dispatch
 //! hot-first, fuses compute pairs into superinstructions and runs the ROB on
 //! a ring buffer. None of that may change a single bit of timing — and the
 //! way to *prove* that continuously is to keep the original, obviously
@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 
 /// The original out-of-order core timing model: per-op nine-way match
 /// dispatch over a `VecDeque` ROB. Field-for-field the pre-optimization
-/// [`CoreModel`](crate::CoreModel).
+/// `CoreModel`.
 #[derive(Debug)]
 pub(crate) struct ReferenceCore {
     width: u32,

@@ -46,9 +46,10 @@
 //!   shared by every crate above.
 //! * [`sched`][mod@sched] and [`sync_core`][mod@sync_core] — the
 //!   discrete-event core every execution engine (profiler, simulator,
-//!   Algorithm 2) runs on: the [`EventQueue`] ready heap and [`SyncCore`],
-//!   the one implementation of the synchronization rules, generic over
-//!   the engine's [`Clock`].
+//!   Algorithm 2) runs on: [`SyncCore`], the one implementation of the
+//!   synchronization rules and of the scheduling loop over the
+//!   [`EventQueue`] ready heap, generic over the engine's [`Clock`]; each
+//!   engine plugs in as an [`Executor`].
 //!
 //! # Example
 //!
@@ -125,4 +126,4 @@ pub use program::{Program, ProgramError, Segment, ThreadScript};
 pub use rng::Rng;
 pub use sched::{Clock, EventQueue};
 pub use sync::{BarrierId, CondId, MutexId, QueueId, SyncMix, SyncOp, ThreadId};
-pub use sync_core::{barrier_participants, Step, SyncCore, ThreadStatus};
+pub use sync_core::{barrier_participants, Executor, SyncCore};

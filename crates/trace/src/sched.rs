@@ -12,9 +12,9 @@
 //! `(wake_key, thread)` events. Threads are *posted* when they become
 //! runnable (creation, wake-up from a barrier/lock/queue, or re-posting
 //! after a scheduling quantum) and popped in global time order; blocked and
-//! finished threads simply are not in the heap and cost nothing. It lives
-//! here, in the crate every engine depends on, next to the one
-//! implementation of the synchronization rules ([`crate::sync_core`]).
+//! finished threads simply are not in the heap and cost nothing. The
+//! scheduling loop over it lives next door, in [`crate::sync_core`], with
+//! the one implementation of the synchronization rules.
 //!
 //! # Bit-identity with the scan
 //!
@@ -34,11 +34,13 @@
 //!
 //! # Invariant
 //!
-//! Each thread has **at most one** live entry in the queue: only the
-//! engine-side transitions *into* the ready state post, and a thread
-//! already in the queue never changes its wake key (a blocked thread is
-//! not in the queue; the running thread has been popped). This is what
-//! makes lazy deletion and sequence numbers unnecessary.
+//! Each thread has **at most one** live entry in the queue: the
+//! [`SyncCore`](crate::SyncCore) is the only code that posts, and it posts
+//! a thread only as it enters the ready state or, still ready, leaves its
+//! slice; a thread already in the queue never changes its wake key (a
+//! blocked thread is not in the queue; the running thread has been
+//! popped). This is what makes lazy deletion and sequence numbers
+//! unnecessary.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,48 +1,79 @@
-//! One implementation of the pthread synchronization rules, shared by every
-//! execution engine.
+//! One implementation of the pthread synchronization rules and of the
+//! scheduling loop that applies them, shared by every execution engine.
 //!
 //! The profiler's unit-cost interleaving, the golden simulator and
 //! Algorithm 2 (symbolic execution) apply the same semantics: thread
 //! creation and join, barriers, FIFO mutexes, producer/consumer queues,
 //! reader-writer locks and counting semaphores. [`SyncCore`] holds that
-//! state machine once, split the way event-driven emulators split a
-//! scheduler from its components: the core decides *who wakes when*; each
-//! engine decides *what executes* and keeps only its own clock arithmetic
+//! state machine once, together with the ready queue, split the way
+//! event-driven emulators split a scheduler from its components: the core
+//! decides *when* each thread runs; each engine, through the [`Executor`]
+//! trait, decides *what executes* and keeps only its own clock arithmetic
 //! (the profiler cuts epochs, the simulator charges library overhead and
 //! spawn latency, Algorithm 2 adds predicted epoch times).
+//!
+//! [`SyncCore::run`] posts the main thread, then repeatedly pops the
+//! ready thread with the smallest key (ties to the lowest index; see
+//! [`EventQueue`]) and lets the engine run a slice of it. Each event the
+//! slice reaches goes to [`SyncCore::sync`] and the end of its stream to
+//! [`SyncCore::exit`]; both make the threads they wake runnable through
+//! the engine's [`Executor::start`] or [`Executor::resume`] and post them.
+//! A thread still ready after its slice is posted again; a blocked one is
+//! posted by whoever wakes it. When nothing is ready, every thread must
+//! have finished, or the run deadlocked.
 //!
 //! The core is generic over the engine's [`Clock`] — `u64` ticks in the
 //! profiler, `f64` cycles in the engines — and only ever compares times,
 //! so both share one definition.
-//!
-//! # Engine contract
-//!
-//! * When thread `i` reaches a synchronization event at time `now` (after
-//!   charging any library overhead), call [`SyncCore::handle`] and act on
-//!   the returned [`Step`]: continue, wait in place until a time, or stop
-//!   running because the thread blocked.
-//! * Every `(thread, time)` pair the call appended to `wake` is now
-//!   runnable. While handling a [`SyncOp::Create`] that is the child,
-//!   which starts at `time` plus whatever spawn latency the engine models;
-//!   otherwise it is a blocked thread, which resumes at the later of its
-//!   own clock and `time`. A blocked thread's clock does not move, so a
-//!   wake time behind it just means "resume now".
-//! * When a thread's stream ends, call [`SyncCore::finish`]; it wakes the
-//!   threads joining it the same way.
-//! * When the engine's ready queue runs dry, [`SyncCore::assert_finished`]
-//!   tells a finished run from a deadlock.
 
 use crate::program::Program;
-use crate::sched::Clock;
+use crate::sched::{Clock, EventQueue};
 use crate::sync::SyncOp;
 use std::collections::{HashMap, HashSet, VecDeque};
 
+/// An execution engine as [`SyncCore::run`] drives it: its clock
+/// arithmetic, and the slice of work it runs when a thread is popped.
+/// Thread `i` is an index into the program's threads.
+pub trait Executor<T: Clock> {
+    /// The time ready thread `i` is queued under: its clock or, in
+    /// Algorithm 2, its arrival at its next event.
+    fn ready_at(&self, i: usize) -> T;
+
+    /// Thread `i`'s clock as it reaches a synchronization event (after any
+    /// library overhead the engine charges) or the end of its stream.
+    fn clock(&self, i: usize) -> T;
+
+    /// Thread `i` was created at time `t` and starts: at `t`, plus any
+    /// spawn latency the engine models.
+    fn start(&mut self, i: usize, t: T);
+
+    /// Blocked thread `i` was woken at time `t` and resumes at the later of
+    /// its own clock and `t` (a blocked thread's clock does not move, so a
+    /// wake time behind it means "resume now").
+    fn resume(&mut self, i: usize, t: T);
+
+    /// Running thread `i` continues once its clock reaches `t`, at once if
+    /// it already has: the release of a barrier it completed, the finish of
+    /// a child it joined, or the availability of an item or permit it took.
+    fn wait(&mut self, i: usize, t: T);
+
+    /// Running thread `i` blocked; a later [`Executor::resume`] wakes it.
+    fn block(&mut self, i: usize);
+
+    /// Runs a slice of ready thread `i`: executes its work, hands each
+    /// synchronization event to [`SyncCore::sync`] and the end of its
+    /// stream to [`SyncCore::exit`], and returns once the thread blocked,
+    /// finished, or ran as long as the engine lets one thread run before
+    /// the others get a turn.
+    fn run(&mut self, i: usize, core: &mut SyncCore<T>);
+}
+
 /// Lifecycle of one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadStatus {
+enum ThreadStatus {
     /// Not created yet (every thread but the main one starts here).
     NotStarted,
-    /// Runnable: running, or waiting in the engine's ready queue.
+    /// Runnable: running, or waiting in the ready queue.
     Ready,
     /// Waiting on a synchronization primitive until a wake resumes it.
     Blocked,
@@ -52,7 +83,7 @@ pub enum ThreadStatus {
 
 /// What the thread that handled a synchronization event does next.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Step<T> {
+enum Step<T> {
     /// Continue at the current time.
     Proceed,
     /// Continue once the clock reaches this time (at once if it already
@@ -161,8 +192,8 @@ impl RwLock {
     }
 }
 
-/// Per-thread lifecycle plus the state of every synchronization primitive
-/// of one run. See the [module docs](self) for the engine contract.
+/// Per-thread lifecycle, the state of every synchronization primitive and
+/// the ready queue of one run. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct SyncCore<T> {
     /// Threads taking part in each barrier (a pure property of the
@@ -177,6 +208,11 @@ pub struct SyncCore<T> {
     queues: HashMap<u32, Tokens<T>>,
     sems: HashMap<u32, Tokens<T>>,
     rwlocks: HashMap<u32, RwLock>,
+    /// Ready threads keyed by [`Executor::ready_at`]; each thread has at
+    /// most one entry.
+    ready: EventQueue,
+    /// Threads the event being handled makes runnable.
+    wake: Vec<(usize, T)>,
 }
 
 impl<T: Clock> SyncCore<T> {
@@ -201,8 +237,9 @@ impl<T: Clock> SyncCore<T> {
         Self::new(program.num_threads(), barrier_participants(events))
     }
 
-    /// Returns every thread and primitive to its initial state for another
-    /// run over the same events, keeping every allocation.
+    /// Returns every thread, primitive and the ready queue to their initial
+    /// state for another run over the same events, keeping every
+    /// allocation.
     pub fn reset(&mut self, threads: usize) {
         self.status.clear();
         self.status.resize(threads, ThreadStatus::NotStarted);
@@ -230,11 +267,13 @@ impl<T: Clock> SyncCore<T> {
             rw.readers = 0;
             rw.queue.clear();
         }
+        self.ready.clear();
+        self.wake.clear();
     }
 
     /// Thread `i`'s lifecycle state.
     #[inline]
-    pub fn status(&self, i: usize) -> ThreadStatus {
+    fn status(&self, i: usize) -> ThreadStatus {
         self.status[i]
     }
 
@@ -244,13 +283,85 @@ impl<T: Clock> SyncCore<T> {
         self.finish[i]
     }
 
+    /// Runs every thread to the end of its stream through `exec`: posts the
+    /// main thread, then runs a slice of the earliest ready thread until
+    /// none is ready (see the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the blocked threads and `run` if the run deadlocks
+    /// (e.g. a consume from a queue nothing ever produces into), or if a
+    /// thread is created twice.
+    pub fn run<E: Executor<T>>(&mut self, exec: &mut E, run: &str) {
+        if !self.status.is_empty() {
+            self.ready.post_at(exec.ready_at(0), 0);
+        }
+        while let Some((_, i)) = self.ready.pop() {
+            debug_assert_eq!(self.status(i), ThreadStatus::Ready);
+            exec.run(i, self);
+            if self.status(i) == ThreadStatus::Ready {
+                self.ready.post_at(exec.ready_at(i), i);
+            }
+        }
+        self.assert_finished(run);
+    }
+
+    /// Applies running thread `i`'s synchronization event `op` at its
+    /// [`Executor::clock`], making the threads it wakes runnable, and has
+    /// `i` wait or block as the event demands. Returns whether `i` is still
+    /// running.
+    pub fn sync<E: Executor<T>>(&mut self, exec: &mut E, i: usize, op: SyncOp) -> bool {
+        let mut wake = std::mem::take(&mut self.wake);
+        let step = self.handle(i, op, exec.clock(i), &mut wake);
+        self.make_ready(exec, &mut wake, matches!(op, SyncOp::Create { .. }));
+        self.wake = wake;
+        match step {
+            Step::Proceed => true,
+            Step::WaitUntil(t) => {
+                exec.wait(i, t);
+                true
+            }
+            Step::Block => {
+                exec.block(i);
+                false
+            }
+        }
+    }
+
+    /// Marks running thread `i` finished at its [`Executor::clock`],
+    /// making the threads joining it runnable.
+    pub fn exit<E: Executor<T>>(&mut self, exec: &mut E, i: usize) {
+        let mut wake = std::mem::take(&mut self.wake);
+        self.finish(i, exec.clock(i), &mut wake);
+        self.make_ready(exec, &mut wake, false);
+        self.wake = wake;
+    }
+
+    /// Starts (`created`) or resumes every thread in `wake`, in order, and
+    /// posts it.
+    fn make_ready<E: Executor<T>>(
+        &mut self,
+        exec: &mut E,
+        wake: &mut Vec<(usize, T)>,
+        created: bool,
+    ) {
+        for (w, t) in wake.drain(..) {
+            if created {
+                exec.start(w, t);
+            } else {
+                exec.resume(w, t);
+            }
+            self.ready.post_at(exec.ready_at(w), w);
+        }
+    }
+
     /// Applies thread `i`'s synchronization event `op` at time `now`,
     /// appending the threads it makes runnable to `wake`.
     ///
     /// # Panics
     ///
     /// Panics if `op` creates a thread that was already created.
-    pub fn handle(&mut self, i: usize, op: SyncOp, now: T, wake: &mut Vec<(usize, T)>) -> Step<T> {
+    fn handle(&mut self, i: usize, op: SyncOp, now: T, wake: &mut Vec<(usize, T)>) -> Step<T> {
         let first = wake.len();
         let step = match op {
             SyncOp::Create { child } => {
@@ -340,7 +451,7 @@ impl<T: Clock> SyncCore<T> {
 
     /// Marks thread `i` finished at `now`, appending the threads joining
     /// it to `wake`.
-    pub fn finish(&mut self, i: usize, now: T, wake: &mut Vec<(usize, T)>) {
+    fn finish(&mut self, i: usize, now: T, wake: &mut Vec<(usize, T)>) {
         self.status[i] = ThreadStatus::Done;
         self.finish[i] = now;
         for w in self.joiners[i].drain(..) {
@@ -349,14 +460,12 @@ impl<T: Clock> SyncCore<T> {
         }
     }
 
-    /// Checks, once the engine has no runnable thread left, that every
-    /// thread finished.
+    /// Checks, once no thread is ready, that every thread finished.
     ///
     /// # Panics
     ///
-    /// Panics naming the blocked threads if the run deadlocked (e.g. a
-    /// consume from a queue nothing ever produces into).
-    pub fn assert_finished(&self, run: &str) {
+    /// Panics naming the blocked threads if the run deadlocked.
+    fn assert_finished(&self, run: &str) {
         if self.status.iter().any(|&s| s != ThreadStatus::Done) {
             let blocked: Vec<usize> = (0..self.status.len())
                 .filter(|&i| self.status[i] == ThreadStatus::Blocked)
