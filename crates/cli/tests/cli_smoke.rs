@@ -276,6 +276,51 @@ fn user_errors_are_one_line_typed_messages() {
 }
 
 #[test]
+fn traces_whose_threads_could_never_start_are_user_errors() {
+    use rppm::trace::{Segment, SyncOp, ThreadId, ThreadScript};
+    // Each used to pass validation and panic the profiler: an empty
+    // thread created twice, two threads that only create each other, and
+    // a join of an empty thread nothing creates.
+    let create = |c| Segment::Sync(SyncOp::Create { child: ThreadId(c) });
+    let mini = std::fs::read_to_string("../../examples/traces/mini.json").unwrap();
+    let base = rppm::trace::import_program(&mini).unwrap();
+    let mut twice = base.clone();
+    twice.threads.push(ThreadScript::default());
+    twice.threads[0]
+        .segments
+        .splice(0..0, [create(2), create(2)]);
+    let mut cycle = base.clone();
+    cycle.threads.push(ThreadScript {
+        segments: vec![create(3)],
+    });
+    cycle.threads.push(ThreadScript {
+        segments: vec![create(2)],
+    });
+    let mut join = base;
+    join.threads.push(ThreadScript::default());
+    join.threads[0]
+        .segments
+        .push(Segment::Sync(SyncOp::Join { child: ThreadId(2) }));
+    let dir = std::env::temp_dir().join("rppm-cli-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, program, needle) in [
+        ("twice", &twice, "created more than once"),
+        ("cycle", &cycle, "which never runs"),
+        ("join", &join, "which is never created"),
+    ] {
+        let json = dir.join(format!("never-starts-{name}.json"));
+        std::fs::write(&json, rppm::trace::export_program(program).unwrap()).unwrap();
+        let rpt = dir.join(format!("never-starts-{name}.rpt"));
+        std::fs::write(&rpt, rppm::trace::export_program_binary(program).unwrap()).unwrap();
+        for file in [&json, &rpt] {
+            let out = rppm(&["import", file.to_str().unwrap()]);
+            assert_user_error(&out, needle);
+            assert_eq!(stderr(&out).lines().count(), 1, "{}", stderr(&out));
+        }
+    }
+}
+
+#[test]
 fn report_prints_a_table_and_convert_round_trips() {
     // table4 is static (no workload runs): instant and deterministic.
     let out = rppm(&["report", "table4"]);

@@ -127,7 +127,10 @@ impl Program {
     /// Validates structural invariants:
     ///
     /// * the main thread exists (a program has at least one thread);
-    /// * every non-main thread is created exactly once, by an earlier thread;
+    /// * every other thread with segments is created, and no thread is
+    ///   created twice (an empty thread nothing creates is an unused slot);
+    /// * every creator is main or a thread main creates, directly or not;
+    /// * every join names main or a created thread;
     /// * lock/unlock events are balanced and well-nested per thread;
     /// * barrier, queue and mutex identifiers are used consistently;
     /// * every block expands: at least one branch site, a loop period of at
@@ -143,6 +146,7 @@ impl Program {
             return Err(ProgramError::NoThreads);
         }
         let mut created = vec![0usize; n];
+        let mut creator = vec![ThreadId(0); n];
         for (tid, script) in self.threads.iter().enumerate() {
             let mut held: Vec<u32> = Vec::new();
             let mut held_rw: Vec<u32> = Vec::new();
@@ -169,6 +173,7 @@ impl Program {
                                 return Err(ProgramError::MainThreadCreated);
                             }
                             created[child.index()] += 1;
+                            creator[child.index()] = ThreadId(tid as u32);
                         }
                         SyncOp::Join { child } if child.index() >= n => {
                             return Err(ProgramError::UnknownThread {
@@ -212,18 +217,44 @@ impl Program {
             }
         }
         for (t, &c) in created.iter().enumerate().skip(1) {
-            if self.threads[t].segments.is_empty() {
-                continue; // unused slot is fine
-            }
-            if c == 0 {
-                return Err(ProgramError::NeverCreated {
-                    thread: ThreadId(t as u32),
-                });
-            }
             if c > 1 {
                 return Err(ProgramError::CreatedTwice {
                     thread: ThreadId(t as u32),
                 });
+            }
+            if c == 0 && !self.threads[t].segments.is_empty() {
+                return Err(ProgramError::NeverCreated {
+                    thread: ThreadId(t as u32),
+                });
+            }
+        }
+        // Each created thread has one creator now, so walking the creates
+        // down from main visits every thread that runs exactly once.
+        let mut runs = vec![false; n];
+        let mut next = vec![0];
+        while let Some(t) = next.pop() {
+            runs[t] = true;
+            next.extend(self.threads[t].sync_ops().filter_map(|op| match op {
+                SyncOp::Create { child } => Some(child.index()),
+                _ => None,
+            }));
+        }
+        for (t, script) in self.threads.iter().enumerate() {
+            if created[t] > 0 && !runs[t] {
+                return Err(ProgramError::CreatorNeverRuns {
+                    thread: ThreadId(t as u32),
+                    creator: creator[t],
+                });
+            }
+            for op in script.sync_ops() {
+                if let SyncOp::Join { child } = *op {
+                    if !runs[child.index()] {
+                        return Err(ProgramError::JoinsUncreated {
+                            by: ThreadId(t as u32),
+                            target: child,
+                        });
+                    }
+                }
             }
         }
         Ok(())
@@ -253,6 +284,21 @@ pub enum ProgramError {
     CreatedTwice {
         /// The doubly-created thread.
         thread: ThreadId,
+    },
+    /// A thread's creator neither is main nor is created, directly or not,
+    /// by main (e.g. two threads that only create each other).
+    CreatorNeverRuns {
+        /// The thread that never starts.
+        thread: ThreadId,
+        /// Its creator, which never runs either.
+        creator: ThreadId,
+    },
+    /// A thread joins a thread that is never created.
+    JoinsUncreated {
+        /// The joining thread.
+        by: ThreadId,
+        /// The thread it waits for.
+        target: ThreadId,
     },
     /// Mismatched or badly nested lock/unlock events.
     UnbalancedLock {
@@ -293,6 +339,18 @@ impl std::fmt::Display for ProgramError {
             }
             ProgramError::CreatedTwice { thread } => {
                 write!(f, "thread {thread} is created more than once")
+            }
+            ProgramError::CreatorNeverRuns { thread, creator } => {
+                write!(
+                    f,
+                    "thread {thread} is created by thread {creator}, which never runs"
+                )
+            }
+            ProgramError::JoinsUncreated { by, target } => {
+                write!(
+                    f,
+                    "thread {by} joins thread {target}, which is never created"
+                )
             }
             ProgramError::UnbalancedLock { thread } => {
                 write!(
@@ -379,6 +437,41 @@ mod tests {
                 thread: ThreadId(1)
             })
         );
+    }
+
+    #[test]
+    fn validate_catches_threads_that_could_never_start() {
+        let create = |c| Segment::Sync(SyncOp::Create { child: ThreadId(c) });
+        // A thread created twice is an error even with no segments.
+        let mut p = Program::new("t", 2);
+        p.threads[0].segments = vec![create(1), create(1)];
+        let twice = ProgramError::CreatedTwice {
+            thread: ThreadId(1),
+        };
+        assert_eq!(p.validate(), Err(twice));
+        // Each is created once, but neither creator runs.
+        let mut p = Program::new("t", 3);
+        p.threads[1].segments = vec![create(2), block(10)];
+        p.threads[2].segments = vec![create(1)];
+        let never_runs = ProgramError::CreatorNeverRuns {
+            thread: ThreadId(1),
+            creator: ThreadId(2),
+        };
+        assert_eq!(p.validate(), Err(never_runs));
+        // An unused slot is fine until something joins it; joining main is
+        // fine.
+        let mut p = Program::new("t", 3);
+        p.threads[0].segments = vec![create(1), block(10)];
+        p.threads[1].segments = vec![Segment::Sync(SyncOp::Join { child: ThreadId(0) })];
+        assert_eq!(p.validate(), Ok(()));
+        p.threads[0]
+            .segments
+            .push(Segment::Sync(SyncOp::Join { child: ThreadId(2) }));
+        let uncreated = ProgramError::JoinsUncreated {
+            by: ThreadId(0),
+            target: ThreadId(2),
+        };
+        assert_eq!(p.validate(), Err(uncreated));
     }
 
     #[test]

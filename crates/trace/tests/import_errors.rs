@@ -253,6 +253,68 @@ fn blocks_expansion_cannot_use_are_rejected_by_every_reader() {
     }
 }
 
+#[test]
+fn threads_that_could_never_start_are_rejected_by_every_reader() {
+    use rppm_trace::{Segment, SyncOp, ThreadId};
+    let create = |c| Segment::Sync(SyncOp::Create { child: ThreadId(c) });
+    let join = |c| Segment::Sync(SyncOp::Join { child: ThreadId(c) });
+    let program = |threads: Vec<Vec<Segment>>| {
+        let mut p = Program::new("never-starts", threads.len());
+        for (script, segments) in p.threads.iter_mut().zip(threads) {
+            script.segments = segments;
+        }
+        p
+    };
+    let work = || Segment::Block(BlockSpec::new(64, 9).branches(0.1));
+    // Each of these used to pass validation and then panic the profiler.
+    let cases = [
+        (
+            // Main creates an empty thread twice.
+            program(vec![vec![create(1), work(), create(1)], vec![]]),
+            ProgramError::CreatedTwice {
+                thread: ThreadId(1),
+            },
+            "thread T1 is created more than once",
+        ),
+        (
+            // Threads 1 and 2 only create each other.
+            program(vec![vec![work()], vec![create(2)], vec![create(1)]]),
+            ProgramError::CreatorNeverRuns {
+                thread: ThreadId(1),
+                creator: ThreadId(2),
+            },
+            "thread T1 is created by thread T2, which never runs",
+        ),
+        (
+            // Main joins an empty thread that nothing creates.
+            program(vec![vec![work(), join(1)], vec![]]),
+            ProgramError::JoinsUncreated {
+                by: ThreadId(0),
+                target: ThreadId(1),
+            },
+            "thread T0 joins thread T1, which is never created",
+        ),
+    ];
+    for (program, expected, message) in cases {
+        let text = export_program(&program).expect("writer does not validate");
+        let bytes = export_program_binary(&program).expect("writer does not validate");
+        for (reader, result) in [
+            ("json", import_program(&text)),
+            ("json stream", read_program_stream(text.as_bytes())),
+            ("rpt1", import_program_binary(&bytes)),
+            ("rpt1 stream", read_program_stream(&bytes[..])),
+        ] {
+            match result {
+                Err(TraceFileError::InvalidProgram(e)) => {
+                    assert_eq!(e, expected, "{reader}");
+                    assert_eq!(e.to_string(), message, "{reader}");
+                }
+                other => panic!("{reader}: expected {expected:?}, got {other:?}"),
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // RPT1 binary container
 
