@@ -254,6 +254,10 @@ struct SymExec<'e> {
 }
 
 impl Executor<f64> for SymExec<'_> {
+    fn clock(&self, i: usize) -> f64 {
+        self.threads[i].time
+    }
+
     /// Arrival time of thread `i` at its next synchronization event (its
     /// accumulated time plus the pending epoch, if any) — the key the old
     /// linear scan minimized.
@@ -265,10 +269,6 @@ impl Executor<f64> for SymExec<'_> {
         } else {
             th.time
         }
-    }
-
-    fn clock(&self, i: usize) -> f64 {
-        self.threads[i].time
     }
 
     fn start(&mut self, i: usize, t: f64) {

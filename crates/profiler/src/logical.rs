@@ -292,10 +292,6 @@ impl<'p> Profiler<'p> {
 }
 
 impl Executor<u64> for Profiler<'_> {
-    fn ready_at(&self, i: usize) -> u64 {
-        self.threads[i].tick
-    }
-
     fn clock(&self, i: usize) -> u64 {
         self.threads[i].tick
     }

@@ -86,7 +86,7 @@ pub(crate) fn attribute(stalls: &mut CpiStack, cause: Cause, delta: f64) {
 
 /// Per-thread execution counters reported by the core model.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CoreCounters {
+pub(crate) struct CoreCounters {
     /// Micro-ops executed.
     pub ops: u64,
     /// Dynamic branches.
@@ -103,7 +103,7 @@ pub struct CoreCounters {
 
 /// Out-of-order core timing state for one thread.
 #[derive(Debug)]
-pub struct CoreModel {
+pub(crate) struct CoreModel {
     // Configuration scalars.
     width: u32,
     rob_size: usize,
@@ -340,8 +340,8 @@ impl CoreModel {
         self.retire(complete, cause);
     }
 
-    /// Processes one micro-op, advancing the thread's timing state: the
-    /// per-op loop [`CoreModel::run_ops`] is pinned against.
+    /// Processes one micro-op, advancing the thread's timing state. The
+    /// tests pin `run_ops` against a loop of these.
     #[cfg(test)]
     fn process(&mut self, op: &MicroOp, mem: &mut MemorySystem, core_id: usize) {
         self.fetch(op, mem, core_id);

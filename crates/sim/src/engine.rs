@@ -358,10 +358,6 @@ impl<'p, C: CoreTiming, P: SimProbe> Engine<'p, C, P> {
 }
 
 impl<C: CoreTiming, P: SimProbe> Executor<f64> for Engine<'_, C, P> {
-    fn ready_at(&self, i: usize) -> f64 {
-        self.threads[i].core.time()
-    }
-
     fn clock(&self, i: usize) -> f64 {
         self.threads[i].core.time()
     }

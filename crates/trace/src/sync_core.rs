@@ -35,13 +35,15 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// arithmetic, and the slice of work it runs when a thread is popped.
 /// Thread `i` is an index into the program's threads.
 pub trait Executor<T: Clock> {
-    /// The time ready thread `i` is queued under: its clock or, in
-    /// Algorithm 2, its arrival at its next event.
-    fn ready_at(&self, i: usize) -> T;
-
     /// Thread `i`'s clock as it reaches a synchronization event (after any
     /// library overhead the engine charges) or the end of its stream.
     fn clock(&self, i: usize) -> T;
+
+    /// The time ready thread `i` is queued under: its clock or, in
+    /// Algorithm 2, its arrival at its next event.
+    fn ready_at(&self, i: usize) -> T {
+        self.clock(i)
+    }
 
     /// Thread `i` was created at time `t` and starts: at `t`, plus any
     /// spawn latency the engine models.
