@@ -313,10 +313,8 @@ impl<T: Clock> SyncCore<T> {
     /// `i` wait or block as the event demands. Returns whether `i` is still
     /// running.
     pub fn sync<E: Executor<T>>(&mut self, exec: &mut E, i: usize, op: SyncOp) -> bool {
-        let mut wake = std::mem::take(&mut self.wake);
-        let step = self.handle(i, op, exec.clock(i), &mut wake);
-        self.make_ready(exec, &mut wake, matches!(op, SyncOp::Create { .. }));
-        self.wake = wake;
+        let step = self.handle(i, op, exec.clock(i));
+        self.make_ready(exec, matches!(op, SyncOp::Create { .. }));
         match step {
             Step::Proceed => true,
             Step::WaitUntil(t) => {
@@ -333,21 +331,14 @@ impl<T: Clock> SyncCore<T> {
     /// Marks running thread `i` finished at its [`Executor::clock`],
     /// making the threads joining it runnable.
     pub fn exit<E: Executor<T>>(&mut self, exec: &mut E, i: usize) {
-        let mut wake = std::mem::take(&mut self.wake);
-        self.finish(i, exec.clock(i), &mut wake);
-        self.make_ready(exec, &mut wake, false);
-        self.wake = wake;
+        self.finish(i, exec.clock(i));
+        self.make_ready(exec, false);
     }
 
-    /// Starts (`created`) or resumes every thread in `wake`, in order, and
-    /// posts it.
-    fn make_ready<E: Executor<T>>(
-        &mut self,
-        exec: &mut E,
-        wake: &mut Vec<(usize, T)>,
-        created: bool,
-    ) {
-        for (w, t) in wake.drain(..) {
+    /// Starts (`created`) or resumes every thread the last event woke, in
+    /// order, and posts it.
+    fn make_ready<E: Executor<T>>(&mut self, exec: &mut E, created: bool) {
+        for (w, t) in self.wake.drain(..) {
             if created {
                 exec.start(w, t);
             } else {
@@ -358,12 +349,13 @@ impl<T: Clock> SyncCore<T> {
     }
 
     /// Applies thread `i`'s synchronization event `op` at time `now`,
-    /// appending the threads it makes runnable to `wake`.
+    /// appending the threads it makes runnable to the wake buffer.
     ///
     /// # Panics
     ///
     /// Panics if `op` creates a thread that was already created.
-    fn handle(&mut self, i: usize, op: SyncOp, now: T, wake: &mut Vec<(usize, T)>) -> Step<T> {
+    fn handle(&mut self, i: usize, op: SyncOp, now: T) -> Step<T> {
+        let wake = &mut self.wake;
         let first = wake.len();
         let step = match op {
             SyncOp::Create { child } => {
@@ -452,13 +444,13 @@ impl<T: Clock> SyncCore<T> {
     }
 
     /// Marks thread `i` finished at `now`, appending the threads joining
-    /// it to `wake`.
-    fn finish(&mut self, i: usize, now: T, wake: &mut Vec<(usize, T)>) {
+    /// it to the wake buffer.
+    fn finish(&mut self, i: usize, now: T) {
         self.status[i] = ThreadStatus::Done;
         self.finish[i] = now;
         for w in self.joiners[i].drain(..) {
             self.status[w] = ThreadStatus::Ready;
-            wake.push((w, now));
+            self.wake.push((w, now));
         }
     }
 
@@ -511,20 +503,19 @@ mod tests {
     #[test]
     fn create_starts_the_child_and_join_waits_for_it() {
         let mut c = core(2, &[]);
-        let mut wake = Vec::new();
         let create = SyncOp::Create { child: ThreadId(1) };
-        assert_eq!(c.handle(0, create, 5, &mut wake), Step::Proceed);
-        assert_eq!(wake, vec![(1, 5)]);
+        assert_eq!(c.handle(0, create, 5), Step::Proceed);
+        assert_eq!(c.wake, vec![(1, 5)]);
         assert_eq!(c.status(1), ThreadStatus::Ready);
-        wake.clear();
+        c.wake.clear();
         let join = SyncOp::Join { child: ThreadId(1) };
-        assert_eq!(c.handle(0, join, 6, &mut wake), Step::Block);
-        c.finish(1, 40, &mut wake);
-        assert_eq!(wake, vec![(0, 40)]);
+        assert_eq!(c.handle(0, join, 6), Step::Block);
+        c.finish(1, 40);
+        assert_eq!(c.wake, vec![(0, 40)]);
         assert_eq!(c.status(0), ThreadStatus::Ready);
         // Joining a thread that already finished waits for its finish.
-        assert_eq!(c.handle(0, join, 30, &mut wake), Step::WaitUntil(40));
-        c.finish(0, 41, &mut wake);
+        assert_eq!(c.handle(0, join, 30), Step::WaitUntil(40));
+        c.finish(0, 41);
         c.assert_finished("test");
     }
 
@@ -535,14 +526,13 @@ mod tests {
             via_cond: false,
         };
         let mut c = core(3, &[vec![bar], vec![bar, bar], vec![bar]]);
-        let mut wake = Vec::new();
-        assert_eq!(c.handle(0, bar, 10, &mut wake), Step::Block);
-        assert_eq!(c.handle(2, bar, 30, &mut wake), Step::Block);
-        assert_eq!(c.handle(1, bar, 20, &mut wake), Step::WaitUntil(30));
-        assert_eq!(wake, vec![(0, 30), (2, 30)]);
+        assert_eq!(c.handle(0, bar, 10), Step::Block);
+        assert_eq!(c.handle(2, bar, 30), Step::Block);
+        assert_eq!(c.handle(1, bar, 20), Step::WaitUntil(30));
+        assert_eq!(c.wake, vec![(0, 30), (2, 30)]);
         // The next instance starts from scratch.
-        wake.clear();
-        assert_eq!(c.handle(1, bar, 50, &mut wake), Step::Block);
+        c.wake.clear();
+        assert_eq!(c.handle(1, bar, 50), Step::Block);
     }
 
     #[test]
@@ -552,16 +542,15 @@ mod tests {
         let write = SyncOp::RwLock { id, write: true };
         let unlock = SyncOp::RwUnlock { id };
         let mut c = core(4, &[]);
-        let mut wake = Vec::new();
-        assert_eq!(c.handle(0, read, 0, &mut wake), Step::Proceed);
-        assert_eq!(c.handle(1, write, 1, &mut wake), Step::Block);
-        assert_eq!(c.handle(2, read, 2, &mut wake), Step::Block);
-        assert_eq!(c.handle(3, read, 3, &mut wake), Step::Block);
-        c.handle(0, unlock, 10, &mut wake);
-        assert_eq!(wake, vec![(1, 10)], "the writer enters alone");
-        wake.clear();
-        c.handle(1, unlock, 20, &mut wake);
-        assert_eq!(wake, vec![(2, 20), (3, 20)], "then both readers together");
+        assert_eq!(c.handle(0, read, 0), Step::Proceed);
+        assert_eq!(c.handle(1, write, 1), Step::Block);
+        assert_eq!(c.handle(2, read, 2), Step::Block);
+        assert_eq!(c.handle(3, read, 3), Step::Block);
+        c.handle(0, unlock, 10);
+        assert_eq!(c.wake, vec![(1, 10)], "the writer enters alone");
+        c.wake.clear();
+        c.handle(1, unlock, 20);
+        assert_eq!(c.wake, vec![(2, 20), (3, 20)], "then both readers together");
     }
 
     #[test]
@@ -569,31 +558,26 @@ mod tests {
         let id = SemId(0);
         let wait = SyncOp::SemWait { id };
         let mut c = core(4, &[]);
-        let mut wake = Vec::new();
         for t in 1..4 {
-            assert_eq!(c.handle(t, wait, t as u64, &mut wake), Step::Block);
+            assert_eq!(c.handle(t, wait, t as u64), Step::Block);
         }
-        c.handle(0, SyncOp::SemPost { id, count: 2 }, 7, &mut wake);
-        assert_eq!(wake, vec![(1, 7), (2, 7)]);
-        wake.clear();
-        c.handle(0, SyncOp::SemPost { id, count: 3 }, 9, &mut wake);
-        assert_eq!(wake, vec![(3, 9)]);
-        assert_eq!(c.handle(1, wait, 12, &mut wake), Step::WaitUntil(9));
+        c.handle(0, SyncOp::SemPost { id, count: 2 }, 7);
+        assert_eq!(c.wake, vec![(1, 7), (2, 7)]);
+        c.wake.clear();
+        c.handle(0, SyncOp::SemPost { id, count: 3 }, 9);
+        assert_eq!(c.wake, vec![(3, 9)]);
+        assert_eq!(c.handle(1, wait, 12), Step::WaitUntil(9));
     }
 
     #[test]
     fn reset_restores_the_initial_state() {
         let mut c = core(2, &[]);
-        let mut wake = Vec::new();
-        c.handle(0, SyncOp::Create { child: ThreadId(1) }, 0, &mut wake);
-        c.handle(1, SyncOp::Lock { id: 0.into() }, 0, &mut wake);
+        c.handle(0, SyncOp::Create { child: ThreadId(1) }, 0);
+        c.handle(1, SyncOp::Lock { id: 0.into() }, 0);
         c.reset(2);
         assert_eq!(c.status(0), ThreadStatus::Ready);
         assert_eq!(c.status(1), ThreadStatus::NotStarted);
-        assert_eq!(
-            c.handle(0, SyncOp::Lock { id: 0.into() }, 0, &mut wake),
-            Step::Proceed
-        );
+        assert_eq!(c.handle(0, SyncOp::Lock { id: 0.into() }, 0), Step::Proceed);
     }
 
     #[test]
@@ -601,7 +585,7 @@ mod tests {
     fn a_blocked_thread_is_a_deadlock() {
         let mut c = core(1, &[]);
         let consume = SyncOp::Consume { queue: 0.into() };
-        assert_eq!(c.handle(0, consume, 0, &mut Vec::new()), Step::Block);
+        assert_eq!(c.handle(0, consume, 0), Step::Block);
         c.assert_finished("test");
     }
 }
