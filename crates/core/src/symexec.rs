@@ -288,16 +288,6 @@ impl Executor<f64> for SymExec<'_> {
         th.open = th.time;
     }
 
-    fn wait(&mut self, i: usize, t: f64) {
-        let th = &mut self.threads[i];
-        if t > th.time {
-            th.close_interval(self.record);
-            th.idle += t - th.time;
-            th.time = t;
-            th.open = t;
-        }
-    }
-
     fn block(&mut self, i: usize) {
         self.threads[i].close_interval(self.record);
     }

@@ -305,10 +305,6 @@ impl Executor<u64> for Profiler<'_> {
         th.tick = th.tick.max(tick);
     }
 
-    fn wait(&mut self, i: usize, tick: u64) {
-        self.resume(i, tick);
-    }
-
     fn block(&mut self, _: usize) {}
 
     fn run(&mut self, i: usize, core: &mut SyncCore<u64>) {

@@ -377,16 +377,7 @@ impl<C: CoreTiming, P: SimProbe> Executor<f64> for Engine<'_, C, P> {
         th.open = th.core.time();
     }
 
-    /// The wait is charged to sync and excluded from the active intervals.
-    fn wait(&mut self, i: usize, t: f64) {
-        let th = &mut self.threads[i];
-        if t > th.core.time() {
-            th.close_interval();
-            th.core.resume_at(t);
-            th.open = th.core.time();
-        }
-    }
-
+    /// Closes the thread's active interval: a wait is not active time.
     fn block(&mut self, i: usize) {
         self.threads[i].close_interval();
     }

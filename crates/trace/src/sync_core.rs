@@ -54,12 +54,11 @@ pub trait Executor<T: Clock> {
     /// wake time behind it means "resume now").
     fn resume(&mut self, i: usize, t: T);
 
-    /// Running thread `i` continues once its clock reaches `t`, at once if
-    /// it already has: the release of a barrier it completed, the finish of
-    /// a child it joined, or the availability of an item or permit it took.
-    fn wait(&mut self, i: usize, t: T);
-
-    /// Running thread `i` blocked; a later [`Executor::resume`] wakes it.
+    /// Running thread `i` stops running until a later
+    /// [`Executor::resume`]: it blocked, or it waits in place for a time
+    /// past its clock (the release of a barrier it completed, the finish of
+    /// a child it joined, or the availability of an item or permit it
+    /// took), which the core applies as a block and a resume at that time.
     fn block(&mut self, i: usize);
 
     /// Runs a slice of ready thread `i`: executes its work, hands each
@@ -273,12 +272,6 @@ impl<T: Clock> SyncCore<T> {
         self.wake.clear();
     }
 
-    /// Thread `i`'s lifecycle state.
-    #[inline]
-    fn status(&self, i: usize) -> ThreadStatus {
-        self.status[i]
-    }
-
     /// The time thread `i` finished (the clock's zero until it has).
     #[inline]
     pub fn finish_time(&self, i: usize) -> T {
@@ -299,9 +292,9 @@ impl<T: Clock> SyncCore<T> {
             self.ready.post_at(exec.ready_at(0), 0);
         }
         while let Some((_, i)) = self.ready.pop() {
-            debug_assert_eq!(self.status(i), ThreadStatus::Ready);
+            debug_assert_eq!(self.status[i], ThreadStatus::Ready);
             exec.run(i, self);
-            if self.status(i) == ThreadStatus::Ready {
+            if self.status[i] == ThreadStatus::Ready {
                 self.ready.post_at(exec.ready_at(i), i);
             }
         }
@@ -318,7 +311,10 @@ impl<T: Clock> SyncCore<T> {
         match step {
             Step::Proceed => true,
             Step::WaitUntil(t) => {
-                exec.wait(i, t);
+                if t > exec.clock(i) {
+                    exec.block(i);
+                    exec.resume(i, t);
+                }
                 true
             }
             Step::Block => {
@@ -506,13 +502,13 @@ mod tests {
         let create = SyncOp::Create { child: ThreadId(1) };
         assert_eq!(c.handle(0, create, 5), Step::Proceed);
         assert_eq!(c.wake, vec![(1, 5)]);
-        assert_eq!(c.status(1), ThreadStatus::Ready);
+        assert_eq!(c.status[1], ThreadStatus::Ready);
         c.wake.clear();
         let join = SyncOp::Join { child: ThreadId(1) };
         assert_eq!(c.handle(0, join, 6), Step::Block);
         c.finish(1, 40);
         assert_eq!(c.wake, vec![(0, 40)]);
-        assert_eq!(c.status(0), ThreadStatus::Ready);
+        assert_eq!(c.status[0], ThreadStatus::Ready);
         // Joining a thread that already finished waits for its finish.
         assert_eq!(c.handle(0, join, 30), Step::WaitUntil(40));
         c.finish(0, 41);
@@ -575,8 +571,8 @@ mod tests {
         c.handle(0, SyncOp::Create { child: ThreadId(1) }, 0);
         c.handle(1, SyncOp::Lock { id: 0.into() }, 0);
         c.reset(2);
-        assert_eq!(c.status(0), ThreadStatus::Ready);
-        assert_eq!(c.status(1), ThreadStatus::NotStarted);
+        assert_eq!(c.status[0], ThreadStatus::Ready);
+        assert_eq!(c.status[1], ThreadStatus::NotStarted);
         assert_eq!(c.handle(0, SyncOp::Lock { id: 0.into() }, 0), Step::Proceed);
     }
 
