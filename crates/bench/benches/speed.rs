@@ -265,6 +265,18 @@ fn components(c: &mut Criterion) {
         })
     });
 
+    // First touches only: 21k distinct lines from 5 round-robin threads,
+    // one access each (the shape of blackscholes' data accesses).
+    g.bench_function("mt_collector_cold_5t", |b| {
+        b.iter(|| {
+            let mut c = MultiThreadCollector::new(5);
+            for i in 0..21_000u64 {
+                c.access((i % 5) as usize, i, i & 7 == 0);
+            }
+            std::hint::black_box(c.total_accesses())
+        })
+    });
+
     // Symbolic execution of a 4-thread, 1000-barrier schedule (thread 0
     // creates the workers first, as a real profile would record).
     let config = DesignPoint::Base.config();

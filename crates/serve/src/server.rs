@@ -16,8 +16,7 @@ use rppm::docs::{
     describe_config, dse_best_doc, dse_bounds_ladder, dse_sweep_doc, prediction_doc, sweep_doc,
 };
 use rppm::trace::{
-    parse_machine, program_fingerprint, read_program_any, read_program_stream, DesignPoint,
-    MachineConfig, Program,
+    parse_machine, read_program_any, read_program_stream, DesignPoint, MachineConfig, Program,
 };
 use rppm::{CacheBudget, Session, WorkloadHandle};
 use serde_json::Value;
@@ -527,12 +526,14 @@ impl State {
         // connection stays framed for keep-alive.
         std::io::copy(&mut limited, &mut std::io::sink())
             .map_err(|e| ApiError::bad_request(format!("body read failed: {e}")))?;
-        let fingerprint = program_fingerprint(&program);
         let name = program.name.clone();
         let handle = self
             .session
             .program(program)
             .map_err(|e| ApiError::bad_request(format!("trace rejected: {e}")))?;
+        let fingerprint = handle
+            .fingerprint()
+            .expect("an adopted program is fingerprinted");
         self.uploads.lock().expect("uploads lock").insert(
             fingerprint,
             handle.clone(),

@@ -15,14 +15,17 @@
 //! (write invalidation ⇒ coherence miss).
 //!
 //! The collector sits on the profiler's per-access hot path, so line state
-//! lives in flat struct-of-arrays tables indexed by interned dense line ids
-//! ([`AddrInterner`]) rather than a per-line-allocating hash map. The
-//! per-thread columns use a power-of-two stride (so the common 1–8-thread
-//! case indexes with a shift) and the per-line "which threads touched this
-//! line" set is a single bitmask word for up to 64 threads, with a
-//! multi-word fallback beyond. Each thread's reuse distances are counted
-//! into dense per-bucket arrays kept for the whole run; an epoch boundary
-//! hands out their compact [`ReuseHistogram`]s and clears them.
+//! lives in one flat table indexed by interned dense line ids
+//! ([`AddrInterner`]) rather than a per-line-allocating hash map. A line
+//! that one thread alone has touched keeps that thread's two counters
+//! inline in its record and no write state: until a second thread arrives,
+//! no other thread can have invalidated it. The second thread gives the
+//! line a row of one slot per thread, and from then on the line also keeps
+//! the global counter of its last access and of its last write. The
+//! collector's memory is therefore O(lines + shared lines × threads), not
+//! O(lines × threads). Each thread's reuse distances are counted into dense
+//! per-bucket arrays kept for the whole run; an epoch boundary hands out
+//! their compact [`ReuseHistogram`]s and clears them.
 
 use crate::hist::{DenseHistogram, ReuseHistogram};
 use crate::intern::AddrInterner;
@@ -52,8 +55,42 @@ struct EpochCounts {
     stores: u64,
 }
 
-/// Sentinel for "no thread has written this line".
-const NO_WRITER: u32 = u32::MAX;
+/// One thread's private and global counter values at its last access to a
+/// line.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    priv_last: u64,
+    glob_last: u64,
+}
+
+impl Slot {
+    /// The slot of a thread that has not touched the line (the global
+    /// counter never reaches `u64::MAX`).
+    const UNSEEN: Slot = Slot {
+        priv_last: 0,
+        glob_last: u64::MAX,
+    };
+}
+
+/// The state of one interned line.
+#[derive(Debug, Clone, Copy)]
+enum Line {
+    /// Only `owner` has touched the line; `last` is its last access.
+    Private { owner: u32, last: Slot },
+    /// Two or more threads have touched the line. Their slots are row `row`
+    /// of [`MultiThreadCollector::slots`] (unseen threads hold
+    /// [`Slot::UNSEEN`]).
+    Shared {
+        row: u32,
+        /// Global counter value of the most recent access by anyone.
+        last_any_glob: u64,
+        /// Global counter value of the most recent write since the line
+        /// became shared, or 0. A write made while the line was private
+        /// came from its owner before any other thread touched it, so it
+        /// can invalidate no one.
+        last_write_glob: u64,
+    },
+}
 
 /// Multi-threaded reuse-distance collector with coherence detection.
 ///
@@ -66,30 +103,13 @@ const NO_WRITER: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct MultiThreadCollector {
     n_threads: usize,
-    /// log2 of the per-line stride of the per-thread columns
-    /// (`n_threads.next_power_of_two()`), so `line_id << stride_shift + t`
-    /// indexes without a multiply.
-    stride_shift: u32,
-    /// Bitmask words per line in `seen` (1 for up to 64 threads).
-    seen_words: usize,
     global_count: u64,
     priv_count: Vec<u64>,
     interner: AddrInterner,
-    /// Per (line, thread): private counter value at that thread's last
-    /// access. Line-major, stride `1 << stride_shift`.
-    priv_last: Vec<u64>,
-    /// Per (line, thread): global counter value at that thread's last
-    /// access. Same layout as `priv_last`.
-    glob_last: Vec<u64>,
-    /// Per line: bitmask of threads that have touched the line.
-    seen: Vec<u64>,
-    /// Per line: global counter value of the most recent access by anyone
-    /// (the running max of `glob_last` across threads).
-    last_any_glob: Vec<u64>,
-    /// Per line: global counter value of the most recent write.
-    last_write_glob: Vec<u64>,
-    /// Per line: thread of the most recent write, or [`NO_WRITER`].
-    last_writer: Vec<u32>,
+    /// Per interned line id.
+    lines: Vec<Line>,
+    /// Per shared line, one slot per thread (row-major).
+    slots: Vec<Slot>,
     current: Vec<EpochCounts>,
 }
 
@@ -103,17 +123,11 @@ impl MultiThreadCollector {
         assert!(n_threads > 0);
         MultiThreadCollector {
             n_threads,
-            stride_shift: n_threads.next_power_of_two().trailing_zeros(),
-            seen_words: n_threads.div_ceil(64),
             global_count: 0,
             priv_count: vec![0; n_threads],
             interner: AddrInterner::new(),
-            priv_last: Vec::new(),
-            glob_last: Vec::new(),
-            seen: Vec::new(),
-            last_any_glob: Vec::new(),
-            last_write_glob: Vec::new(),
-            last_writer: Vec::new(),
+            lines: Vec::new(),
+            slots: Vec::new(),
             current: vec![EpochCounts::default(); n_threads],
         }
     }
@@ -123,18 +137,6 @@ impl MultiThreadCollector {
         self.n_threads
     }
 
-    /// Appends zeroed state rows for a newly interned line.
-    #[cold]
-    fn push_line(&mut self) {
-        let stride = 1usize << self.stride_shift;
-        self.priv_last.resize(self.priv_last.len() + stride, 0);
-        self.glob_last.resize(self.glob_last.len() + stride, 0);
-        self.seen.resize(self.seen.len() + self.seen_words, 0);
-        self.last_any_glob.push(0);
-        self.last_write_glob.push(0);
-        self.last_writer.push(NO_WRITER);
-    }
-
     /// Records an access by `thread` to `line`.
     ///
     /// # Panics
@@ -142,73 +144,88 @@ impl MultiThreadCollector {
     /// Panics if `thread` is out of range.
     pub fn access(&mut self, thread: usize, line: u64, is_write: bool) {
         assert!(thread < self.n_threads);
-        let g = self.global_count;
-        let p = self.priv_count[thread];
-
-        let (id, first) = self.interner.intern(line);
-        if first {
-            self.push_line();
-        }
-        let idx = id as usize;
-        let slot = (idx << self.stride_shift) + thread;
-
-        // Test-and-set this thread's bit in the line's seen mask; the
-        // single-word branch is the common (≤ 64 threads) fast path.
-        let (was_seen, any_seen);
-        if self.seen_words == 1 {
-            let w = &mut self.seen[idx];
-            any_seen = *w != 0;
-            was_seen = (*w >> thread) & 1 == 1;
-            *w |= 1 << thread;
-        } else {
-            let words = &mut self.seen[idx * self.seen_words..(idx + 1) * self.seen_words];
-            any_seen = words.iter().any(|&w| w != 0);
-            was_seen = (words[thread / 64] >> (thread % 64)) & 1 == 1;
-            words[thread / 64] |= 1 << (thread % 64);
-        }
-
+        let now = Slot {
+            priv_last: self.priv_count[thread],
+            glob_last: self.global_count,
+        };
+        let g = now.glob_last;
+        self.priv_count[thread] += 1;
+        self.global_count += 1;
         let epoch = &mut self.current[thread];
         epoch.accesses += 1;
         if is_write {
             epoch.stores += 1;
         }
 
-        if was_seen {
-            let glob_prev = self.glob_last[slot];
-            // Write invalidation: a remote write after our last access breaks
-            // the private reuse (the line was invalidated in our private
-            // hierarchy), but the shared LLC still holds it.
-            let writer = self.last_writer[idx];
-            let invalidated = writer != NO_WRITER
-                && writer != thread as u32
-                && self.last_write_glob[idx] > glob_prev;
-            if invalidated {
-                epoch.private.record_invalidated();
-            } else {
-                epoch.private.record(p - self.priv_last[slot] - 1);
-            }
-            epoch.global.record(g - glob_prev - 1);
-        } else {
-            // First touch by this thread. For the *shared* cache the line may
-            // have been brought in by another thread (positive interference):
-            // measure against the most recent access by anyone.
+        let (id, first) = self.interner.intern(line);
+        if first {
             epoch.private.record_cold();
-            if any_seen {
-                epoch.global.record(g - self.last_any_glob[idx] - 1);
-            } else {
-                epoch.global.record_cold();
+            epoch.global.record_cold();
+            self.lines.push(Line::Private {
+                owner: thread as u32,
+                last: now,
+            });
+            return;
+        }
+        let n = self.n_threads;
+        let state = &mut self.lines[id as usize];
+        match *state {
+            Line::Private { owner, last } if owner as usize == thread => {
+                // No other thread has touched the line, so none can have
+                // invalidated it.
+                epoch.private.record(now.priv_last - last.priv_last - 1);
+                epoch.global.record(g - last.glob_last - 1);
+                *state = Line::Private { owner, last: now };
+            }
+            Line::Private { owner, last } => {
+                // A second thread's first touch. For the *shared* cache the
+                // owner brought the line in (positive interference): measure
+                // against the owner's last access.
+                epoch.private.record_cold();
+                epoch.global.record(g - last.glob_last - 1);
+                let row = self.slots.len() / n;
+                self.slots.resize(self.slots.len() + n, Slot::UNSEEN);
+                self.slots[row * n + owner as usize] = last;
+                self.slots[row * n + thread] = now;
+                *state = Line::Shared {
+                    // Rows never outnumber the interner's `u32` line ids.
+                    row: row as u32,
+                    last_any_glob: g,
+                    last_write_glob: if is_write { g } else { 0 },
+                };
+            }
+            Line::Shared {
+                row,
+                last_any_glob,
+                last_write_glob,
+            } => {
+                let slot = &mut self.slots[row as usize * n + thread];
+                if slot.glob_last == Slot::UNSEEN.glob_last {
+                    // First touch by this thread: measured against the most
+                    // recent access by anyone, as above.
+                    epoch.private.record_cold();
+                    epoch.global.record(g - last_any_glob - 1);
+                } else {
+                    // Write invalidation: a write after our last access is
+                    // remote (our own writes are never later than our last
+                    // access) and broke the private reuse (the line was
+                    // invalidated in our private hierarchy), but the shared
+                    // LLC still holds it.
+                    if last_write_glob > slot.glob_last {
+                        epoch.private.record_invalidated();
+                    } else {
+                        epoch.private.record(now.priv_last - slot.priv_last - 1);
+                    }
+                    epoch.global.record(g - slot.glob_last - 1);
+                }
+                *slot = now;
+                *state = Line::Shared {
+                    row,
+                    last_any_glob: g,
+                    last_write_glob: if is_write { g } else { last_write_glob },
+                };
             }
         }
-
-        self.priv_last[slot] = p;
-        self.glob_last[slot] = g;
-        self.last_any_glob[idx] = g;
-        if is_write {
-            self.last_write_glob[idx] = g;
-            self.last_writer[idx] = thread as u32;
-        }
-        self.priv_count[thread] += 1;
-        self.global_count += 1;
     }
 
     /// Ends the current epoch of `thread`, returning its locality statistics
@@ -371,9 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_collector_uses_multiword_seen_masks() {
-        // 100 threads forces the multi-word seen-mask path; the semantics
-        // must match the narrow case.
+    fn hundred_threads_share_one_line() {
+        // More threads than one 64-bit word has bits; the semantics must
+        // match the narrow case.
         let n = 100;
         let mut m = MultiThreadCollector::new(n);
         for t in 0..n {
@@ -389,6 +406,22 @@ mod tests {
         assert_eq!(e1.global.total_finite(), 1);
         let e0 = m.end_epoch(0);
         assert_eq!(e0.global.cold, 1, "thread 0 touched the line first");
+    }
+
+    #[test]
+    fn lines_one_thread_touches_allocate_no_row() {
+        let mut m = MultiThreadCollector::new(8);
+        for rep in 0..3 {
+            for t in 0..8 {
+                for line in 0..16u64 {
+                    m.access(t, (t as u64) << 32 | line, rep == 1);
+                }
+            }
+        }
+        assert_eq!(m.unique_lines(), 128);
+        assert!(m.slots.is_empty(), "private lines need no per-thread row");
+        m.access(3, 0, false); // thread 0's first line gains a second thread
+        assert_eq!(m.slots.len(), 8, "one row of one slot per thread");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! slices) dominated profiling time. [`AddrInterner`] replaces it with an
 //! open-addressing table under an FxHash-style multiplicative hash: one
 //! probe sequence over a flat slot array, no per-entry allocation, and a
-//! dense id that indexes struct-of-arrays state kept by the caller.
+//! dense id that indexes the caller's flat per-line table.
 
 use crate::hist::{DenseHistogram, ReuseHistogram};
 

@@ -20,6 +20,9 @@
 //!   locality, capturing positive and negative interference), and detects
 //!   write invalidations (another thread wrote the line between two accesses
 //!   by this thread ⇒ infinite private reuse distance ⇒ coherence miss).
+//!   It keeps one record per line and a row of per-thread slots only for
+//!   lines two or more threads touch, so its memory is O(lines + shared
+//!   lines × threads).
 //!
 //! # Example
 //!

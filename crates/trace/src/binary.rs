@@ -1409,15 +1409,12 @@ fn read_section<R: Read>(source: &mut R, context: &str) -> Result<(u64, Vec<u8>)
 // ---------------------------------------------------------------------------
 // Whole-program conveniences
 
-/// Serializes `program` into an in-memory `RPT1` byte buffer.
-///
-/// # Errors
-///
-/// Never fails for in-memory sinks in practice; the `Result` mirrors the
-/// streaming API.
-pub fn export_program_binary(program: &Program) -> Result<Vec<u8>, TraceFileError> {
+/// Streams `program`'s canonical `RPT1` encoding, at the smallest version
+/// able to carry it, into `sink` and returns the sink. Fails only when the
+/// sink does.
+pub(crate) fn write_program_to<W: Write>(program: &Program, sink: W) -> Result<W, TraceFileError> {
     let mut w = TraceWriter::with_version(
-        Vec::new(),
+        sink,
         &program.name,
         program.threads.len() as u32,
         program.format_version(),
@@ -1426,6 +1423,16 @@ pub fn export_program_binary(program: &Program) -> Result<Vec<u8>, TraceFileErro
         w.write_script(t as u32, script)?;
     }
     w.finish()
+}
+
+/// Serializes `program` into an in-memory `RPT1` byte buffer.
+///
+/// # Errors
+///
+/// Never fails for in-memory sinks in practice; the `Result` mirrors the
+/// streaming API.
+pub fn export_program_binary(program: &Program) -> Result<Vec<u8>, TraceFileError> {
+    write_program_to(program, Vec::new())
 }
 
 /// Parses an in-memory `RPT1` byte buffer into a validated [`Program`].
@@ -1457,16 +1464,7 @@ pub fn write_program_binary(
         source,
     };
     let file = std::fs::File::create(path).map_err(io_err)?;
-    let mut w = TraceWriter::with_version(
-        std::io::BufWriter::new(file),
-        &program.name,
-        program.threads.len() as u32,
-        program.format_version(),
-    )?;
-    for (t, script) in program.threads.iter().enumerate() {
-        w.write_script(t as u32, script)?;
-    }
-    w.finish()?;
+    write_program_to(program, std::io::BufWriter::new(file))?;
     Ok(())
 }
 

@@ -346,78 +346,31 @@ fn json_kind(v: &Value) -> &'static str {
     }
 }
 
-/// Stable content fingerprint of a program (FNV-1a over its serialized
-/// value tree). Two programs share a fingerprint exactly when they export
-/// identically — used to key profile caches for imported traces.
+/// Stable content fingerprint of a program: FNV-1a over its canonical
+/// `RPT1` encoding (the bytes [`crate::export_program_binary`] returns,
+/// hashed as the writer streams them). The encoding is lossless and
+/// canonical, so two programs share a fingerprint exactly when they export
+/// identically, whichever container they came from — used to key profile
+/// caches for imported traces.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv::new();
-    hash_value(&program.to_value(), &mut h);
-    h.0
+    crate::binary::write_program_to(program, Fnv(0xCBF2_9CE4_8422_2325))
+        .expect("a hash sink accepts every write")
+        .0
 }
 
+/// A 64-bit FNV-1a hash fed as an [`std::io::Write`] sink.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
+impl std::io::Write for Fnv {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for &b in buf {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_0000_01B3);
+        }
+        Ok(buf.len())
     }
 
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x1_0000_0000_01B3);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
-fn hash_value(v: &Value, h: &mut Fnv) {
-    match v {
-        Value::Null => h.byte(0),
-        Value::Bool(b) => {
-            h.byte(1);
-            h.byte(*b as u8);
-        }
-        Value::U64(n) => {
-            h.byte(2);
-            h.u64(*n);
-        }
-        Value::I64(n) => {
-            h.byte(3);
-            h.u64(*n as u64);
-        }
-        Value::F64(n) => {
-            h.byte(4);
-            h.u64(n.to_bits());
-        }
-        Value::String(s) => {
-            h.byte(5);
-            h.u64(s.len() as u64);
-            h.bytes(s.as_bytes());
-        }
-        Value::Array(items) => {
-            h.byte(6);
-            h.u64(items.len() as u64);
-            for item in items {
-                hash_value(item, h);
-            }
-        }
-        Value::Object(entries) => {
-            h.byte(7);
-            h.u64(entries.len() as u64);
-            for (k, val) in entries {
-                h.u64(k.len() as u64);
-                h.bytes(k.as_bytes());
-                hash_value(val, h);
-            }
-        }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -526,16 +479,33 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_content_sensitive() {
+        use crate::program::{Segment, ThreadScript};
+        use crate::sync::SyncOp;
         let p = sample();
         assert_eq!(program_fingerprint(&p), program_fingerprint(&sample()));
-        let mut q = p.clone();
-        q.name = "renamed".to_string();
-        assert_ne!(program_fingerprint(&p), program_fingerprint(&q));
-        let mut r = p.clone();
-        if let crate::program::Segment::Block(b) = &mut r.threads[1].segments[1] {
-            b.seed ^= 1;
+        // Thread 1 runs consume, block, lock, block, unlock, barrier.
+        fn block(q: &mut Program) -> &mut BlockSpec {
+            match &mut q.threads[1].segments[1] {
+                Segment::Block(b) => b,
+                other => panic!("expected a block, found {other:?}"),
+            }
         }
-        assert_ne!(program_fingerprint(&p), program_fingerprint(&r));
+        let changes = |what: &str, edit: &dyn Fn(&mut Program)| {
+            let mut q = p.clone();
+            edit(&mut q);
+            assert_ne!(program_fingerprint(&p), program_fingerprint(&q), "{what}");
+        };
+        changes("name", &|q| q.name = "renamed".to_string());
+        changes("thread count", &|q| q.threads.push(ThreadScript::default()));
+        changes("block seed", &|q| block(q).seed ^= 1);
+        changes("f64 fraction, one ulp", &|q| {
+            let b = block(q);
+            b.f_load = f64::from_bits(b.f_load.to_bits() + 1);
+        });
+        changes("sync id", &|q| match &mut q.threads[1].segments[5] {
+            Segment::Sync(SyncOp::Barrier { id, .. }) => id.0 += 1,
+            other => panic!("expected a barrier, found {other:?}"),
+        });
     }
 
     #[test]

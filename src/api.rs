@@ -342,6 +342,16 @@ impl WorkloadHandle {
         }
     }
 
+    /// The content fingerprint a fixed trace (an import or an adopted
+    /// program) is cached under, as `rppm_trace::program_fingerprint`
+    /// computes it; `None` for catalog workloads.
+    pub fn fingerprint(&self) -> Option<u64> {
+        match &self.source {
+            Source::Catalog { .. } => None,
+            Source::Fixed { fingerprint, .. } => Some(*fingerprint),
+        }
+    }
+
     /// The cache key this workload profiles under.
     fn key(&self) -> ProfileKey {
         match &self.source {

@@ -317,8 +317,14 @@ fn adopted_programs_share_fingerprints_with_imports() {
     std::fs::write(&path, json).unwrap();
 
     let session = Session::new();
-    session.program(program).expect("valid").profile();
-    session.import(&path).expect("imports").profile();
+    let fingerprint = rppm::trace::program_fingerprint(&program);
+    let adopted = session.program(program).expect("valid");
+    assert_eq!(adopted.fingerprint(), Some(fingerprint));
+    adopted.profile();
+    let imported = session.import(&path).expect("imports");
+    assert_eq!(imported.fingerprint(), Some(fingerprint));
+    imported.profile();
+    assert_eq!(session.workload("kmeans").unwrap().fingerprint(), None);
     assert_eq!(
         session.profiles_collected(),
         1,
